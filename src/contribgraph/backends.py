@@ -5,22 +5,23 @@ Two implementations ship: a replay mock keyed by the SHA-256 of the
 fully rendered prompt (pure, deterministic, used by the whole test
 suite), and an OpenAI-compatible HTTP backend configured through
 environment variables.
+
+``generate_validated`` is the one call -> parse -> validate -> re-prompt
+loop; the extraction stages and ranking all go through it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
+import re
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional, Sequence
 
-from .errors import BackendError
-
-logger = logging.getLogger(__name__)
+from .errors import BackendError, ParseFailure, StageFailure
 
 GEN_ENDPOINT_VAR = "CONTRIBGRAPH_GEN_ENDPOINT"
 GEN_API_KEY_VAR = "CONTRIBGRAPH_GEN_API_KEY"
@@ -60,12 +61,7 @@ class GenerationBackend(ABC):
         return f"{self.name}:{self.model}" if self.model else self.name
 
     @abstractmethod
-    def generate(
-        self,
-        prompt: str,
-        temperature: float = 0.0,
-        max_output_tokens: Optional[int] = None,
-    ) -> str:
+    def generate(self, prompt: str, temperature: float = 0.0) -> str:
         ...
 
     def _account(self, tokens_in: int, tokens_out: int, cost: float) -> None:
@@ -77,35 +73,24 @@ class MockBackend(GenerationBackend):
     """Replay backend: responses come from ``<sha256-of-prompt>.txt`` files.
 
     A pure function of the prompt, so repeated runs are byte-identical.
-    In strict mode (the default) an unknown prompt hash is an error so
-    fixture drift fails loudly instead of silently changing output.
+    An unknown prompt hash is an error so fixture drift fails loudly
+    instead of silently changing output.
     """
 
     name = "mock"
+    model = "replay"
 
-    def __init__(self, directory: str | Path, model: str = "replay", strict: bool = True):
+    def __init__(self, directory: str | Path):
         super().__init__()
         self.directory = Path(directory)
-        self.model = model
-        self.strict = strict
 
-    def generate(
-        self,
-        prompt: str,
-        temperature: float = 0.0,
-        max_output_tokens: Optional[int] = None,
-    ) -> str:
+    def generate(self, prompt: str, temperature: float = 0.0) -> str:
         digest = prompt_hash(prompt)
         path = self.directory / f"{digest}.txt"
         if not path.exists():
             head = prompt[:160].replace("\n", " ")
-            message = f"no canned response for prompt hash {digest} ({head!r}...)"
-            if self.strict:
-                raise BackendError(message)
-            logger.warning("%s", message)
-            response = ""
-        else:
-            response = path.read_text(encoding="utf-8")
+            raise BackendError(f"no canned response for prompt hash {digest} ({head!r}...)")
+        response = path.read_text(encoding="utf-8")
         # Crude deterministic token estimate; the mock has no tokenizer.
         self._account(len(prompt) // 4, len(response) // 4, 0.0)
         return response
@@ -150,12 +135,7 @@ class HttpBackend(GenerationBackend):
                 f"no generation endpoint configured (set {GEN_ENDPOINT_VAR})"
             )
 
-    def generate(
-        self,
-        prompt: str,
-        temperature: float = 0.0,
-        max_output_tokens: Optional[int] = None,
-    ) -> str:
+    def generate(self, prompt: str, temperature: float = 0.0) -> str:
         import requests
 
         payload: dict = {
@@ -163,8 +143,6 @@ class HttpBackend(GenerationBackend):
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        if max_output_tokens is not None:
-            payload["max_tokens"] = max_output_tokens
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -193,11 +171,71 @@ class HttpBackend(GenerationBackend):
         return text
 
 
-def make_backend(mock_dir: Optional[str] = None, **kwargs) -> GenerationBackend:
-    """Mock replay backend when a directory is given, HTTP otherwise."""
-    if mock_dir:
-        return MockBackend(mock_dir)
-    return HttpBackend(**kwargs)
+_FENCE_RE = re.compile(r"```[a-zA-Z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
+
+
+def parse_fenced_json(response: str) -> Any:
+    """Parse the last well-formed triple-backtick fence, else the whole body."""
+    for text in reversed([m.group(1) for m in _FENCE_RE.finditer(response)]):
+        try:
+            return json.loads(text.strip())
+        except json.JSONDecodeError:
+            continue
+    try:
+        return json.loads(response.strip())
+    except json.JSONDecodeError:
+        raise ParseFailure("no parseable JSON in response", response) from None
+
+
+def _retry_suffix(problems: Sequence[str]) -> str:
+    lines = "\n".join(f"- {p}" for p in problems)
+    return (
+        "\n\n# Previous attempt failed validation\n"
+        "The previous response was rejected by the schema validator:\n"
+        f"{lines}\n"
+        "Please answer again, following the output format exactly. "
+        "The JSON must be valid JSON, between triple backticks (```).\n"
+    )
+
+
+def generate_validated(
+    backend: GenerationBackend,
+    prompt: str,
+    list_key: str,
+    validate: Callable[[list], tuple[Any, list[str]]],
+    *,
+    retries: int,
+    corpus_id: str,
+    stage: str,
+    temperature: float = 0.0,
+) -> Any:
+    """Call, parse and validate; on a problem, re-prompt with the problems appended.
+
+    The answer must be a JSON object holding a list under ``list_key``;
+    ``validate`` maps that list to (value, problems). Makes at most
+    ``retries + 1`` calls and raises StageFailure when none validates.
+    Transport errors are re-raised naming the paper and the stage.
+    """
+    problems: list[str] = []
+    current = prompt
+    for _ in range(retries + 1):
+        try:
+            response = backend.generate(current, temperature=temperature)
+        except BackendError as exc:
+            raise BackendError(f"paper {corpus_id}, stage {stage}: {exc}") from exc
+        try:
+            doc = parse_fenced_json(response)
+        except ParseFailure as exc:
+            problems = [f"response is not parseable JSON: {exc}"]
+        else:
+            if not isinstance(doc, dict) or not isinstance(doc.get(list_key), list):
+                problems = [f"top level must be a dict with a `{list_key}` list"]
+            else:
+                value, problems = validate(doc[list_key])
+                if not problems:
+                    return value
+        current = prompt + _retry_suffix(problems)
+    raise StageFailure(corpus_id, stage, "; ".join(problems))
 
 
 def echo_json(obj) -> str:

@@ -28,7 +28,6 @@ from .embedding import (
 from .errors import ContribGraphError
 from .graph import RECORDS_FILE, ContributionGraph
 from .jsonl import read_jsonl
-from .model import PaperMeta, PartialDate
 from .pipeline import PaperInput, Pipeline, PipelineConfig
 from .roadmap import export_dot, export_json, impact_tree, precursor_tree
 
@@ -143,15 +142,7 @@ def cmd_ingest(args, config) -> int:
         if args.catalog:
             catalog = frontier.Catalog.load(args.catalog)
             for entry in catalog.by_id.values():
-                graph.register_paper(
-                    PaperMeta(
-                        corpus_id=entry.corpus_id,
-                        title=entry.title,
-                        year=entry.year,
-                        date=PartialDate.parse(entry.date) if entry.date else None,
-                        venue=entry.venue,
-                    )
-                )
+                graph.register_paper(entry.paper_meta())
             print(f"catalog: {len(catalog.by_id)} papers registered")
         ingested = skipped = 0
         for records_file in args.records or []:
@@ -195,15 +186,7 @@ def cmd_extract(args, config) -> int:
             text_path = Path(entry.text_path)
             if not text_path.exists():
                 raise CliError(f"corpus {corpus_id}: text file {text_path} missing")
-            graph.register_paper(
-                PaperMeta(
-                    corpus_id=entry.corpus_id,
-                    title=entry.title,
-                    year=entry.year,
-                    date=PartialDate.parse(entry.date) if entry.date else None,
-                    venue=entry.venue,
-                )
-            )
+            graph.register_paper(entry.paper_meta())
             papers.append(
                 PaperInput(
                     corpus_id=entry.corpus_id,

@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 from . import jsonl
-from .backends import GenerationBackend
-from .errors import ParseFailure
-from .pipeline import parse_fenced_json, _retry_suffix
+from .backends import GenerationBackend, generate_validated
+from .errors import StageFailure
 from .prompts import RANKING_TEMPLATE, load_template, render
 from .taskgen import Problem
 
@@ -141,20 +140,15 @@ class RankingSubmission:
 
 
 def rank_with_model(
-    problem: Problem,
-    backend: GenerationBackend,
-    retries: int = 2,
-    prompts_dir: Optional[str | Path] = None,
-    temperature: float = 0.0,
+    problem: Problem, backend: GenerationBackend, retries: int = 2
 ) -> RankingSubmission:
     """Ask the backend to rank the problem's candidates.
 
-    Ill-formed ids are repaired; a response with no usable ranking at
-    all degrades to the stored candidate order and is flagged.
+    Ill-formed ids are repaired; when no attempt yields a usable ranking
+    the submission degrades to the stored candidate order and is flagged.
     """
-    template = load_template(RANKING_TEMPLATE, prompts_dir)
     prompt = render(
-        template,
+        load_template(RANKING_TEMPLATE),
         {
             "target": json.dumps(
                 {"name": problem.target_name, "description": problem.target_description},
@@ -166,27 +160,21 @@ def rank_with_model(
     )
     before_tokens = backend.usage.tokens_in + backend.usage.tokens_out
     before_cost = backend.usage.cost
-    raw_ids: Optional[list[str]] = None
-    current = prompt
-    for _ in range(retries + 1):
-        try:
-            response = backend.generate(current, temperature=temperature)
-            doc = parse_fenced_json(response)
-        except ParseFailure as exc:
-            current = prompt + _retry_suffix([f"response is not parseable JSON: {exc}"])
-            continue
-        ranking = doc.get("ranking") if isinstance(doc, dict) else None
-        if isinstance(ranking, list):
-            raw_ids = [str(cid) for cid in ranking]
-            break
-        current = prompt + _retry_suffix(["top level must be a dict with a `ranking` list"])
-
-    flagged = raw_ids is None
-    if flagged:
+    try:
+        raw_ids = generate_validated(
+            backend,
+            prompt,
+            "ranking",
+            lambda ranking: ([str(cid) for cid in ranking], []),
+            retries=retries,
+            corpus_id=problem.problem_id,
+            stage="ranking",
+        )
+    except StageFailure:
         logger.warning("problem %s: unusable ranking, degraded to stored order", problem.problem_id)
-        ranked = list(problem.candidate_ids)
+        ranked, flagged = list(problem.candidate_ids), True
     else:
-        ranked = repair_submission(raw_ids, problem)
+        ranked, flagged = repair_submission(raw_ids, problem), False
     return RankingSubmission(
         problem_id=problem.problem_id,
         ranked_ids=ranked,
@@ -202,18 +190,13 @@ def run_ranking(
     backend: GenerationBackend,
     parallel: int = 1,
     retries: int = 2,
-    prompts_dir: Optional[str | Path] = None,
 ) -> list[RankingSubmission]:
     if parallel > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(
-                pool.map(
-                    lambda p: rank_with_model(p, backend, retries, prompts_dir), problems
-                )
-            )
-    return [rank_with_model(p, backend, retries, prompts_dir) for p in problems]
+            return list(pool.map(lambda p: rank_with_model(p, backend, retries), problems))
+    return [rank_with_model(p, backend, retries) for p in problems]
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import jsonl
 from .graph import ContributionGraph, normalize_title
-from .model import PaperRef, PartialDate
+from .model import PaperMeta, PaperRef, PartialDate
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +29,16 @@ class CatalogEntry:
     text_path: str = ""
     date: Optional[str] = None
     venue: Optional[str] = None
+
+    def paper_meta(self) -> PaperMeta:
+        """Catalog metadata as the store registers it (status pending)."""
+        return PaperMeta(
+            corpus_id=self.corpus_id,
+            title=self.title,
+            year=self.year,
+            date=PartialDate.parse(self.date) if self.date else None,
+            venue=self.venue,
+        )
 
 
 class Catalog:
@@ -57,12 +67,6 @@ class Catalog:
                 )
             )
         return cls(entries)
-
-    def meta_date(self, corpus_id: str) -> Optional[PartialDate]:
-        entry = self.by_id.get(corpus_id)
-        if entry and entry.date:
-            return PartialDate.parse(entry.date)
-        return None
 
 
 def resolve_reference(ref: PaperRef, catalog: Catalog) -> Optional[str]:

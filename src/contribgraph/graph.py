@@ -139,6 +139,8 @@ class ContributionGraph:
                             )
                         elif isinstance(ref, PaperRef):
                             cited = ref.corpus_id
+                            if cited == record.corpus_id:
+                                continue  # a self-citation stays in the record only
                             cited_meta = self.papers.get(cited) if cited else None
                             if cited_meta is not None and cited_meta.status == "extracted":
                                 for match in ref.matches:

@@ -5,7 +5,10 @@ contribution prerequisite extraction (which may split a contribution
 into finer-grained ones), and prerequisite-to-contribution alignment
 against cited papers already in the graph. Stage outputs are strict
 fenced JSON; a schema violation re-prompts with the validator's errors
-appended, up to a configurable retry budget.
+appended, up to a configurable retry budget (``backends.generate_validated``,
+shared with ranking). Stage outputs pass the schema rules of ingested
+records plus stage rules (see the validators) and are built with the
+record constructor.
 
 Stages 2 and 3 depend only on the paper text, so papers can be staged
 concurrently; alignment, ingestion, and the append-only record log are
@@ -24,18 +27,15 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import jsonl
-from .backends import GenerationBackend
-from .errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
+from .backends import GenerationBackend, generate_validated
+from .backends import parse_fenced_json  # noqa: F401 - kept importable from here
+from .errors import BackendError, DuplicatePaperError, StageFailure
 from .graph import ContributionGraph, GraphDelta
 from .model import (
-    CORE_OR_PERIPHERAL,
     MATCH_TYPES,
-    ArtifactRef,
     Contribution,
-    ContributionType,
     Edge,
     ExtractionRecord,
-    InternalRef,
     Match,
     PaperRef,
     Prerequisite,
@@ -48,40 +48,12 @@ from .prompts import (
     load_template,
     render,
 )
-from .records import normalize_contribution
+from .records import check_contribution, contribution_from_json, normalize_contribution
 
 logger = logging.getLogger(__name__)
 
-_SPLIT_KEY_RE = re.compile(r"-\d+$")
-_FENCE_RE = re.compile(r"```[a-zA-Z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
-
-
-def parse_fenced_json(response: str) -> Any:
-    """Parse the last well-formed triple-backtick fence, else the whole body."""
-    for text in reversed([m.group(1) for m in _FENCE_RE.finditer(response)]):
-        try:
-            return json.loads(text.strip())
-        except json.JSONDecodeError:
-            continue
-    try:
-        return json.loads(response.strip())
-    except json.JSONDecodeError:
-        raise ParseFailure("no parseable JSON in response", response) from None
-
-
 def _prompt_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2)
-
-
-def _retry_suffix(problems: Sequence[str]) -> str:
-    lines = "\n".join(f"- {p}" for p in problems)
-    return (
-        "\n\n# Previous attempt failed validation\n"
-        "The previous response was rejected by the schema validator:\n"
-        f"{lines}\n"
-        "Please answer again, following the output format exactly. "
-        "The JSON must be valid JSON, between triple backticks (```).\n"
-    )
 
 
 @dataclass
@@ -104,9 +76,7 @@ class StagedPaper:
 class PipelineConfig:
     retries: int = 2  # extra attempts after the first, per stage call
     temperature: float = 0.0
-    max_output_tokens: Optional[int] = None
     max_paper_chars: int = 600_000  # longer full text is tail-truncated
-    prompts_dir: Optional[Path] = None
 
 
 class Pipeline:
@@ -122,15 +92,29 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.records_path = Path(records_path) if records_path else None
         self._finalize_lock = threading.Lock()
-        directory = self.config.prompts_dir
         self._templates = {
-            name: load_template(name, directory)
+            name: load_template(name)
             for name in (CONTRIBUTION_TEMPLATE, PREREQUISITE_TEMPLATE, ALIGNMENT_TEMPLATE)
         }
 
-    # ------------------------------------------------------------------
-    # Shared call machinery
-    # ------------------------------------------------------------------
+    def _generate(
+        self,
+        prompt: str,
+        list_key: str,
+        validate: Callable[[list], tuple[Any, list[str]]],
+        corpus_id: str,
+        stage: str,
+    ) -> Any:
+        return generate_validated(
+            self.backend,
+            prompt,
+            list_key,
+            validate,
+            retries=self.config.retries,
+            corpus_id=corpus_id,
+            stage=stage,
+            temperature=self.config.temperature,
+        )
 
     def _paper_text(self, paper: PaperInput) -> str:
         text = paper.full_text
@@ -144,35 +128,6 @@ class Pipeline:
             text = text[: self.config.max_paper_chars]
         return text
 
-    def _generate_validated(
-        self,
-        prompt: str,
-        validate: Callable[[Any], tuple[Any, list[str]]],
-        corpus_id: str,
-        stage: str,
-    ) -> Any:
-        problems: list[str] = []
-        current = prompt
-        for _ in range(self.config.retries + 1):
-            try:
-                response = self.backend.generate(
-                    current,
-                    temperature=self.config.temperature,
-                    max_output_tokens=self.config.max_output_tokens,
-                )
-            except BackendError as exc:
-                raise BackendError(f"paper {corpus_id}, stage {stage}: {exc}") from exc
-            try:
-                doc = parse_fenced_json(response)
-            except ParseFailure as exc:
-                problems = [f"response is not parseable JSON: {exc}"]
-            else:
-                value, problems = validate(doc)
-                if not problems:
-                    return value
-            current = prompt + _retry_suffix(problems)
-        raise StageFailure(corpus_id, stage, "; ".join(problems))
-
     # ------------------------------------------------------------------
     # Stage 2: contribution extraction
     # ------------------------------------------------------------------
@@ -185,39 +140,26 @@ class Pipeline:
             {"paper_text": self._paper_text(paper)},
         )
 
-        def validate(doc: Any) -> tuple[list[Contribution], list[str]]:
+        def validate(entries: list) -> tuple[list[Contribution], list[str]]:
+            """Record rules, plus at least one type and one section each."""
             problems: list[str] = []
-            if not isinstance(doc, dict) or not isinstance(doc.get("contributions"), list):
-                return [], ["top level must be a dict with a `contributions` list"]
             out: list[Contribution] = []
-            for i, raw in enumerate(doc["contributions"]):
+            for i, raw in enumerate(entries):
                 if not isinstance(raw, dict):
                     problems.append(f"contribution {i} is not an object")
                     continue
                 norm = normalize_contribution(raw)
-                if not norm["name"]:
-                    problems.append(f"contribution {i}: empty name")
-                if not norm["description"]:
-                    problems.append(f"contribution {i}: empty description")
+                norm["contribution_id"] = make_contribution_id(paper.corpus_id, i)
+                norm["prerequisites"] = []  # stage 3 extracts these
+                problems.extend(check_contribution(norm, f"contribution {i}"))
                 if not norm["types"]:
                     problems.append(f"contribution {i}: needs at least one contribution_type")
                 if not norm["sections"]:
                     problems.append(f"contribution {i}: needs at least one section")
-                out.append(
-                    Contribution(
-                        id=make_contribution_id(paper.corpus_id, i),
-                        name=norm["name"],
-                        description=norm["description"],
-                        types=[
-                            ContributionType(t["type"], t["explanation"])
-                            for t in norm["types"]
-                        ],
-                        sections=norm["sections"],
-                    )
-                )
+                out.append(contribution_from_json(norm))
             return out, problems
 
-        return self._generate_validated(prompt, validate, paper.corpus_id, "contributions")
+        return self._generate(prompt, "contributions", validate, paper.corpus_id, "contributions")
 
     # ------------------------------------------------------------------
     # Stage 3: prerequisite extraction
@@ -242,7 +184,7 @@ class Pipeline:
         contribution: Contribution,
         other_contributions: Sequence[Contribution],
         paper: PaperInput,
-        ) -> list[dict[str, Any]]:
+    ) -> list[dict[str, Any]]:
         """Returns normalized stage entries: contribution fields plus a
         `key` (input key or dash-split) and a `prerequisites` list whose
         internal references still carry stage keys (mapped to final ids
@@ -262,11 +204,12 @@ class Pipeline:
             },
         )
 
-        def validate(doc: Any) -> tuple[list[dict[str, Any]], list[str]]:
+        def validate(entries: list) -> tuple[list[dict[str, Any]], list[str]]:
+            """Record rules, plus: each key is the input key or a dash-split
+            of it and unique; prerequisite names are non-empty; a paper
+            reference has a title or corpus_id; an internal reference names
+            a known key other than its own."""
             problems: list[str] = []
-            if not isinstance(doc, dict) or not isinstance(doc.get("contributions"), list):
-                return [], ["top level must be a dict with a `contributions` list"]
-            entries = doc["contributions"]
             if not entries:
                 return [], [f"output must carry the input contribution (key {input_key!r})"]
             out: list[dict[str, Any]] = []
@@ -290,42 +233,32 @@ class Pipeline:
                 seen_keys.add(key)
                 norm = normalize_contribution(raw)
                 norm["key"] = key
-                if not norm["name"] or not norm["description"]:
-                    problems.append(f"key {key!r}: empty name or description")
                 for p_idx, prereq in enumerate(norm["prerequisites"]):
                     where = f"key {key!r}, prerequisite {p_idx}"
                     if not prereq["name"]:
                         problems.append(f"{where}: empty name")
-                    if prereq["core_or_peripheral"] not in CORE_OR_PERIPHERAL:
-                        problems.append(
-                            f"{where}: core_or_peripheral must be core or peripheral"
-                        )
                     for ref in prereq["references"]:
-                        kind = ref.get("type")
-                        if kind == "paper":
-                            if not ref.get("paper_title") and not ref.get("corpus_id"):
+                        if ref.get("type") == "paper":
+                            ref["matches"] = []  # alignment's output, not this stage's
+                            if not ref["paper_title"] and not ref["corpus_id"]:
                                 problems.append(
                                     f"{where}: paper reference needs a title or corpus_id"
                                 )
-                        elif kind == "internal":
+                        elif ref.get("type") == "internal":
                             # Normalization stores the echoed stage key in the
-                            # contribution_id slot; assembly maps it to a final id.
-                            target = ref.get("contribution_id")
+                            # contribution_id slot; stage_paper maps it to a final id.
+                            target = ref["contribution_id"]
                             if target == key:
                                 problems.append(f"{where}: internal reference to itself")
                             elif target not in known_keys and target not in output_keys:
                                 problems.append(
                                     f"{where}: internal reference to unknown key {target!r}"
                                 )
-                        elif kind == "artifact":
-                            if not ref.get("url"):
-                                problems.append(f"{where}: artifact reference needs a url")
-                        else:
-                            problems.append(f"{where}: unknown reference type {kind!r}")
+                problems.extend(check_contribution(norm, f"key {key!r}"))
                 out.append(norm)
             return out, problems
 
-        return self._generate_validated(prompt, validate, paper.corpus_id, "prerequisites")
+        return self._generate(prompt, "contributions", validate, paper.corpus_id, "prerequisites")
 
     # ------------------------------------------------------------------
     # Stage 4: alignment
@@ -372,12 +305,10 @@ class Pipeline:
             },
         )
 
-        def validate(doc: Any) -> tuple[list[Match], list[str]]:
+        def validate(matches: list) -> tuple[list[Match], list[str]]:
             problems: list[str] = []
-            if not isinstance(doc, dict) or not isinstance(doc.get("matches"), list):
-                return [], ["top level must be a dict with a `matches` list"]
             out: list[Match] = []
-            for raw in doc["matches"]:
+            for raw in matches:
                 if not isinstance(raw, dict):
                     problems.append("match entry is not an object")
                     continue
@@ -394,7 +325,7 @@ class Pipeline:
                 out.append(Match(key, raw.get("explanation", ""), str(match_type)))
             return out, problems
 
-        return self._generate_validated(prompt, validate, dep.corpus_id, "alignment")
+        return self._generate(prompt, "matches", validate, dep.corpus_id, "alignment")
 
     # ------------------------------------------------------------------
     # Orchestration
@@ -428,21 +359,12 @@ class Pipeline:
         contributions: list[Contribution] = []
         for idx, (input_key, entry) in enumerate(entries):
             cid = make_contribution_id(paper.corpus_id, idx)
-            prerequisites: list[Prerequisite] = []
-            for raw_prereq in entry["prerequisites"]:
-                references: list = []
-                for ref in raw_prereq["references"]:
-                    if ref["type"] == "paper":
-                        references.append(
-                            PaperRef(
-                                title=ref.get("paper_title", ""),
-                                first_author=ref.get("first_author"),
-                                year=ref.get("paper_year"),
-                                venue=ref.get("paper_venue"),
-                                corpus_id=ref.get("corpus_id"),
-                            )
-                        )
-                    elif ref["type"] == "internal":
+            entry["contribution_id"] = cid
+            entry["split_from"] = input_key if entry["key"] != input_key else None
+            for prereq in entry["prerequisites"]:
+                kept = []
+                for ref in prereq["references"]:
+                    if ref["type"] == "internal":
                         target = key_map.get(str(ref["contribution_id"]))
                         if target is None or target == cid:
                             logger.warning(
@@ -451,37 +373,10 @@ class Pipeline:
                                 ref["contribution_id"],
                             )
                             continue
-                        references.append(
-                            InternalRef(
-                                contribution_name=ref.get("contribution_name", ""),
-                                contribution_id=target,
-                                explanation=ref.get("explanation", ""),
-                            )
-                        )
-                    else:
-                        references.append(
-                            ArtifactRef(name=ref.get("name", ""), url=ref.get("url", ""))
-                        )
-                prerequisites.append(
-                    Prerequisite(
-                        name=raw_prereq["name"],
-                        description=raw_prereq["description"],
-                        explanation=raw_prereq["explanation"],
-                        core_or_peripheral=raw_prereq["core_or_peripheral"],
-                        references=references,
-                    )
-                )
-            contributions.append(
-                Contribution(
-                    id=cid,
-                    name=entry["name"],
-                    description=entry["description"],
-                    types=[ContributionType(t["type"], t["explanation"]) for t in entry["types"]],
-                    sections=entry["sections"],
-                    prerequisites=prerequisites,
-                    split_from=input_key if entry["key"] != input_key else None,
-                )
-            )
+                        ref["contribution_id"] = target
+                    kept.append(ref)
+                prereq["references"] = kept
+            contributions.append(contribution_from_json(entry))
         return StagedPaper(paper=paper, contributions=contributions)
 
     def finalize_paper(self, staged: StagedPaper) -> tuple[ExtractionRecord, GraphDelta]:
@@ -526,7 +421,7 @@ class Pipeline:
                 prereq = owner.prerequisites[entry.prereq_index]
                 try:
                     matches = self.align_prerequisite(owner, prereq, record.contributions)
-                except StageFailure as exc:
+                except (StageFailure, BackendError) as exc:
                     logger.warning("late alignment skipped: %s", exc)
                     continue
                 for match in matches:

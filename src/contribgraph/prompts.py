@@ -24,9 +24,8 @@ RANKING_TEMPLATE = "ranking.txt"
 _PLACEHOLDER_RE = re.compile(r"<<VARIABLE:\s*([^>]+?)\s*>>")
 
 
-def load_template(name: str, directory: str | Path | None = None) -> str:
-    directory = Path(directory) if directory else PROMPTS_DIR
-    return (directory / name).read_text(encoding="utf-8")
+def load_template(name: str) -> str:
+    return (PROMPTS_DIR / name).read_text(encoding="utf-8")
 
 
 def render(template: str, variables: dict[str, str]) -> str:

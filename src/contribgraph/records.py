@@ -8,6 +8,11 @@ references), while the released record files use ``types``/
 Ingestion accepts both and normalizes to the released-file names, which
 are the durable contract. URL references arrive typed ``other`` from
 the prompts and are stored as ``artifact``.
+
+The per-contribution rules (``check_contribution``) and the typed
+constructor (``contribution_from_json``) are shared with the extraction
+pipeline, so stage outputs pass the same schema rules as ingested
+records; the stages add only their own rules on top.
 """
 from __future__ import annotations
 
@@ -160,6 +165,30 @@ def _validate_reference(ref: dict[str, Any], where: str, problems: list[str]) ->
         problems.append(f"{where}: unknown reference type {kind!r}")
 
 
+def check_contribution(c: dict[str, Any], where: str) -> list[str]:
+    """Schema-check one normalized contribution apart from its id.
+
+    Covers name, description, prerequisite kinds and references; the
+    id's place in a record and the targets of internal references are
+    record-level rules, checked by ``validate_record``.
+    """
+    problems: list[str] = []
+    if not c.get("name"):
+        problems.append(f"{where}: empty name")
+    if not c.get("description"):
+        problems.append(f"{where}: empty description")
+    for p_idx, p in enumerate(c.get("prerequisites", [])):
+        p_where = f"{where}, prerequisite {p_idx}"
+        if p.get("core_or_peripheral") not in CORE_OR_PERIPHERAL:
+            problems.append(
+                f"{p_where}: core_or_peripheral must be core or peripheral,"
+                f" got {p.get('core_or_peripheral')!r}"
+            )
+        for ref in p.get("references", []):
+            _validate_reference(ref, p_where, problems)
+    return problems
+
+
 def validate_record(obj: dict[str, Any]) -> list[str]:
     """Schema-check a normalized record; returns a list of problems (empty when valid)."""
     problems: list[str] = []
@@ -188,21 +217,13 @@ def validate_record(obj: dict[str, Any]) -> list[str]:
         if cid in seen_ids:
             problems.append(f"{where}: duplicate contribution_id")
         seen_ids.add(cid)
-        if not c.get("name"):
-            problems.append(f"{where}: empty name")
-        if not c.get("description"):
-            problems.append(f"{where}: empty description")
+        problems.extend(check_contribution(c, where))
         for p_idx, p in enumerate(c.get("prerequisites", [])):
-            p_where = f"{where}, prerequisite {p_idx}"
-            if p.get("core_or_peripheral") not in CORE_OR_PERIPHERAL:
-                problems.append(
-                    f"{p_where}: core_or_peripheral must be core or peripheral,"
-                    f" got {p.get('core_or_peripheral')!r}"
-                )
             for ref in p.get("references", []):
-                _validate_reference(ref, p_where, problems)
                 if ref.get("type") == "internal" and ref.get("contribution_id"):
-                    internal_targets.append((p_where, ref["contribution_id"]))
+                    internal_targets.append(
+                        (f"{where}, prerequisite {p_idx}", ref["contribution_id"])
+                    )
 
     # Internal references must land on a contribution of this same record.
     for p_where, target in internal_targets:
@@ -247,6 +268,28 @@ def _reference_from_json(ref: dict[str, Any]):
     return ArtifactRef(name=ref.get("name", ""), url=ref.get("url", ""))
 
 
+def contribution_from_json(c: dict[str, Any]) -> Contribution:
+    """Typed contribution from a normalized, schema-checked contribution dict."""
+    return Contribution(
+        id=c["contribution_id"],
+        name=c["name"],
+        description=c["description"],
+        types=[ContributionType(t["type"], t["explanation"]) for t in c["types"]],
+        sections=list(c["sections"]),
+        prerequisites=[
+            Prerequisite(
+                name=p["name"],
+                description=p["description"],
+                explanation=p["explanation"],
+                core_or_peripheral=p["core_or_peripheral"],
+                references=[_reference_from_json(r) for r in p["references"]],
+            )
+            for p in c["prerequisites"]
+        ],
+        split_from=c.get("split_from"),
+    )
+
+
 def parse_record(raw: dict[str, Any]) -> tuple[ExtractionRecord, list[str]]:
     """Normalize, validate, and build an ExtractionRecord.
 
@@ -261,32 +304,10 @@ def parse_record(raw: dict[str, Any]) -> tuple[ExtractionRecord, list[str]]:
     for message in warnings:
         logger.warning("%s: %s", obj["corpus_id"], message)
 
-    contributions = []
-    for c in obj["contributions"]:
-        contributions.append(
-            Contribution(
-                id=c["contribution_id"],
-                name=c["name"],
-                description=c["description"],
-                types=[ContributionType(t["type"], t["explanation"]) for t in c["types"]],
-                sections=list(c["sections"]),
-                prerequisites=[
-                    Prerequisite(
-                        name=p["name"],
-                        description=p["description"],
-                        explanation=p["explanation"],
-                        core_or_peripheral=p["core_or_peripheral"],
-                        references=[_reference_from_json(r) for r in p["references"]],
-                    )
-                    for p in c["prerequisites"]
-                ],
-                split_from=c.get("split_from"),
-            )
-        )
     record = ExtractionRecord(
         corpus_id=obj["corpus_id"],
         title=obj["title"],
         year=obj["year"],
-        contributions=contributions,
+        contributions=[contribution_from_json(c) for c in obj["contributions"]],
     )
     return record, warnings

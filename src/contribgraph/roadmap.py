@@ -32,15 +32,6 @@ class Tree:
     direction: str  # "pre" (precursors) or "post" (impact)
     max_depth: int
 
-    def nodes(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
-
 
 def _make_node(graph: ContributionGraph, cid: str, depth: int) -> TreeNode:
     contribution = graph.get_contribution(cid)

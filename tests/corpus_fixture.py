@@ -1074,7 +1074,7 @@ class RecordingBackend(GenerationBackend):
         self.directory = Path(directory)
         self.model = model
 
-    def generate(self, prompt, temperature=0.0, max_output_tokens=None):
+    def generate(self, prompt, temperature=0.0):
         response = scripted_response(prompt)
         MockBackend.store_response(self.directory, prompt, response)
         self._account(len(prompt) // 4, len(response) // 4, 0.0)

@@ -261,8 +261,10 @@ class QueueBackend(GenerationBackend):
     def __init__(self, responses):
         super().__init__()
         self.responses = list(responses)
+        self.prompts: list[str] = []
 
-    def generate(self, prompt, temperature=0.0, max_output_tokens=None):
+    def generate(self, prompt, temperature=0.0):
+        self.prompts.append(prompt)
         response = self.responses.pop(0)
         self._account(len(prompt) // 4, len(response) // 4, 0.0)
         return response
@@ -289,6 +291,23 @@ class TestRankWithModel:
         submission = rank_with_model(problem, backend, retries=2)
         assert submission.flagged
         assert submission.ranked_ids == problem.candidate_ids
+
+    def test_unparseable_then_valid_costs_two_calls(self):
+        problem = make_problem(candidates=("A", "B", "C", "D"), gold=("C",))
+        backend = QueueBackend(["no json here", echo_json({"ranking": ["C", "A", "B", "D"]})])
+        submission = rank_with_model(problem, backend)
+        assert backend.usage.calls == 2
+        assert not submission.flagged
+        assert submission.ranked_ids == ["C", "A", "B", "D"]
+        first, retry = backend.prompts
+        # The retry prompt is the original plus this suffix, byte for byte.
+        assert retry == first + (
+            "\n\n# Previous attempt failed validation\n"
+            "The previous response was rejected by the schema validator:\n"
+            "- response is not parseable JSON: no parseable JSON in response\n"
+            "Please answer again, following the output format exactly. "
+            "The JSON must be valid JSON, between triple backticks (```).\n"
+        )
 
     def test_junk_ids_repaired(self):
         problem = make_problem(candidates=("A", "B", "C", "D"), gold=("B",))

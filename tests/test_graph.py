@@ -184,6 +184,26 @@ class TestAddPaperRecord:
             graph.add_paper_record(record)
         assert graph.nodes == {}
 
+    def test_self_citation_kept_in_record_but_not_unresolved(self):
+        record = make_record("5", n=1)
+        self_ref = {"type": "paper", "paper_title": "Paper 5", "corpus_id": "5"}
+        record["contributions"][0]["prerequisites"].append(
+            {
+                "name": "earlier result",
+                "description": "d",
+                "explanation": "e",
+                "core_or_peripheral": "core",
+                "references": [self_ref],
+            }
+        )
+        graph = ContributionGraph()
+        delta = graph.add_paper_record(record)
+        assert delta.unresolved_added == 0
+        assert graph.unresolved == []
+        assert graph.validate() == []
+        stored = graph.records()[0].to_json()["contributions"][0]["prerequisites"][0]
+        assert stored["references"][0]["corpus_id"] == "5"
+
     def test_out_of_order_ingestion_materializes_edges_late(self):
         raws = load_golden_raw()
         by_id = {r["corpus_id"]: r for r in raws}

@@ -32,7 +32,7 @@ class QueueBackend(GenerationBackend):
         self.responses = list(responses)
         self.prompts: list[str] = []
 
-    def generate(self, prompt, temperature=0.0, max_output_tokens=None):
+    def generate(self, prompt, temperature=0.0):
         self.prompts.append(prompt)
         assert self.responses, "response queue exhausted"
         response = self.responses.pop(0)
@@ -40,10 +40,20 @@ class QueueBackend(GenerationBackend):
         return response
 
 
+class ScriptedBackend(QueueBackend):
+    """QueueBackend whose queued exceptions are raised instead of returned."""
+
+    def generate(self, prompt, temperature=0.0):
+        if isinstance(self.responses[0], Exception):
+            self.prompts.append(prompt)
+            raise self.responses.pop(0)
+        return super().generate(prompt, temperature)
+
+
 class ExplodingBackend(GenerationBackend):
     name = "exploding"
 
-    def generate(self, prompt, temperature=0.0, max_output_tokens=None):
+    def generate(self, prompt, temperature=0.0):
         raise AssertionError("backend must not be called")
 
 
@@ -282,6 +292,57 @@ class TestExtractPrerequisites:
             pipeline.extract_prerequisites(contributions[2], [], bert_paper())
         assert info.value.stage == "prerequisites"
 
+    @pytest.mark.parametrize(
+        "entry, expected",
+        [
+            (stage3_entry("7"), "key '7' is neither the input key '0' nor a dash-split of it"),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core",
+                    "references_in_paper": [{"type": "internal", "contribution_key": "5"}],
+                }]),
+                "key '0', prerequisite 0: internal reference to unknown key '5'",
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core",
+                    "references_in_paper": [{"type": "paper", "year": 2017}],
+                }]),
+                "key '0', prerequisite 0: paper reference needs a title or corpus_id",
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "central", "references_in_paper": [],
+                }]),
+                "key '0', prerequisite 0: core_or_peripheral must be core or peripheral",
+            ),
+        ],
+        ids=["non_split_key", "unknown_internal_key", "paper_ref_without_title_or_id",
+             "bad_core_or_peripheral"],
+    )
+    def test_retry_prompt_names_key_and_rule(self, entry, expected):
+        stage2 = echo_json({"contributions": [{
+            "name": "only thing", "description": "d",
+            "contribution_type": [{"type": "analysis", "justification": "j"}],
+            "sections": ["S1"],
+        }]})
+        backend = QueueBackend([
+            stage2,
+            echo_json({"contributions": [entry]}),
+            echo_json({"contributions": [stage3_entry("0")]}),
+        ])
+        pipeline, _ = make_pipeline(backend)
+        paper = PaperInput("31", "t", 2020, "text")
+        contributions = pipeline.extract_contributions(paper)
+        out = pipeline.extract_prerequisites(contributions[0], [], paper)
+        assert [e["key"] for e in out] == ["0"]
+        first, retry = backend.prompts[1:]
+        assert retry.startswith(first)
+        assert expected in retry[len(first):]
+
     def test_unknown_reference_type_fails(self):
         entry = stage3_entry("0", prereqs=[{
             "name": "p", "description": "d", "justification": "j",
@@ -400,6 +461,47 @@ class TestRunPaper:
         assert graph.papers["31"].status == "failed"
         assert len(graph.nodes) == 0
         assert graph.edges == []
+
+
+    def test_late_alignment_backend_error_skips_only_that_reference(self, caplog):
+        cite = {"type": "paper", "paper_title": "cited", "corpus_id": "200"}
+        graph = ContributionGraph()
+        graph.add_paper_record({
+            "corpus_id": "100", "title": "citing", "year": 2020,
+            "contributions": [{
+                "contribution_id": "100.c0", "name": "n", "description": "d",
+                "types": [{"type": "analysis", "explanation": "e"}], "sections": ["S1"],
+                "prerequisites": [
+                    {"name": f"p{k}", "description": "d", "explanation": "e",
+                     "core_or_peripheral": "core", "references": [dict(cite)]}
+                    for k in range(2)
+                ],
+            }],
+        })
+        assert len(graph.unresolved) == 2
+        stage2 = echo_json({"contributions": [{
+            "name": "cited thing", "description": "d",
+            "contribution_type": [{"type": "analysis", "justification": "j"}],
+            "sections": ["S1"],
+        }]})
+        stage3 = echo_json({"contributions": [stage3_entry("0", "cited thing")]})
+        match = echo_json({"matches": [
+            {"contribution_key": "200.c0", "explanation": "x", "match_type": "strong"}
+        ]})
+        # The first late alignment call fails in transport, after the
+        # paper is already in the graph; the second succeeds.
+        backend = ScriptedBackend([stage2, stage3, BackendError("connection reset"), match])
+        pipeline, _ = make_pipeline(backend, graph)
+        paper = PaperInput("200", "cited", 2019, "text")
+        with caplog.at_level("WARNING"):
+            [(_, delta, error)] = pipeline.run_batch([paper])
+        assert error is None and delta.nodes_added == 1
+        assert len(backend.prompts) == 4
+        assert [(e.pre_id, e.dep_id, e.prereq_index) for e in graph.edges] == [
+            ("200.c0", "100.c0", 1)
+        ]
+        assert graph.unresolved == []
+        assert any("late alignment skipped" in r.message for r in caplog.records)
 
 
 class TestCorpusReplay:
