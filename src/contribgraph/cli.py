@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from .embedding import (
     build_index,
 )
 from .errors import ContribGraphError
-from .graph import RECORDS_FILE, ContributionGraph
+from .graph import EDGES_FILE, NODES_FILE, RECORDS_FILE, ContributionGraph, Violation
 from .jsonl import read_jsonl
 from .pipeline import PaperInput, Pipeline, PipelineConfig
 from .roadmap import export_dot, export_json, impact_tree, precursor_tree
@@ -72,22 +73,15 @@ def setting(
 
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
-    """Exclusive lock for write subcommands."""
+    """Exclusive lock for write subcommands; the kernel drops it when its holder dies."""
     store_dir.mkdir(parents=True, exist_ok=True)
     lock_path = store_dir / LOCK_FILE
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(
-            f"store is locked by another process ({lock_path}); remove the lock if stale"
-        ) from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+    with lock_path.open("a") as lock_file:
+        try:
+            fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CliError(f"store is locked by another process ({lock_path})") from None
         yield
-    finally:
-        with contextlib.suppress(OSError):
-            lock_path.unlink()
 
 
 def load_store(store_dir: Path) -> ContributionGraph:
@@ -334,8 +328,19 @@ def cmd_export(args, config) -> int:
 
 
 def cmd_validate(args, config) -> int:
-    graph = load_store(Path(args.store))
+    store_dir = Path(args.store)
+    graph = load_store(store_dir)
     violations = graph.validate(include_warnings=args.warnings)
+    # Load never reads these views back, so a crash before `save` leaves them stale.
+    for name, derived in ((NODES_FILE, len(graph.nodes)), (EDGES_FILE, len(graph.edges))):
+        path = store_dir / name
+        if not path.exists():
+            continue
+        with path.open("rb") as f:
+            rows = sum(1 for _ in f)
+        if rows != derived:
+            message = f"{rows} rows, the log derives {derived}"
+            violations.append(Violation("store.view", name, message))
     for violation in violations:
         print(violation)
     errors = [v for v in violations if v.severity == "error"]

@@ -4,15 +4,19 @@ Single-writer, many-reader: every public method takes the store lock,
 and record ingestion stages all changes before touching any index, so
 a rejected record leaves the store byte-identical and readers never
 observe a partially applied record.
+
+The append-only log (records.jsonl, plus alignments.jsonl for late
+alignments) is the one source of truth on disk; ``add_paper_record``
+derives every edge from it. nodes/edges/papers.jsonl are written views.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import DuplicatePaperError, RecordValidationError, UnknownIdError
@@ -25,6 +29,7 @@ from .model import (
     Edge,
     ExtractionRecord,
     InternalRef,
+    Match,
     PaperMeta,
     PaperRef,
     split_contribution_id,
@@ -33,6 +38,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 RECORDS_FILE = "records.jsonl"
+ALIGNMENTS_FILE = "alignments.jsonl"
 NODES_FILE = "nodes.jsonl"
 EDGES_FILE = "edges.jsonl"
 PAPERS_FILE = "papers.jsonl"
@@ -47,19 +53,35 @@ class GraphDelta:
     unresolved_added: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnresolvedRef:
-    """A paper reference whose cited paper is not yet in the graph."""
+    """A paper reference whose cited paper is not yet in the graph; as a
+    late alignment, a copy carrying its matches. Equality and hash name
+    just the reference's site: owner, prerequisite and position."""
 
     owner_id: str  # dependent contribution
     prereq_index: int
-    ref: PaperRef
+    ref_index: int  # position among the prerequisite's references
+    ref: PaperRef = field(compare=False)
 
     def key(self) -> str:
         """Histogram key: corpus id when known, else normalized title+year."""
         if self.ref.corpus_id:
             return self.ref.corpus_id
         return f"title:{normalize_title(self.ref.title)}|{self.ref.year}"
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "owner_id": self.owner_id,
+            "prereq_index": self.prereq_index,
+            "ref_index": self.ref_index,
+            "reference": self.ref.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict[str, Any]) -> "UnresolvedRef":
+        ref = recmod.reference_from_json(obj["reference"])
+        return cls(obj["owner_id"], obj["prereq_index"], obj["ref_index"], ref)
 
 
 @dataclass
@@ -71,6 +93,10 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.severity}] {self.invariant} ({self.offender}): {self.message}"
+
+
+def _match_edge(match: Match, dep_id: str, prereq_index: int) -> Edge:
+    return Edge(match.contribution_id, dep_id, match.match_type, match.explanation, prereq_index)
 
 
 def normalize_title(title: str) -> str:
@@ -91,18 +117,23 @@ class ContributionGraph:
         self._outgoing: dict[str, list[int]] = {}
         self.unresolved: list[UnresolvedRef] = []
         self._records: list[ExtractionRecord] = []
+        self._alignments: list[UnresolvedRef] = []
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
-    def add_paper_record(self, record: ExtractionRecord | dict[str, Any]) -> GraphDelta:
-        """Apply one extraction record atomically.
+    def add_paper_record(
+        self, record: ExtractionRecord | dict[str, Any], late: Sequence[UnresolvedRef] = ()
+    ) -> GraphDelta:
+        """Apply one extraction record and its late alignments atomically.
 
         Contributions are inserted in record order; internal references
         and matches into already-extracted papers become edges; paper
         references whose cited paper is absent enter the unresolved
-        multiset. A rejected record leaves the store untouched.
+        multiset, and those citing this paper become edges through their
+        own matches or those in ``late``. A rejected record leaves the
+        store untouched.
         """
         if isinstance(record, dict):
             record, _ = recmod.parse_record(record)
@@ -122,21 +153,15 @@ class ContributionGraph:
             record_ids = {c.id for c in record.contributions}
             for contribution in record.contributions:
                 for k, prereq in enumerate(contribution.prerequisites):
-                    for ref in prereq.references:
+                    for j, ref in enumerate(prereq.references):
                         if isinstance(ref, InternalRef):
                             if ref.contribution_id == contribution.id:
                                 raise RecordValidationError(
                                     [f"{contribution.id}: internal reference to itself"]
                                 )
-                            new_edges.append(
-                                Edge(
-                                    pre_id=ref.contribution_id,
-                                    dep_id=contribution.id,
-                                    match_type="strong",
-                                    explanation=ref.explanation,
-                                    prereq_index=k,
-                                )
-                            )
+                            # An internal reference is a strong match inside the paper.
+                            internal = Match(ref.contribution_id, ref.explanation, "strong")
+                            new_edges.append(_match_edge(internal, contribution.id, k))
                         elif isinstance(ref, PaperRef):
                             cited = ref.corpus_id
                             if cited == record.corpus_id:
@@ -145,15 +170,7 @@ class ContributionGraph:
                             if cited_meta is not None and cited_meta.status == "extracted":
                                 for match in ref.matches:
                                     if match.contribution_id in self.nodes:
-                                        new_edges.append(
-                                            Edge(
-                                                pre_id=match.contribution_id,
-                                                dep_id=contribution.id,
-                                                match_type=match.match_type,
-                                                explanation=match.explanation,
-                                                prereq_index=k,
-                                            )
-                                        )
+                                        new_edges.append(_match_edge(match, contribution.id, k))
                                     else:
                                         logger.warning(
                                             "%s: match target %s not in store, skipped",
@@ -162,35 +179,26 @@ class ContributionGraph:
                                         )
                             else:
                                 new_unresolved.append(
-                                    UnresolvedRef(contribution.id, k, ref)
+                                    UnresolvedRef(contribution.id, k, j, ref)
                                 )
                         # Artifact references never become edges.
 
-            # Late materialization: references from earlier records that
-            # cited this paper and already carry matches become edges now.
+            # Late materialization: references from earlier records that cite
+            # this paper become edges through their own matches or late ones.
+            late_matches = {entry: entry.ref.matches for entry in late}
             still_unresolved: list[UnresolvedRef] = []
             for entry in self.unresolved:
                 if entry.ref.corpus_id != record.corpus_id:
                     still_unresolved.append(entry)
                     continue
-                for match in entry.ref.matches:
+                for match in entry.ref.matches + late_matches.pop(entry, []):
                     if match.contribution_id in record_ids:
-                        new_edges.append(
-                            Edge(
-                                pre_id=match.contribution_id,
-                                dep_id=entry.owner_id,
-                                match_type=match.match_type,
-                                explanation=match.explanation,
-                                prereq_index=entry.prereq_index,
-                            )
-                        )
+                        new_edges.append(_match_edge(match, entry.owner_id, entry.prereq_index))
+            if late_matches:
+                raise RecordValidationError([f"unknown late alignment {e}" for e in late_matches])
 
             # Apply.
-            meta = existing or PaperMeta(corpus_id=record.corpus_id)
-            meta.title = record.title or meta.title
-            meta.year = record.year if record.year is not None else meta.year
-            meta.status = "extracted"
-            self.papers[record.corpus_id] = meta
+            self.papers[record.corpus_id] = self.extracted_meta(record)
             for contribution in record.contributions:
                 self.nodes[contribution.id] = contribution
                 self._incoming.setdefault(contribution.id, [])
@@ -199,6 +207,7 @@ class ContributionGraph:
                 self._append_edge(edge)
             self.unresolved = still_unresolved + new_unresolved
             self._records.append(record)
+            self._alignments.extend(late)
             return GraphDelta(
                 nodes_added=len(record.contributions),
                 edges_added=len(new_edges),
@@ -211,8 +220,17 @@ class ContributionGraph:
         self._incoming.setdefault(edge.dep_id, []).append(index)
         self._outgoing.setdefault(edge.pre_id, []).append(index)
 
+    def extracted_meta(self, record: ExtractionRecord) -> PaperMeta:
+        """The paper's metadata as applying ``record`` leaves it."""
+        with self._lock:
+            meta = replace(self.papers.get(record.corpus_id) or PaperMeta(record.corpus_id))
+            meta.title = record.title or meta.title
+            meta.year = record.year if record.year is not None else meta.year
+            meta.status = "extracted"
+            return meta
+
     def add_edge(self, edge: Edge) -> None:
-        """Insert a single resolved edge (used by late-binding alignment)."""
+        """Insert a single edge outside the log; builds graphs directly, for tests."""
         with self._lock:
             if edge.pre_id not in self.nodes or edge.dep_id not in self.nodes:
                 raise UnknownIdError(f"edge endpoints {edge.pre_id}->{edge.dep_id} not in store")
@@ -404,12 +422,16 @@ class ContributionGraph:
         return rows
 
     def save(self, directory: str | Path, write_records: bool = True) -> None:
+        """Write the views; with ``write_records``, rewrite the log as well."""
         with self._lock:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
             if write_records:
                 jsonl.write_jsonl(
                     directory / RECORDS_FILE, (r.to_json() for r in self._records)
+                )
+                jsonl.write_jsonl(
+                    directory / ALIGNMENTS_FILE, (a.to_json() for a in self._alignments)
                 )
             jsonl.write_jsonl(directory / NODES_FILE, self.node_rows())
             jsonl.write_jsonl(directory / EDGES_FILE, (e.to_json() for e in self.edges))
@@ -420,66 +442,32 @@ class ContributionGraph:
 
     @classmethod
     def load(cls, directory: str | Path) -> "ContributionGraph":
-        """Rebuild a store from its directory.
+        """Rebuild a store by replaying its log.
 
-        records.jsonl is replayed when present (full fidelity including
-        unresolved references); otherwise nodes.jsonl + edges.jsonl are
-        used. edges.jsonl always wins for the edge list since it carries
-        late-bound alignment edges that records do not.
+        Each row of records.jsonl, or when there is none of nodes.jsonl
+        regrouped per paper, is applied with the late alignments logged
+        for that paper in alignments.jsonl; papers.jsonl then adds
+        catalog papers, status and metadata. edges.jsonl is never read.
         """
         directory = Path(directory)
         graph = cls()
-        records_path = directory / RECORDS_FILE
-        nodes_path = directory / NODES_FILE
-        if records_path.exists():
-            for raw in jsonl.read_jsonl(records_path):
-                graph.add_paper_record(raw)
-        elif nodes_path.exists():
-            graph._load_from_nodes(nodes_path)
-        edges_path = directory / EDGES_FILE
-        if edges_path.exists():
-            graph._replace_edges([Edge.from_json(e) for e in jsonl.read_jsonl(edges_path)])
+        late: dict[Optional[str], list[UnresolvedRef]] = {}
+        if (directory / ALIGNMENTS_FILE).exists():
+            for raw in jsonl.read_jsonl(directory / ALIGNMENTS_FILE):
+                entry = UnresolvedRef.from_json(raw)
+                late.setdefault(entry.ref.corpus_id, []).append(entry)
+        if (directory / RECORDS_FILE).exists():
+            rows = jsonl.read_jsonl(directory / RECORDS_FILE)
+        else:
+            rows = _records_from_nodes(directory / NODES_FILE)
+        for raw in rows:
+            graph.add_paper_record(raw, late.get(str(raw.get("corpus_id")), ()))
+            graph.register_paper(PaperMeta.from_json(raw))  # node rows carry date and venue
         papers_path = directory / PAPERS_FILE
         if papers_path.exists():
             for raw in jsonl.read_jsonl(papers_path):
                 graph.register_paper(PaperMeta.from_json(raw))
         return graph
-
-    def _load_from_nodes(self, path: Path) -> None:
-        by_corpus: dict[str, list[dict[str, Any]]] = {}
-        metas: dict[str, dict[str, Any]] = {}
-        for row in jsonl.read_jsonl(path):
-            corpus = str(row["corpus_id"])
-            by_corpus.setdefault(corpus, []).append(row)
-            metas[corpus] = row
-        for corpus in by_corpus:
-            meta_row = metas[corpus]
-            raw_record = {
-                "corpus_id": corpus,
-                "title": meta_row.get("title", ""),
-                "year": meta_row.get("year"),
-                "contributions": sorted(
-                    by_corpus[corpus],
-                    key=lambda r: split_contribution_id(r["contribution_id"])[1],
-                ),
-            }
-            self.add_paper_record(raw_record)
-        # Re-apply optional paper fields the record schema does not carry.
-        from .model import PartialDate
-
-        for corpus, meta_row in metas.items():
-            if meta_row.get("date"):
-                self.papers[corpus].date = PartialDate.parse(meta_row["date"])
-            if meta_row.get("venue"):
-                self.papers[corpus].venue = meta_row["venue"]
-
-    def _replace_edges(self, edges: list[Edge]) -> None:
-        with self._lock:
-            self.edges = []
-            self._incoming = {cid: [] for cid in self.nodes}
-            self._outgoing = {cid: [] for cid in self.nodes}
-            for edge in edges:
-                self._append_edge(edge)
 
     def graph_hash(self) -> str:
         """Stable digest over the node and edge content."""
@@ -490,3 +478,18 @@ class ContributionGraph:
             for edge in self.edges:
                 digest.update(jsonl.dump_line(edge.to_json()).encode("utf-8"))
             return digest.hexdigest()
+
+
+def _records_from_nodes(path: Path) -> list[dict[str, Any]]:
+    """nodes.jsonl rows regrouped into records, with the paper's date and venue."""
+    by_corpus: dict[str, dict[str, Any]] = {}
+    if path.exists():
+        for row in jsonl.read_jsonl(path):
+            record = by_corpus.setdefault(
+                str(row["corpus_id"]),
+                {k: row.get(k) for k in ("corpus_id", "title", "year", "date", "venue")},
+            )
+            record.setdefault("contributions", []).append(row)
+    for record in by_corpus.values():
+        record["contributions"].sort(key=lambda r: split_contribution_id(r["contribution_id"])[1])
+    return list(by_corpus.values())

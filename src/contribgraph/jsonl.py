@@ -7,6 +7,7 @@ byte-reproducible).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -16,18 +17,26 @@ def dump_line(obj: dict[str, Any]) -> str:
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
+    """Write to a temporary file beside ``path``, then rename it over
+    ``path``: a failure midway leaves the old file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        for record in records:
-            f.write(dump_line(record) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            for record in records:
+                f.write(dump_line(record) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def append_jsonl(path: str | Path, record: dict[str, Any]) -> None:
+def append_jsonl(path: str | Path, *records: dict[str, Any]) -> None:
+    """Append rows in one write; the file is created even when there are none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as f:
-        f.write(dump_line(record) + "\n")
+        f.write("".join(dump_line(record) + "\n" for record in records))
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

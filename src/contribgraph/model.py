@@ -243,16 +243,6 @@ class Edge:
             "prereq_index": self.prereq_index,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "Edge":
-        return cls(
-            pre_id=obj["pre_id"],
-            dep_id=obj["dep_id"],
-            match_type=obj["match_type"],
-            explanation=obj.get("explanation", ""),
-            prereq_index=int(obj.get("prereq_index", 0)),
-        )
-
 
 @dataclass
 class ExtractionRecord:

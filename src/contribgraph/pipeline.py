@@ -11,9 +11,11 @@ records plus stage rules (see the validators) and are built with the
 record constructor.
 
 Stages 2 and 3 depend only on the paper text, so papers can be staged
-concurrently; alignment, ingestion, and the append-only record log are
+concurrently; alignment, ingestion, and the append-only log are
 finalized serially in input order, which makes batch output
-byte-reproducible for any parallelism setting.
+byte-reproducible for any parallelism setting. Late alignments (of
+earlier papers' references to the paper being finalized) are applied
+with its record and logged after it, in alignments.jsonl.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import logging
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -30,13 +32,13 @@ from . import jsonl
 from .backends import GenerationBackend, generate_validated
 from .backends import parse_fenced_json  # noqa: F401 - kept importable from here
 from .errors import BackendError, DuplicatePaperError, StageFailure
-from .graph import ContributionGraph, GraphDelta
+from .graph import ALIGNMENTS_FILE, ContributionGraph, GraphDelta, UnresolvedRef
 from .model import (
     MATCH_TYPES,
     Contribution,
-    Edge,
     ExtractionRecord,
     Match,
+    PaperMeta,
     PaperRef,
     Prerequisite,
     make_contribution_id,
@@ -269,7 +271,9 @@ class Pipeline:
         dep: Contribution,
         prereq: Prerequisite,
         cited_contributions: Sequence[Contribution],
+        cited_meta: Optional[PaperMeta] = None,
     ) -> list[Match]:
+        """The prompt names the cited paper by ``cited_meta``, by default the graph's."""
         if not cited_contributions:
             # Nothing to align against; a legal zero-match outcome.
             return []
@@ -278,7 +282,7 @@ class Pipeline:
             raise ValueError("cited contributions must share one corpus_id")
         cited_corpus = next(iter(cited_corpora))
         cited_ids = {c.id for c in cited_contributions}
-        meta = self.graph.papers.get(cited_corpus)
+        meta = cited_meta or self.graph.papers.get(cited_corpus)
         source_payload = {
             "contribution": {"name": dep.name, "description": dep.description},
             "prerequisite": {
@@ -380,7 +384,7 @@ class Pipeline:
         return StagedPaper(paper=paper, contributions=contributions)
 
     def finalize_paper(self, staged: StagedPaper) -> tuple[ExtractionRecord, GraphDelta]:
-        """Align against the current graph, ingest, and late-bind old references."""
+        """Align forward and late, then ingest and log the record with its late alignments."""
         paper = staged.paper
         with self._finalize_lock:
             try:
@@ -404,38 +408,29 @@ class Pipeline:
                 year=paper.year,
                 contributions=staged.contributions,
             )
-            pending = [
-                u
-                for u in self.graph.unresolved
-                if u.ref.corpus_id == paper.corpus_id and not u.ref.matches
-            ]
-            delta = self.graph.add_paper_record(record)
-            if self.records_path is not None:
-                jsonl.append_jsonl(self.records_path, record.to_json())
-
-            # Late binding: references from earlier papers that cited this
-            # one are aligned now that its contributions exist. Failures
-            # here only skip the single reference; the new paper is in.
-            for entry in pending:
+            # Late binding: references from earlier papers that cite this
+            # one are aligned against its contributions. A failure here
+            # skips only that reference; the paper still goes in.
+            late: list[UnresolvedRef] = []
+            for entry in self.graph.unresolved:
+                if entry.ref.corpus_id != paper.corpus_id or entry.ref.matches:
+                    continue
                 owner = self.graph.get_contribution(entry.owner_id)
                 prereq = owner.prerequisites[entry.prereq_index]
                 try:
-                    matches = self.align_prerequisite(owner, prereq, record.contributions)
+                    matches = self.align_prerequisite(
+                        owner, prereq, record.contributions, self.graph.extracted_meta(record)
+                    )
                 except (StageFailure, BackendError) as exc:
                     logger.warning("late alignment skipped: %s", exc)
                     continue
-                for match in matches:
-                    if match.contribution_id == entry.owner_id:
-                        continue
-                    self.graph.add_edge(
-                        Edge(
-                            pre_id=match.contribution_id,
-                            dep_id=entry.owner_id,
-                            match_type=match.match_type,
-                            explanation=match.explanation,
-                            prereq_index=entry.prereq_index,
-                        )
-                    )
+                late.append(replace(entry, ref=replace(entry.ref, matches=matches)))
+            delta = self.graph.add_paper_record(record, late)
+            if self.records_path is not None:
+                jsonl.append_jsonl(self.records_path, record.to_json())
+                jsonl.append_jsonl(
+                    self.records_path.with_name(ALIGNMENTS_FILE), *(e.to_json() for e in late)
+                )
             return record, delta
 
     def run_paper(self, paper: PaperInput) -> tuple[ExtractionRecord, GraphDelta]:

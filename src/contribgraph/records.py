@@ -246,7 +246,7 @@ def category_warnings(obj: dict[str, Any]) -> list[str]:
     return warnings
 
 
-def _reference_from_json(ref: dict[str, Any]):
+def reference_from_json(ref: dict[str, Any]):
     if ref["type"] == "paper":
         return PaperRef(
             title=ref.get("paper_title", ""),
@@ -282,7 +282,7 @@ def contribution_from_json(c: dict[str, Any]) -> Contribution:
                 description=p["description"],
                 explanation=p["explanation"],
                 core_or_peripheral=p["core_or_peripheral"],
-                references=[_reference_from_json(r) for r in p["references"]],
+                references=[reference_from_json(r) for r in p["references"]],
             )
             for p in c["prerequisites"]
         ],

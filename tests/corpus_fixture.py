@@ -1150,6 +1150,24 @@ def register_catalog(graph: ContributionGraph, paths: CorpusPaths) -> None:
         )
 
 
+def extract_with_crash(paths: CorpusPaths, store: Path, save_after: int) -> ContributionGraph:
+    """Extract the corpus into ``store`` as `extract` does (records and
+    late alignments appended per paper), but save the views only once,
+    after the first ``save_after`` papers: a writer that died before its
+    final save. Returns the live graph."""
+    graph = ContributionGraph()
+    register_catalog(graph, paths)
+    pipeline = Pipeline(
+        MockBackend(paths.mock_dir), graph, PipelineConfig(),
+        records_path=store / "records.jsonl",
+    )
+    for i, paper in enumerate(paper_inputs(paths)):
+        if i == save_after:
+            graph.save(store, write_records=False)
+        pipeline.run_paper(paper)
+    return graph
+
+
 def build_corpus(root: Path) -> CorpusPaths:
     """Write corpus files and record every mock response by running the
     pipeline (and the e2e embed/taskgen/rank flow) against the scripted

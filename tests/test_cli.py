@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fcntl
 import json
 
 import pytest
@@ -72,10 +73,40 @@ class TestGoldenStore:
         assert "4 already extracted" in capsys.readouterr().out
 
     def test_lock_refusal(self, store):
-        (store / "store.lock").write_text("12345")
-        assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 1
-        (store / "store.lock").unlink()
+        with (store / "store.lock").open("a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 1
         assert run("ingest", "--store", store) == 0
+
+    def test_leftover_lock_file_without_holder_does_not_block(self, store):
+        (store / "store.lock").write_text("12345")
+        assert run("ingest", "--store", store) == 0
+
+
+class TestCrashedStore:
+    """A store whose writer died after appending to the log but before
+    its final save: the views are stale, the log is whole."""
+
+    @pytest.fixture()
+    def store(self, corpus, tmp_path):
+        cf.extract_with_crash(corpus, tmp_path / "store", save_after=5)
+        return tmp_path / "store"
+
+    def test_validate_names_stale_views_until_ingest_refreshes_them(self, store, capsys):
+        assert run("validate", "--store", store) == 1
+        out = capsys.readouterr().out
+        assert f"(edges.jsonl): 12 rows, the log derives {len(cf.EXPECTED_EDGES)}" in out
+        assert run("ingest", "--store", store) == 0
+        capsys.readouterr()
+        assert run("validate", "--store", store) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_ingest_rewrites_the_log_byte_identically(self, store):
+        names = ("records.jsonl", "alignments.jsonl")
+        before = [(store / name).read_bytes() for name in names]
+        assert b"7000006.c0" in before[1]
+        assert run("ingest", "--store", store) == 0
+        assert [(store / name).read_bytes() for name in names] == before
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from contribgraph.errors import DuplicatePaperError, RecordValidationError, UnknownIdError
-from contribgraph.graph import ContributionGraph
+from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import read_jsonl
-from contribgraph.model import Edge
+from contribgraph.model import Edge, PaperRef
 
 from conftest import build_synthetic_graph, load_golden_raw
 
@@ -227,6 +227,14 @@ class TestAddPaperRecord:
         assert {(e.pre_id, e.dep_id, e.match_type) for e in graph.edges} == {
             (e.pre_id, e.dep_id, e.match_type) for e in ordered.edges
         }
+
+    def test_late_alignment_naming_no_unresolved_reference_rejected(self):
+        graph = ContributionGraph()
+        graph.add_paper_record(make_record("6", n=1))
+        stray = UnresolvedRef("6.c0", 0, 0, PaperRef(corpus_id="7"))
+        with pytest.raises(RecordValidationError, match="unknown late alignment"):
+            graph.add_paper_record(make_record("7", n=1), [stray])
+        assert "7" not in graph.papers and len(graph.nodes) == 1
 
 
 class TestQueries:

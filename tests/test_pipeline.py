@@ -488,8 +488,9 @@ class TestRunPaper:
         match = echo_json({"matches": [
             {"contribution_key": "200.c0", "explanation": "x", "match_type": "strong"}
         ]})
-        # The first late alignment call fails in transport, after the
-        # paper is already in the graph; the second succeeds.
+        # The first late alignment call fails in transport, before the
+        # paper is applied; the second succeeds, and the paper goes in
+        # with the one late edge it yields.
         backend = ScriptedBackend([stage2, stage3, BackendError("connection reset"), match])
         pipeline, _ = make_pipeline(backend, graph)
         paper = PaperInput("200", "cited", 2019, "text")
@@ -502,6 +503,44 @@ class TestRunPaper:
         ]
         assert graph.unresolved == []
         assert any("late alignment skipped" in r.message for r in caplog.records)
+
+
+    def test_prerequisite_citing_one_paper_twice_aligns_each_reference(self, tmp_path):
+        cite = {"type": "paper", "paper_title": "cited", "corpus_id": "200"}
+        graph = ContributionGraph()
+        graph.add_paper_record({
+            "corpus_id": "100", "title": "citing", "year": 2020,
+            "contributions": [{
+                "contribution_id": "100.c0", "name": "n", "description": "d",
+                "types": [{"type": "analysis", "explanation": "e"}], "sections": ["S1"],
+                "prerequisites": [
+                    {"name": "p", "description": "d", "explanation": "e",
+                     "core_or_peripheral": "core", "references": [dict(cite), dict(cite)]}
+                ],
+            }],
+        })
+        graph.save(tmp_path)
+        stage2 = echo_json({"contributions": [{
+            "name": "cited thing", "description": "d",
+            "contribution_type": [{"type": "analysis", "justification": "j"}],
+            "sections": ["S1"],
+        }]})
+        stage3 = echo_json({"contributions": [stage3_entry("0", "cited thing")]})
+        match = echo_json({"matches": [
+            {"contribution_key": "200.c0", "explanation": "x", "match_type": "strong"}
+        ]})
+        backend = QueueBackend([stage2, stage3, match, match])
+        pipeline = Pipeline(
+            backend, graph, PipelineConfig(), records_path=tmp_path / "records.jsonl"
+        )
+        _, delta = pipeline.run_paper(PaperInput("200", "cited", 2019, "text"))
+        assert len(backend.prompts) == 4 and backend.prompts[2] == backend.prompts[3]
+        assert delta.edges_added == 2
+        logged = list(read_jsonl(tmp_path / "alignments.jsonl"))
+        assert [(a["owner_id"], a["prereq_index"], a["ref_index"]) for a in logged] == [
+            ("100.c0", 0, 0), ("100.c0", 0, 1)
+        ]
+        assert ContributionGraph.load(tmp_path).edges == graph.edges
 
 
 class TestCorpusReplay:
@@ -643,3 +682,39 @@ def test_duplicate_extraction_rejected(corpus):
 
     with pytest.raises(DuplicatePaperError):
         pipeline.run_paper(papers[0])
+
+
+class TestLogReplay:
+    """records.jsonl + alignments.jsonl alone rebuild the live graph; the
+    views nodes.jsonl and edges.jsonl may be stale and are never trusted."""
+
+    @staticmethod
+    def edge_tuples(graph):
+        return [(e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in graph.edges]
+
+    @pytest.mark.parametrize("save_after", [0, 5, 7])
+    def test_reload_after_crash_keeps_every_edge(self, corpus, tmp_path, save_after):
+        live = cf.extract_with_crash(corpus, tmp_path, save_after)
+        loaded = ContributionGraph.load(tmp_path)
+        assert loaded.edges == live.edges
+        assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
+        assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
+        assert loaded.validate() == []
+
+    def test_nodes_and_alignments_alone_keep_late_edge(self, corpus, tmp_path):
+        live = cf.extract_with_crash(corpus, tmp_path, save_after=0)
+        live.save(tmp_path, write_records=False)
+        (tmp_path / "records.jsonl").unlink()
+        (tmp_path / "edges.jsonl").unlink()
+        loaded = ContributionGraph.load(tmp_path)
+        assert ("7000006.c0", "7000005.c0", "strong", 0) in self.edge_tuples(loaded)
+        assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
+        assert loaded.graph_hash() == live.graph_hash()
+
+    def test_extra_edges_row_is_ignored(self, corpus, tmp_path):
+        live = cf.extract_with_crash(corpus, tmp_path, save_after=0)
+        live.save(tmp_path)
+        with (tmp_path / "edges.jsonl").open("a", encoding="utf-8") as f:
+            f.write('{"pre_id": "7000001.c0", "dep_id": "7000002.c1", '
+                    '"match_type": "weak", "explanation": "", "prereq_index": 0}\n')
+        assert ContributionGraph.load(tmp_path).graph_hash() == live.graph_hash()
