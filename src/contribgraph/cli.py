@@ -154,7 +154,7 @@ def cmd_ingest(args, config) -> int:
                 )
         if args.records:
             print(f"records: {ingested} ingested, {skipped} already extracted")
-        graph.save(store_dir)
+        graph.save(store_dir, write_records=ingested > 0)
     return 0
 
 

@@ -108,19 +108,23 @@ def build_histogram(
     title+year. References whose cited paper is already extracted do
     not count.
     """
+
+    def pending(corpus_id: str) -> bool:
+        meta = graph.papers.get(corpus_id)
+        return meta is None or meta.status != "extracted"
+
     histogram: Counter = Counter()
-    for entry in graph.unresolved:
-        corpus_id = entry.ref.corpus_id
-        if corpus_id is None and catalog is not None:
-            corpus_id = resolve_reference(entry.ref, catalog)
-        if corpus_id is not None:
-            meta = graph.papers.get(corpus_id)
-            if meta is not None and meta.status == "extracted":
-                continue
-            key = corpus_id
-        else:
-            key = entry.key()
-        histogram[key] += 1
+    for cited, entries in graph.unresolved_by_cited().items():
+        if cited is not None:
+            if pending(cited):
+                histogram[cited] += len(entries)
+            continue
+        for entry in entries:
+            corpus_id = resolve_reference(entry.ref, catalog) if catalog is not None else None
+            if corpus_id is None:
+                histogram[entry.key()] += 1
+            elif pending(corpus_id):
+                histogram[corpus_id] += 1
     return histogram
 
 

@@ -8,6 +8,10 @@ observe a partially applied record.
 The append-only log (records.jsonl, plus alignments.jsonl for late
 alignments) is the one source of truth on disk; ``add_paper_record``
 derives every edge from it. nodes/edges/papers.jsonl are written views.
+
+Unresolved references are indexed by cited paper, so applying a record
+reads only the references that cite it, and replaying the log on load,
+like ingesting records, costs time linear in the log.
 """
 from __future__ import annotations
 
@@ -115,7 +119,9 @@ class ContributionGraph:
         self.edges: list[Edge] = []
         self._incoming: dict[str, list[int]] = {}
         self._outgoing: dict[str, list[int]] = {}
-        self.unresolved: list[UnresolvedRef] = []
+        # Cited corpus id (None for a title-only reference) -> the
+        # unresolved references citing it, in insertion order; no empty lists.
+        self._unresolved: dict[Optional[str], list[UnresolvedRef]] = {}
         self._records: list[ExtractionRecord] = []
         self._alignments: list[UnresolvedRef] = []
 
@@ -131,9 +137,11 @@ class ContributionGraph:
         Contributions are inserted in record order; internal references
         and matches into already-extracted papers become edges; paper
         references whose cited paper is absent enter the unresolved
-        multiset, and those citing this paper become edges through their
-        own matches or those in ``late``. A rejected record leaves the
-        store untouched.
+        index, and those citing this paper become edges through their
+        own matches or those in ``late``. The index is keyed by cited
+        paper, so only this paper's entry is read and removed: the cost
+        is linear in the record, not in the store. A rejected record
+        leaves the store untouched.
         """
         if isinstance(record, dict):
             record, _ = recmod.parse_record(record)
@@ -186,11 +194,7 @@ class ContributionGraph:
             # Late materialization: references from earlier records that cite
             # this paper become edges through their own matches or late ones.
             late_matches = {entry: entry.ref.matches for entry in late}
-            still_unresolved: list[UnresolvedRef] = []
-            for entry in self.unresolved:
-                if entry.ref.corpus_id != record.corpus_id:
-                    still_unresolved.append(entry)
-                    continue
+            for entry in self._unresolved.get(record.corpus_id, ()):
                 for match in entry.ref.matches + late_matches.pop(entry, []):
                     if match.contribution_id in record_ids:
                         new_edges.append(_match_edge(match, entry.owner_id, entry.prereq_index))
@@ -205,7 +209,9 @@ class ContributionGraph:
                 self._outgoing.setdefault(contribution.id, [])
             for edge in new_edges:
                 self._append_edge(edge)
-            self.unresolved = still_unresolved + new_unresolved
+            self._unresolved.pop(record.corpus_id, None)
+            for entry in new_unresolved:
+                self._unresolved.setdefault(entry.ref.corpus_id, []).append(entry)
             self._records.append(record)
             self._alignments.extend(late)
             return GraphDelta(
@@ -300,6 +306,24 @@ class ContributionGraph:
                     best[key] = edge
             return list(best.values())
 
+    @property
+    def unresolved(self) -> list[UnresolvedRef]:
+        """Every unresolved reference, grouped by cited paper."""
+        with self._lock:
+            return [entry for entries in self._unresolved.values() for entry in entries]
+
+    def unresolved_by_cited(self) -> dict[Optional[str], list[UnresolvedRef]]:
+        """A copy of the unresolved index: cited corpus id (None when the
+        reference has only a title) to the references citing it, in
+        insertion order."""
+        with self._lock:
+            return {cited: list(entries) for cited, entries in self._unresolved.items()}
+
+    def unresolved_citing(self, corpus_id: str) -> list[UnresolvedRef]:
+        """The unresolved references citing ``corpus_id``, in insertion order."""
+        with self._lock:
+            return list(self._unresolved.get(corpus_id, ()))
+
     def records(self) -> list[ExtractionRecord]:
         with self._lock:
             return list(self._records)
@@ -388,15 +412,16 @@ class ContributionGraph:
                     Violation("graph.adjacency", "*", "adjacency indexes disagree with edge list")
                 )
 
-            for entry in self.unresolved:
-                cited = entry.ref.corpus_id
-                if cited and self.papers.get(cited) and self.papers[cited].status == "extracted":
-                    out.append(
+            for cited, entries in self._unresolved.items():
+                meta = self.papers.get(cited) if cited else None
+                if meta is not None and meta.status == "extracted":
+                    out.extend(
                         Violation(
                             "graph.unresolved",
                             entry.owner_id,
                             f"unresolved reference to extracted paper {cited}",
                         )
+                        for entry in entries
                     )
             return out
 

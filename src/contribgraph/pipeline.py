@@ -412,8 +412,8 @@ class Pipeline:
             # one are aligned against its contributions. A failure here
             # skips only that reference; the paper still goes in.
             late: list[UnresolvedRef] = []
-            for entry in self.graph.unresolved:
-                if entry.ref.corpus_id != paper.corpus_id or entry.ref.matches:
+            for entry in self.graph.unresolved_citing(paper.corpus_id):
+                if entry.ref.matches:
                     continue
                 owner = self.graph.get_contribution(entry.owner_id)
                 prereq = owner.prerequisites[entry.prereq_index]

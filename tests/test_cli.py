@@ -108,6 +108,13 @@ class TestCrashedStore:
         assert run("ingest", "--store", store) == 0
         assert [(store / name).read_bytes() for name in names] == before
 
+    def test_ingest_without_records_leaves_the_log_file_alone(self, store, corpus):
+        log = store / "records.jsonl"
+        before = log.stat()
+        assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
+        after = log.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
 
 @pytest.fixture(scope="module")
 def e2e(corpus, tmp_path_factory):

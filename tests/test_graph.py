@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contribgraph.errors import DuplicatePaperError, RecordValidationError, UnknownIdError
 from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import read_jsonl
-from contribgraph.model import Edge, PaperRef
+from contribgraph.model import Edge, PaperMeta, PaperRef
 
 from conftest import build_synthetic_graph, load_golden_raw
 
@@ -52,6 +55,104 @@ def make_record(corpus_id: str, n: int = 2, year: int = 2020, internal=()):
         "year": year,
         "contributions": contributions,
     }
+
+
+def cites(*cited):
+    """A prerequisite whose paper references cite ``cited`` in order; None
+    stands for a reference known only by its title."""
+    return {
+        "name": "needs",
+        "description": "d",
+        "explanation": "e",
+        "core_or_peripheral": "core",
+        "references": [
+            {"type": "paper", "paper_title": f"Paper {c or 'elsewhere'}", "corpus_id": c}
+            for c in cited
+        ],
+    }
+
+
+def site(entry: UnresolvedRef) -> tuple:
+    return (entry.owner_id, entry.prereq_index, entry.ref_index)
+
+
+IN_SET = ("1", "2", "3", "4", "5")
+CITABLE = IN_SET + ("90", "91", None)  # in-set, outside and title-only papers
+
+
+@st.composite
+def record_orders(draw):
+    """The five in-set records, citing one another, outside papers, titles
+    and themselves, in a random order."""
+    records = []
+    for corpus_id in IN_SET:
+        record = make_record(corpus_id, n=draw(st.integers(1, 2)))
+        for contribution in record["contributions"]:
+            contribution["prerequisites"] = [
+                cites(*cited)
+                for cited in draw(
+                    st.lists(st.lists(st.sampled_from(CITABLE), max_size=3), max_size=2)
+                )
+            ]
+        records.append(record)
+    return draw(st.permutations(records))
+
+
+def brute_force_unresolved(applied) -> dict:
+    """Cited paper -> sites of the applied records' references to it that
+    stay unresolved, in record order: every paper reference that is not a
+    self-citation and cites no applied record."""
+    extracted = {r["corpus_id"] for r in applied}
+    expected: dict = {}
+    for record in applied:
+        for contribution in record["contributions"]:
+            for k, prereq in enumerate(contribution["prerequisites"]):
+                for j, ref in enumerate(prereq["references"]):
+                    cited = ref["corpus_id"]
+                    if cited != record["corpus_id"] and cited not in extracted:
+                        expected.setdefault(cited, []).append(
+                            (contribution["contribution_id"], k, j)
+                        )
+    return expected
+
+
+class TestUnresolvedIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_orders())
+    def test_index_matches_brute_force_after_every_record(self, records):
+        graph = ContributionGraph()
+        for n in range(1, len(records) + 1):
+            graph.add_paper_record(records[n - 1])
+            expected = brute_force_unresolved(records[:n])
+            assert Counter(site(e) + (e.ref.corpus_id,) for e in graph.unresolved) == Counter(
+                s + (cited,) for cited, sites in expected.items() for s in sites
+            )
+            assert {
+                cited: [site(e) for e in entries]
+                for cited, entries in graph.unresolved_by_cited().items()
+            } == expected
+            for corpus_id in IN_SET + ("90", "91"):
+                assert [site(e) for e in graph.unresolved_citing(corpus_id)] == (
+                    expected.get(corpus_id, [])
+                )
+
+    def test_rejected_record_leaves_index_untouched(self):
+        graph = ContributionGraph()
+        first = make_record("6", n=2)
+        first["contributions"][0]["prerequisites"] = [cites("7", "8", None)]
+        first["contributions"][1]["prerequisites"] = [cites("8", "7")]
+        graph.add_paper_record(first)
+        before = [e.to_json() for e in graph.unresolved]
+        before_by_cited = graph.unresolved_by_cited()
+        second = make_record("7", n=1)
+        second["contributions"][0]["prerequisites"] = [cites("9", "8")]
+        stray = UnresolvedRef("6.c0", 0, 5, PaperRef(corpus_id="7"))
+        with pytest.raises(RecordValidationError, match="unknown late alignment"):
+            graph.add_paper_record(second, [stray])
+        assert [e.to_json() for e in graph.unresolved] == before
+        assert graph.unresolved_by_cited() == before_by_cited
+        assert [site(e) for e in graph.unresolved_citing("7")] == [("6.c0", 0, 0), ("6.c1", 0, 1)]
+        assert graph.unresolved_citing("9") == []
 
 
 class TestGoldenRecord:
@@ -299,6 +400,16 @@ class TestValidate:
         assert mutated > 0
         violations = golden_graph.validate()
         assert any(v.invariant == "reference.internal_same_paper" for v in violations)
+
+    def test_unresolved_reference_to_extracted_paper_detected(self):
+        graph = ContributionGraph()
+        record = make_record("6", n=1)
+        record["contributions"][0]["prerequisites"] = [cites("7")]
+        graph.add_paper_record(record)
+        graph.register_paper(PaperMeta("7", status="extracted"))
+        assert [(v.invariant, v.offender) for v in graph.validate()] == [
+            ("graph.unresolved", "6.c0")
+        ]
 
     def test_adjacency_drift_detected(self, golden_graph):
         golden_graph._incoming[f"{BERT}.c0"].pop()
