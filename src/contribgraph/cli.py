@@ -376,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10, help="frontier batch size when no ids given")
     p.add_argument("--mock", help="replay-mock directory of canned responses")
     p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument(
+        "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
+    )
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--endpoint", help="generation endpoint (overrides env/config)")
     p.add_argument("--model", help="generation model tag")
@@ -412,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--backend", choices=["http", "mock"], default="http")
     p.add_argument("--mock", help="replay-mock directory (with --backend mock)")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument(
+        "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
+    )
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--endpoint")
     p.add_argument("--model")

@@ -471,22 +471,24 @@ class ContributionGraph:
 
         Each row of records.jsonl, or when there is none of nodes.jsonl
         regrouped per paper, is applied with the late alignments logged
-        for that paper in alignments.jsonl; papers.jsonl then adds
-        catalog papers, status and metadata. edges.jsonl is never read.
+        for that paper in alignments.jsonl, the last one logged for each
+        reference site (a paper extracted again after a crash logs its
+        alignments again); papers.jsonl then adds catalog papers, status
+        and metadata. edges.jsonl is never read.
         """
         directory = Path(directory)
         graph = cls()
-        late: dict[Optional[str], list[UnresolvedRef]] = {}
+        late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
         if (directory / ALIGNMENTS_FILE).exists():
             for raw in jsonl.read_jsonl(directory / ALIGNMENTS_FILE):
                 entry = UnresolvedRef.from_json(raw)
-                late.setdefault(entry.ref.corpus_id, []).append(entry)
+                late.setdefault(entry.ref.corpus_id, {})[entry] = entry
         if (directory / RECORDS_FILE).exists():
             rows = jsonl.read_jsonl(directory / RECORDS_FILE)
         else:
             rows = _records_from_nodes(directory / NODES_FILE)
         for raw in rows:
-            graph.add_paper_record(raw, late.get(str(raw.get("corpus_id")), ()))
+            graph.add_paper_record(raw, list(late.get(str(raw.get("corpus_id")), {}).values()))
             graph.register_paper(PaperMeta.from_json(raw))  # node rows carry date and venue
         papers_path = directory / PAPERS_FILE
         if papers_path.exists():

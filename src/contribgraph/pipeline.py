@@ -3,30 +3,33 @@
 Three staged operations per paper: contribution extraction, per-
 contribution prerequisite extraction (which may split a contribution
 into finer-grained ones), and prerequisite-to-contribution alignment
-against cited papers already in the graph. Stage outputs are strict
-fenced JSON; a schema violation re-prompts with the validator's errors
-appended, up to a configurable retry budget (``backends.generate_validated``,
-shared with ranking). Stage outputs pass the schema rules of ingested
-records plus stage rules (see the validators) and are built with the
-record constructor.
+against cited papers. Stage outputs are strict fenced JSON; a schema
+violation re-prompts with the validator's errors appended, up to a
+configurable retry budget (``backends.generate_validated``, shared with
+ranking). Stage outputs pass the schema rules of ingested records plus
+stage rules (see the validators) and are built with the record
+constructor.
 
-Stages 2 and 3 depend only on the paper text, so papers can be staged
-concurrently; alignment, ingestion, and the append-only log are
-finalized serially in input order, which makes batch output
-byte-reproducible for any parallelism setting. Late alignments (of
-earlier papers' references to the paper being finalized) are applied
-with its record and logged after it, in alignments.jsonl.
+A batch runs in three steps on one pool of workers: every paper is
+staged (stages 2 and 3); then every alignment the batch can need is
+run, one job per reference site, whether it cites a paper already in
+the store, a paper of the batch (in either direction), or is an older
+unresolved reference to a paper of the batch; then the papers are
+finalized serially in input order. Finalizing makes no model call: it
+decides each reference's role and applies the job's result, ingests
+the record and appends it to the log with its late alignments. The
+calls and their prompts do not depend on the parallelism, so batch
+output is byte-reproducible for any setting.
 """
 from __future__ import annotations
 
 import json
 import logging
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
@@ -54,6 +57,12 @@ from .records import check_contribution, contribution_from_json, normalize_contr
 
 logger = logging.getLogger(__name__)
 
+# A reference's site: (owner contribution id, prereq_index, ref_index).
+Site = tuple[str, int, int]
+# Alignment results of a batch by site: the matches, or the error raised.
+Aligned = dict[Site, Union[list[Match], Exception]]
+
+
 def _prompt_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2)
 
@@ -72,6 +81,10 @@ class StagedPaper:
 
     paper: PaperInput
     contributions: list[Contribution] = field(default_factory=list)
+
+    def record(self) -> ExtractionRecord:
+        paper = self.paper
+        return ExtractionRecord(paper.corpus_id, paper.title, paper.year, self.contributions)
 
 
 @dataclass
@@ -93,7 +106,6 @@ class Pipeline:
         self.graph = graph
         self.config = config or PipelineConfig()
         self.records_path = Path(records_path) if records_path else None
-        self._finalize_lock = threading.Lock()
         self._templates = {
             name: load_template(name)
             for name in (CONTRIBUTION_TEMPLATE, PREREQUISITE_TEMPLATE, ALIGNMENT_TEMPLATE)
@@ -383,92 +395,154 @@ class Pipeline:
             contributions.append(contribution_from_json(entry))
         return StagedPaper(paper=paper, contributions=contributions)
 
-    def finalize_paper(self, staged: StagedPaper) -> tuple[ExtractionRecord, GraphDelta]:
-        """Align forward and late, then ingest and log the record with its late alignments."""
-        paper = staged.paper
-        with self._finalize_lock:
-            try:
-                for contribution in staged.contributions:
-                    for prereq in contribution.prerequisites:
-                        for ref in prereq.references:
-                            if not isinstance(ref, PaperRef) or not ref.corpus_id:
-                                continue
-                            meta = self.graph.papers.get(ref.corpus_id)
-                            if meta is None or meta.status != "extracted":
-                                continue
-                            cited = self.graph.contributions_of(ref.corpus_id)
-                            ref.matches = self.align_prerequisite(contribution, prereq, cited)
-            except StageFailure:
-                self.graph.mark_failed(paper.corpus_id)
-                raise
+    def align_batch(self, batch: Sequence[StagedPaper], run: Callable = map) -> Aligned:
+        """Run every alignment the staged ``batch`` can need, through ``run``.
 
-            record = ExtractionRecord(
-                corpus_id=paper.corpus_id,
-                title=paper.title,
-                year=paper.year,
-                contributions=staged.contributions,
-            )
-            # Late binding: references from earlier papers that cite this
-            # one are aligned against its contributions. A failure here
-            # skips only that reference; the paper still goes in.
-            late: list[UnresolvedRef] = []
-            for entry in self.graph.unresolved_citing(paper.corpus_id):
-                if entry.ref.matches:
-                    continue
-                owner = self.graph.get_contribution(entry.owner_id)
-                prereq = owner.prerequisites[entry.prereq_index]
-                try:
-                    matches = self.align_prerequisite(
-                        owner, prereq, record.contributions, self.graph.extracted_meta(record)
-                    )
-                except (StageFailure, BackendError) as exc:
-                    logger.warning("late alignment skipped: %s", exc)
-                    continue
-                late.append(replace(entry, ref=replace(entry.ref, matches=matches)))
-            delta = self.graph.add_paper_record(record, late)
-            if self.records_path is not None:
-                jsonl.append_jsonl(self.records_path, record.to_json())
-                jsonl.append_jsonl(
-                    self.records_path.with_name(ALIGNMENTS_FILE), *(e.to_json() for e in late)
+        One job per reference site: each reference of a staged paper
+        citing a paper extracted in the store or another staged paper,
+        and each unmatched unresolved reference citing a staged paper.
+        A store paper is presented as the graph holds it; a staged one
+        as its record will leave it. An error is returned, not raised:
+        ``finalize_paper`` decides what it means for the reference.
+        """
+        targets: dict[str, Optional[tuple[list[Contribution], PaperMeta]]] = {
+            s.paper.corpus_id: (s.contributions, self.graph.extracted_meta(s.record()))
+            for s in batch
+        }
+
+        def target(corpus_id: str) -> Optional[tuple[list[Contribution], PaperMeta]]:
+            if corpus_id not in targets:
+                meta = self.graph.papers.get(corpus_id)
+                extracted = meta is not None and meta.status == "extracted"
+                targets[corpus_id] = (
+                    (self.graph.contributions_of(corpus_id), meta) if extracted else None
                 )
-            return record, delta
+            return targets[corpus_id]
+
+        jobs: dict[Site, tuple[Contribution, Prerequisite, str]] = {}
+        for staged in batch:
+            corpus_id = staged.paper.corpus_id
+            for site, dep, prereq, ref in _paper_refs(staged):
+                if target(ref.corpus_id) is not None:
+                    jobs[site] = (dep, prereq, ref.corpus_id)
+            for entry in self.graph.unresolved_citing(corpus_id):
+                if not entry.ref.matches:
+                    owner = self.graph.get_contribution(entry.owner_id)
+                    jobs[_site(entry)] = (owner, owner.prerequisites[entry.prereq_index], corpus_id)
+
+        def align(site: Site) -> Union[list[Match], Exception]:
+            dep, prereq, cited = jobs[site]
+            contributions, meta = targets[cited]
+            try:
+                return self.align_prerequisite(dep, prereq, contributions, meta)
+            except Exception as exc:  # noqa: BLE001 - judged per role in finalize_paper
+                return exc
+
+        return dict(zip(jobs, run(align, jobs)))
+
+    def finalize_paper(
+        self, staged: StagedPaper, aligned: Aligned
+    ) -> tuple[ExtractionRecord, GraphDelta]:
+        """Apply alignment results to one staged paper, then ingest and log
+        its record with its late alignments. Makes no model call.
+
+        A reference citing an extracted paper takes its result as its
+        matches; an error there fails the paper (a StageFailure marks it
+        failed). An unresolved reference citing this paper takes its
+        result as a late alignment; an error there skips only that
+        reference.
+        """
+        paper = staged.paper
+        try:
+            for site, _, _, ref in _paper_refs(staged):
+                meta = self.graph.papers.get(ref.corpus_id)
+                if meta is not None and meta.status == "extracted":
+                    ref.matches = _matches(aligned[site])
+        except StageFailure:
+            self.graph.mark_failed(paper.corpus_id)
+            raise
+
+        record = staged.record()
+        late: list[UnresolvedRef] = []
+        for entry in self.graph.unresolved_citing(paper.corpus_id):
+            if entry.ref.matches:
+                continue
+            result = aligned[_site(entry)]
+            if isinstance(result, (StageFailure, BackendError)):
+                logger.warning("late alignment skipped: %s", result)
+                continue
+            late.append(replace(entry, ref=replace(entry.ref, matches=_matches(result))))
+        delta = self.graph.add_paper_record(record, late)
+        if self.records_path is not None:
+            # Alignments before the record: a crash between the two appends
+            # leaves alignments of a paper with no record, which replay
+            # ignores, so the paper is simply extracted again.
+            jsonl.append_jsonl(
+                self.records_path.with_name(ALIGNMENTS_FILE), *(e.to_json() for e in late)
+            )
+            jsonl.append_jsonl(self.records_path, record.to_json())
+        return record, delta
 
     def run_paper(self, paper: PaperInput) -> tuple[ExtractionRecord, GraphDelta]:
-        return self.finalize_paper(self.stage_paper(paper))
+        staged = self.stage_paper(paper)
+        return self.finalize_paper(staged, self.align_batch([staged]))
 
     def run_batch(
         self, papers: Sequence[PaperInput], parallel: int = 1
     ) -> list[tuple[PaperInput, Optional[GraphDelta], Optional[Exception]]]:
-        """Stage papers concurrently, finalize in input order.
+        """Stage every paper, align the batch, then finalize in input order.
 
-        Returns one (paper, delta, error) row per input; failed papers
-        carry the error and leave the graph untouched apart from their
-        failed status.
+        Staging and alignment run on one pool of ``parallel`` workers, so
+        at most ``parallel`` model calls are in flight. Returns one
+        (paper, delta, error) row per input; failed papers carry the
+        error and leave the graph untouched apart from their failed
+        status. Alignment jobs are all issued before any paper is
+        finalized, so a paper that then fails may have cost the
+        alignment calls already issued for its references, and for
+        references citing it.
         """
-        results: list[tuple[PaperInput, Optional[GraphDelta], Optional[Exception]]] = []
-        staged: list[Optional[StagedPaper]] = [None] * len(papers)
-        errors: dict[int, Exception] = {}
 
-        def _stage(index: int) -> None:
+        def stage(paper: PaperInput) -> StagedPaper | Exception:
             try:
-                staged[index] = self.stage_paper(papers[index])
+                return self.stage_paper(paper)
             except Exception as exc:  # noqa: BLE001 - reported per paper
-                errors[index] = exc
+                return exc
 
-        if parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                list(pool.map(_stage, range(len(papers))))
-        else:
-            for i in range(len(papers)):
-                _stage(i)
+        with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
+            outcomes = list(pool.map(stage, papers))
+            aligned = self.align_batch(
+                [o for o in outcomes if isinstance(o, StagedPaper)], pool.map
+            )
 
-        for i, paper in enumerate(papers):
-            if i in errors:
-                results.append((paper, None, errors[i]))
+        results: list[tuple[PaperInput, Optional[GraphDelta], Optional[Exception]]] = []
+        for paper, outcome in zip(papers, outcomes):
+            if isinstance(outcome, Exception):
+                results.append((paper, None, outcome))
                 continue
             try:
-                _, delta = self.finalize_paper(staged[i])
+                _, delta = self.finalize_paper(outcome, aligned)
                 results.append((paper, delta, None))
             except Exception as exc:  # noqa: BLE001 - reported per paper
                 results.append((paper, None, exc))
         return results
+
+
+def _paper_refs(
+    staged: StagedPaper,
+) -> Iterator[tuple[Site, Contribution, Prerequisite, PaperRef]]:
+    """The staged paper's references that cite another paper by corpus id, with their sites."""
+    for dep in staged.contributions:
+        for k, prereq in enumerate(dep.prerequisites):
+            for j, ref in enumerate(prereq.references):
+                if isinstance(ref, PaperRef) and ref.corpus_id not in ("", None, dep.corpus_id):
+                    yield (dep.id, k, j), dep, prereq, ref
+
+
+def _site(entry: UnresolvedRef) -> Site:
+    return (entry.owner_id, entry.prereq_index, entry.ref_index)
+
+
+def _matches(result: Union[list[Match], Exception]) -> list[Match]:
+    if isinstance(result, Exception):
+        raise result
+    return result

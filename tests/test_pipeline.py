@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import re
+import sys
+import threading
+import time
+
 import pytest
 
 import corpus_fixture as cf
+from contribgraph import jsonl
 from contribgraph.backends import GenerationBackend, MockBackend, echo_json
-from contribgraph.errors import BackendError, ParseFailure, StageFailure
+from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
 from contribgraph.model import InternalRef, PaperRef
@@ -48,6 +54,52 @@ class ScriptedBackend(QueueBackend):
             self.prompts.append(prompt)
             raise self.responses.pop(0)
         return super().generate(prompt, temperature)
+
+
+class ProbeBackend(MockBackend):
+    """Replay backend that records prompts, the most calls ever in flight,
+    and the calls made while ``finalizing`` is set; safe across threads."""
+
+    def __init__(self, directory, delay=0.0):
+        super().__init__(directory)
+        self.delay = delay
+        self.prompts: list[str] = []
+        self.inflight = self.max_inflight = 0
+        self.finalizing = False
+        self.calls_while_finalizing = 0
+        self._lock = threading.Lock()
+
+    def generate(self, prompt, temperature=0.0):
+        with self._lock:
+            self.prompts.append(prompt)
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+            self.calls_while_finalizing += self.finalizing
+        try:
+            time.sleep(self.delay)
+            return super().generate(prompt, temperature)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+class RoutedBackend(GenerationBackend):
+    """Answers ``route(prompt)``, recording prompts; safe across threads."""
+
+    name = "routed"
+
+    def __init__(self, route):
+        super().__init__()
+        self.route = route
+        self.prompts: list[str] = []
+        self._lock = threading.Lock()
+
+    def generate(self, prompt, temperature=0.0):
+        with self._lock:
+            self.prompts.append(prompt)
+        response = self.route(prompt)
+        self._account(len(prompt) // 4, len(response) // 4, 0.0)
+        return response
 
 
 class ExplodingBackend(GenerationBackend):
@@ -543,12 +595,101 @@ class TestRunPaper:
         assert ContributionGraph.load(tmp_path).edges == graph.edges
 
 
+def one_contribution(name: str) -> str:
+    """Stage-2 response with one contribution."""
+    return echo_json({"contributions": [{
+        "name": name, "description": "d",
+        "contribution_type": [{"type": "analysis", "justification": "j"}],
+        "sections": ["S1"],
+    }]})
+
+
+def citing(name: str, cited=None) -> str:
+    """Stage-3 echo of contribution 0 with one prerequisite, citing ``cited`` if given."""
+    refs = [{"type": "paper", "paper_title": f"paper {cited}", "corpus_id": cited}] if cited else []
+    return echo_json({"contributions": [stage3_entry("0", name, [{
+        "name": "p", "description": "d", "justification": "j",
+        "core_or_peripheral": "core", "references_in_paper": refs,
+    }])]})
+
+
+def is_alignment(prompt: str) -> bool:
+    return "Alignment" in prompt.splitlines()[0]
+
+
+def batch_route(cites: dict, failing_stage2=(), failing_alignment_to=()):
+    """Route for papers whose text is ``text of <id>``: one contribution
+    each, citing ``cites[id]``; alignment answers a strong match to the
+    cited paper's c0, or an off-list key (a StageFailure) for a cited
+    paper in ``failing_alignment_to``."""
+
+    def route(prompt: str) -> str:
+        if is_alignment(prompt):
+            cited = re.search(r'"corpus_id": "(\d+)"', prompt).group(1)
+            key = "999.c0" if cited in failing_alignment_to else f"{cited}.c0"
+            return echo_json({"matches": [
+                {"contribution_key": key, "explanation": "x", "match_type": "strong"}
+            ]})
+        paper = re.search(r"text of (\d+)", prompt).group(1)
+        if prompt.startswith("# Contribution Extraction"):
+            return "no json" if paper in failing_stage2 else one_contribution(f"thing of {paper}")
+        return citing(f"thing of {paper}", cites.get(paper))
+
+    return route
+
+
+def batch_inputs(*ids: str) -> list[PaperInput]:
+    return [PaperInput(i, f"paper {i}", 2020, f"text of {i}") for i in ids]
+
+
+class TestBatchFailures:
+    def test_failed_staging_leaves_references_to_it_unresolved(self):
+        backend = RoutedBackend(batch_route({"302": "301"}, failing_stage2={"301"}))
+        pipeline, graph = make_pipeline(backend)
+        (_, _, a_error), (_, b_delta, b_error) = pipeline.run_batch(
+            batch_inputs("301", "302"), parallel=2
+        )
+        assert isinstance(a_error, StageFailure) and b_error is None
+        assert graph.papers["301"].status == "failed"
+        assert [u.owner_id for u in graph.unresolved_citing("301")] == ["302.c0"]
+        assert b_delta.unresolved_added == 1 and graph.edges == []
+        assert not any(is_alignment(p) for p in backend.prompts)
+
+    def test_failed_forward_alignment_fails_only_that_paper(self):
+        # 302 cites 301, staged before it in the batch; its alignment fails.
+        # 303 cites 302, which therefore never goes in.
+        backend = RoutedBackend(
+            batch_route({"302": "301", "303": "302"}, failing_alignment_to={"301"})
+        )
+        pipeline, graph = make_pipeline(backend)
+        results = pipeline.run_batch(batch_inputs("301", "302", "303"), parallel=2)
+        errors = {paper.corpus_id: error for paper, _, error in results}
+        assert errors["301"] is None and errors["303"] is None
+        assert isinstance(errors["302"], StageFailure) and errors["302"].stage == "alignment"
+        assert {k: graph.papers[k].status for k in ("301", "302", "303")} == {
+            "301": "extracted", "302": "failed", "303": "extracted"
+        }
+        assert [r.corpus_id for r in graph.records()] == ["301", "303"]
+        [entry] = graph.unresolved
+        assert (entry.owner_id, entry.ref.corpus_id, entry.ref.matches) == ("303.c0", "302", [])
+        assert graph.edges == []
+
+
+    def test_paper_given_twice_fails_the_second_time_as_duplicate(self):
+        backend = RoutedBackend(batch_route({"301": "301"}))  # a self-citation
+        pipeline, graph = make_pipeline(backend)
+        (_, delta, first), (_, _, second) = pipeline.run_batch(batch_inputs("301", "301"))
+        assert first is None and delta.nodes_added == 1
+        assert isinstance(second, DuplicatePaperError)
+        assert [r.corpus_id for r in graph.records()] == ["301"]
+
+
 class TestCorpusReplay:
-    def run_corpus(self, corpus, out_dir):
+    def run_corpus(self, corpus, out_dir, backend=None):
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
         pipeline = Pipeline(
-            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            backend or MockBackend(corpus.mock_dir), graph, PipelineConfig(),
             records_path=out_dir / "records.jsonl",
         )
         for paper in cf.paper_inputs(corpus):
@@ -585,18 +726,52 @@ class TestCorpusReplay:
     def test_parallel_staging_matches_serial(self, corpus, tmp_path):
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
+        backend = ProbeBackend(corpus.mock_dir)
         pipeline = Pipeline(
-            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            backend, graph, PipelineConfig(),
             records_path=tmp_path / "par" / "records.jsonl",
         )
         results = pipeline.run_batch(cf.paper_inputs(corpus), parallel=4)
         assert all(error is None for _, _, error in results)
         graph.save(tmp_path / "par", write_records=False)
-        self.run_corpus(corpus, tmp_path / "ser")
-        for name in ("records.jsonl", "nodes.jsonl", "edges.jsonl"):
+        serial = ProbeBackend(corpus.mock_dir)
+        self.run_corpus(corpus, tmp_path / "ser", serial)
+        for name in ("records.jsonl", "alignments.jsonl", "nodes.jsonl", "edges.jsonl"):
             assert (tmp_path / "par" / name).read_bytes() == (
                 tmp_path / "ser" / name
             ).read_bytes()
+        # The batch makes the very calls of one-by-one extraction: each
+        # (reference, cited paper) pair is aligned exactly once.
+        assert sorted(backend.prompts) == sorted(serial.prompts)
+
+    def test_batch_calls_overlap_and_finalize_calls_nothing(self, corpus, monkeypatch):
+        graph = ContributionGraph()
+        cf.register_catalog(graph, corpus)
+        backend = ProbeBackend(corpus.mock_dir, delay=0.002)
+        finalize = Pipeline.finalize_paper
+
+        def flagged_finalize(self, *args):
+            backend.finalizing = True
+            try:
+                return finalize(self, *args)
+            finally:
+                backend.finalizing = False
+
+        monkeypatch.setattr(Pipeline, "finalize_paper", flagged_finalize)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+        try:
+            results = Pipeline(backend, graph, PipelineConfig()).run_batch(
+                cf.paper_inputs(corpus), parallel=4
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(error is None for _, _, error in results)
+        assert 1 < backend.max_inflight <= 4
+        assert backend.calls_while_finalizing == 0
+        assert [(e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in graph.edges] == (
+            cf.EXPECTED_EDGES
+        )
 
     def test_call_counts_match_fixture_oracle(self, corpus, tmp_path):
         graph = ContributionGraph()
@@ -710,6 +885,61 @@ class TestLogReplay:
         assert ("7000006.c0", "7000005.c0", "strong", 0) in self.edge_tuples(loaded)
         assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
         assert loaded.graph_hash() == live.graph_hash()
+
+    def test_crash_between_log_appends_then_reextract_keeps_every_edge(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # The writer dies in the finalize of 7000006, whose late alignment
+        # gives 7000005.c0 its edge: its second log append writes nothing.
+        papers = cf.paper_inputs(corpus)
+        second_append = 2 * cf.EXTRACTION_ORDER.index("7000006") + 2
+        appends = []
+        append = jsonl.append_jsonl
+
+        class Crash(Exception):
+            pass
+
+        def crashing_append(path, *rows):
+            appends.append(path)
+            if len(appends) == second_append:
+                raise Crash
+            append(path, *rows)
+
+        graph = ContributionGraph()
+        cf.register_catalog(graph, corpus)
+        pipeline = Pipeline(
+            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            records_path=tmp_path / "records.jsonl",
+        )
+        monkeypatch.setattr(jsonl, "append_jsonl", crashing_append)
+        with pytest.raises(Crash):
+            for paper in papers:
+                pipeline.run_paper(paper)
+        monkeypatch.undo()
+
+        # Reload, and extract again whatever the log does not hold.
+        graph = ContributionGraph.load(tmp_path)
+        cf.register_catalog(graph, corpus)
+        pipeline = Pipeline(
+            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            records_path=tmp_path / "records.jsonl",
+        )
+        for paper in papers:
+            if graph.papers[paper.corpus_id].status != "extracted":
+                pipeline.run_paper(paper)
+        assert self.edge_tuples(graph) == cf.EXPECTED_EDGES
+
+        loaded = ContributionGraph.load(tmp_path)
+        assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
+        assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
+        assert loaded.validate() == []
+        # The re-extraction logged the late alignment again; replay keeps one.
+        loaded.save(tmp_path / "rewritten")
+        sites = [
+            (a["owner_id"], a["prereq_index"], a["ref_index"])
+            for a in read_jsonl(tmp_path / "rewritten" / "alignments.jsonl")
+        ]
+        assert len(sites) == len(set(sites)) > 0
 
     def test_extra_edges_row_is_ignored(self, corpus, tmp_path):
         live = cf.extract_with_crash(corpus, tmp_path, save_after=0)
