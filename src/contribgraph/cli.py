@@ -94,9 +94,7 @@ def refuse_clobber(path: Path, force: bool) -> None:
 
 
 def make_generation_backend(args, config: dict[str, str]) -> backends.GenerationBackend:
-    if getattr(args, "backend", None) == "mock" and not getattr(args, "mock", None):
-        raise CliError("--backend mock requires --mock DIR")
-    if getattr(args, "mock", None):
+    if args.mock:
         return backends.MockBackend(args.mock)
     endpoint = setting(
         getattr(args, "endpoint", None), backends.GEN_ENDPOINT_VAR, config, "GEN_ENDPOINT"
@@ -163,7 +161,7 @@ def cmd_extract(args, config) -> int:
     catalog = frontier.Catalog.load(args.catalog)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        ids = list(args.ids)
+        ids = list(dict.fromkeys(args.ids))  # `extract P P` extracts P once
         if not ids:
             histogram = frontier.build_histogram(graph, catalog)
             ids = frontier.select_batch(
@@ -270,7 +268,7 @@ def cmd_taskgen(args, config) -> int:
     taskgen.write_problems(out_path, result.problems)
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     taskgen.write_manifest(
-        manifest_path, graph, years, args.per_year, args.seed, args.strong_only, result
+        manifest_path, graph, years, args.per_year, args.seed, args.strong_only, args.k, result
     )
     print(f"{len(result.problems)} problems, {len(result.skips)} skipped -> {out_path}")
     for skip in result.skips:
@@ -412,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank problems with a model backend")
     p.add_argument("--problems", required=True)
-    p.add_argument("--backend", choices=["http", "mock"], default="http")
-    p.add_argument("--mock", help="replay-mock directory (with --backend mock)")
+    p.add_argument("--mock", help="replay-mock directory of canned responses")
     p.add_argument(
         "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
     )

@@ -1,7 +1,9 @@
 """Per-contribution vector index with exact cosine top-k retrieval.
 
-Retrieval is a full scan (no approximate structure): desk-scale
-corpora do not need one and exactness keeps the oracles simple.
+The index is built once, by `build_index` or `EmbeddingIndex.load`,
+as one contiguous float32 matrix whose row norms are computed at
+construction; it never changes afterwards. Retrieval is a full scan
+(no approximate structure): exactness keeps the oracles simple.
 Vectors are stored as 32-bit little-endian floats; scoring happens in
 float64.
 """
@@ -12,7 +14,7 @@ import os
 import struct
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ EMBED_MODEL_VAR = "CONTRIBGRAPH_EMBED_MODEL"
 
 MAGIC = b"SCGE"
 FORMAT_VERSION = 1
+EMBED_CHUNK = 64  # texts per provider.embed call
 
 
 def embedding_text(contribution: Contribution) -> str:
@@ -34,7 +37,6 @@ def embedding_text(contribution: Contribution) -> str:
 
 
 class EmbeddingProvider(ABC):
-    tag: str = "provider"
     dim: int = 0
 
     @abstractmethod
@@ -47,7 +49,6 @@ class MockEmbeddingProvider(EmbeddingProvider):
 
     def __init__(self, dim: int = 64):
         self.dim = dim
-        self.tag = f"mock-hash:{dim}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         out = np.empty((len(texts), self.dim), dtype=np.float32)
@@ -78,7 +79,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.api_key = api_key or os.environ.get(EMBED_API_KEY_VAR)
         self.model = model or os.environ.get(EMBED_MODEL_VAR, "")
         self.timeout = timeout
-        self.tag = f"http:{self.model}"
         self.dim = 0  # discovered from the first response
         if not self.endpoint:
             raise BackendError(f"no embedding endpoint configured (set {EMBED_ENDPOINT_VAR})")
@@ -111,18 +111,18 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
 
 class EmbeddingIndex:
-    """Immutable-after-build map from contribution id to vector."""
+    """Immutable map from contribution id to vector: row i of one float32
+    matrix is the vector of ids[i]; the norms are computed once, in float64."""
 
-    def __init__(self, dim: int, provider_tag: str = ""):
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        self.dim = dim
-        self.provider_tag = provider_tag
-        self.ids: list[str] = []
-        self._rows: list[np.ndarray] = []
-        self._matrix: Optional[np.ndarray] = None
-        self._norms: Optional[np.ndarray] = None
-        self._positions: dict[str, int] = {}
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.float32)
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids) or matrix.shape[1] <= 0:
+            raise ValueError(f"matrix shape {matrix.shape}, want ({len(ids)}, dim > 0)")
+        self.ids = list(ids)
+        self.matrix = matrix
+        self.dim = int(matrix.shape[1])
+        self._norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
+        self._positions = {cid: i for i, cid in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -130,84 +130,44 @@ class EmbeddingIndex:
     def __contains__(self, cid: str) -> bool:
         return cid in self._positions
 
-    def add(self, cid: str, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float32)
-        if vector.shape != (self.dim,):
-            raise ValueError(f"vector for {cid} has shape {vector.shape}, want ({self.dim},)")
-        self._positions[cid] = len(self.ids)
-        self.ids.append(cid)
-        self._rows.append(vector)
-        self._matrix = None
-        self._norms = None
-
     def vector(self, cid: str) -> np.ndarray:
         return self.matrix[self._positions[cid]]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = (
-                np.vstack(self._rows)
-                if self._rows
-                else np.empty((0, self.dim), dtype=np.float32)
-            )
-            self._norms = np.linalg.norm(self._matrix.astype(np.float64), axis=1)
-        return self._matrix
-
-    def cosine_top_k(
-        self,
-        query: np.ndarray,
-        k: int,
-        id_filter: Optional[Callable[[str], bool]] = None,
-    ) -> list[tuple[str, float]]:
-        """Exact top-k by cosine among entries passing the filter.
-
-        Ties break by ascending id; zero-norm queries or entries score 0.
-        """
+    def cosine_top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """Exact top-k by cosine over every entry; ties break by ascending
+        id, and zero-norm queries or entries score 0."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape != (self.dim,):
             raise ValueError(f"query dim {query.shape} does not match index dim {self.dim}")
-        matrix = self.matrix
-        norms = self._norms
         qnorm = float(np.linalg.norm(query))
-        if len(self.ids) == 0:
-            return []
         if qnorm == 0.0:
             scores = np.zeros(len(self.ids))
         else:
-            dots = matrix.astype(np.float64) @ query
+            dots = self.matrix.astype(np.float64) @ query
             with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(norms > 0.0, dots / (norms * qnorm), 0.0)
+                scores = np.where(self._norms > 0.0, dots / (self._norms * qnorm), 0.0)
             scores = np.clip(scores, -1.0, 1.0)
-        pool = [
-            (cid, float(scores[i]))
-            for i, cid in enumerate(self.ids)
-            if id_filter is None or id_filter(cid)
-        ]
+        pool = [(cid, float(scores[i])) for i, cid in enumerate(self.ids)]
         pool.sort(key=lambda item: (-item[1], item[0]))
         return pool[:k]
-
-    # ------------------------------------------------------------------
-    # Binary persistence
-    # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        matrix = self.matrix
+        rows = self.matrix.astype("<f4", copy=False)
         with path.open("wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<IIQ", FORMAT_VERSION, self.dim, len(self.ids)))
-            for i, cid in enumerate(self.ids):
+            for cid, row in zip(self.ids, rows):
                 raw = cid.encode("utf-8")
                 f.write(struct.pack("<H", len(raw)))
                 f.write(raw)
-                f.write(matrix[i].astype("<f4").tobytes())
+                f.write(row.tobytes())
 
     @classmethod
-    def load(cls, path: str | Path, provider_tag: str = "") -> "EmbeddingIndex":
+    def load(cls, path: str | Path) -> "EmbeddingIndex":
         with Path(path).open("rb") as f:
             magic = f.read(4)
             if magic != MAGIC:
@@ -215,33 +175,26 @@ class EmbeddingIndex:
             version, dim, count = struct.unpack("<IIQ", f.read(16))
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported index version {version}")
-            index = cls(dim=dim, provider_tag=provider_tag)
-            for _ in range(count):
+            # A row takes at least 2 + 4 * dim bytes: a corrupt count cannot over-allocate.
+            if count * (2 + 4 * dim) > os.fstat(f.fileno()).st_size - 20:
+                raise ValueError(f"index file is too short for its {count} rows")
+            ids = []
+            matrix = np.empty((count, dim), dtype=np.float32)
+            for i in range(count):
                 (id_len,) = struct.unpack("<H", f.read(2))
-                cid = f.read(id_len).decode("utf-8")
-                vec = np.frombuffer(f.read(4 * dim), dtype="<f4")
-                index.add(cid, vec.copy())
-        return index
+                ids.append(f.read(id_len).decode("utf-8"))
+                matrix[i] = np.frombuffer(f.read(4 * dim), dtype="<f4")
+        return cls(ids, matrix)
 
 
-def build_index(
-    graph: ContributionGraph,
-    provider: EmbeddingProvider,
-    batch_size: int = 64,
-) -> EmbeddingIndex:
-    """Embed every contribution (sorted by id for reproducibility)."""
+def build_index(graph: ContributionGraph, provider: EmbeddingProvider) -> EmbeddingIndex:
+    """Embed every contribution (sorted by id for reproducibility) in
+    fixed chunks of EMBED_CHUNK texts, stacked once into the matrix."""
     ids = sorted(graph.nodes)
     texts = [embedding_text(graph.nodes[cid]) for cid in ids]
-    dim: Optional[int] = provider.dim or None
-    index: Optional[EmbeddingIndex] = None
-    for start in range(0, len(ids), batch_size):
-        chunk = texts[start : start + batch_size]
-        vectors = provider.embed(chunk)
-        if index is None:
-            dim = int(vectors.shape[1]) if dim is None else dim
-            index = EmbeddingIndex(dim=dim, provider_tag=provider.tag)
-        for offset, vector in enumerate(vectors):
-            index.add(ids[start + offset], vector)
-    if index is None:
-        index = EmbeddingIndex(dim=dim or provider.dim or 1, provider_tag=provider.tag)
-    return index
+    chunks = [
+        provider.embed(texts[start : start + EMBED_CHUNK])
+        for start in range(0, len(texts), EMBED_CHUNK)
+    ]
+    matrix = np.vstack(chunks) if chunks else np.empty((0, provider.dim or 1), np.float32)
+    return EmbeddingIndex(ids, matrix)

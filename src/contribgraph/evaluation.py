@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -191,12 +192,8 @@ def run_ranking(
     parallel: int = 1,
     retries: int = 2,
 ) -> list[RankingSubmission]:
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(lambda p: rank_with_model(p, backend, retries), problems))
-    return [rank_with_model(p, backend, retries) for p in problems]
+    with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
+        return list(pool.map(lambda p: rank_with_model(p, backend, retries), problems))
 
 
 @dataclass

@@ -144,7 +144,7 @@ class ContributionGraph:
         leaves the store untouched.
         """
         if isinstance(record, dict):
-            record, _ = recmod.parse_record(record)
+            record = recmod.parse_record(record)
 
         with self._lock:
             existing = self.papers.get(record.corpus_id)

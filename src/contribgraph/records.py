@@ -16,12 +16,10 @@ records; the stages add only their own rules on top.
 """
 from __future__ import annotations
 
-import logging
 from typing import Any, Optional
 
 from .errors import RecordValidationError
 from .model import (
-    CONTRIBUTION_CATEGORIES,
     CORE_OR_PERIPHERAL,
     MATCH_TYPES,
     ArtifactRef,
@@ -35,8 +33,6 @@ from .model import (
     make_contribution_id,
     split_contribution_id,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def _opt_str(value: Any) -> Optional[str]:
@@ -232,20 +228,6 @@ def validate_record(obj: dict[str, Any]) -> list[str]:
     return problems
 
 
-def category_warnings(obj: dict[str, Any]) -> list[str]:
-    """Off-vocabulary category labels; kept verbatim, reported as warnings."""
-    warnings: list[str] = []
-    for c in obj.get("contributions", []):
-        for t in c.get("types", []):
-            label = t.get("type", "")
-            if label not in CONTRIBUTION_CATEGORIES:
-                warnings.append(
-                    f"contribution {c.get('contribution_id')}: category {label!r}"
-                    " is not in the standard vocabulary"
-                )
-    return warnings
-
-
 def reference_from_json(ref: dict[str, Any]):
     if ref["type"] == "paper":
         return PaperRef(
@@ -290,24 +272,20 @@ def contribution_from_json(c: dict[str, Any]) -> Contribution:
     )
 
 
-def parse_record(raw: dict[str, Any]) -> tuple[ExtractionRecord, list[str]]:
+def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     """Normalize, validate, and build an ExtractionRecord.
 
-    Returns the record plus any category warnings. Raises
-    RecordValidationError when the schema check fails.
+    Raises RecordValidationError when the schema check fails.
+    Off-vocabulary category labels pass verbatim; `validate --warnings`
+    reports them.
     """
     obj = normalize_record(raw)
     problems = validate_record(obj)
     if problems:
         raise RecordValidationError(problems)
-    warnings = category_warnings(obj)
-    for message in warnings:
-        logger.warning("%s: %s", obj["corpus_id"], message)
-
-    record = ExtractionRecord(
+    return ExtractionRecord(
         corpus_id=obj["corpus_id"],
         title=obj["title"],
         year=obj["year"],
         contributions=[contribution_from_json(c) for c in obj["contributions"]],
     )
-    return record, warnings

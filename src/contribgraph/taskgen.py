@@ -251,6 +251,7 @@ def write_manifest(
     n_per_year: int,
     rng_seed: int,
     strong_only: bool,
+    k: int,
     result: GenerationResult,
 ) -> None:
     manifest = {
@@ -258,7 +259,7 @@ def write_manifest(
         "years": list(years),
         "n_per_year": n_per_year,
         "strong_only": strong_only,
-        "candidates_per_problem": CANDIDATES_PER_PROBLEM,
+        "candidates_per_problem": k,
         "problems": len(result.problems),
         "skipped": len(result.skips),
         "graph_hash": graph.graph_hash(),

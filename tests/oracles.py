@@ -63,9 +63,8 @@ def cosine_scores_brute(ids, matrix, query) -> dict[str, float]:
     return scores
 
 
-def top_k_brute(ids, matrix, query, k, id_filter=None):
-    scores = cosine_scores_brute(ids, matrix, query)
-    pool = [(cid, s) for cid, s in scores.items() if id_filter is None or id_filter(cid)]
+def top_k_brute(ids, matrix, query, k):
+    pool = list(cosine_scores_brute(ids, matrix, query).items())
     pool.sort(key=lambda item: (-item[1], item[0]))
     return pool[:k]
 

@@ -189,9 +189,8 @@ def test_retrieval_exactness():
     """Exact cosine top-10 agrees with a brute-force full scan on one
     thousand random vectors, id for id, in under five seconds."""
     rng = np.random.default_rng(555)
-    index = EmbeddingIndex(dim=8)
-    for i in range(1000):
-        index.add(f"v.c{i}", rng.standard_normal(8).astype(np.float32))
+    ids = [f"v.c{i}" for i in range(1000)]
+    index = EmbeddingIndex(ids, rng.standard_normal((1000, 8)).astype(np.float32))
     start = time.perf_counter()
     for _ in range(25):
         query = rng.standard_normal(8)

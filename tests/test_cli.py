@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import fcntl
 import json
+import logging
+import shlex
+from pathlib import Path
 
 import pytest
 
 import corpus_fixture as cf
-from contribgraph.cli import dispatch
-from contribgraph.jsonl import read_jsonl
+from contribgraph.cli import build_parser, dispatch
+from contribgraph.graph import ContributionGraph
+from contribgraph.jsonl import read_jsonl, write_jsonl
 
 from conftest import DATA_DIR, GOLDEN_RECORDS
 from oracles import ap_direct
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv) -> int:
@@ -135,8 +142,7 @@ def e2e(corpus, tmp_path_factory):
         "--seed", cf.E2E_SEED, "--k", cf.E2E_K,
     ) == 0
     assert run(
-        "rank", "--problems", store / "problems.jsonl",
-        "--backend", "mock", "--mock", corpus.mock_dir,
+        "rank", "--problems", store / "problems.jsonl", "--mock", corpus.mock_dir,
     ) == 0
     assert run(
         "eval", "--problems", store / "problems.jsonl",
@@ -212,6 +218,7 @@ class TestEndToEnd:
         assert manifest["seed"] == cf.E2E_SEED
         assert manifest["years"] == cf.E2E_YEARS
         assert manifest["problems"] > 0
+        assert manifest["candidates_per_problem"] == cf.E2E_K
         assert len(manifest["graph_hash"]) == 64
 
     def test_extract_refuses_second_run(self, e2e, corpus, capsys):
@@ -248,10 +255,75 @@ def test_extract_uses_frontier_when_no_ids(corpus, tmp_path, capsys):
     assert "7000001\t1" in out
 
 
-def test_rank_mock_requires_dir(tmp_path):
-    problems = tmp_path / "problems.jsonl"
-    problems.write_text("", encoding="utf-8")
-    assert run("rank", "--problems", problems, "--backend", "mock") == 1
+def test_extract_given_a_paper_twice_extracts_it_once(corpus, tmp_path, capsys):
+    paper = cf.EXTRACTION_ORDER[0]
+    outputs = []
+    for name, ids in (("once", [paper]), ("twice", [paper, paper])):
+        store = tmp_path / name
+        assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
+        capsys.readouterr()
+        assert run(
+            "extract", *ids, "--store", store, "--catalog", corpus.catalog_path,
+            "--mock", corpus.mock_dir,
+        ) == 0
+        outputs.append(capsys.readouterr().out)
+        assert [r["corpus_id"] for r in read_jsonl(store / "records.jsonl")] == [paper]
+    assert "FAILED" not in outputs[1]
+    calls = [line for out in outputs for line in out.splitlines() if "backend calls" in line]
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
+class TestOffVocabularyCategory:
+    """A stored label outside the vocabulary is kept verbatim and
+    reported once, by `validate --warnings`, not on every load."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        raw = next(iter(read_jsonl(GOLDEN_RECORDS)))
+        raw["contributions"][0]["types"][0]["type"] = "galactic_insight"
+        records = tmp_path / "records.jsonl"
+        write_jsonl(records, [raw])
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--records", records) == 0
+        return store
+
+    def test_load_logs_nothing_from_records(self, store, caplog):
+        caplog.set_level(logging.DEBUG)
+        for _ in range(3):
+            ContributionGraph.load(store)
+        assert [r for r in caplog.records if r.name == "contribgraph.records"] == []
+
+    def test_validate_warnings_names_the_label(self, store, capsys):
+        assert run("validate", "--store", store) == 0
+        assert "galactic_insight" not in capsys.readouterr().out
+        assert run("validate", "--store", store, "--warnings") == 0
+        out = capsys.readouterr().out
+        assert "[warning] contribution.category" in out
+        assert "off-vocabulary category 'galactic_insight'" in out
+        assert "0 violations" in out
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Every `contribgraph ...` command in the README's CLI block, as argv."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["contribgraph"]:
+            commands.append(argv[1 : argv.index(">")] if ">" in argv else argv[1:])
+    return commands
+
+
+def test_readme_cli_commands_parse():
+    commands = readme_cli_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: contribgraph {shlex.join(argv)}")
 
 
 def test_config_file_layering(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,23 @@ from contribgraph.embedding import (
     build_index,
     embedding_text,
 )
+from contribgraph.graph import ContributionGraph
 from contribgraph.model import Contribution
 
+from conftest import build_synthetic_graph
 from oracles import top_k_brute
 
 
 def make_index(n=20, dim=8, seed=0) -> EmbeddingIndex:
     rng = np.random.default_rng(seed)
-    index = EmbeddingIndex(dim=dim, provider_tag="test")
-    for i in range(n):
-        index.add(f"p.c{i}", rng.standard_normal(dim).astype(np.float32))
-    return index
+    ids = [f"p.c{i}" for i in range(n)]
+    return EmbeddingIndex(ids, rng.standard_normal((n, dim)).astype(np.float32))
+
+
+def rescaled(index: EmbeddingIndex, scales) -> EmbeddingIndex:
+    """A new index whose row i is row i of `index` times scales[i]."""
+    scales = np.asarray(scales, dtype=np.float32).reshape(-1, 1)
+    return EmbeddingIndex(index.ids, index.matrix * scales)
 
 
 class TestEmbeddingText:
@@ -49,16 +57,14 @@ class TestCosineTopK:
         assert results[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_vectors_score_zero(self):
-        index = EmbeddingIndex(dim=2)
-        index.add("a", np.array([1.0, 0.0], dtype=np.float32))
+        index = EmbeddingIndex(["a"], np.array([[1.0, 0.0]], dtype=np.float32))
         results = index.cosine_top_k(np.array([0.0, 1.0]), 1)
         assert results == [("a", 0.0)]
 
     def test_thousand_random_vectors_match_brute_force(self):
         rng = np.random.default_rng(20240917)
-        index = EmbeddingIndex(dim=8)
-        for i in range(1000):
-            index.add(f"v.c{i}", rng.standard_normal(8).astype(np.float32))
+        ids = [f"v.c{i}" for i in range(1000)]
+        index = EmbeddingIndex(ids, rng.standard_normal((1000, 8)).astype(np.float32))
         for q in range(20):
             query = rng.standard_normal(8)
             got = index.cosine_top_k(query, 10)
@@ -73,9 +79,7 @@ class TestCosineTopK:
         assert [cid for cid, _ in results] == sorted(index.ids)[:5]
 
     def test_zero_norm_entry_scores_zero(self):
-        index = EmbeddingIndex(dim=3)
-        index.add("zero", np.zeros(3, dtype=np.float32))
-        index.add("one", np.array([1.0, 0.0, 0.0], dtype=np.float32))
+        index = EmbeddingIndex(["zero", "one"], np.array([[0, 0, 0], [1, 0, 0]], dtype=np.float32))
         results = dict(index.cosine_top_k(np.array([1.0, 0.0, 0.0]), 2))
         assert results["zero"] == 0.0
         assert results["one"] == pytest.approx(1.0)
@@ -89,11 +93,18 @@ class TestCosineTopK:
         with pytest.raises(ValueError):
             make_index().cosine_top_k(np.zeros(8), 0)
 
-    def test_filter_soundness(self):
-        index = make_index(n=30)
-        allowed = {f"p.c{i}" for i in range(0, 30, 3)}
-        results = index.cosine_top_k(index.vector("p.c0"), 50, id_filter=lambda c: c in allowed)
-        assert results and all(cid in allowed for cid, _ in results)
+    def test_shape_checked_at_construction(self):
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingIndex(["a", "b"], np.zeros((3, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingIndex(["a"], np.zeros((1, 0), dtype=np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingIndex(["a"], np.zeros(4, dtype=np.float32))
+
+    def test_empty_index_returns_nothing(self):
+        index = EmbeddingIndex([], np.empty((0, 4), dtype=np.float32))
+        assert len(index) == 0
+        assert index.cosine_top_k(np.ones(4), 3) == []
 
     def test_scores_bounded(self):
         index = make_index(n=50, seed=5)
@@ -112,9 +123,7 @@ class TestCosineTopK:
         index = make_index(seed=3)
         query = np.asarray(index.vector("p.c5"), dtype=np.float64).copy()
         before = dict(index.cosine_top_k(query, 20))
-        scaled = make_index(seed=3)
-        scaled._rows[entry] = scaled._rows[entry] * np.float32(scale)
-        scaled._matrix = None
+        scaled = rescaled(make_index(seed=3), [scale if i == entry else 1.0 for i in range(20)])
         after = dict(scaled.cosine_top_k(query, 20))
         for cid in before:
             assert after[cid] == pytest.approx(before[cid], abs=1e-9)
@@ -123,10 +132,7 @@ class TestCosineTopK:
         index = make_index(seed=3)
         query = np.asarray(index.vector("p.c5"), dtype=np.float64).copy()
         before = index.cosine_top_k(query, 20)
-        scaled = make_index(seed=3)
-        for i in range(len(scaled._rows)):
-            scaled._rows[i] = scaled._rows[i] * np.float32(0.7 + 0.1 * i)
-        scaled._matrix = None
+        scaled = rescaled(make_index(seed=3), [0.7 + 0.1 * i for i in range(20)])
         after = scaled.cosine_top_k(query, 20)
         assert [cid for cid, _ in after] == [cid for cid, _ in before]
         for (_, a), (_, b) in zip(after, before):
@@ -161,6 +167,17 @@ class TestPersistence:
         EmbeddingIndex.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "embeddings.bin"
+        make_index(n=10, dim=4).save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            EmbeddingIndex.load(path)
+        # A header that claims more rows than the file can hold.
+        path.write_bytes(b"SCGE" + struct.pack("<IIQ", 1, 4, 2**40))
+        with pytest.raises(ValueError, match="too short"):
+            EmbeddingIndex.load(path)
+
 
 class TestMockProvider:
     def test_deterministic_and_unit_norm(self):
@@ -176,3 +193,21 @@ class TestMockProvider:
         assert index.ids == sorted(golden_graph.nodes)
         assert len(index) == len(golden_graph.nodes)
         assert index.dim == 8
+
+    def test_build_index_embeds_in_chunks_of_64(self):
+        graph = build_synthetic_graph(n_papers=50, seed=7)
+        provider = MockEmbeddingProvider(dim=8)
+        sizes = []
+        embed = provider.embed
+        provider.embed = lambda texts: sizes.append(len(texts)) or embed(texts)
+        index = build_index(graph, provider)
+        n = len(graph.nodes)
+        assert n > 128 and sizes == [64] * (n // 64) + ([n % 64] if n % 64 else [])
+        texts = [embedding_text(graph.nodes[cid]) for cid in index.ids]
+        assert np.array_equal(index.matrix, embed(texts))
+
+    def test_build_index_of_empty_graph_round_trips(self, tmp_path):
+        index = build_index(ContributionGraph(), MockEmbeddingProvider(dim=8))
+        assert len(index) == 0 and index.dim == 8
+        index.save(tmp_path / "e.bin")
+        assert EmbeddingIndex.load(tmp_path / "e.bin").dim == 8

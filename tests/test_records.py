@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from contribgraph.errors import RecordValidationError
+from contribgraph.graph import ContributionGraph
 from contribgraph.records import (
-    category_warnings,
     normalize_record,
     normalize_reference,
     parse_record,
@@ -84,8 +84,7 @@ def test_prompt_spelling_normalizes_to_stored_names():
 def test_stored_spelling_passes_unchanged():
     norm = normalize_record(minimal_record())
     assert validate_record(norm) == []
-    record, warnings = parse_record(minimal_record())
-    assert warnings == []
+    record = parse_record(minimal_record())
     assert record.contributions[0].id == "42.c0"
 
 
@@ -176,14 +175,21 @@ def test_off_vocabulary_category_warns_but_passes():
     record["contributions"][0]["types"] = [{"type": "galactic_insight", "explanation": "?"}]
     norm = normalize_record(record)
     assert validate_record(norm) == []
-    assert len(category_warnings(norm)) == 1
-    parsed, warnings = parse_record(record)
+    parsed = parse_record(record)
     assert parsed.contributions[0].types[0].category == "galactic_insight"
-    assert len(warnings) == 1
+    # The label is reported once, by graph validation, not by parsing.
+    graph = ContributionGraph()
+    graph.add_paper_record(record)
+    assert graph.validate() == []
+    warnings = graph.validate(include_warnings=True)
+    assert [(v.invariant, v.offender, v.severity) for v in warnings] == [
+        ("contribution.category", "42.c0", "warning")
+    ]
+    assert "'galactic_insight'" in warnings[0].message
 
 
 def test_golden_records_round_trip_byte_identical():
     # parse -> to_json must reproduce the normalized form exactly.
     for raw in load_golden_raw():
-        record, _ = parse_record(raw)
+        record = parse_record(raw)
         assert record.to_json() == normalize_record(raw)
