@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -271,8 +272,8 @@ def cmd_taskgen(args, config) -> int:
         manifest_path, graph, years, args.per_year, args.seed, args.strong_only, args.k, result
     )
     print(f"{len(result.problems)} problems, {len(result.skips)} skipped -> {out_path}")
-    for skip in result.skips:
-        print(f"  skipped {skip.target_id}: {skip.reason}")
+    for reason, count in Counter(skip.reason for skip in result.skips).most_common():
+        print(f"  {count} skipped: {reason}")
     return 0
 
 

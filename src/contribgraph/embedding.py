@@ -1,11 +1,13 @@
 """Per-contribution vector index with exact cosine top-k retrieval.
 
 The index is built once, by `build_index` or `EmbeddingIndex.load`,
-as one contiguous float32 matrix whose row norms are computed at
-construction; it never changes afterwards. Retrieval is a full scan
-(no approximate structure): exactness keeps the oracles simple.
-Vectors are stored as 32-bit little-endian floats; scoring happens in
-float64.
+as one contiguous float32 matrix whose row norms and id ranks are
+computed at construction; it never changes afterwards. Retrieval is
+exact (no approximate structure), which keeps the oracles simple:
+every row is scored in float64, an optional mask keeps only the rows
+a caller allows, and a partial selection (`np.argpartition`) picks the
+top k among them, ties broken by ascending id. Vectors are stored as
+32-bit little-endian floats.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import hashlib
 import os
 import struct
 from abc import ABC, abstractmethod
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -111,18 +114,26 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
 
 class EmbeddingIndex:
-    """Immutable map from contribution id to vector: row i of one float32
-    matrix is the vector of ids[i]; the norms are computed once, in float64."""
+    """Immutable map from distinct contribution ids to vectors: row i of one
+    float32 matrix is the vector of ids[i]; the norms are computed once, in
+    float64, and so is each row's rank in ascending id order."""
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids) or matrix.shape[1] <= 0:
             raise ValueError(f"matrix shape {matrix.shape}, want ({len(ids)}, dim > 0)")
         self.ids = list(ids)
+        self._positions = {cid: i for i, cid in enumerate(self.ids)}
+        if len(self._positions) != len(self.ids):
+            duplicates = sorted(cid for cid, n in Counter(self.ids).items() if n > 1)
+            raise ValueError(f"duplicate ids in embedding index: {duplicates[:5]}")
         self.matrix = matrix
         self.dim = int(matrix.shape[1])
-        self._norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-        self._positions = {cid: i for i, cid in enumerate(self.ids)}
+        self._matrix64 = matrix.astype(np.float64)  # scored against; converted once, not per query
+        self._norms = np.linalg.norm(self._matrix64, axis=1)
+        by_id = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        self._id_rank = np.empty(len(self.ids), dtype=np.int64)
+        self._id_rank[by_id] = np.arange(len(self.ids))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -130,28 +141,51 @@ class EmbeddingIndex:
     def __contains__(self, cid: str) -> bool:
         return cid in self._positions
 
+    def position(self, cid: str) -> Optional[int]:
+        """The row of ``cid``, or None when the index does not hold it."""
+        return self._positions.get(cid)
+
     def vector(self, cid: str) -> np.ndarray:
         return self.matrix[self._positions[cid]]
 
-    def cosine_top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Exact top-k by cosine over every entry; ties break by ascending
-        id, and zero-norm queries or entries score 0."""
+    def cosine_top_k(
+        self, query: np.ndarray, k: int, mask: Optional[np.ndarray] = None
+    ) -> list[tuple[str, float]]:
+        """Exact top-k by cosine over the rows ``mask`` allows (every row
+        when it is None); ties break by ascending id, and zero-norm
+        queries or entries score 0. Fewer than k results when fewer rows
+        are allowed."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape != (self.dim,):
             raise ValueError(f"query dim {query.shape} does not match index dim {self.dim}")
+        if mask is None:
+            rows = np.arange(len(self.ids))
+        else:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (len(self.ids),):
+                raise ValueError(f"mask shape {mask.shape} does not match {len(self.ids)} rows")
+            rows = np.flatnonzero(mask)
         qnorm = float(np.linalg.norm(query))
         if qnorm == 0.0:
-            scores = np.zeros(len(self.ids))
+            scores = np.zeros(len(rows))
         else:
-            dots = self.matrix.astype(np.float64) @ query
+            # The product runs over every row, so each score is the same
+            # whatever the mask; the elementwise steps run on the allowed rows.
+            dots = (self._matrix64 @ query)[rows]
+            norms = self._norms[rows]
             with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(self._norms > 0.0, dots / (self._norms * qnorm), 0.0)
+                scores = np.where(norms > 0.0, dots / (norms * qnorm), 0.0)
             scores = np.clip(scores, -1.0, 1.0)
-        pool = [(cid, float(scores[i])) for i, cid in enumerate(self.ids)]
-        pool.sort(key=lambda item: (-item[1], item[0]))
-        return pool[:k]
+        if k < len(rows):
+            # Keep every row that scores at least the k-th best, so that rows
+            # tied with it at the cut are ranked by id below, not dropped.
+            cut = len(rows) - k
+            keep = scores >= scores[np.argpartition(scores, cut)[cut]]
+            rows, scores = rows[keep], scores[keep]
+        top = np.lexsort((self._id_rank[rows], -scores))[:k]
+        return [(self.ids[rows[i]], float(scores[i])) for i in top]
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

@@ -11,7 +11,10 @@ derives every edge from it. nodes/edges/papers.jsonl are written views.
 
 Unresolved references are indexed by cited paper, so applying a record
 reads only the references that cite it, and replaying the log on load,
-like ingesting records, costs time linear in the log.
+like ingesting records, costs time linear in the log. Records are keyed
+by corpus id and edges indexed by endpoint, so a paper's contributions
+and a contribution's incoming edges cost time linear in what they
+return, not in the store.
 """
 from __future__ import annotations
 
@@ -122,7 +125,8 @@ class ContributionGraph:
         # Cited corpus id (None for a title-only reference) -> the
         # unresolved references citing it, in insertion order; no empty lists.
         self._unresolved: dict[Optional[str], list[UnresolvedRef]] = {}
-        self._records: list[ExtractionRecord] = []
+        # Corpus id -> its one record, in the order applied.
+        self._records: dict[str, ExtractionRecord] = {}
         self._alignments: list[UnresolvedRef] = []
 
     # ------------------------------------------------------------------
@@ -212,7 +216,7 @@ class ContributionGraph:
             self._unresolved.pop(record.corpus_id, None)
             for entry in new_unresolved:
                 self._unresolved.setdefault(entry.ref.corpus_id, []).append(entry)
-            self._records.append(record)
+            self._records[record.corpus_id] = record
             self._alignments.extend(late)
             return GraphDelta(
                 nodes_added=len(record.contributions),
@@ -274,9 +278,11 @@ class ContributionGraph:
                 raise UnknownIdError(f"unknown contribution id {cid!r}") from None
 
     def contributions_of(self, corpus_id: str) -> list[Contribution]:
+        """The paper's contributions in record order, which is index order;
+        none unless the paper was extracted."""
         with self._lock:
-            ids = [cid for cid in self.nodes if self.nodes[cid].corpus_id == corpus_id]
-            return [self.nodes[cid] for cid in sorted(ids, key=lambda c: split_contribution_id(c)[1])]
+            record = self._records.get(corpus_id)
+            return list(record.contributions) if record is not None else []
 
     def year_of(self, cid: str) -> Optional[int]:
         with self._lock:
@@ -295,15 +301,16 @@ class ContributionGraph:
             found = [self.edges[i] for i in self._outgoing.get(cid, [])]
             return sorted(found, key=lambda e: (e.dep_id, e.prereq_index))
 
-    def deduplicated_edges(self) -> list[Edge]:
-        """One edge per (pre, dep) pair; strong beats weak when collapsing."""
+    def deduplicated_edges(self, dep_id: str) -> list[Edge]:
+        """The incoming edges of ``dep_id``, one per precursor in order of
+        first appearance; strong beats weak when collapsing."""
         with self._lock:
-            best: dict[tuple[str, str], Edge] = {}
-            for edge in self.edges:
-                key = (edge.pre_id, edge.dep_id)
-                kept = best.get(key)
+            best: dict[str, Edge] = {}
+            for i in self._incoming.get(dep_id, ()):
+                edge = self.edges[i]
+                kept = best.get(edge.pre_id)
                 if kept is None or (kept.match_type == "weak" and edge.match_type == "strong"):
-                    best[key] = edge
+                    best[edge.pre_id] = edge
             return list(best.values())
 
     @property
@@ -326,7 +333,7 @@ class ContributionGraph:
 
     def records(self) -> list[ExtractionRecord]:
         with self._lock:
-            return list(self._records)
+            return list(self._records.values())
 
     # ------------------------------------------------------------------
     # Validation
@@ -432,7 +439,7 @@ class ContributionGraph:
     def node_rows(self) -> list[dict[str, Any]]:
         """nodes.jsonl rows: contribution fields joined with paper metadata."""
         rows = []
-        for record in self._records:
+        for record in self._records.values():
             meta = self.papers[record.corpus_id]
             for contribution in record.contributions:
                 row = contribution.to_json()
@@ -453,7 +460,7 @@ class ContributionGraph:
             directory.mkdir(parents=True, exist_ok=True)
             if write_records:
                 jsonl.write_jsonl(
-                    directory / RECORDS_FILE, (r.to_json() for r in self._records)
+                    directory / RECORDS_FILE, (r.to_json() for r in self._records.values())
                 )
                 jsonl.write_jsonl(
                     directory / ALIGNMENTS_FILE, (a.to_json() for a in self._alignments)

@@ -7,6 +7,13 @@ similarity over the embedding index. Distractors are filtered so none
 postdates the target year, none comes from the target's own paper, and
 none comes from a paper with a direct edge to any contribution of the
 target's paper. Candidates are shuffled with a per-problem seed.
+
+Each problem reads only the target's neighbourhood of the graph: its
+incoming edges and the contributions of the papers it excludes. The
+filter is one boolean mask over the index rows, built from per-row
+years computed once per (graph, index) pair, and the distractors come
+from one exact query that selects the top rows the mask allows by a
+partial selection, ties broken by ascending id.
 """
 from __future__ import annotations
 
@@ -17,6 +24,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import jsonl
 from .embedding import EmbeddingIndex
@@ -96,14 +105,14 @@ def sample_targets(
     if not graph.nodes:
         raise ValueError("graph has no contributions to sample from")
     rng = random.Random(rng_seed)
-    with_incoming = {e.dep_id for e in graph.edges}
+    pools: dict[int, list[str]] = {year: [] for year in years}
+    for cid in {e.dep_id for e in graph.edges}:
+        pool = pools.get(graph.year_of(cid))
+        if pool is not None:
+            pool.append(cid)
     targets: list[Contribution] = []
     for year in years:
-        pool = sorted(
-            cid
-            for cid in with_incoming
-            if graph.year_of(cid) == year
-        )
+        pool = sorted(pools[year])
         if not pool:
             logger.warning("year %d has no eligible targets", year)
             continue
@@ -130,22 +139,37 @@ def excluded_papers(graph: ContributionGraph, target: Contribution) -> set[str]:
     return excluded
 
 
+def index_years(graph: ContributionGraph, index: EmbeddingIndex) -> np.ndarray:
+    """The year of each index row's paper, NaN where the id is absent
+    from the graph or its paper has no year: NaN compares false, so such
+    a row never passes a year filter."""
+    years = np.full(len(index), np.nan)
+    for i, cid in enumerate(index.ids):
+        node = graph.nodes.get(cid)
+        meta = graph.papers.get(node.corpus_id) if node is not None else None
+        if meta is not None and meta.year is not None:
+            years[i] = meta.year
+    return years
+
+
 def build_problem(
     target: Contribution,
     graph: ContributionGraph,
     index: EmbeddingIndex,
+    row_years: np.ndarray,
     k: int = CANDIDATES_PER_PROBLEM,
     strong_only: bool = False,
     rng_seed: int = 0,
 ) -> Problem | Skip:
+    """``row_years`` is ``index_years(graph, index)``."""
     target_year = graph.year_of(target.id)
     if target_year is None:
         return Skip(target.id, "target paper has no year")
 
-    incoming = [e for e in graph.deduplicated_edges() if e.dep_id == target.id]
+    incoming = graph.deduplicated_edges(target.id)
     if strong_only:
         incoming = [e for e in incoming if e.match_type == "strong"]
-    gold = sorted({e.pre_id for e in incoming})
+    gold = sorted(e.pre_id for e in incoming)
     if not gold:
         return Skip(target.id, "no gold prerequisites after filtering")
     if len(gold) > k:
@@ -153,33 +177,20 @@ def build_problem(
     if target.id not in index:
         return Skip(target.id, "target missing from embedding index")
 
-    gold_set = set(gold)
-    banned_papers = excluded_papers(graph, target)
-
-    def eligible(cid: str) -> bool:
-        if cid == target.id or cid in gold_set:
-            return False
-        node = graph.nodes.get(cid)
-        if node is None:
-            return False
-        if node.corpus_id in banned_papers:
-            return False
-        year = graph.year_of(cid)
-        return year is not None and year <= target_year
-
-    # Over-fetch from the index, then filter; double until satisfied or
-    # the whole index has been scanned.
     need = k - len(gold)
-    query = index.vector(target.id)
-    fetch = min(4 * k, len(index))
     distractors: list[str] = []
-    while True:
-        retrieved = index.cosine_top_k(query, fetch)
-        distractors = [cid for cid, _ in retrieved if eligible(cid)][:need]
-        if len(distractors) >= need or fetch >= len(index):
-            break
-        fetch = min(fetch * 2, len(index))
-    if len(gold) + len(distractors) < k:
+    if need:
+        eligible = row_years <= target_year
+        excluded = [target.id, *gold]
+        for paper in excluded_papers(graph, target):
+            excluded.extend(c.id for c in graph.contributions_of(paper))
+        for cid in excluded:
+            row = index.position(cid)
+            if row is not None:
+                eligible[row] = False
+        retrieved = index.cosine_top_k(index.vector(target.id), need, eligible)
+        distractors = [cid for cid, _ in retrieved]
+    if len(distractors) < need:
         return Skip(target.id, "insufficient candidates")
 
     seed = problem_seed(rng_seed, target.id)
@@ -203,7 +214,7 @@ def build_problem(
         target_year=target_year,
         target_date=meta.date,
         candidates=candidates,
-        gold_ids=gold_set,
+        gold_ids=set(gold),
         seed=seed,
     )
 
@@ -224,9 +235,10 @@ def generate_problems(
     k: int = CANDIDATES_PER_PROBLEM,
 ) -> GenerationResult:
     result = GenerationResult()
+    row_years = index_years(graph, index)
     for target in sample_targets(graph, years, n_per_year, rng_seed):
         built = build_problem(
-            target, graph, index, k=k, strong_only=strong_only, rng_seed=rng_seed
+            target, graph, index, row_years, k=k, strong_only=strong_only, rng_seed=rng_seed
         )
         if isinstance(built, Skip):
             logger.warning("skipped %s: %s", built.target_id, built.reason)

@@ -114,9 +114,10 @@ def taskgen_candidates_brute(problem, graph, index, strong_only=False):
 
     Gold: distinct precursors of the target over the deduplicated edge
     view. Distractors: full scan of the index, applying (a) not the
-    target, (b) not gold, (c) no later year, (d) no paper with a direct
-    edge to the target's paper (own paper included), ranked by cosine
-    similarity to the target vector with ascending-id tie-breaks.
+    target, (b) not gold, (c) in the graph, (d) no later year and no
+    missing year, (e) no paper with a direct edge to the target's paper
+    (own paper included), ranked by cosine similarity to the target
+    vector with ascending-id tie-breaks.
     """
     target_id = problem.target_id
     target_paper = target_id.rsplit(".c", 1)[0]
@@ -145,7 +146,7 @@ def taskgen_candidates_brute(problem, graph, index, strong_only=False):
     scores = cosine_scores_brute(index.ids, index.matrix, index.vector(target_id))
     eligible = []
     for cid in index.ids:
-        if cid == target_id or cid in gold:
+        if cid == target_id or cid in gold or cid not in graph.nodes:
             continue
         if paper_of(cid) in banned:
             continue
@@ -156,6 +157,25 @@ def taskgen_candidates_brute(problem, graph, index, strong_only=False):
     eligible.sort(key=lambda cid: (-scores[cid], cid))
     need = len(problem.candidates) - len(gold)
     return gold | set(eligible[:need])
+
+
+def contributions_of_scan(graph, corpus_id):
+    """A paper's contributions by a scan of every node, ordered by index."""
+    found = [node for cid, node in graph.nodes.items() if cid.rsplit(".c", 1)[0] == corpus_id]
+    return sorted(found, key=lambda node: int(node.id.rsplit(".c", 1)[1]))
+
+
+def deduplicated_edges_scan(graph, dep_id):
+    """The incoming edges of dep_id by a scan of every edge: one per
+    precursor, in order of first appearance, strong beating weak."""
+    best = {}
+    for edge in graph.edges:
+        if edge.dep_id != dep_id:
+            continue
+        kept = best.get(edge.pre_id)
+        if kept is None or (kept.match_type == "weak" and edge.match_type == "strong"):
+            best[edge.pre_id] = edge
+    return list(best.values())
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from contribgraph.graph import ContributionGraph
 from contribgraph.model import PartialDate
 from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
 from contribgraph.roadmap import impact_tree, precursor_tree
-from contribgraph.taskgen import Problem, build_problem, sample_targets
+from contribgraph.taskgen import Problem, build_problem, index_years, sample_targets
 
 from conftest import GOLDEN_RECORDS, build_synthetic_graph
 from oracles import (
@@ -124,8 +124,9 @@ def test_taskgen_soundness():
     graph = build_synthetic_graph(n_papers=160, seed=20240901)
     index = build_index(graph, MockEmbeddingProvider(dim=16))
     problems: list[Problem] = []
+    row_years = index_years(graph, index)
     for target in sample_targets(graph, range(2019, 2026), 20, rng_seed=9):
-        built = build_problem(target, graph, index, rng_seed=9)
+        built = build_problem(target, graph, index, row_years, rng_seed=9)
         if isinstance(built, Problem):
             problems.append(built)
     assert len(problems) >= 50, f"only {len(problems)} problems generated"

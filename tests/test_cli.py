@@ -211,6 +211,20 @@ class TestEndToEnd:
         assert run(*argv, "--force") == 0
         assert (e2e / "problems.jsonl").read_bytes() == before  # seed-reproducible
 
+    def test_taskgen_prints_one_line_per_skip_reason(self, e2e, tmp_path, capsys, caplog):
+        out = tmp_path / "problems.jsonl"
+        with caplog.at_level(logging.WARNING, logger="contribgraph.taskgen"):
+            assert run(
+                "taskgen", "--store", e2e, "--years", "2021-2025", "--per-year", cf.E2E_PER_YEAR,
+                "--seed", cf.E2E_SEED, "--k", 100_000, "--out", out,
+            ) == 0
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipped ")]
+        assert skipped and all(m.endswith(": insufficient candidates") for m in skipped)
+        assert capsys.readouterr().out.splitlines() == [
+            f"0 problems, {len(skipped)} skipped -> {out}",
+            f"  {len(skipped)} skipped: insufficient candidates",
+        ]
+
     def test_manifest_written(self, e2e):
         manifest = json.loads(
             (e2e / "problems_manifest.json").read_text(encoding="utf-8")

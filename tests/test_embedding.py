@@ -139,6 +139,73 @@ class TestCosineTopK:
             assert a == pytest.approx(b, abs=1e-6)
 
 
+def masked_brute(index: EmbeddingIndex, query, k, mask):
+    """top_k_brute over only the rows the mask allows."""
+    kept = [i for i in range(len(index)) if mask[i]]
+    return top_k_brute([index.ids[i] for i in kept], index.matrix[kept], query, k)
+
+
+def tied_index(seed: int, n: int = 40, dim: int = 4) -> EmbeddingIndex:
+    """Rows drawn from a handful of small-integer vectors, so that many rows
+    tie exactly, under ids stored in shuffled (unsorted) order."""
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(-2, 3, size=(5, dim)).astype(np.float32)
+    palette[0] = 0.0  # a zero-norm entry, scoring 0
+    ids = [f"{rng.integers(100, 999)}.c{i}" for i in range(n)]
+    rng.shuffle(ids)
+    return EmbeddingIndex(ids, palette[rng.integers(0, 5, size=n)])
+
+
+class TestMaskedTopK:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force_with_ties_across_the_cut(self, seed):
+        index = tied_index(seed)
+        assert index.ids != sorted(index.ids)
+        rng = np.random.default_rng(1000 + seed)
+        query = rng.integers(-2, 3, size=4).astype(np.float64)
+        for k in (1, 3, 7, 15, 39, 40, 60):
+            mask = rng.random(len(index)) < 0.6
+            got = index.cosine_top_k(query, k, mask)
+            want = masked_brute(index, query, k, mask)
+            assert [cid for cid, _ in got] == [cid for cid, _ in want]
+            assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
+
+    def test_cut_falls_inside_a_tie(self):
+        ids = ["e.c0", "b.c0", "d.c0", "a.c0", "c.c0", "f.c0"]
+        matrix = np.array([[1, 1], [1, 1], [2, 0], [1, 1], [1, 1], [0, 1]], dtype=np.float32)
+        index = EmbeddingIndex(ids, matrix)
+        query = np.array([1.0, 0.0])
+        got = index.cosine_top_k(query, 3, np.array([True, True, True, True, False, True]))
+        # d scores 1; a, b and e tie at 1/sqrt(2) and the cut keeps the two lowest ids.
+        assert [cid for cid, _ in got] == ["d.c0", "a.c0", "b.c0"]
+        assert got == masked_brute(index, query, 3, [True, True, True, True, False, True])
+
+    def test_zero_norm_query_ranks_allowed_rows_by_id(self):
+        index = tied_index(3)
+        mask = np.arange(len(index)) % 3 != 0
+        got = index.cosine_top_k(np.zeros(4), 10, mask)
+        assert got == masked_brute(index, np.zeros(4), 10, mask)
+        assert [cid for cid, _ in got] == sorted(c for c, ok in zip(index.ids, mask) if ok)[:10]
+        assert all(score == 0.0 for _, score in got)
+
+    def test_mask_allowing_fewer_than_k_rows(self):
+        index = tied_index(5)
+        mask = np.zeros(len(index), dtype=bool)
+        mask[[4, 9, 17]] = True
+        query = np.array([1.0, -1.0, 2.0, 0.0])
+        got = index.cosine_top_k(query, 10, mask)
+        assert len(got) == 3
+        assert got == masked_brute(index, query, 10, mask)
+
+    def test_all_false_mask_returns_nothing(self):
+        index = tied_index(6)
+        assert index.cosine_top_k(np.ones(4), 5, np.zeros(len(index), dtype=bool)) == []
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError, match="mask"):
+            make_index(n=5).cosine_top_k(np.ones(8), 2, np.ones(4, dtype=bool))
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         index = make_index(n=37, dim=12, seed=9)
@@ -166,6 +233,18 @@ class TestPersistence:
         index.save(a)
         EmbeddingIndex.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate"):
+            EmbeddingIndex(["p.c1", "p.c2", "p.c1"], np.eye(3, dtype=np.float32))
+        # A file whose second row repeats the first id fails to load.
+        path = tmp_path / "embeddings.bin"
+        EmbeddingIndex(["p.c1", "p.c2"], np.eye(2, dtype=np.float32)).save(path)
+        raw = path.read_bytes()
+        assert raw.count(b"p.c2") == 1
+        path.write_bytes(raw.replace(b"p.c2", b"p.c1"))
+        with pytest.raises(ValueError, match="duplicate"):
+            EmbeddingIndex.load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "embeddings.bin"

@@ -372,7 +372,7 @@ class TestQueries:
         graph.add_edge(Edge("1.c0", "1.c1", "weak", "w", 0))
         graph.add_edge(Edge("1.c0", "1.c1", "strong", "s", 1))
         graph.add_edge(Edge("1.c0", "1.c1", "weak", "w2", 2))
-        dedup = graph.deduplicated_edges()
+        dedup = graph.deduplicated_edges("1.c1")
         assert len(dedup) == 1 <= len(graph.edges)
         assert dedup[0].match_type == "strong"
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from contribgraph.embedding import MockEmbeddingProvider, build_index
+from contribgraph.embedding import EmbeddingIndex, MockEmbeddingProvider, build_index
+from contribgraph.errors import RecordValidationError
 from contribgraph.graph import ContributionGraph
 from contribgraph.model import Edge
 from contribgraph.taskgen import (
@@ -10,13 +12,14 @@ from contribgraph.taskgen import (
     Skip,
     build_problem,
     generate_problems,
+    index_years,
     read_problems,
     sample_targets,
     write_problems,
 )
 
 from conftest import build_synthetic_graph
-from oracles import taskgen_candidates_brute
+from oracles import contributions_of_scan, deduplicated_edges_scan, taskgen_candidates_brute
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +91,8 @@ class TestBuildProblem:
         problems = []
         for target in sample_targets(big_graph, range(2019, 2026), 20, rng_seed=9):
             built = build_problem(
-                target, big_graph, big_index, strong_only=strong_only, rng_seed=9
+                target, big_graph, big_index, index_years(big_graph, big_index),
+                strong_only=strong_only, rng_seed=9,
             )
             if isinstance(built, Problem):
                 problems.append(built)
@@ -161,6 +165,7 @@ class TestBuildProblem:
             big_graph.get_contribution(problem.target_id),
             big_graph,
             big_index,
+            index_years(big_graph, big_index),
             rng_seed=9,
         )
         assert again.candidate_ids == ids
@@ -170,7 +175,10 @@ class TestBuildProblem:
         isolated = next(
             cid for cid in big_graph.nodes if not big_graph.incoming_edges(cid)
         )
-        built = build_problem(big_graph.get_contribution(isolated), big_graph, big_index)
+        built = build_problem(
+            big_graph.get_contribution(isolated), big_graph, big_index,
+            index_years(big_graph, big_index),
+        )
         assert isinstance(built, Skip)
         assert "no gold" in built.reason
 
@@ -178,7 +186,9 @@ class TestBuildProblem:
         graph = build_synthetic_graph(n_papers=6, seed=4)
         index = build_index(graph, MockEmbeddingProvider(dim=8))
         target_id = next(cid for cid in graph.nodes if graph.incoming_edges(cid))
-        built = build_problem(graph.get_contribution(target_id), graph, index)
+        built = build_problem(
+            graph.get_contribution(target_id), graph, index, index_years(graph, index)
+        )
         assert isinstance(built, Skip)
         assert built.reason == "insufficient candidates"
 
@@ -213,10 +223,126 @@ class TestBuildProblem:
             add(f"d{i}", 2021 + (i % 3), f"distractor {i}")
         add("late", 2025, "future tech")
         index = build_index(graph, MockEmbeddingProvider(dim=8))
-        built = build_problem(graph.get_contribution("t.c0"), graph, index, k=7)
+        built = build_problem(
+            graph.get_contribution("t.c0"), graph, index, index_years(graph, index), k=7
+        )
         assert isinstance(built, Problem)
         assert "late.c0" not in built.candidate_ids
         assert set(built.candidate_ids) == {"g.c0"} | {f"d{i}.c0" for i in range(6)}
+
+
+def one_paper(corpus: str, year, n: int = 1) -> dict:
+    return {
+        "corpus_id": corpus,
+        "title": f"paper {corpus}",
+        "year": year,
+        "contributions": [
+            {
+                "contribution_id": f"{corpus}.c{i}",
+                "name": f"{corpus} tech {i}",
+                "description": f"{corpus} tech {i} description",
+                "types": [],
+                "sections": [],
+                "prerequisites": [],
+            }
+            for i in range(n)
+        ],
+    }
+
+
+class TestBuildProblemEdgeCases:
+    """A hand-made graph and index, checked against the brute-force oracle."""
+
+    @pytest.fixture()
+    def case(self):
+        graph = ContributionGraph()
+        for corpus, year, n in [
+            ("t", 2024, 2), ("g", 2020, 2), ("w", 2019, 1), ("nb", 2022, 1),
+            ("out", 2024, 1), ("noyear", None, 1), ("late", 2025, 1),
+        ] + [(f"d{i}", 2021 + i % 3, 1) for i in range(6)]:
+            graph.add_paper_record(one_paper(corpus, year, n))
+        for pre, dep, match_type in [
+            ("g.c0", "t.c0", "weak"), ("g.c0", "t.c0", "strong"),  # one pair, both kinds
+            ("g.c1", "t.c0", "strong"), ("w.c0", "t.c0", "weak"),
+            ("nb.c0", "t.c1", "strong"), ("t.c0", "out.c0", "strong"),
+        ]:
+            graph.add_edge(Edge(pre, dep, match_type, "", 0))
+        near, tied = [1, 0, 0, 0], [1, 1, 0, 0]
+        vectors = {
+            "t.c0": near, "t.c1": near, "g.c0": near, "g.c1": near, "w.c0": near,
+            "nb.c0": near, "out.c0": near, "noyear.c0": near, "late.c0": near,
+            "ghost.c0": near, "d0.c7": near,  # ids absent from the graph
+            "d4.c0": [2, 0, 0, 0], "d5.c0": [0, 1, 0, 0],
+            **{f"d{i}.c0": tied for i in range(4)},  # tie at 1/sqrt(2)
+        }
+        ids = sorted(vectors, reverse=True)  # stored out of sorted order
+        index = EmbeddingIndex(ids, np.array([vectors[c] for c in ids], dtype=np.float32))
+        return graph, index
+
+    def build(self, case, k, strong_only=False):
+        graph, index = case
+        built = build_problem(
+            graph.get_contribution("t.c0"), graph, index, index_years(graph, index),
+            k=k, strong_only=strong_only,
+        )
+        if isinstance(built, Problem):
+            assert set(built.candidate_ids) == taskgen_candidates_brute(
+                built, graph, index, strong_only=strong_only
+            )
+        return built
+
+    def test_tie_at_the_cut_breaks_by_id(self, case):
+        built = self.build(case, k=6)
+        assert built.gold_ids == {"g.c0", "g.c1", "w.c0"}
+        # d4 scores 1; d0-d3 tie below it and the cut keeps d0 and d1. The
+        # absent ids, the year-less and later papers, and the papers with an
+        # edge to the target's paper score 1 but are never candidates.
+        assert set(built.candidate_ids) == built.gold_ids | {"d4.c0", "d0.c0", "d1.c0"}
+
+    def test_strong_only_keeps_a_pair_with_a_strong_and_a_weak_edge(self, case):
+        built = self.build(case, k=5, strong_only=True)
+        assert built.gold_ids == {"g.c0", "g.c1"}
+        assert set(built.candidate_ids) == {"g.c0", "g.c1", "d4.c0", "d0.c0", "d1.c0"}
+
+    def test_gold_fills_every_candidate(self, case):
+        built = self.build(case, k=3)
+        assert sorted(built.candidate_ids) == ["g.c0", "g.c1", "w.c0"]
+        assert self.build(case, k=2, strong_only=True).gold_ids == {"g.c0", "g.c1"}
+
+    def test_every_eligible_row_then_too_few(self, case):
+        built = self.build(case, k=9)
+        assert set(built.candidate_ids) == built.gold_ids | {f"d{i}.c0" for i in range(6)}
+        assert self.build(case, k=10) == Skip("t.c0", "insufficient candidates")
+
+
+class TestNeighbourhoodLookups:
+    """Per-paper and per-target lookups equal a scan of the whole graph."""
+
+    @staticmethod
+    def assert_match_scans(graph):
+        for corpus_id in graph.papers:
+            assert graph.contributions_of(corpus_id) == contributions_of_scan(graph, corpus_id)
+        for cid in graph.nodes:
+            assert graph.deduplicated_edges(cid) == deduplicated_edges_scan(graph, cid)
+
+    def test_after_load(self, golden_graph, tmp_path):
+        golden_graph.save(tmp_path)
+        loaded = ContributionGraph.load(tmp_path)
+        assert any(loaded.deduplicated_edges(cid) for cid in loaded.nodes)
+        self.assert_match_scans(loaded)
+
+    def test_after_a_rejected_record(self, golden_graph):
+        record = one_paper("777", 2024, 2)
+        prereq = {
+            "name": "p", "description": "d", "explanation": "e", "core_or_peripheral": "core",
+            "references": [{"type": "internal", "contribution_id": "777.c1", "explanation": "x"},
+                           {"type": "internal", "contribution_id": "777.c0", "explanation": "x"}],
+        }
+        record["contributions"][0]["prerequisites"] = [prereq]
+        with pytest.raises(RecordValidationError, match="itself"):
+            golden_graph.add_paper_record(record)
+        assert golden_graph.contributions_of("777") == []
+        self.assert_match_scans(golden_graph)
 
 
 class TestGenerateAndPersist:
