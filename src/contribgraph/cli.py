@@ -5,33 +5,35 @@ eval -> export, plus validate. Exit status is 0 on success, 1 on
 operational failure, 2 on usage errors. Configuration precedence is
 flags > environment > config file; write subcommands hold an exclusive
 store lock.
+
+Each step of the workflow is its own process, so a subcommand imports
+its own modules: the module level holds only the standard library and
+the package modules that argument parsing and dispatch need, and each
+``cmd_*`` imports the package modules it uses. numpy is thus loaded
+only by ``embed`` and ``taskgen``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import fcntl
+import gc
 import json
 import logging
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, backends, evaluation, frontier, taskgen
-from .embedding import (
-    EMBED_ENDPOINT_VAR,
-    EmbeddingIndex,
-    HttpEmbeddingProvider,
-    MockEmbeddingProvider,
-    build_index,
-)
+from . import __version__
 from .errors import ContribGraphError
-from .graph import EDGES_FILE, NODES_FILE, RECORDS_FILE, ContributionGraph, Violation
-from .jsonl import read_jsonl
-from .pipeline import PaperInput, Pipeline, PipelineConfig
-from .roadmap import export_dot, export_json, impact_tree, precursor_tree
+from .model import CANDIDATES_PER_PROBLEM
+
+if TYPE_CHECKING:
+    from .backends import GenerationBackend
+    from .embedding import EmbeddingIndex, EmbeddingProvider
+    from .graph import ContributionGraph
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +88,23 @@ def store_lock(store_dir: Path):
 
 
 def load_store(store_dir: Path) -> ContributionGraph:
-    return ContributionGraph.load(store_dir)
+    """Replay the store, then freeze it: it lives until the process exits,
+    so the cyclic collector need never scan it. Freezing before the
+    collector resumes also spares the one scan of everything the replay
+    built."""
+    from .graph import ContributionGraph, collector_paused
+
+    with collector_paused():
+        graph = ContributionGraph.load(store_dir)
+        gc.freeze()
+    return graph
+
+
+def build_index(graph: ContributionGraph, provider: EmbeddingProvider) -> EmbeddingIndex:
+    """``embedding.build_index``, imported on call; bench/traced_cli.py patches this name."""
+    from . import embedding
+
+    return embedding.build_index(graph, provider)
 
 
 def refuse_clobber(path: Path, force: bool) -> None:
@@ -94,7 +112,9 @@ def refuse_clobber(path: Path, force: bool) -> None:
         raise CliError(f"{path} exists; pass --force to overwrite")
 
 
-def make_generation_backend(args, config: dict[str, str]) -> backends.GenerationBackend:
+def make_generation_backend(args, config: dict[str, str]) -> GenerationBackend:
+    from . import backends
+
     if args.mock:
         return backends.MockBackend(args.mock)
     endpoint = setting(
@@ -129,28 +149,33 @@ def parse_years(spec: str) -> list[int]:
 
 
 def cmd_ingest(args, config) -> int:
+    from .frontier import Catalog
+    from .graph import collector_paused
+    from .jsonl import read_jsonl
+
     store_dir = Path(args.store)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        if args.catalog:
-            catalog = frontier.Catalog.load(args.catalog)
-            for entry in catalog.by_id.values():
-                graph.register_paper(entry.paper_meta())
-            print(f"catalog: {len(catalog.by_id)} papers registered")
         ingested = skipped = 0
-        for records_file in args.records or []:
-            for raw in read_jsonl(records_file):
-                corpus_id = str(raw.get("corpus_id", ""))
-                meta = graph.papers.get(corpus_id)
-                if meta is not None and meta.status == "extracted":
-                    skipped += 1
-                    continue
-                delta = graph.add_paper_record(raw)
-                ingested += 1
-                print(
-                    f"{corpus_id}: +{delta.nodes_added} nodes, +{delta.edges_added} edges,"
-                    f" +{delta.unresolved_added} unresolved"
-                )
+        with collector_paused():
+            if args.catalog:
+                catalog = Catalog.load(args.catalog)
+                for entry in catalog.by_id.values():
+                    graph.register_paper(entry.paper_meta())
+                print(f"catalog: {len(catalog.by_id)} papers registered")
+            for records_file in args.records or []:
+                for raw in read_jsonl(records_file):
+                    corpus_id = str(raw.get("corpus_id", ""))
+                    meta = graph.papers.get(corpus_id)
+                    if meta is not None and meta.status == "extracted":
+                        skipped += 1
+                        continue
+                    delta = graph.add_paper_record(raw)
+                    ingested += 1
+                    print(
+                        f"{corpus_id}: +{delta.nodes_added} nodes, +{delta.edges_added} edges,"
+                        f" +{delta.unresolved_added} unresolved"
+                    )
         if args.records:
             print(f"records: {ingested} ingested, {skipped} already extracted")
         graph.save(store_dir, write_records=ingested > 0)
@@ -158,6 +183,10 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_extract(args, config) -> int:
+    from . import frontier
+    from .graph import RECORDS_FILE
+    from .pipeline import PaperInput, Pipeline, PipelineConfig
+
     store_dir = Path(args.store)
     catalog = frontier.Catalog.load(args.catalog)
     with store_lock(store_dir):
@@ -216,6 +245,8 @@ def cmd_extract(args, config) -> int:
 
 
 def cmd_frontier(args, config) -> int:
+    from . import frontier
+
     graph = load_store(Path(args.store))
     catalog = frontier.Catalog.load(args.catalog) if args.catalog else None
     histogram = frontier.build_histogram(graph, catalog)
@@ -232,6 +263,8 @@ def cmd_frontier(args, config) -> int:
 
 
 def cmd_embed(args, config) -> int:
+    from .embedding import EMBED_ENDPOINT_VAR, HttpEmbeddingProvider, MockEmbeddingProvider
+
     store_dir = Path(args.store)
     out_path = Path(args.out) if args.out else store_dir / "embeddings.bin"
     refuse_clobber(out_path, args.force)
@@ -248,6 +281,9 @@ def cmd_embed(args, config) -> int:
 
 
 def cmd_taskgen(args, config) -> int:
+    from . import taskgen
+    from .embedding import EmbeddingIndex
+
     store_dir = Path(args.store)
     out_path = Path(args.out) if args.out else store_dir / "problems.jsonl"
     refuse_clobber(out_path, args.force)
@@ -278,7 +314,9 @@ def cmd_taskgen(args, config) -> int:
 
 
 def cmd_rank(args, config) -> int:
-    problems = taskgen.read_problems(args.problems)
+    from . import evaluation
+
+    problems = evaluation.read_problems(args.problems)
     out_path = Path(args.out) if args.out else Path(args.problems).with_name("submissions.jsonl")
     refuse_clobber(out_path, args.force)
     backend = make_generation_backend(args, config)
@@ -292,15 +330,17 @@ def cmd_rank(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    problems = taskgen.read_problems(args.problems)
+    from . import evaluation
+
+    out_path = Path(args.out) if args.out else Path(args.problems).with_name("report.json")
+    refuse_clobber(out_path, args.force)
+    problems = evaluation.read_problems(args.problems)
     submissions = evaluation.read_submissions(args.submissions)
     cutoffs = evaluation.load_cutoffs(args.cutoffs)
     tag = args.backend_tag or (submissions[0].backend if submissions else "")
     if tag not in cutoffs:
         raise CliError(f"no knowledge cutoff for backend tag {tag!r} in {args.cutoffs}")
     report = evaluation.score_run(problems, submissions, cutoffs[tag])
-    out_path = Path(args.out) if args.out else Path(args.problems).with_name("report.json")
-    refuse_clobber(out_path, args.force)
     evaluation.write_report(out_path, report)
     if args.csv:
         evaluation.append_results_csv(args.csv, report)
@@ -309,6 +349,8 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_export(args, config) -> int:
+    from .roadmap import export_dot, export_json, impact_tree, precursor_tree
+
     graph = load_store(Path(args.store))
     if args.direction == "pre":
         tree = precursor_tree(graph, args.root, args.depth)
@@ -327,6 +369,8 @@ def cmd_export(args, config) -> int:
 
 
 def cmd_validate(args, config) -> int:
+    from .graph import EDGES_FILE, NODES_FILE, Violation
+
     store_dir = Path(args.store)
     graph = load_store(store_dir)
     violations = graph.validate(include_warnings=args.warnings)
@@ -404,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-year", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong-only", action="store_true")
-    p.add_argument("--k", type=int, default=taskgen.CANDIDATES_PER_PROBLEM)
+    p.add_argument("--k", type=int, default=CANDIDATES_PER_PROBLEM)
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_taskgen)

@@ -18,6 +18,11 @@ class RecordValidationError(ContribGraphError):
         super().__init__("; ".join(self.problems))
 
 
+class MalformedLineError(ContribGraphError):
+    """A JSONL line is not UTF-8 JSON, such as the torn tail of a log
+    after a crash mid-append; the message names ``path:line``."""
+
+
 class DuplicatePaperError(ContribGraphError):
     """A record's corpus_id is already extracted in the store."""
 

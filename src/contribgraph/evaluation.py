@@ -21,8 +21,8 @@ from typing import Any, Iterable, Optional, Sequence
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
 from .errors import StageFailure
+from .model import Problem
 from .prompts import RANKING_TEMPLATE, load_template, render
-from .taskgen import Problem
 
 logger = logging.getLogger(__name__)
 
@@ -256,6 +256,10 @@ def score_run(
     if problems:
         report.cost_per_1k = total_cost * 1000.0 / len(problems)
     return report
+
+
+def read_problems(path: str | Path) -> list[Problem]:
+    return [Problem.from_json(row) for row in jsonl.read_jsonl(path)]
 
 
 def write_submissions(path: str | Path, submissions: Iterable[RankingSubmission]) -> None:

@@ -15,15 +15,23 @@ like ingesting records, costs time linear in the log. Records are keyed
 by corpus id and edges indexed by endpoint, so a paper's contributions
 and a contribution's incoming edges cost time linear in what they
 return, not in the store.
+
+A bulk build (replaying the log on load, ingesting record files) runs
+with the cyclic garbage collector paused. The model objects form no
+reference cycles and are freed by reference counting, so the collector
+finds nothing to free; left running, it would rescan every object built
+so far each time a generation fills, a cost that grows with the store.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import logging
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import DuplicatePaperError, RecordValidationError, UnknownIdError
@@ -100,6 +108,19 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.severity}] {self.invariant} ({self.offender}): {self.message}"
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector for a bulk build, then restore
+    the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _match_edge(match: Match, dep_id: str, prereq_index: int) -> Edge:
@@ -436,9 +457,9 @@ class ContributionGraph:
     # Persistence
     # ------------------------------------------------------------------
 
-    def node_rows(self) -> list[dict[str, Any]]:
-        """nodes.jsonl rows: contribution fields joined with paper metadata."""
-        rows = []
+    def node_rows(self) -> Iterator[dict[str, Any]]:
+        """nodes.jsonl rows, one at a time: contribution fields joined with
+        paper metadata."""
         for record in self._records.values():
             meta = self.papers[record.corpus_id]
             for contribution in record.contributions:
@@ -450,8 +471,7 @@ class ContributionGraph:
                     row["date"] = meta.date.to_json()
                 if meta.venue is not None:
                     row["venue"] = meta.venue
-                rows.append(row)
-        return rows
+                yield row
 
     def save(self, directory: str | Path, write_records: bool = True) -> None:
         """Write the views; with ``write_records``, rewrite the log as well."""
@@ -485,22 +505,24 @@ class ContributionGraph:
         """
         directory = Path(directory)
         graph = cls()
-        late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
-        if (directory / ALIGNMENTS_FILE).exists():
-            for raw in jsonl.read_jsonl(directory / ALIGNMENTS_FILE):
-                entry = UnresolvedRef.from_json(raw)
-                late.setdefault(entry.ref.corpus_id, {})[entry] = entry
-        if (directory / RECORDS_FILE).exists():
-            rows = jsonl.read_jsonl(directory / RECORDS_FILE)
-        else:
-            rows = _records_from_nodes(directory / NODES_FILE)
-        for raw in rows:
-            graph.add_paper_record(raw, list(late.get(str(raw.get("corpus_id")), {}).values()))
-            graph.register_paper(PaperMeta.from_json(raw))  # node rows carry date and venue
-        papers_path = directory / PAPERS_FILE
-        if papers_path.exists():
-            for raw in jsonl.read_jsonl(papers_path):
-                graph.register_paper(PaperMeta.from_json(raw))
+        with collector_paused():
+            late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
+            if (directory / ALIGNMENTS_FILE).exists():
+                for raw in jsonl.read_jsonl(directory / ALIGNMENTS_FILE):
+                    entry = UnresolvedRef.from_json(raw)
+                    late.setdefault(entry.ref.corpus_id, {})[entry] = entry
+            if (directory / RECORDS_FILE).exists():
+                rows = jsonl.read_jsonl(directory / RECORDS_FILE)
+            else:
+                rows = _records_from_nodes(directory / NODES_FILE)
+            for raw in rows:
+                late_for_paper = list(late.get(str(raw.get("corpus_id")), {}).values())
+                graph.add_paper_record(raw, late_for_paper)
+                graph.register_paper(PaperMeta.from_json(raw))  # node rows carry date and venue
+            papers_path = directory / PAPERS_FILE
+            if papers_path.exists():
+                for raw in jsonl.read_jsonl(papers_path):
+                    graph.register_paper(PaperMeta.from_json(raw))
         return graph
 
     def graph_hash(self) -> str:

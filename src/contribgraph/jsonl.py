@@ -11,6 +11,8 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .errors import MalformedLineError
+
 
 def dump_line(obj: dict[str, Any]) -> str:
     return json.dumps(obj, ensure_ascii=False)
@@ -40,8 +42,15 @@ def append_jsonl(path: str | Path, *records: dict[str, Any]) -> None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    """One object per non-blank line; a line that is not UTF-8 JSON raises
+    MalformedLineError naming ``path:line``."""
+    with Path(path).open("rb") as f:
+        for number, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                raise MalformedLineError(f"{path}:{number}: {exc}") from None
+            yield obj

@@ -260,6 +260,59 @@ class ExtractionRecord:
         }
 
 
+# Candidates in one prerequisite-prediction problem: gold plus distractors.
+CANDIDATES_PER_PROBLEM = 100
+
+
+@dataclass
+class Problem:
+    problem_id: str
+    target_id: str
+    target_name: str
+    target_description: str
+    target_year: int
+    target_date: Optional[PartialDate]
+    candidates: list[dict[str, str]]  # {id, name, description}, shuffled order
+    gold_ids: set[str]
+    seed: int
+
+    def to_json(self) -> dict[str, Any]:
+        target: dict[str, Any] = {
+            "id": self.target_id,
+            "name": self.target_name,
+            "description": self.target_description,
+            "year": self.target_year,
+        }
+        if self.target_date is not None:
+            target["date"] = self.target_date.to_json()
+        return {
+            "problem_id": self.problem_id,
+            "target": target,
+            "candidates": self.candidates,
+            "gold_ids": sorted(self.gold_ids),
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict[str, Any]) -> "Problem":
+        target = obj["target"]
+        return cls(
+            problem_id=obj["problem_id"],
+            target_id=target["id"],
+            target_name=target.get("name", ""),
+            target_description=target.get("description", ""),
+            target_year=target["year"],
+            target_date=PartialDate.parse(target["date"]) if target.get("date") else None,
+            candidates=list(obj["candidates"]),
+            gold_ids=set(obj["gold_ids"]),
+            seed=obj["seed"],
+        )
+
+    @property
+    def candidate_ids(self) -> list[str]:
+        return [c["id"] for c in self.candidates]
+
+
 def split_contribution_id(cid: str) -> tuple[str, int]:
     """Split "<corpus_id>.c<index>" into its parts.
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
-from .backends import parse_fenced_json  # noqa: F401 - kept importable from here
+from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.py imports it here
 from .errors import BackendError, DuplicatePaperError, StageFailure
 from .graph import ALIGNMENTS_FILE, ContributionGraph, GraphDelta, UnresolvedRef
 from .model import (

@@ -23,67 +23,16 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import jsonl
 from .embedding import EmbeddingIndex
 from .graph import ContributionGraph
-from .model import Contribution, PartialDate
+from .model import CANDIDATES_PER_PROBLEM, Contribution, Problem
 
 logger = logging.getLogger(__name__)
-
-CANDIDATES_PER_PROBLEM = 100
-
-
-@dataclass
-class Problem:
-    problem_id: str
-    target_id: str
-    target_name: str
-    target_description: str
-    target_year: int
-    target_date: Optional[PartialDate]
-    candidates: list[dict[str, str]]  # {id, name, description}, shuffled order
-    gold_ids: set[str]
-    seed: int
-
-    def to_json(self) -> dict[str, Any]:
-        target: dict[str, Any] = {
-            "id": self.target_id,
-            "name": self.target_name,
-            "description": self.target_description,
-            "year": self.target_year,
-        }
-        if self.target_date is not None:
-            target["date"] = self.target_date.to_json()
-        return {
-            "problem_id": self.problem_id,
-            "target": target,
-            "candidates": self.candidates,
-            "gold_ids": sorted(self.gold_ids),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "Problem":
-        target = obj["target"]
-        return cls(
-            problem_id=obj["problem_id"],
-            target_id=target["id"],
-            target_name=target.get("name", ""),
-            target_description=target.get("description", ""),
-            target_year=target["year"],
-            target_date=PartialDate.parse(target["date"]) if target.get("date") else None,
-            candidates=list(obj["candidates"]),
-            gold_ids=set(obj["gold_ids"]),
-            seed=obj["seed"],
-        )
-
-    @property
-    def candidate_ids(self) -> list[str]:
-        return [c["id"] for c in self.candidates]
 
 
 @dataclass
@@ -250,10 +199,6 @@ def generate_problems(
 
 def write_problems(path: str | Path, problems: Iterable[Problem]) -> None:
     jsonl.write_jsonl(path, (p.to_json() for p in problems))
-
-
-def read_problems(path: str | Path) -> list[Problem]:
-    return [Problem.from_json(row) for row in jsonl.read_jsonl(path)]
 
 
 def write_manifest(

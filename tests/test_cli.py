@@ -3,7 +3,10 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from oracles import ap_direct
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv) -> int:
@@ -74,6 +78,17 @@ class TestGoldenStore:
         assert run(
             "export", "--store", store, "--root", "ghost.c0", "--direction", "pre"
         ) == 1
+
+    def test_torn_log_line_is_a_clean_failure(self, store, capsys):
+        log = store / "records.jsonl"
+        torn_line = len(log.read_bytes().splitlines()) + 1
+        with log.open("a", encoding="utf-8") as f:
+            f.write('{"corpus_id": "99", "title": "Tor')  # a crash mid-append
+        assert run("validate", "--store", store) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"records.jsonl:{torn_line}: " in err
+        assert "Traceback" not in err
 
     def test_reingest_is_idempotent(self, store, capsys):
         assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
@@ -225,6 +240,26 @@ class TestEndToEnd:
             f"  {len(skipped)} skipped: insufficient candidates",
         ]
 
+    def test_eval_refuses_an_existing_report_before_scoring(
+        self, e2e, corpus, capsys, monkeypatch
+    ):
+        from contribgraph import evaluation
+
+        def score_run(*args, **kwargs):
+            pytest.fail("eval scored the run before refusing to overwrite the report")
+
+        monkeypatch.setattr(evaluation, "score_run", score_run)
+        outputs = [e2e / "report.json", e2e / "results.csv"]
+        before = [path.read_bytes() for path in outputs]
+        assert run(
+            "eval", "--problems", e2e / "problems.jsonl",
+            "--submissions", e2e / "submissions.jsonl",
+            "--cutoffs", corpus.cutoffs_path,
+            "--csv", e2e / "results.csv",
+        ) == 1
+        assert "report.json exists; pass --force to overwrite" in capsys.readouterr().err
+        assert [path.read_bytes() for path in outputs] == before
+
     def test_manifest_written(self, e2e):
         manifest = json.loads(
             (e2e / "problems_manifest.json").read_text(encoding="utf-8")
@@ -315,6 +350,65 @@ class TestOffVocabularyCategory:
         assert "[warning] contribution.category" in out
         assert "off-vocabulary category 'galactic_insight'" in out
         assert "0 violations" in out
+
+
+# Runs one CLI command (or none) in a fresh interpreter, then says on
+# stderr whether numpy was imported.
+IMPORT_PROBE = """
+import sys
+from contribgraph import cli
+status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("numpy imported" if "numpy" in sys.modules else "numpy not imported", file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def numpy_imported(cwd: Path, *argv) -> bool:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *map(str, argv)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1] == "numpy imported"
+
+
+class TestImportGuard:
+    """Each subcommand imports its own modules: numpy only for embed and taskgen."""
+
+    def test_importing_the_cli(self, tmp_path):
+        assert not numpy_imported(tmp_path)
+
+    def test_store_commands_on_the_golden_store(self, tmp_path):
+        store = tmp_path / "store"
+        assert not numpy_imported(tmp_path, "ingest", "--store", store, "--records", GOLDEN_RECORDS)
+        assert not numpy_imported(tmp_path, "frontier", "--store", store)
+        assert not numpy_imported(tmp_path, "validate", "--store", store)
+        assert not numpy_imported(
+            tmp_path, "export", "--store", store, "--root", "52967399.c0", "--direction", "pre"
+        )
+        # The probe does see numpy when a command loads it.
+        assert numpy_imported(
+            tmp_path, "embed", "--store", store, "--provider", "mock", "--out", tmp_path / "e.bin"
+        )
+
+    def test_extract_rank_and_eval(self, e2e, corpus, tmp_path):
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
+        assert not numpy_imported(
+            tmp_path, "extract", cf.EXTRACTION_ORDER[0], "--store", store,
+            "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir,
+        )
+        submissions = tmp_path / "submissions.jsonl"
+        assert not numpy_imported(
+            tmp_path, "rank", "--problems", e2e / "problems.jsonl",
+            "--mock", corpus.mock_dir, "--out", submissions,
+        )
+        assert not numpy_imported(
+            tmp_path, "eval", "--problems", e2e / "problems.jsonl",
+            "--submissions", submissions, "--cutoffs", corpus.cutoffs_path,
+            "--out", tmp_path / "report.json",
+        )
 
 
 def readme_cli_commands() -> list[list[str]]:

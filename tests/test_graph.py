@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from contribgraph.errors import DuplicatePaperError, RecordValidationError, UnknownIdError
 from contribgraph.graph import ContributionGraph, UnresolvedRef
-from contribgraph.jsonl import read_jsonl
+from contribgraph.jsonl import read_jsonl, write_jsonl
 from contribgraph.model import Edge, PaperMeta, PaperRef
 
 from conftest import build_synthetic_graph, load_golden_raw
@@ -462,6 +463,47 @@ class TestPersistence:
         ]
         match = paper_ref["matches"][0]
         assert list(match.keys()) == ["contribution_id", "explanation", "match_type"]
+
+
+class TestLoadFailure:
+    """A log line that fails the schema check fails ``load`` loudly, and
+    the collector pause around the replay ends with it."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        rows = load_golden_raw()
+        match = next(
+            m
+            for row in rows
+            for c in row["contributions"]
+            for prereq in c["prerequisites"]
+            for ref in prereq["references"]
+            for m in ref.get("matches", ())
+        )
+        match["match_type"] = "maybe"
+        write_jsonl(tmp_path / "records.jsonl", rows)
+        return tmp_path
+
+    def test_schema_invalid_line_raises_and_reenables_the_collector(self, store):
+        assert gc.isenabled()
+        with pytest.raises(RecordValidationError, match="got 'maybe'"):
+            ContributionGraph.load(store)
+        assert gc.isenabled()
+
+    def test_load_started_with_the_collector_disabled_leaves_it_disabled(
+        self, store, tmp_path_factory, golden_graph
+    ):
+        clean = tmp_path_factory.mktemp("clean")
+        golden_graph.save(clean)
+        gc.disable()
+        try:
+            ContributionGraph.load(clean)
+            assert not gc.isenabled()
+            with pytest.raises(RecordValidationError):
+                ContributionGraph.load(store)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_random_graphs_validate_clean():

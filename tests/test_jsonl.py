@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from contribgraph.errors import ContribGraphError, MalformedLineError
 from contribgraph.jsonl import append_jsonl, read_jsonl, write_jsonl
 
 
@@ -27,3 +30,24 @@ def test_append_writes_rows_and_creates_file_when_empty(tmp_path):
     append_jsonl(path, {"a": 1}, {"b": 2})
     append_jsonl(path, {"c": 3})
     assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}, {"c": 3}]
+
+
+def test_torn_last_line_names_the_file_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [{"a": 1}, {"a": 2}])
+    with path.open("a", encoding="utf-8") as f:
+        f.write("\n" + '{"a": 3, "title": "Atten')  # a crash mid-append, after a blank line
+    rows = read_jsonl(path)
+    assert next(rows) == {"a": 1}
+    assert next(rows) == {"a": 2}
+    with pytest.raises(MalformedLineError, match=rf"^{re.escape(str(path))}:4: "):
+        next(rows)
+    assert issubclass(MalformedLineError, ContribGraphError)
+
+
+def test_line_torn_inside_a_utf8_character_names_the_file_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    # The tail stops after the first byte of the two-byte "\u00e9".
+    path.write_bytes(b'{"a": 1}\n' + '{"title": "Caf\u00e9"}'.encode("utf-8")[:-3])
+    with pytest.raises(MalformedLineError, match=rf"^{re.escape(str(path))}:2: "):
+        list(read_jsonl(path))

@@ -9,17 +9,12 @@ import pytest
 
 import corpus_fixture as cf
 from contribgraph import jsonl
-from contribgraph.backends import GenerationBackend, MockBackend, echo_json
+from contribgraph.backends import GenerationBackend, MockBackend, echo_json, parse_fenced_json
 from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
 from contribgraph.model import InternalRef, PaperRef
-from contribgraph.pipeline import (
-    PaperInput,
-    Pipeline,
-    PipelineConfig,
-    parse_fenced_json,
-)
+from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
 
 from conftest import load_golden_raw
 

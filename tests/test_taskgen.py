@@ -5,6 +5,7 @@ import pytest
 
 from contribgraph.embedding import EmbeddingIndex, MockEmbeddingProvider, build_index
 from contribgraph.errors import RecordValidationError
+from contribgraph.evaluation import read_problems
 from contribgraph.graph import ContributionGraph
 from contribgraph.model import Edge
 from contribgraph.taskgen import (
@@ -13,7 +14,6 @@ from contribgraph.taskgen import (
     build_problem,
     generate_problems,
     index_years,
-    read_problems,
     sample_targets,
     write_problems,
 )
