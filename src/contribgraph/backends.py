@@ -61,7 +61,7 @@ class GenerationBackend(ABC):
         return f"{self.name}:{self.model}" if self.model else self.name
 
     @abstractmethod
-    def generate(self, prompt: str, temperature: float = 0.0) -> str:
+    def generate(self, prompt: str) -> str:
         ...
 
     def _account(self, tokens_in: int, tokens_out: int, cost: float) -> None:
@@ -84,7 +84,7 @@ class MockBackend(GenerationBackend):
         super().__init__()
         self.directory = Path(directory)
 
-    def generate(self, prompt: str, temperature: float = 0.0) -> str:
+    def generate(self, prompt: str) -> str:
         digest = prompt_hash(prompt)
         path = self.directory / f"{digest}.txt"
         if not path.exists():
@@ -135,13 +135,13 @@ class HttpBackend(GenerationBackend):
                 f"no generation endpoint configured (set {GEN_ENDPOINT_VAR})"
             )
 
-    def generate(self, prompt: str, temperature: float = 0.0) -> str:
+    def generate(self, prompt: str) -> str:
         import requests
 
         payload: dict = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
+            "temperature": 0.0,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -207,7 +207,6 @@ def generate_validated(
     retries: int,
     corpus_id: str,
     stage: str,
-    temperature: float = 0.0,
 ) -> Any:
     """Call, parse and validate; on a problem, re-prompt with the problems appended.
 
@@ -220,7 +219,7 @@ def generate_validated(
     current = prompt
     for _ in range(retries + 1):
         try:
-            response = backend.generate(current, temperature=temperature)
+            response = backend.generate(current)
         except BackendError as exc:
             raise BackendError(f"paper {corpus_id}, stage {stage}: {exc}") from exc
         try:

@@ -166,8 +166,7 @@ def cmd_ingest(args, config) -> int:
             for records_file in args.records or []:
                 for raw in read_jsonl(records_file):
                     corpus_id = str(raw.get("corpus_id", ""))
-                    meta = graph.papers.get(corpus_id)
-                    if meta is not None and meta.status == "extracted":
+                    if graph.is_extracted(corpus_id):
                         skipped += 1
                         continue
                     delta = graph.add_paper_record(raw)
@@ -191,6 +190,9 @@ def cmd_extract(args, config) -> int:
     catalog = frontier.Catalog.load(args.catalog)
     with store_lock(store_dir):
         graph = load_store(store_dir)
+        if not (store_dir / RECORDS_FILE).exists() and graph.records():
+            # Rebuilt from nodes.jsonl: write the log before appending to it.
+            graph.save(store_dir)
         ids = list(dict.fromkeys(args.ids))  # `extract P P` extracts P once
         if not ids:
             histogram = frontier.build_histogram(graph, catalog)
@@ -221,7 +223,7 @@ def cmd_extract(args, config) -> int:
         pipeline = Pipeline(
             backend,
             graph,
-            PipelineConfig(retries=args.retries, temperature=args.temperature),
+            PipelineConfig(retries=args.retries),
             records_path=store_dir / RECORDS_FILE,
         )
         results = pipeline.run_batch(papers, parallel=args.parallel)
@@ -422,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
     )
-    p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--endpoint", help="generation endpoint (overrides env/config)")
     p.add_argument("--model", help="generation model tag")
     p.set_defaults(func=cmd_extract)

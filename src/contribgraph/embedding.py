@@ -105,10 +105,12 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise BackendError(
                 f"embedding endpoint returned {response.status_code}: {response.text[:500]}"
             )
-        body = response.json()
-        vectors = np.asarray(
-            [row["embedding"] for row in body["data"]], dtype=np.float32
-        )
+        try:
+            vectors = np.asarray([row["embedding"] for row in response.json()["data"]], np.float32)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendError(f"malformed embedding response: {exc!r}") from exc
+        if vectors.ndim != 2 or len(vectors) != len(texts):
+            raise BackendError(f"embedding response shaped {vectors.shape} for {len(texts)} texts")
         self.dim = int(vectors.shape[1])
         return vectors
 

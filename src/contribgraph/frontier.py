@@ -31,7 +31,7 @@ class CatalogEntry:
     venue: Optional[str] = None
 
     def paper_meta(self) -> PaperMeta:
-        """Catalog metadata as the store registers it (status pending)."""
+        """Catalog metadata as the store registers it."""
         return PaperMeta(
             corpus_id=self.corpus_id,
             title=self.title,
@@ -108,22 +108,17 @@ def build_histogram(
     title+year. References whose cited paper is already extracted do
     not count.
     """
-
-    def pending(corpus_id: str) -> bool:
-        meta = graph.papers.get(corpus_id)
-        return meta is None or meta.status != "extracted"
-
     histogram: Counter = Counter()
     for cited, entries in graph.unresolved_by_cited().items():
         if cited is not None:
-            if pending(cited):
+            if not graph.is_extracted(cited):
                 histogram[cited] += len(entries)
             continue
         for entry in entries:
             corpus_id = resolve_reference(entry.ref, catalog) if catalog is not None else None
             if corpus_id is None:
                 histogram[entry.key()] += 1
-            elif pending(corpus_id):
+            elif not graph.is_extracted(corpus_id):
                 histogram[corpus_id] += 1
     return histogram
 

@@ -6,8 +6,9 @@ a rejected record leaves the store byte-identical and readers never
 observe a partially applied record.
 
 The append-only log (records.jsonl, plus alignments.jsonl for late
-alignments) is the one source of truth on disk; ``add_paper_record``
-derives every edge from it. nodes/edges/papers.jsonl are written views.
+alignments) is the one source of truth on disk: ``add_paper_record``
+derives every edge from it, and a paper is extracted when it holds the
+paper's record. nodes/edges/papers.jsonl are written views.
 
 Unresolved references are indexed by cited paper, so applying a record
 reads only the references that cite it, and replaying the log on load,
@@ -93,11 +94,6 @@ class UnresolvedRef:
             "reference": self.ref.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "UnresolvedRef":
-        ref = recmod.reference_from_json(obj["reference"])
-        return cls(obj["owner_id"], obj["prereq_index"], obj["ref_index"], ref)
-
 
 @dataclass
 class Violation:
@@ -172,8 +168,7 @@ class ContributionGraph:
             record = recmod.parse_record(record)
 
         with self._lock:
-            existing = self.papers.get(record.corpus_id)
-            if existing is not None and existing.status == "extracted":
+            if self.is_extracted(record.corpus_id):
                 raise DuplicatePaperError(f"corpus {record.corpus_id} already extracted")
             if any(c.id in self.nodes for c in record.contributions):
                 raise RecordValidationError(
@@ -199,8 +194,7 @@ class ContributionGraph:
                             cited = ref.corpus_id
                             if cited == record.corpus_id:
                                 continue  # a self-citation stays in the record only
-                            cited_meta = self.papers.get(cited) if cited else None
-                            if cited_meta is not None and cited_meta.status == "extracted":
+                            if self.is_extracted(cited):
                                 for match in ref.matches:
                                     if match.contribution_id in self.nodes:
                                         new_edges.append(_match_edge(match, contribution.id, k))
@@ -257,7 +251,6 @@ class ContributionGraph:
             meta = replace(self.papers.get(record.corpus_id) or PaperMeta(record.corpus_id))
             meta.title = record.title or meta.title
             meta.year = record.year if record.year is not None else meta.year
-            meta.status = "extracted"
             return meta
 
     def add_edge(self, edge: Edge) -> None:
@@ -278,18 +271,15 @@ class ContributionGraph:
             existing.year = existing.year if existing.year is not None else meta.year
             existing.date = existing.date or meta.date
             existing.venue = existing.venue or meta.venue
-            if existing.status == "pending" and meta.status != "pending":
-                existing.status = meta.status
-
-    def mark_failed(self, corpus_id: str) -> None:
-        with self._lock:
-            meta = self.papers.setdefault(corpus_id, PaperMeta(corpus_id=corpus_id))
-            if meta.status != "extracted":
-                meta.status = "failed"
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def is_extracted(self, corpus_id: Optional[str]) -> bool:
+        """Whether the log holds the paper's record."""
+        with self._lock:
+            return corpus_id in self._records
 
     def get_contribution(self, cid: str) -> Contribution:
         with self._lock:
@@ -441,8 +431,7 @@ class ContributionGraph:
                 )
 
             for cited, entries in self._unresolved.items():
-                meta = self.papers.get(cited) if cited else None
-                if meta is not None and meta.status == "extracted":
+                if self.is_extracted(cited):
                     out.extend(
                         Violation(
                             "graph.unresolved",
@@ -487,9 +476,10 @@ class ContributionGraph:
                 )
             jsonl.write_jsonl(directory / NODES_FILE, self.node_rows())
             jsonl.write_jsonl(directory / EDGES_FILE, (e.to_json() for e in self.edges))
+            papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
             jsonl.write_jsonl(
                 directory / PAPERS_FILE,
-                (self.papers[k].to_json() for k in sorted(self.papers)),
+                ({**row, "status": "extracted" if done else "pending"} for row, done in papers),
             )
 
     @classmethod
@@ -500,16 +490,18 @@ class ContributionGraph:
         regrouped per paper, is applied with the late alignments logged
         for that paper in alignments.jsonl, the last one logged for each
         reference site (a paper extracted again after a crash logs its
-        alignments again); papers.jsonl then adds catalog papers, status
-        and metadata. edges.jsonl is never read.
+        alignments again); papers.jsonl then adds catalog papers and
+        metadata, not status. edges.jsonl is never read.
         """
         directory = Path(directory)
         graph = cls()
         with collector_paused():
             late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
-            if (directory / ALIGNMENTS_FILE).exists():
-                for raw in jsonl.read_jsonl(directory / ALIGNMENTS_FILE):
-                    entry = UnresolvedRef.from_json(raw)
+            alignments_path = directory / ALIGNMENTS_FILE
+            if alignments_path.exists():
+                for number, raw in enumerate(jsonl.read_jsonl(alignments_path), 1):
+                    site = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
+                    entry = UnresolvedRef(*site)
                     late.setdefault(entry.ref.corpus_id, {})[entry] = entry
             if (directory / RECORDS_FILE).exists():
                 rows = jsonl.read_jsonl(directory / RECORDS_FILE)

@@ -36,7 +36,6 @@ CONTRIBUTION_CATEGORIES = frozenset({
 
 MATCH_TYPES = ("strong", "weak")
 CORE_OR_PERIPHERAL = ("core", "peripheral")
-PAPER_STATUSES = ("pending", "extracted", "failed")
 
 
 @dataclass
@@ -72,7 +71,6 @@ class PaperMeta:
     year: Optional[int] = None
     date: Optional[PartialDate] = None
     venue: Optional[str] = None
-    status: str = "pending"
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -84,7 +82,6 @@ class PaperMeta:
             out["date"] = self.date.to_json()
         if self.venue is not None:
             out["venue"] = self.venue
-        out["status"] = self.status
         return out
 
     @classmethod
@@ -96,7 +93,6 @@ class PaperMeta:
             year=obj.get("year"),
             date=PartialDate.parse(date) if date else None,
             venue=obj.get("venue"),
-            status=obj.get("status", "pending"),
         )
 
 

@@ -87,11 +87,12 @@ class StagedPaper:
         return ExtractionRecord(paper.corpus_id, paper.title, paper.year, self.contributions)
 
 
+MAX_PAPER_CHARS = 600_000  # longer full text is tail-truncated
+
+
 @dataclass
 class PipelineConfig:
     retries: int = 2  # extra attempts after the first, per stage call
-    temperature: float = 0.0
-    max_paper_chars: int = 600_000  # longer full text is tail-truncated
 
 
 class Pipeline:
@@ -127,19 +128,18 @@ class Pipeline:
             retries=self.config.retries,
             corpus_id=corpus_id,
             stage=stage,
-            temperature=self.config.temperature,
         )
 
     def _paper_text(self, paper: PaperInput) -> str:
         text = paper.full_text
-        if len(text) > self.config.max_paper_chars:
+        if len(text) > MAX_PAPER_CHARS:
             logger.warning(
                 "paper %s: full text truncated from %d to %d characters",
                 paper.corpus_id,
                 len(text),
-                self.config.max_paper_chars,
+                MAX_PAPER_CHARS,
             )
-            text = text[: self.config.max_paper_chars]
+            text = text[:MAX_PAPER_CHARS]
         return text
 
     # ------------------------------------------------------------------
@@ -349,19 +349,14 @@ class Pipeline:
 
     def stage_paper(self, paper: PaperInput) -> StagedPaper:
         """Run stages 2 and 3 and assemble final contributions (no matches yet)."""
-        meta = self.graph.papers.get(paper.corpus_id)
-        if meta is not None and meta.status == "extracted":
+        if self.graph.is_extracted(paper.corpus_id):
             raise DuplicatePaperError(f"paper {paper.corpus_id} already extracted")
-        try:
-            stage2 = self.extract_contributions(paper)
-            entries: list[tuple[str, dict[str, Any]]] = []  # (input_key, entry)
-            for i, contribution in enumerate(stage2):
-                others = [c for j, c in enumerate(stage2) if j != i]
-                for entry in self.extract_prerequisites(contribution, others, paper):
-                    entries.append((str(i), entry))
-        except StageFailure:
-            self.graph.mark_failed(paper.corpus_id)
-            raise
+        stage2 = self.extract_contributions(paper)
+        entries: list[tuple[str, dict[str, Any]]] = []  # (input_key, entry)
+        for i, contribution in enumerate(stage2):
+            others = [c for j, c in enumerate(stage2) if j != i]
+            for entry in self.extract_prerequisites(contribution, others, paper):
+                entries.append((str(i), entry))
 
         # Densify keys (splits included) into sequential final ids.
         key_map: dict[str, str] = {}
@@ -405,19 +400,16 @@ class Pipeline:
         as its record will leave it. An error is returned, not raised:
         ``finalize_paper`` decides what it means for the reference.
         """
-        targets: dict[str, Optional[tuple[list[Contribution], PaperMeta]]] = {
+        targets: dict[str, tuple[list[Contribution], PaperMeta]] = {
             s.paper.corpus_id: (s.contributions, self.graph.extracted_meta(s.record()))
             for s in batch
         }
 
         def target(corpus_id: str) -> Optional[tuple[list[Contribution], PaperMeta]]:
-            if corpus_id not in targets:
-                meta = self.graph.papers.get(corpus_id)
-                extracted = meta is not None and meta.status == "extracted"
-                targets[corpus_id] = (
-                    (self.graph.contributions_of(corpus_id), meta) if extracted else None
-                )
-            return targets[corpus_id]
+            if corpus_id not in targets and self.graph.is_extracted(corpus_id):
+                meta = self.graph.papers[corpus_id]
+                targets[corpus_id] = (self.graph.contributions_of(corpus_id), meta)
+            return targets.get(corpus_id)
 
         jobs: dict[Site, tuple[Contribution, Prerequisite, str]] = {}
         for staged in batch:
@@ -447,20 +439,15 @@ class Pipeline:
         its record with its late alignments. Makes no model call.
 
         A reference citing an extracted paper takes its result as its
-        matches; an error there fails the paper (a StageFailure marks it
-        failed). An unresolved reference citing this paper takes its
-        result as a late alignment; an error there skips only that
+        matches; an error there fails the paper, which then leaves the
+        store untouched. An unresolved reference citing this paper takes
+        its result as a late alignment; an error there skips only that
         reference.
         """
         paper = staged.paper
-        try:
-            for site, _, _, ref in _paper_refs(staged):
-                meta = self.graph.papers.get(ref.corpus_id)
-                if meta is not None and meta.status == "extracted":
-                    ref.matches = _matches(aligned[site])
-        except StageFailure:
-            self.graph.mark_failed(paper.corpus_id)
-            raise
+        for site, _, _, ref in _paper_refs(staged):
+            if self.graph.is_extracted(ref.corpus_id):
+                ref.matches = _matches(aligned[site])
 
         record = staged.record()
         late: list[UnresolvedRef] = []
@@ -495,8 +482,8 @@ class Pipeline:
         Staging and alignment run on one pool of ``parallel`` workers, so
         at most ``parallel`` model calls are in flight. Returns one
         (paper, delta, error) row per input; failed papers carry the
-        error and leave the graph untouched apart from their failed
-        status. Alignment jobs are all issued before any paper is
+        error and leave the graph untouched, so they stay pending.
+        Alignment jobs are all issued before any paper is
         finalized, so a paper that then fails may have cost the
         alignment calls already issued for its references, and for
         references citing it.

@@ -250,6 +250,32 @@ def reference_from_json(ref: dict[str, Any]):
     return ArtifactRef(name=ref.get("name", ""), url=ref.get("url", ""))
 
 
+def parse_alignment(obj: Any, where: str) -> tuple[str, int, int, PaperRef]:
+    """One logged late alignment as (owner_id, prereq_index, ref_index,
+    normalized paper reference). Raises RecordValidationError naming
+    ``where`` unless the owner id is well formed, the indices are
+    non-negative integers and the reference passes the record rules."""
+    row = obj if isinstance(obj, dict) else {}
+    problems: list[str] = []
+    owner = row.get("owner_id")
+    try:
+        split_contribution_id(owner)
+    except (ValueError, AttributeError):
+        problems.append(f"{where}: malformed owner_id {owner!r}")
+    for key in ("prereq_index", "ref_index"):
+        if type(row.get(key)) is not int or row[key] < 0:
+            problems.append(f"{where}: {key} must be a non-negative integer, got {row.get(key)!r}")
+    ref = row.get("reference")
+    if isinstance(ref, dict) and ref.get("type") == "paper":
+        ref = normalize_reference(ref)
+        _validate_reference(ref, where, problems)
+    else:
+        problems.append(f"{where}: reference must be a paper reference, got {ref!r}")
+    if problems:
+        raise RecordValidationError(problems)
+    return owner, row["prereq_index"], row["ref_index"], reference_from_json(ref)
+
+
 def contribution_from_json(c: dict[str, Any]) -> Contribution:
     """Typed contribution from a normalized, schema-checked contribution dict."""
     return Contribution(

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus_fixture
 from contribgraph.graph import ContributionGraph
-from contribgraph.jsonl import read_jsonl
+from contribgraph.jsonl import read_jsonl, write_jsonl
 from contribgraph.model import Edge
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -127,3 +127,45 @@ def build_synthetic_graph(
                     )
         all_ids.extend(new_ids)
     return graph
+
+
+# The late alignment of 6.c0's reference to paper 7, as the pipeline logs it.
+LATE_ALIGNMENT = {
+    "owner_id": "6.c0",
+    "prereq_index": 0,
+    "ref_index": 0,
+    "reference": {
+        "type": "paper", "paper_title": "Paper 7", "paper_year": None, "paper_venue": None,
+        "corpus_id": "7",
+        "matches": [{"contribution_id": "7.c0", "explanation": "x", "match_type": "strong"}],
+    },
+}
+
+# Rows breaking the record rules, each of which an unchecked load once accepted.
+MALFORMED_ALIGNMENTS = {
+    "maybe_match": {
+        **LATE_ALIGNMENT,
+        "reference": {
+            **LATE_ALIGNMENT["reference"],
+            "matches": [{"contribution_id": "7.c0", "explanation": "x", "match_type": "maybe"}],
+        },
+    },
+    "no_reference": {k: v for k, v in LATE_ALIGNMENT.items() if k != "reference"},
+}
+
+
+def write_citing_pair(store: Path, alignment: dict) -> None:
+    """Save a store of paper 6, whose c0 cites paper 7, then paper 7, and
+    log ``alignment`` as the one late alignment."""
+    graph = ContributionGraph()
+    for corpus_id, refs in (("6", [{"type": "paper", "corpus_id": "7"}]), ("7", [])):
+        prerequisite = {"name": "needs", "description": "d", "core_or_peripheral": "core"}
+        graph.add_paper_record({
+            "corpus_id": corpus_id, "title": f"Paper {corpus_id}", "year": 2020,
+            "contributions": [{
+                "name": "thing", "description": "d", "types": [], "sections": [],
+                "prerequisites": [{**prerequisite, "references": refs}],
+            }],
+        })
+    graph.save(store)
+    write_jsonl(store / "alignments.jsonl", [alignment])

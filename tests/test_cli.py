@@ -16,7 +16,7 @@ from contribgraph.cli import build_parser, dispatch
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl, write_jsonl
 
-from conftest import DATA_DIR, GOLDEN_RECORDS
+from conftest import DATA_DIR, GOLDEN_RECORDS, MALFORMED_ALIGNMENTS, write_citing_pair
 from oracles import ap_direct
 
 
@@ -320,6 +320,33 @@ def test_extract_given_a_paper_twice_extracts_it_once(corpus, tmp_path, capsys):
     assert "FAILED" not in outputs[1]
     calls = [line for out in outputs for line in out.splitlines() if "backend calls" in line]
     assert len(calls) == 2 and calls[0] == calls[1]
+
+
+def test_extract_on_a_store_without_its_log_keeps_every_record(corpus, tmp_path, capsys):
+    store = tmp_path / "store"
+    argv = ["--store", store, "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir]
+    assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
+    assert run("extract", *cf.EXTRACTION_ORDER[:5], *argv) == 0
+    (store / "records.jsonl").unlink()  # load rebuilds the log from nodes.jsonl
+    assert run("extract", *cf.EXTRACTION_ORDER[5:], *argv) == 0
+    loaded = ContributionGraph.load(store)
+    assert [(e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in loaded.edges] == (
+        cf.EXPECTED_EDGES
+    )
+    counts = {k: len(loaded.contributions_of(k)) for k in cf.FINAL_CONTRIBUTION_COUNTS}
+    assert counts == cf.FINAL_CONTRIBUTION_COUNTS
+    capsys.readouterr()
+    assert run("validate", "--store", store) == 0
+    assert "0 violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ALIGNMENTS))
+def test_malformed_alignment_line_is_a_clean_failure(tmp_path, capsys, name):
+    write_citing_pair(tmp_path, MALFORMED_ALIGNMENTS[name])
+    assert run("validate", "--store", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alignments.jsonl row 1" in err
+    assert "Traceback" not in err
 
 
 class TestOffVocabularyCategory:

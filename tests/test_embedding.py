@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from contribgraph.embedding import (
     EmbeddingIndex,
+    HttpEmbeddingProvider,
     MockEmbeddingProvider,
     build_index,
     embedding_text,
 )
+from contribgraph.errors import BackendError
 from contribgraph.graph import ContributionGraph
 from contribgraph.model import Contribution
 
@@ -290,3 +293,33 @@ class TestMockProvider:
         assert len(index) == 0 and index.dim == 8
         index.save(tmp_path / "e.bin")
         assert EmbeddingIndex.load(tmp_path / "e.bin").dim == 8
+
+
+class TestHttpProvider:
+    class Reply:
+        status_code = 200
+
+        def __init__(self, text: str):
+            self.text = text
+
+        def json(self):
+            return json.loads(self.text)
+
+    def embed(self, monkeypatch, body: str):
+        import requests
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: self.Reply(body))
+        return HttpEmbeddingProvider(endpoint="http://localhost/embeddings").embed(["a", "b"])
+
+    def test_rows_become_the_vectors(self, monkeypatch):
+        body = json.dumps({"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]})
+        assert self.embed(monkeypatch, body).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "body",
+        ["<html>busy</html>", '{"object": "list"}', '{"data": [{"embedding": [1.0, 0.0]}]}'],
+        ids=["not_json", "no_data", "fewer_rows_than_texts"],
+    )
+    def test_malformed_response_is_a_backend_error(self, monkeypatch, body):
+        with pytest.raises(BackendError, match="embedding response"):
+            self.embed(monkeypatch, body)

@@ -9,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contribgraph.errors import DuplicatePaperError, RecordValidationError, UnknownIdError
+from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import read_jsonl, write_jsonl
-from contribgraph.model import Edge, PaperMeta, PaperRef
+from contribgraph.model import Edge, ExtractionRecord, PaperRef
 
-from conftest import build_synthetic_graph, load_golden_raw
+from conftest import (
+    LATE_ALIGNMENT,
+    MALFORMED_ALIGNMENTS,
+    build_synthetic_graph,
+    load_golden_raw,
+    write_citing_pair,
+)
 
 
 BERT = "52967399"
@@ -407,7 +414,7 @@ class TestValidate:
         record = make_record("6", n=1)
         record["contributions"][0]["prerequisites"] = [cites("7")]
         graph.add_paper_record(record)
-        graph.register_paper(PaperMeta("7", status="extracted"))
+        graph._records["7"] = ExtractionRecord("7", "Paper 7", 2020)
         assert [(v.invariant, v.offender) for v in graph.validate()] == [
             ("graph.unresolved", "6.c0")
         ]
@@ -542,3 +549,44 @@ def test_concurrent_readers_see_consistent_snapshots():
     for t in threads:
         t.join()
     assert errors == []
+
+
+class TestExtractedIsTheLog:
+    """Whether a paper is extracted is read from the log alone; the status
+    papers.jsonl carries is derived on save and ignored on load."""
+
+    @pytest.mark.parametrize("status", ["extracted", "failed", "pending"])
+    def test_stored_status_of_a_paper_the_log_lacks_is_ignored(self, tmp_path, status):
+        graph = ContributionGraph()
+        record = make_record("6", n=1)
+        record["contributions"][0]["prerequisites"] = [cites("7")]
+        graph.add_paper_record(record)
+        graph.save(tmp_path)
+        rows = list(read_jsonl(tmp_path / "papers.jsonl"))
+        rows.append({"corpus_id": "7", "title": "Paper 7", "year": 2019, "status": status})
+        write_jsonl(tmp_path / "papers.jsonl", rows)
+
+        loaded = ContributionGraph.load(tmp_path)
+        assert loaded.is_extracted("6") and not loaded.is_extracted("7")
+        assert loaded.papers["7"].title == "Paper 7"
+        assert build_histogram(loaded) == Counter({"7": 1})
+        assert loaded.validate() == []
+        loaded.save(tmp_path)
+        assert [(r["corpus_id"], r["status"]) for r in read_jsonl(tmp_path / "papers.jsonl")] == [
+            ("6", "extracted"), ("7", "pending")
+        ]
+
+
+class TestAlignmentsLog:
+    def test_well_formed_row_becomes_an_edge(self, tmp_path):
+        write_citing_pair(tmp_path, LATE_ALIGNMENT)
+        loaded = ContributionGraph.load(tmp_path)
+        assert [(e.pre_id, e.dep_id, e.match_type) for e in loaded.edges] == [
+            ("7.c0", "6.c0", "strong")
+        ]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ALIGNMENTS))
+    def test_row_breaking_the_record_rules_fails_the_load(self, tmp_path, name):
+        write_citing_pair(tmp_path, MALFORMED_ALIGNMENTS[name])
+        with pytest.raises(RecordValidationError, match="alignments.jsonl row 1"):
+            ContributionGraph.load(tmp_path)

@@ -13,7 +13,7 @@ from contribgraph.backends import GenerationBackend, MockBackend, echo_json, par
 from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
-from contribgraph.model import InternalRef, PaperRef
+from contribgraph.model import InternalRef, PaperMeta, PaperRef
 from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
 
 from conftest import load_golden_raw
@@ -72,7 +72,7 @@ class ProbeBackend(MockBackend):
             self.calls_while_finalizing += self.finalizing
         try:
             time.sleep(self.delay)
-            return super().generate(prompt, temperature)
+            return super().generate(prompt)
         finally:
             with self._lock:
                 self.inflight -= 1
@@ -227,9 +227,9 @@ class TestExtractContributions:
             totals.append(len(pipeline.extract_contributions(paper)))
         assert sum(totals) / len(totals) == fixture_mean
 
-    def test_truncation_warns(self, caplog):
+    def test_truncation_warns(self, caplog, monkeypatch):
         pipeline, _ = make_pipeline(QueueBackend([echo_json({"contributions": []})]))
-        pipeline.config.max_paper_chars = 10
+        monkeypatch.setattr("contribgraph.pipeline.MAX_PAPER_CHARS", 10)
         paper = PaperInput("9", "t", 2020, "x" * 100)
         with caplog.at_level("WARNING"):
             pipeline.extract_contributions(paper)
@@ -505,7 +505,7 @@ class TestRunPaper:
         pipeline, graph = make_pipeline(backend)
         with pytest.raises(StageFailure):
             pipeline.run_paper(PaperInput("31", "t", 2020, "text"))
-        assert graph.papers["31"].status == "failed"
+        assert not graph.is_extracted("31")
         assert len(graph.nodes) == 0
         assert graph.edges == []
 
@@ -645,7 +645,7 @@ class TestBatchFailures:
             batch_inputs("301", "302"), parallel=2
         )
         assert isinstance(a_error, StageFailure) and b_error is None
-        assert graph.papers["301"].status == "failed"
+        assert not graph.is_extracted("301")
         assert [u.owner_id for u in graph.unresolved_citing("301")] == ["302.c0"]
         assert b_delta.unresolved_added == 1 and graph.edges == []
         assert not any(is_alignment(p) for p in backend.prompts)
@@ -661,8 +661,8 @@ class TestBatchFailures:
         errors = {paper.corpus_id: error for paper, _, error in results}
         assert errors["301"] is None and errors["303"] is None
         assert isinstance(errors["302"], StageFailure) and errors["302"].stage == "alignment"
-        assert {k: graph.papers[k].status for k in ("301", "302", "303")} == {
-            "301": "extracted", "302": "failed", "303": "extracted"
+        assert {k: graph.is_extracted(k) for k in ("301", "302", "303")} == {
+            "301": True, "302": False, "303": True
         }
         assert [r.corpus_id for r in graph.records()] == ["301", "303"]
         [entry] = graph.unresolved
@@ -677,6 +677,20 @@ class TestBatchFailures:
         assert first is None and delta.nodes_added == 1
         assert isinstance(second, DuplicatePaperError)
         assert [r.corpus_id for r in graph.records()] == ["301"]
+
+    def test_papers_file_reads_extracted_exactly_for_the_logged_records(self, tmp_path):
+        backend = RoutedBackend(batch_route({"302": "301"}, failing_stage2={"301"}))
+        pipeline, graph = make_pipeline(backend)
+        pipeline.records_path = tmp_path / "records.jsonl"
+        papers = batch_inputs("301", "302", "303")
+        for paper in papers:  # as `extract` registers its catalog entries
+            graph.register_paper(PaperMeta(paper.corpus_id, paper.title, paper.year))
+        pipeline.run_batch(papers, parallel=2)
+        graph.save(tmp_path, write_records=False)
+        status = {p["corpus_id"]: p["status"] for p in read_jsonl(tmp_path / "papers.jsonl")}
+        assert status == {"301": "pending", "302": "extracted", "303": "extracted"}
+        logged = {r["corpus_id"] for r in read_jsonl(tmp_path / "records.jsonl")}
+        assert logged == {k for k, v in status.items() if v == "extracted"}
 
 
 class TestCorpusReplay:
@@ -920,7 +934,7 @@ class TestLogReplay:
             records_path=tmp_path / "records.jsonl",
         )
         for paper in papers:
-            if graph.papers[paper.corpus_id].status != "extracted":
+            if not graph.is_extracted(paper.corpus_id):
                 pipeline.run_paper(paper)
         assert self.edge_tuples(graph) == cf.EXPECTED_EDGES
 
