@@ -11,6 +11,7 @@ loop; the extraction stages and ranking all go through it.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .errors import BackendError, ParseFailure, StageFailure
 
@@ -55,6 +56,7 @@ class GenerationBackend(ABC):
     def __init__(self) -> None:
         self.usage = Usage()
         self._usage_lock = threading.Lock()
+        self._local = threading.local()
 
     @property
     def tag(self) -> str:
@@ -67,6 +69,19 @@ class GenerationBackend(ABC):
     def _account(self, tokens_in: int, tokens_out: int, cost: float) -> None:
         with self._usage_lock:
             self.usage.add(tokens_in, tokens_out, cost)
+        counted = getattr(self._local, "usage", None)
+        if counted is not None:
+            counted.add(tokens_in, tokens_out, cost)
+
+    @contextlib.contextmanager
+    def counting(self) -> Iterator[Usage]:
+        """Usage of the calls this thread makes inside the block, apart
+        from calls made meanwhile on other threads."""
+        self._local.usage = usage = Usage()
+        try:
+            yield usage
+        finally:
+            self._local.usage = None
 
 
 class MockBackend(GenerationBackend):

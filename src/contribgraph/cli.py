@@ -190,9 +190,6 @@ def cmd_extract(args, config) -> int:
     catalog = frontier.Catalog.load(args.catalog)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        if not (store_dir / RECORDS_FILE).exists() and graph.records():
-            # Rebuilt from nodes.jsonl: write the log before appending to it.
-            graph.save(store_dir)
         ids = list(dict.fromkeys(args.ids))  # `extract P P` extracts P once
         if not ids:
             histogram = frontier.build_histogram(graph, catalog)

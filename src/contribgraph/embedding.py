@@ -225,12 +225,19 @@ class EmbeddingIndex:
 
 def build_index(graph: ContributionGraph, provider: EmbeddingProvider) -> EmbeddingIndex:
     """Embed every contribution (sorted by id for reproducibility) in
-    fixed chunks of EMBED_CHUNK texts, stacked once into the matrix."""
+    fixed chunks of EMBED_CHUNK texts, stacked once into the matrix.
+    Raises BackendError when a chunk's width differs from the first's."""
     ids = sorted(graph.nodes)
     texts = [embedding_text(graph.nodes[cid]) for cid in ids]
     chunks = [
         provider.embed(texts[start : start + EMBED_CHUNK])
         for start in range(0, len(texts), EMBED_CHUNK)
     ]
+    for number, chunk in enumerate(chunks):
+        if chunk.shape[1] != chunks[0].shape[1]:
+            raise BackendError(
+                f"embedding chunk {number} has dimension {chunk.shape[1]},"
+                f" chunk 0 has {chunks[0].shape[1]}"
+            )
     matrix = np.vstack(chunks) if chunks else np.empty((0, provider.dim or 1), np.float32)
     return EmbeddingIndex(ids, matrix)

@@ -159,18 +159,17 @@ def rank_with_model(
             "candidates": json.dumps(problem.candidates, ensure_ascii=False, indent=2),
         },
     )
-    before_tokens = backend.usage.tokens_in + backend.usage.tokens_out
-    before_cost = backend.usage.cost
     try:
-        raw_ids = generate_validated(
-            backend,
-            prompt,
-            "ranking",
-            lambda ranking: ([str(cid) for cid in ranking], []),
-            retries=retries,
-            corpus_id=problem.problem_id,
-            stage="ranking",
-        )
+        with backend.counting() as usage:
+            raw_ids = generate_validated(
+                backend,
+                prompt,
+                "ranking",
+                lambda ranking: ([str(cid) for cid in ranking], []),
+                retries=retries,
+                corpus_id=problem.problem_id,
+                stage="ranking",
+            )
     except StageFailure:
         logger.warning("problem %s: unusable ranking, degraded to stored order", problem.problem_id)
         ranked, flagged = list(problem.candidate_ids), True
@@ -180,8 +179,8 @@ def rank_with_model(
         problem_id=problem.problem_id,
         ranked_ids=ranked,
         backend=backend.tag,
-        tokens=(backend.usage.tokens_in + backend.usage.tokens_out) - before_tokens,
-        cost=backend.usage.cost - before_cost,
+        tokens=usage.tokens_in + usage.tokens_out,
+        cost=usage.cost,
         flagged=flagged,
     )
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
-from .errors import DuplicatePaperError, RecordValidationError, UnknownIdError
+from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
 from .model import (
     CONTRIBUTION_CATEGORIES,
     CORE_OR_PERIPHERAL,
@@ -463,11 +463,12 @@ class ContributionGraph:
                 yield row
 
     def save(self, directory: str | Path, write_records: bool = True) -> None:
-        """Write the views; with ``write_records``, rewrite the log as well."""
+        """Write the views; with ``write_records``, or when the store has
+        no log yet, write the log as well."""
         with self._lock:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
-            if write_records:
+            if write_records or not (directory / RECORDS_FILE).exists():
                 jsonl.write_jsonl(
                     directory / RECORDS_FILE, (r.to_json() for r in self._records.values())
                 )
@@ -486,14 +487,20 @@ class ContributionGraph:
     def load(cls, directory: str | Path) -> "ContributionGraph":
         """Rebuild a store by replaying its log.
 
-        Each row of records.jsonl, or when there is none of nodes.jsonl
-        regrouped per paper, is applied with the late alignments logged
-        for that paper in alignments.jsonl, the last one logged for each
-        reference site (a paper extracted again after a crash logs its
-        alignments again); papers.jsonl then adds catalog papers and
-        metadata, not status. edges.jsonl is never read.
+        Each row of records.jsonl is applied with the late alignments
+        logged for that paper in alignments.jsonl, the last one logged
+        for each reference site (a paper extracted again after a crash
+        logs its alignments again); papers.jsonl then adds catalog
+        papers and metadata, not status. The views are never read, and
+        a store whose views exist without its log raises
+        ContribGraphError rather than load as empty.
         """
         directory = Path(directory)
+        records_path = directory / RECORDS_FILE
+        if not records_path.exists() and (directory / NODES_FILE).exists():
+            raise ContribGraphError(
+                f"{records_path} is missing: the store's views cannot rebuild its log"
+            )
         graph = cls()
         with collector_paused():
             late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
@@ -503,14 +510,10 @@ class ContributionGraph:
                     site = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
                     entry = UnresolvedRef(*site)
                     late.setdefault(entry.ref.corpus_id, {})[entry] = entry
-            if (directory / RECORDS_FILE).exists():
-                rows = jsonl.read_jsonl(directory / RECORDS_FILE)
-            else:
-                rows = _records_from_nodes(directory / NODES_FILE)
-            for raw in rows:
-                late_for_paper = list(late.get(str(raw.get("corpus_id")), {}).values())
-                graph.add_paper_record(raw, late_for_paper)
-                graph.register_paper(PaperMeta.from_json(raw))  # node rows carry date and venue
+            if records_path.exists():
+                for raw in jsonl.read_jsonl(records_path):
+                    late_for_paper = list(late.get(str(raw.get("corpus_id")), {}).values())
+                    graph.add_paper_record(raw, late_for_paper)
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
                 for raw in jsonl.read_jsonl(papers_path):
@@ -526,18 +529,3 @@ class ContributionGraph:
             for edge in self.edges:
                 digest.update(jsonl.dump_line(edge.to_json()).encode("utf-8"))
             return digest.hexdigest()
-
-
-def _records_from_nodes(path: Path) -> list[dict[str, Any]]:
-    """nodes.jsonl rows regrouped into records, with the paper's date and venue."""
-    by_corpus: dict[str, dict[str, Any]] = {}
-    if path.exists():
-        for row in jsonl.read_jsonl(path):
-            record = by_corpus.setdefault(
-                str(row["corpus_id"]),
-                {k: row.get(k) for k in ("corpus_id", "title", "year", "date", "venue")},
-            )
-            record.setdefault("contributions", []).append(row)
-    for record in by_corpus.values():
-        record["contributions"].sort(key=lambda r: split_contribution_id(r["contribution_id"])[1])
-    return list(by_corpus.values())

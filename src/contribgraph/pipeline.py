@@ -6,9 +6,9 @@ into finer-grained ones), and prerequisite-to-contribution alignment
 against cited papers. Stage outputs are strict fenced JSON; a schema
 violation re-prompts with the validator's errors appended, up to a
 configurable retry budget (``backends.generate_validated``, shared with
-ranking). Stage outputs pass the schema rules of ingested records plus
-stage rules (see the validators) and are built with the record
-constructor.
+ranking). Each stage output is parsed by ``records.parse_contribution``,
+the parser of ingested records, so it passes their schema rules; the
+validators add the stage rules, checked on the model objects it builds.
 
 A batch runs in three steps on one pool of workers: every paper is
 staged (stages 2 and 3); then every alignment the batch can need is
@@ -40,6 +40,7 @@ from .model import (
     MATCH_TYPES,
     Contribution,
     ExtractionRecord,
+    InternalRef,
     Match,
     PaperMeta,
     PaperRef,
@@ -53,7 +54,7 @@ from .prompts import (
     load_template,
     render,
 )
-from .records import check_contribution, contribution_from_json, normalize_contribution
+from .records import parse_contribution
 
 logger = logging.getLogger(__name__)
 
@@ -162,15 +163,16 @@ class Pipeline:
                 if not isinstance(raw, dict):
                     problems.append(f"contribution {i} is not an object")
                     continue
-                norm = normalize_contribution(raw)
-                norm["contribution_id"] = make_contribution_id(paper.corpus_id, i)
-                norm["prerequisites"] = []  # stage 3 extracts these
-                problems.extend(check_contribution(norm, f"contribution {i}"))
-                if not norm["types"]:
+                cid = make_contribution_id(paper.corpus_id, i)
+                # Stage 3 extracts the prerequisites.
+                contribution = parse_contribution(
+                    raw, cid, f"contribution {i}", problems, omit="prerequisites"
+                )
+                if not contribution.types:
                     problems.append(f"contribution {i}: needs at least one contribution_type")
-                if not norm["sections"]:
+                if not contribution.sections:
                     problems.append(f"contribution {i}: needs at least one section")
-                out.append(contribution_from_json(norm))
+                out.append(contribution)
             return out, problems
 
         return self._generate(prompt, "contributions", validate, paper.corpus_id, "contributions")
@@ -198,11 +200,11 @@ class Pipeline:
         contribution: Contribution,
         other_contributions: Sequence[Contribution],
         paper: PaperInput,
-    ) -> list[dict[str, Any]]:
-        """Returns normalized stage entries: contribution fields plus a
-        `key` (input key or dash-split) and a `prerequisites` list whose
-        internal references still carry stage keys (mapped to final ids
-        at record assembly)."""
+    ) -> list[Contribution]:
+        """Returns the stage's entries as contributions whose id is their
+        stage key (the input key or a dash-split of it) and whose internal
+        references still carry stage keys; ``stage_paper`` maps both to
+        final ids."""
         if contribution.corpus_id != paper.corpus_id:
             raise ValueError("contribution does not belong to the given paper")
         input_key = str(contribution.index)
@@ -218,15 +220,15 @@ class Pipeline:
             },
         )
 
-        def validate(entries: list) -> tuple[list[dict[str, Any]], list[str]]:
-            """Record rules, plus: each key is the input key or a dash-split
-            of it and unique; prerequisite names are non-empty; a paper
-            reference has a title or corpus_id; an internal reference names
-            a known key other than its own."""
+        def validate(entries: list) -> tuple[list[Contribution], list[str]]:
+            """Stage rules, then record rules: each key is the input key or
+            a dash-split of it and unique; prerequisite names are
+            non-empty; a paper reference has a title or corpus_id; an
+            internal reference names a known key other than its own."""
             problems: list[str] = []
             if not entries:
                 return [], [f"output must carry the input contribution (key {input_key!r})"]
-            out: list[dict[str, Any]] = []
+            out: list[Contribution] = []
             seen_keys: set[str] = set()
             output_keys = {
                 str(e.get("key")) for e in entries if isinstance(e, dict) and e.get("key")
@@ -245,31 +247,33 @@ class Pipeline:
                 if key in seen_keys:
                     problems.append(f"duplicate key {key!r}")
                 seen_keys.add(key)
-                norm = normalize_contribution(raw)
-                norm["key"] = key
-                for p_idx, prereq in enumerate(norm["prerequisites"]):
+                # Record rules are reported after the stage rules; matches
+                # are alignment's output, not this stage's.
+                record_problems: list[str] = []
+                entry = parse_contribution(
+                    raw, key, f"key {key!r}", record_problems, omit="matches"
+                )
+                for p_idx, prereq in enumerate(entry.prerequisites):
                     where = f"key {key!r}, prerequisite {p_idx}"
-                    if not prereq["name"]:
+                    if not prereq.name:
                         problems.append(f"{where}: empty name")
-                    for ref in prereq["references"]:
-                        if ref.get("type") == "paper":
-                            ref["matches"] = []  # alignment's output, not this stage's
-                            if not ref["paper_title"] and not ref["corpus_id"]:
+                    for ref in prereq.references:
+                        if isinstance(ref, PaperRef):
+                            if not ref.title and not ref.corpus_id:
                                 problems.append(
                                     f"{where}: paper reference needs a title or corpus_id"
                                 )
-                        elif ref.get("type") == "internal":
-                            # Normalization stores the echoed stage key in the
-                            # contribution_id slot; stage_paper maps it to a final id.
-                            target = ref["contribution_id"]
+                        elif isinstance(ref, InternalRef):
+                            # The echoed stage key, mapped to a final id by stage_paper.
+                            target = ref.contribution_id
                             if target == key:
                                 problems.append(f"{where}: internal reference to itself")
                             elif target not in known_keys and target not in output_keys:
                                 problems.append(
                                     f"{where}: internal reference to unknown key {target!r}"
                                 )
-                problems.extend(check_contribution(norm, f"key {key!r}"))
-                out.append(norm)
+                problems.extend(record_problems)
+                out.append(entry)
             return out, problems
 
         return self._generate(prompt, "contributions", validate, paper.corpus_id, "prerequisites")
@@ -352,7 +356,7 @@ class Pipeline:
         if self.graph.is_extracted(paper.corpus_id):
             raise DuplicatePaperError(f"paper {paper.corpus_id} already extracted")
         stage2 = self.extract_contributions(paper)
-        entries: list[tuple[str, dict[str, Any]]] = []  # (input_key, entry)
+        entries: list[tuple[str, Contribution]] = []  # (input_key, entry keyed by stage key)
         for i, contribution in enumerate(stage2):
             others = [c for j, c in enumerate(stage2) if j != i]
             for entry in self.extract_prerequisites(contribution, others, paper):
@@ -361,7 +365,7 @@ class Pipeline:
         # Densify keys (splits included) into sequential final ids.
         key_map: dict[str, str] = {}
         for idx, (_, entry) in enumerate(entries):
-            key_map.setdefault(entry["key"], make_contribution_id(paper.corpus_id, idx))
+            key_map.setdefault(entry.id, make_contribution_id(paper.corpus_id, idx))
         for idx, (input_key, entry) in enumerate(entries):
             # An unsplit input key maps to itself; a split one maps to its
             # first part so internal references from other calls still land.
@@ -370,24 +374,24 @@ class Pipeline:
         contributions: list[Contribution] = []
         for idx, (input_key, entry) in enumerate(entries):
             cid = make_contribution_id(paper.corpus_id, idx)
-            entry["contribution_id"] = cid
-            entry["split_from"] = input_key if entry["key"] != input_key else None
-            for prereq in entry["prerequisites"]:
+            prerequisites = []
+            for prereq in entry.prerequisites:
                 kept = []
-                for ref in prereq["references"]:
-                    if ref["type"] == "internal":
-                        target = key_map.get(str(ref["contribution_id"]))
+                for ref in prereq.references:
+                    if isinstance(ref, InternalRef):
+                        target = key_map.get(ref.contribution_id)
                         if target is None or target == cid:
                             logger.warning(
-                                "%s: dropping internal reference to %r",
-                                cid,
-                                ref["contribution_id"],
+                                "%s: dropping internal reference to %r", cid, ref.contribution_id
                             )
                             continue
-                        ref["contribution_id"] = target
+                        ref = replace(ref, contribution_id=target)
                     kept.append(ref)
-                prereq["references"] = kept
-            contributions.append(contribution_from_json(entry))
+                prerequisites.append(replace(prereq, references=kept))
+            split_from = input_key if entry.id != input_key else None
+            contributions.append(
+                replace(entry, id=cid, split_from=split_from, prerequisites=prerequisites)
+            )
         return StagedPaper(paper=paper, contributions=contributions)
 
     def align_batch(self, batch: Sequence[StagedPaper], run: Callable = map) -> Aligned:

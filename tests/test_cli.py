@@ -322,22 +322,27 @@ def test_extract_given_a_paper_twice_extracts_it_once(corpus, tmp_path, capsys):
     assert len(calls) == 2 and calls[0] == calls[1]
 
 
-def test_extract_on_a_store_without_its_log_keeps_every_record(corpus, tmp_path, capsys):
+def test_store_without_its_log_is_a_clean_failure(corpus, tmp_path, capsys):
     store = tmp_path / "store"
-    argv = ["--store", store, "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir]
-    assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
-    assert run("extract", *cf.EXTRACTION_ORDER[:5], *argv) == 0
-    (store / "records.jsonl").unlink()  # load rebuilds the log from nodes.jsonl
-    assert run("extract", *cf.EXTRACTION_ORDER[5:], *argv) == 0
-    loaded = ContributionGraph.load(store)
-    assert [(e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in loaded.edges] == (
-        cf.EXPECTED_EDGES
-    )
-    counts = {k: len(loaded.contributions_of(k)) for k in cf.FINAL_CONTRIBUTION_COUNTS}
-    assert counts == cf.FINAL_CONTRIBUTION_COUNTS
+    catalog = ["--catalog", corpus.catalog_path]
+    assert run("ingest", "--store", store, *catalog) == 0
+    assert run("extract", *cf.EXTRACTION_ORDER[:5], "--store", store, *catalog,
+               "--mock", corpus.mock_dir) == 0
+    (store / "records.jsonl").unlink()
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert "nodes.jsonl" in before
     capsys.readouterr()
-    assert run("validate", "--store", store) == 0
-    assert "0 violations" in capsys.readouterr().out
+    for argv in (
+        ["extract", *cf.EXTRACTION_ORDER[5:], *catalog, "--mock", corpus.mock_dir],
+        ["ingest", *catalog],
+        ["frontier", *catalog],
+        ["validate"],
+    ):
+        assert run(*argv, "--store", store) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records.jsonl is missing" in err, argv
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before, argv
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_ALIGNMENTS))

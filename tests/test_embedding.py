@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 
@@ -287,6 +288,14 @@ class TestMockProvider:
         assert n > 128 and sizes == [64] * (n // 64) + ([n % 64] if n % 64 else [])
         texts = [embedding_text(graph.nodes[cid]) for cid in index.ids]
         assert np.array_equal(index.matrix, embed(texts))
+
+    def test_chunk_of_another_dimension_is_a_backend_error(self):
+        graph = build_synthetic_graph(n_papers=50, seed=7)
+        widths = itertools.chain([8, 8], itertools.repeat(9))
+        provider = MockEmbeddingProvider(dim=8)
+        provider.embed = lambda texts: MockEmbeddingProvider(dim=next(widths)).embed(texts)
+        with pytest.raises(BackendError, match="embedding chunk 2 has dimension 9, chunk 0 has 8"):
+            build_index(graph, provider)
 
     def test_build_index_of_empty_graph_round_trips(self, tmp_path):
         index = build_index(ContributionGraph(), MockEmbeddingProvider(dim=8))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from contribgraph.evaluation import (
     rank_with_model,
     read_submissions,
     repair_submission,
+    run_ranking,
     score_run,
     split_by_cutoff,
     write_submissions,
@@ -322,6 +325,39 @@ class TestRankWithModel:
         submission = rank_with_model(problem, backend)
         assert submission.backend == "queue:rank"
         assert submission.tokens > 0
+
+
+class SleepingBackend(GenerationBackend):
+    """Answers after a delay, so parallel problems' calls overlap; every
+    third first attempt (by prompt hash) is unparseable and retried."""
+
+    name = "sleepy"
+
+    def generate(self, prompt, temperature=0.0):
+        time.sleep(0.01)
+        self._account(len(prompt) // 4, 3, len(prompt) * 0.25)  # exact binary fractions
+        first_attempt = "# Previous attempt" not in prompt
+        if first_attempt and hashlib.sha256(prompt.encode()).digest()[0] % 3 == 0:
+            return "no json here"
+        return echo_json({"ranking": []})  # repaired to the stored order
+
+
+def test_parallel_ranking_charges_each_problem_its_own_calls(tmp_path):
+    problems = [
+        make_problem(f"p{i}", [f"{i}.c{j}" for j in range(2 + i % 5)], gold=(f"{i}.c0",))
+        for i in range(16)
+    ]
+    files = []
+    for parallel in (1, 4):
+        backend = SleepingBackend()
+        submissions = run_ranking(problems, backend, parallel=parallel)
+        usage = backend.usage
+        assert sum(s.cost for s in submissions) == usage.cost
+        assert sum(s.tokens for s in submissions) == usage.tokens_in + usage.tokens_out
+        assert usage.calls > len(problems)  # some first attempts were retried
+        files.append(tmp_path / f"parallel{parallel}.jsonl")
+        write_submissions(files[-1], submissions)
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 class TestPersistence:

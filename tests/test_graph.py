@@ -440,14 +440,6 @@ class TestPersistence:
                 e.to_json() for e in golden_graph.incoming_edges(cid)
             ]
 
-    def test_round_trip_via_nodes_and_edges_only(self, tmp_path, golden_graph):
-        golden_graph.save(tmp_path)
-        (tmp_path / "records.jsonl").unlink()
-        loaded = ContributionGraph.load(tmp_path)
-        assert loaded.validate() == []
-        assert loaded.graph_hash() == golden_graph.graph_hash()
-        assert set(loaded.nodes) == set(golden_graph.nodes)
-
     def test_save_is_deterministic(self, tmp_path, golden_graph):
         a, b = tmp_path / "a", tmp_path / "b"
         golden_graph.save(a)

@@ -198,6 +198,26 @@ class TestExtractContributions:
         assert "failed validation" in retry_prompt
         assert "empty name" in retry_prompt
 
+    @pytest.mark.parametrize(
+        "prerequisites",
+        [
+            [{"name": "", "core_or_peripheral": "sometimes", "references": [{"type": "mystery"}]}],
+            ["not an object"],
+        ],
+        ids=["malformed", "not_objects"],
+    )
+    def test_stray_prerequisites_are_ignored_without_a_retry(self, prerequisites):
+        entry = {
+            "name": "thing", "description": "d",
+            "contribution_type": [{"type": "analysis", "justification": "j"}],
+            "sections": ["S1"], "prerequisites": prerequisites,
+        }
+        backend = QueueBackend([echo_json({"contributions": [entry]})])
+        pipeline, _ = make_pipeline(backend)
+        [contribution] = pipeline.extract_contributions(bert_paper())
+        assert contribution.prerequisites == []
+        assert len(backend.prompts) == 1
+
     def test_mean_contribution_count_over_25_papers(self):
         # Synthetic 25-paper corpus; the fixture mean is recomputed by
         # scanning the canned responses, not assumed.
@@ -298,12 +318,12 @@ class TestExtractPrerequisites:
         paper = PaperInput(BERT, "BERT", 2019, "text")
         out = pipeline.extract_prerequisites(target, others, paper)
         assert len(out) == 1
-        got = out[0]["prerequisites"]
+        got = out[0].prerequisites
         assert len(got) == 6
         transformer = got[0]
-        assert transformer["name"] == "Transformer encoder (self-attention) architecture"
-        assert transformer["core_or_peripheral"] == "core"
-        assert [r["type"] for r in transformer["references"]] == ["paper"]
+        assert transformer.name == "Transformer encoder (self-attention) architecture"
+        assert transformer.core_or_peripheral == "core"
+        assert [r.type for r in transformer.references] == ["paper"]
 
     def test_echo_with_no_prerequisites(self):
         backend = QueueBackend([
@@ -314,7 +334,7 @@ class TestExtractPrerequisites:
         contributions = pipeline.extract_contributions(bert_paper())
         out = pipeline.extract_prerequisites(contributions[0], contributions[1:], bert_paper())
         assert len(out) == 1
-        assert out[0]["prerequisites"] == []
+        assert out[0].prerequisites == []
 
     def test_split_keys_accepted(self):
         backend = QueueBackend([
@@ -328,7 +348,28 @@ class TestExtractPrerequisites:
             [c for i, c in enumerate(contributions) if i != 2],
             bert_paper(),
         )
-        assert [e["key"] for e in out] == ["2-1", "2-2"]
+        assert [e.id for e in out] == ["2-1", "2-2"]
+
+    @pytest.mark.parametrize(
+        "matches",
+        [[{"contribution_id": "7", "match_type": "maybe"}], ["not an object"]],
+        ids=["malformed", "not_objects"],
+    )
+    def test_matches_are_ignored_without_a_retry(self, matches):
+        entry = stage3_entry("0", prereqs=[{
+            "name": "p", "description": "d", "justification": "j",
+            "core_or_peripheral": "core",
+            "references_in_paper": [{"type": "paper", "title": "T", "matches": matches}],
+        }])
+        backend = QueueBackend([
+            golden_bert_stage2_response(),
+            echo_json({"contributions": [entry]}),
+        ])
+        pipeline, _ = make_pipeline(backend)
+        contributions = pipeline.extract_contributions(bert_paper())
+        [out] = pipeline.extract_prerequisites(contributions[0], contributions[1:], bert_paper())
+        assert out.prerequisites[0].references[0].matches == []
+        assert len(backend.prompts) == 2
 
     def test_unrelated_key_fails_after_retries(self):
         bad = echo_json({"contributions": [stage3_entry("7")]})
@@ -385,7 +426,7 @@ class TestExtractPrerequisites:
         paper = PaperInput("31", "t", 2020, "text")
         contributions = pipeline.extract_contributions(paper)
         out = pipeline.extract_prerequisites(contributions[0], [], paper)
-        assert [e["key"] for e in out] == ["0"]
+        assert [e.id for e in out] == ["0"]
         first, retry = backend.prompts[1:]
         assert retry.startswith(first)
         assert expected in retry[len(first):]
@@ -884,16 +925,6 @@ class TestLogReplay:
         assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
         assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
         assert loaded.validate() == []
-
-    def test_nodes_and_alignments_alone_keep_late_edge(self, corpus, tmp_path):
-        live = cf.extract_with_crash(corpus, tmp_path, save_after=0)
-        live.save(tmp_path, write_records=False)
-        (tmp_path / "records.jsonl").unlink()
-        (tmp_path / "edges.jsonl").unlink()
-        loaded = ContributionGraph.load(tmp_path)
-        assert ("7000006.c0", "7000005.c0", "strong", 0) in self.edge_tuples(loaded)
-        assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
-        assert loaded.graph_hash() == live.graph_hash()
 
     def test_crash_between_log_appends_then_reextract_keeps_every_edge(
         self, corpus, tmp_path, monkeypatch

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from contribgraph.errors import RecordValidationError
 from contribgraph.graph import ContributionGraph
+from contribgraph.jsonl import dump_line
 from contribgraph.records import (
-    normalize_record,
-    normalize_reference,
+    parse_alignment,
+    parse_contribution,
     parse_record,
-    validate_record,
+    parse_reference,
 )
 
-from conftest import load_golden_raw
+from conftest import GOLDEN_RECORDS
 
 
 def minimal_record(**overrides):
@@ -31,6 +34,28 @@ def minimal_record(**overrides):
         ],
     }
     record.update(overrides)
+    return record
+
+
+def problems_of(record) -> list[str]:
+    with pytest.raises(RecordValidationError) as info:
+        parse_record(record)
+    return info.value.problems
+
+
+def prerequisite(*references, core_or_peripheral="core"):
+    return {
+        "name": "P",
+        "description": "D",
+        "explanation": "E",
+        "core_or_peripheral": core_or_peripheral,
+        "references": list(references),
+    }
+
+
+def with_prerequisites(*prereqs):
+    record = minimal_record()
+    record["contributions"][0]["prerequisites"] = list(prereqs)
     return record
 
 
@@ -66,30 +91,50 @@ def test_prompt_spelling_normalizes_to_stored_names():
             }
         ],
     }
-    norm = normalize_record(raw)
-    contribution = norm["contributions"][0]
-    assert norm["corpus_id"] == "42"
-    assert contribution["contribution_id"] == "42.c0"
-    assert contribution["types"] == [{"type": "analysis", "explanation": "why"}]
-    prereq = contribution["prerequisites"][0]
-    assert prereq["explanation"] == "J"
-    paper_ref, other_ref = prereq["references"]
-    assert paper_ref["paper_year"] == 2019
-    assert paper_ref["paper_venue"] == "V"
-    assert paper_ref["corpus_id"] == "7"
-    assert other_ref["type"] == "artifact"
-    assert validate_record(norm) == []
+    assert parse_record(raw).to_json() == {
+        "corpus_id": "42",
+        "title": "A paper",
+        "year": 2020,
+        "contributions": [
+            {
+                "contribution_id": "42.c0",
+                "name": "Thing",
+                "description": "Desc.",
+                "types": [{"type": "analysis", "explanation": "why"}],
+                "sections": ["S1"],
+                "prerequisites": [
+                    {
+                        "name": "P",
+                        "description": "D",
+                        "explanation": "J",
+                        "core_or_peripheral": "core",
+                        "references": [
+                            {
+                                "type": "paper",
+                                "paper_title": "T",
+                                "paper_year": 2019,
+                                "paper_venue": "V",
+                                "corpus_id": "7",
+                                "matches": [],
+                            },
+                            {"type": "artifact", "name": "tool", "url": "https://x"},
+                        ],
+                    }
+                ],
+            }
+        ],
+    }
 
 
 def test_stored_spelling_passes_unchanged():
-    norm = normalize_record(minimal_record())
-    assert validate_record(norm) == []
     record = parse_record(minimal_record())
     assert record.contributions[0].id == "42.c0"
+    assert record.to_json() == minimal_record()
 
 
 def test_match_contribution_key_alias():
-    ref = normalize_reference(
+    problems: list[str] = []
+    ref = parse_reference(
         {
             "type": "paper",
             "paper_title": "T",
@@ -99,11 +144,109 @@ def test_match_contribution_key_alias():
             "matches": [
                 {"contribution_key": "7.c1", "justification": "j", "match_type": "weak"}
             ],
-        }
+        },
+        "here",
+        problems,
     )
-    assert ref["matches"] == [
+    assert problems == []
+    assert ref.to_json()["matches"] == [
         {"contribution_id": "7.c1", "explanation": "j", "match_type": "weak"}
     ]
+
+
+# Each input spelling (prompt or stored) against the literal stored form.
+PAPER_STORED = {
+    "type": "paper", "paper_title": "T", "paper_year": 2019, "paper_venue": "V",
+    "corpus_id": "7", "matches": [],
+}
+REFERENCE_ALIASES = [
+    ({"type": "paper", "title": "T", "year": 2019, "venue": "V", "corpus_id": 7}, PAPER_STORED),
+    (PAPER_STORED, PAPER_STORED),
+    # The stored name wins; a null stored value falls back to the alias.
+    (
+        {"type": "paper", "paper_title": "T", "title": "other", "paper_year": None, "year": 2019,
+         "paper_venue": "V", "venue": "other", "corpus_id": "7"},
+        PAPER_STORED,
+    ),
+    (
+        {"type": "paper", "paper_title": "T", "first_author": {"last_name": "L"}},
+        {"type": "paper", "paper_title": "T", "first_author": {"last_name": "L"},
+         "paper_year": None, "paper_venue": None, "corpus_id": None, "matches": []},
+    ),
+    (
+        {"type": "paper", "matches": [
+            {"contribution_key": "7.c1", "justification": "j", "match_type": "strong"},
+            {"contribution_id": "7.c2", "explanation": "e", "match_type": "weak"},
+        ]},
+        {"type": "paper", "paper_title": "", "paper_year": None, "paper_venue": None,
+         "corpus_id": None, "matches": [
+             {"contribution_id": "7.c1", "explanation": "j", "match_type": "strong"},
+             {"contribution_id": "7.c2", "explanation": "e", "match_type": "weak"},
+         ]},
+    ),
+    (
+        {"type": "internal", "contribution_name": "N", "contribution_key": "42.c1",
+         "justification": "j"},
+        {"type": "internal", "contribution_name": "N", "contribution_id": "42.c1",
+         "explanation": "j"},
+    ),
+    (
+        {"type": "internal", "contribution_id": "42.c1"},
+        {"type": "internal", "contribution_name": "", "contribution_id": "42.c1",
+         "explanation": ""},
+    ),
+    ({"type": "other", "name": "tool", "url": "https://x"},
+     {"type": "artifact", "name": "tool", "url": "https://x"}),
+    ({"type": "artifact", "url": "https://x"},
+     {"type": "artifact", "name": "", "url": "https://x"}),
+]
+
+
+@pytest.mark.parametrize("raw, stored", REFERENCE_ALIASES)
+def test_reference_alias_parses_to_stored_form(raw, stored):
+    problems: list[str] = []
+    assert parse_reference(raw, "here", problems).to_json() == stored
+    assert problems == []
+
+
+CONTRIBUTION_STORED = {
+    "contribution_id": "42.c0",
+    "name": "N",
+    "description": "D",
+    "types": [{"type": "analysis", "explanation": "why"}],
+    "sections": ["S1"],
+    "prerequisites": [
+        {"name": "P", "description": "PD", "explanation": "J", "core_or_peripheral": "core",
+         "references": [{"type": "artifact", "name": "tool", "url": "https://x"}]},
+    ],
+}
+CONTRIBUTION_ALIASES = [
+    (
+        {"name": "N", "description": "D",
+         "contribution_type": [{"type": "analysis", "justification": "why"}],
+         "sections": ["S1"],
+         "prerequisites": [
+             {"name": "P", "description": "PD", "justification": "J",
+              "core_or_peripheral": "core",
+              "references_in_paper": [{"type": "other", "name": "tool", "url": "https://x"}]},
+         ]},
+        CONTRIBUTION_STORED,
+    ),
+    (CONTRIBUTION_STORED, CONTRIBUTION_STORED),
+    (
+        {"name": "N", "description": "D", "types": [{"type": "analysis"}], "split_from": 3},
+        {"contribution_id": "42.c0", "name": "N", "description": "D",
+         "types": [{"type": "analysis", "explanation": ""}], "sections": [], "split_from": "3",
+         "prerequisites": []},
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, stored", CONTRIBUTION_ALIASES)
+def test_contribution_alias_parses_to_stored_form(raw, stored):
+    problems: list[str] = []
+    assert parse_contribution(raw, "42.c0", "here", problems).to_json() == stored
+    assert problems == []
 
 
 @pytest.mark.parametrize(
@@ -120,28 +263,204 @@ def test_match_contribution_key_alias():
 def test_validate_rejects(mutate, fragment):
     record = minimal_record()
     mutate(record)
-    problems = validate_record(normalize_record(record))
+    problems = problems_of(record)
     assert any(fragment in p for p in problems), problems
 
 
-def test_bad_prerequisite_fields_rejected():
-    record = minimal_record()
-    record["contributions"][0]["prerequisites"] = [
-        {
-            "name": "P",
-            "description": "D",
-            "explanation": "E",
-            "core_or_peripheral": "sometimes",
-            "references": [
-                {"type": "artifact", "name": "tool", "url": ""},
-                {"type": "mystery"},
-                {"type": "paper", "paper_title": "T", "matches": [
-                    {"contribution_id": "7.c0", "match_type": "maybe"}
-                ]},
+WHERE = "contribution 42.c0, prerequisite 0"
+# Every record rule's problem text; retry prompts embed these texts.
+RULES = {
+    "corpus_id_missing": (
+        lambda: minimal_record(corpus_id=None, contributions=[]),
+        ["record: corpus_id missing or empty"],
+    ),
+    "year_not_integer": (
+        lambda: minimal_record(year="2020"),
+        ["record: year must be an integer, got '2020'"],
+    ),
+    "malformed_id": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   contribution_id="42-0")]),
+        ["contribution 42-0: malformed contribution_id '42-0'"],
+    ),
+    "empty_id_named_by_position": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   contribution_id="")]),
+        ["contribution 0: malformed contribution_id ''"],
+    ),
+    "foreign_corpus": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   contribution_id="43.c0")]),
+        ["contribution 43.c0: id names corpus '43', record is '42'"],
+    ),
+    "out_of_order": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   contribution_id="42.c5")]),
+        ["contribution 42.c5: index 5 out of record order (position 0)"],
+    ),
+    "duplicate_id": (
+        lambda: minimal_record(contributions=minimal_record()["contributions"] * 2),
+        ["contribution 42.c0: index 0 out of record order (position 1)",
+         "contribution 42.c0: duplicate contribution_id"],
+    ),
+    "empty_name": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   name="")]),
+        ["contribution 42.c0: empty name"],
+    ),
+    "empty_description": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   description=None)]),
+        ["contribution 42.c0: empty description"],
+    ),
+    "core_or_peripheral": (
+        lambda: with_prerequisites(prerequisite(core_or_peripheral="sometimes")),
+        [f"{WHERE}: core_or_peripheral must be core or peripheral, got 'sometimes'"],
+    ),
+    "match_without_id": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "matches": [{"match_type": "weak"}]})),
+        [f"{WHERE}: match without contribution_id"],
+    ),
+    "malformed_match_id": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "matches": [{"contribution_id": "7-c0", "match_type": "weak"}]})),
+        [f"{WHERE}: malformed match id '7-c0'"],
+    ),
+    "match_type": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "matches": [{"contribution_id": "7.c0", "match_type": "maybe"}]})),
+        [f"{WHERE}: match_type must be strong or weak, got 'maybe'"],
+    ),
+    "internal_without_id": (
+        lambda: with_prerequisites(prerequisite({"type": "internal", "contribution_id": ""})),
+        [f"{WHERE}: internal reference without contribution_id"],
+    ),
+    "artifact_without_url": (
+        lambda: with_prerequisites(prerequisite({"type": "artifact", "name": "tool"})),
+        [f"{WHERE}: artifact reference with empty url"],
+    ),
+    "unknown_reference_type": (
+        lambda: with_prerequisites(prerequisite({"type": "mystery"})),
+        [f"{WHERE}: unknown reference type 'mystery'"],
+    ),
+    "internal_to_unknown_id": (
+        lambda: with_prerequisites(prerequisite({"type": "internal", "contribution_id": "42.c9"})),
+        [f"{WHERE}: internal reference to unknown id '42.c9'"],
+    ),
+    # Record header first, then each contribution in order: its id, its
+    # own fields, its prerequisites with their references and matches;
+    # internal reference targets last, once every id is known.
+    "all_in_order": (
+        lambda: {
+            "corpus_id": "42",
+            "year": 2020.5,
+            "contributions": [
+                {
+                    "contribution_id": "43.c1",
+                    "name": "",
+                    "description": "",
+                    "prerequisites": [
+                        prerequisite(
+                            {"type": "internal", "contribution_id": "42.c7"},
+                            {"type": "paper", "matches": [{"match_type": None}, {}]},
+                            {"type": "other", "url": ""},
+                            core_or_peripheral=None,
+                        ),
+                        prerequisite({"type": None}),
+                    ],
+                },
+                {"name": "N", "description": "D"},
             ],
-        }
-    ]
-    problems = validate_record(normalize_record(record))
+        },
+        [
+            "record: year must be an integer, got 2020.5",
+            "contribution 43.c1: id names corpus '43', record is '42'",
+            "contribution 43.c1: index 1 out of record order (position 0)",
+            "contribution 43.c1: empty name",
+            "contribution 43.c1: empty description",
+            "contribution 43.c1, prerequisite 0: core_or_peripheral must be core or"
+            " peripheral, got None",
+            "contribution 43.c1, prerequisite 0: match without contribution_id",
+            "contribution 43.c1, prerequisite 0: match_type must be strong or weak, got None",
+            "contribution 43.c1, prerequisite 0: match without contribution_id",
+            "contribution 43.c1, prerequisite 0: match_type must be strong or weak, got None",
+            "contribution 43.c1, prerequisite 0: artifact reference with empty url",
+            "contribution 43.c1, prerequisite 1: unknown reference type None",
+            "contribution 43.c1, prerequisite 0: internal reference to unknown id '42.c7'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_problem_text_of_each_rule(rule):
+    build, expected = RULES[rule]
+    assert problems_of(build()) == expected
+
+
+PAPER_REF = {"type": "paper", "paper_title": "T", "corpus_id": "7", "matches": []}
+ALIGNMENT_RULES = {
+    "owner_id": (
+        {"owner_id": "42", "prereq_index": 0, "ref_index": 0, "reference": PAPER_REF},
+        ["row 1: malformed owner_id '42'"],
+    ),
+    "indices": (
+        {"owner_id": "42.c0", "prereq_index": -1, "ref_index": True, "reference": PAPER_REF},
+        ["row 1: prereq_index must be a non-negative integer, got -1",
+         "row 1: ref_index must be a non-negative integer, got True"],
+    ),
+    "not_a_paper_reference": (
+        {"owner_id": "42.c0", "prereq_index": 0, "ref_index": 0,
+         "reference": {"type": "artifact", "url": "u"}},
+        ["row 1: reference must be a paper reference, got {'type': 'artifact', 'url': 'u'}"],
+    ),
+    "reference_rules": (
+        {"reference": dict(PAPER_REF, matches=[{"contribution_id": "7.c0"}])},
+        ["row 1: malformed owner_id None",
+         "row 1: prereq_index must be a non-negative integer, got None",
+         "row 1: ref_index must be a non-negative integer, got None",
+         "row 1: match_type must be strong or weak, got None"],
+    ),
+    "not_an_object": (
+        ["42.c0"],
+        ["row 1: malformed owner_id None",
+         "row 1: prereq_index must be a non-negative integer, got None",
+         "row 1: ref_index must be a non-negative integer, got None",
+         "row 1: reference must be a paper reference, got None"],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ALIGNMENT_RULES))
+def test_problem_text_of_each_alignment_rule(rule):
+    row, expected = ALIGNMENT_RULES[rule]
+    with pytest.raises(RecordValidationError) as info:
+        parse_alignment(row, "row 1")
+    assert info.value.problems == expected
+
+
+def test_alignment_parses_to_its_site():
+    row = {"owner_id": "42.c0", "prereq_index": 1, "ref_index": 2,
+           "reference": {"type": "paper", "title": "T", "year": 2019, "corpus_id": 7}}
+    owner, prereq_index, ref_index, ref = parse_alignment(row, "row 1")
+    assert (owner, prereq_index, ref_index) == ("42.c0", 1, 2)
+    assert ref.to_json() == {"type": "paper", "paper_title": "T", "paper_year": 2019,
+                             "paper_venue": None, "corpus_id": "7", "matches": []}
+
+
+def test_bad_prerequisite_fields_rejected():
+    record = with_prerequisites(
+        prerequisite(
+            {"type": "artifact", "name": "tool", "url": ""},
+            {"type": "mystery"},
+            {"type": "paper", "paper_title": "T", "matches": [
+                {"contribution_id": "7.c0", "match_type": "maybe"}
+            ]},
+            core_or_peripheral="sometimes",
+        )
+    )
+    problems = problems_of(record)
     assert any("core_or_peripheral" in p for p in problems)
     assert any("empty url" in p for p in problems)
     assert any("unknown reference type" in p for p in problems)
@@ -149,23 +468,16 @@ def test_bad_prerequisite_fields_rejected():
 
 
 def test_dangling_internal_reference_rejected():
-    record = minimal_record()
-    record["contributions"][0]["prerequisites"] = [
-        {
-            "name": "P",
-            "description": "D",
-            "explanation": "E",
-            "core_or_peripheral": "core",
-            "references": [
-                {
-                    "type": "internal",
-                    "contribution_name": "ghost",
-                    "contribution_id": "42.c9",
-                    "explanation": "E",
-                }
-            ],
-        }
-    ]
+    record = with_prerequisites(
+        prerequisite(
+            {
+                "type": "internal",
+                "contribution_name": "ghost",
+                "contribution_id": "42.c9",
+                "explanation": "E",
+            }
+        )
+    )
     with pytest.raises(RecordValidationError, match="unknown id"):
         parse_record(record)
 
@@ -173,8 +485,6 @@ def test_dangling_internal_reference_rejected():
 def test_off_vocabulary_category_warns_but_passes():
     record = minimal_record()
     record["contributions"][0]["types"] = [{"type": "galactic_insight", "explanation": "?"}]
-    norm = normalize_record(record)
-    assert validate_record(norm) == []
     parsed = parse_record(record)
     assert parsed.contributions[0].types[0].category == "galactic_insight"
     # The label is reported once, by graph validation, not by parsing.
@@ -189,7 +499,6 @@ def test_off_vocabulary_category_warns_but_passes():
 
 
 def test_golden_records_round_trip_byte_identical():
-    # parse -> to_json must reproduce the normalized form exactly.
-    for raw in load_golden_raw():
-        record = parse_record(raw)
-        assert record.to_json() == normalize_record(raw)
+    # A stored record parses and serializes back to its own line.
+    for line in GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines():
+        assert dump_line(parse_record(json.loads(line)).to_json()) == line
