@@ -24,7 +24,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
 from .errors import ContribGraphError
@@ -136,11 +136,30 @@ def make_generation_backend(args, config: dict[str, str]) -> GenerationBackend:
 
 
 def parse_years(spec: str) -> list[int]:
-    """"2021-2025" or "2021,2023"."""
-    if "-" in spec:
-        start, end = spec.split("-", 1)
-        return list(range(int(start), int(end) + 1))
-    return [int(y) for y in spec.split(",") if y]
+    """"2021-2025" or "2021,2023"; the argparse type of ``--years``."""
+    try:
+        if "-" in spec:
+            start, end = spec.split("-", 1)
+            years = list(range(int(start), int(end) + 1))
+        else:
+            years = [int(y) for y in spec.split(",") if y]
+    except ValueError:
+        years = []
+    if not years:
+        raise argparse.ArgumentTypeError(f"want e.g. 2021-2025 or 2021,2023, got {spec!r}")
+    return years
+
+
+def at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer flag that must be at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +203,7 @@ def cmd_ingest(args, config) -> int:
 def cmd_extract(args, config) -> int:
     from . import frontier
     from .graph import RECORDS_FILE
-    from .pipeline import PaperInput, Pipeline, PipelineConfig
+    from .pipeline import PaperInput, Pipeline
 
     store_dir = Path(args.store)
     catalog = frontier.Catalog.load(args.catalog)
@@ -218,10 +237,7 @@ def cmd_extract(args, config) -> int:
             )
         backend = make_generation_backend(args, config)
         pipeline = Pipeline(
-            backend,
-            graph,
-            PipelineConfig(retries=args.retries),
-            records_path=store_dir / RECORDS_FILE,
+            backend, graph, records_path=store_dir / RECORDS_FILE, retries=args.retries
         )
         results = pipeline.run_batch(papers, parallel=args.parallel)
         failures = 0
@@ -291,7 +307,7 @@ def cmd_taskgen(args, config) -> int:
     if not index_path.exists():
         raise CliError(f"embedding index {index_path} missing; run `embed` first")
     index = EmbeddingIndex.load(index_path)
-    years = parse_years(args.years)
+    years = args.years
     result = taskgen.generate_problems(
         graph,
         index,
@@ -415,11 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ids", nargs="*", help="corpus ids; defaults to the next frontier batch")
     p.add_argument("--store", required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--k", type=int, default=10, help="frontier batch size when no ids given")
-    p.add_argument("--mock", help="replay-mock directory of canned responses")
-    p.add_argument("--retries", type=int, default=2)
     p.add_argument(
-        "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
+        "--k", type=at_least(1), default=10, help="frontier batch size when no ids given"
+    )
+    p.add_argument("--mock", help="replay-mock directory of canned responses")
+    p.add_argument("--retries", type=at_least(0), default=2)
+    p.add_argument(
+        "--parallel", type=at_least(1), default=1,
+        help="at most N model calls in flight (default 1)",
     )
     p.add_argument("--endpoint", help="generation endpoint (overrides env/config)")
     p.add_argument("--model", help="generation model tag")
@@ -428,13 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frontier", help="print the next extraction batch")
     p.add_argument("--store", required=True)
     p.add_argument("--catalog")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=at_least(1), default=10)
     p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("embed", help="build the embedding index")
     p.add_argument("--store", required=True)
     p.add_argument("--out")
-    p.add_argument("--dim", type=int, default=64, help="mock provider dimensionality")
+    p.add_argument("--dim", type=at_least(1), default=64, help="mock provider dimensionality")
     p.add_argument("--provider", choices=["auto", "mock", "http"], default="auto")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_embed)
@@ -442,11 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("taskgen", help="generate prerequisite-prediction problems")
     p.add_argument("--store", required=True)
     p.add_argument("--index")
-    p.add_argument("--years", required=True, help="e.g. 2021-2025 or 2021,2023")
-    p.add_argument("--per-year", type=int, required=True)
+    p.add_argument("--years", type=parse_years, required=True, help="e.g. 2021-2025 or 2021,2023")
+    p.add_argument("--per-year", type=at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong-only", action="store_true")
-    p.add_argument("--k", type=int, default=CANDIDATES_PER_PROBLEM)
+    p.add_argument("--k", type=at_least(1), default=CANDIDATES_PER_PROBLEM)
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_taskgen)
@@ -455,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--mock", help="replay-mock directory of canned responses")
     p.add_argument(
-        "--parallel", type=int, default=1, help="at most N model calls in flight (default 1)"
+        "--parallel", type=at_least(1), default=1,
+        help="at most N model calls in flight (default 1)",
     )
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--retries", type=at_least(0), default=2)
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--out")
@@ -478,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--direction", choices=["pre", "post"], required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--depth", type=at_least(0), default=3)
+    p.add_argument("--top-k", type=at_least(1), default=5)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--out")
     p.set_defaults(func=cmd_export)

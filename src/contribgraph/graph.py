@@ -162,7 +162,9 @@ class ContributionGraph:
         own matches or those in ``late``. The index is keyed by cited
         paper, so only this paper's entry is read and removed: the cost
         is linear in the record, not in the store. A rejected record
-        leaves the store untouched.
+        leaves the store untouched. A dict is checked by
+        ``records.parse_record``; an ExtractionRecord must already pass
+        its rules.
         """
         if isinstance(record, dict):
             record = recmod.parse_record(record)
@@ -183,10 +185,6 @@ class ContributionGraph:
                 for k, prereq in enumerate(contribution.prerequisites):
                     for j, ref in enumerate(prereq.references):
                         if isinstance(ref, InternalRef):
-                            if ref.contribution_id == contribution.id:
-                                raise RecordValidationError(
-                                    [f"{contribution.id}: internal reference to itself"]
-                                )
                             # An internal reference is a strong match inside the paper.
                             internal = Match(ref.contribution_id, ref.explanation, "strong")
                             new_edges.append(_match_edge(internal, contribution.id, k))

@@ -42,8 +42,8 @@ def append_jsonl(path: str | Path, *records: dict[str, Any]) -> None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """One object per non-blank line; a line that is not UTF-8 JSON raises
-    MalformedLineError naming ``path:line``."""
+    """One object per non-blank line; a line that is not a UTF-8 JSON
+    object raises MalformedLineError naming ``path:line``."""
     with Path(path).open("rb") as f:
         for number, raw in enumerate(f, 1):
             try:
@@ -53,4 +53,6 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 obj = json.loads(line)
             except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
                 raise MalformedLineError(f"{path}:{number}: {exc}") from None
+            if type(obj) is not dict:
+                raise MalformedLineError(f"{path}:{number}: not a JSON object: {line[:80]}")
             yield obj

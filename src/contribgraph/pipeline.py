@@ -5,10 +5,13 @@ contribution prerequisite extraction (which may split a contribution
 into finer-grained ones), and prerequisite-to-contribution alignment
 against cited papers. Stage outputs are strict fenced JSON; a schema
 violation re-prompts with the validator's errors appended, up to a
-configurable retry budget (``backends.generate_validated``, shared with
-ranking). Each stage output is parsed by ``records.parse_contribution``,
-the parser of ingested records, so it passes their schema rules; the
-validators add the stage rules, checked on the model objects it builds.
+retry budget (``backends.generate_validated``, shared with ranking).
+``records`` alone knows the shape and spellings of an answer: each
+stage output is parsed by the parser of ingested records
+(``records.objects``, ``parse_contribution``, ``parse_matches``), so it
+passes their rules, and this module's validators add only the stage
+rules, checked on the model objects those parsers build. A staged paper
+is the ExtractionRecord that finalizing ingests and logs.
 
 A batch runs in three steps on one pool of workers: every paper is
 staged (stages 2 and 3); then every alignment the batch can need is
@@ -27,7 +30,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -37,7 +40,6 @@ from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.p
 from .errors import BackendError, DuplicatePaperError, StageFailure
 from .graph import ALIGNMENTS_FILE, ContributionGraph, GraphDelta, UnresolvedRef
 from .model import (
-    MATCH_TYPES,
     Contribution,
     ExtractionRecord,
     InternalRef,
@@ -54,7 +56,7 @@ from .prompts import (
     load_template,
     render,
 )
-from .records import parse_contribution
+from .records import objects, parse_contribution, parse_matches
 
 logger = logging.getLogger(__name__)
 
@@ -76,24 +78,7 @@ class PaperInput:
     full_text: str
 
 
-@dataclass
-class StagedPaper:
-    """Stage-2/3 output for one paper, awaiting alignment and ingestion."""
-
-    paper: PaperInput
-    contributions: list[Contribution] = field(default_factory=list)
-
-    def record(self) -> ExtractionRecord:
-        paper = self.paper
-        return ExtractionRecord(paper.corpus_id, paper.title, paper.year, self.contributions)
-
-
 MAX_PAPER_CHARS = 600_000  # longer full text is tail-truncated
-
-
-@dataclass
-class PipelineConfig:
-    retries: int = 2  # extra attempts after the first, per stage call
 
 
 class Pipeline:
@@ -101,35 +86,18 @@ class Pipeline:
         self,
         backend: GenerationBackend,
         graph: ContributionGraph,
-        config: Optional[PipelineConfig] = None,
         records_path: Optional[str | Path] = None,
+        retries: int = 2,
     ):
+        """``retries`` counts the extra attempts after the first, per stage call."""
         self.backend = backend
         self.graph = graph
-        self.config = config or PipelineConfig()
         self.records_path = Path(records_path) if records_path else None
+        self.retries = retries
         self._templates = {
             name: load_template(name)
             for name in (CONTRIBUTION_TEMPLATE, PREREQUISITE_TEMPLATE, ALIGNMENT_TEMPLATE)
         }
-
-    def _generate(
-        self,
-        prompt: str,
-        list_key: str,
-        validate: Callable[[list], tuple[Any, list[str]]],
-        corpus_id: str,
-        stage: str,
-    ) -> Any:
-        return generate_validated(
-            self.backend,
-            prompt,
-            list_key,
-            validate,
-            retries=self.config.retries,
-            corpus_id=corpus_id,
-            stage=stage,
-        )
 
     def _paper_text(self, paper: PaperInput) -> str:
         text = paper.full_text
@@ -159,10 +127,7 @@ class Pipeline:
             """Record rules, plus at least one type and one section each."""
             problems: list[str] = []
             out: list[Contribution] = []
-            for i, raw in enumerate(entries):
-                if not isinstance(raw, dict):
-                    problems.append(f"contribution {i} is not an object")
-                    continue
+            for i, raw in enumerate(objects(entries, "answer", "contributions", problems)):
                 cid = make_contribution_id(paper.corpus_id, i)
                 # Stage 3 extracts the prerequisites.
                 contribution = parse_contribution(
@@ -175,7 +140,10 @@ class Pipeline:
                 out.append(contribution)
             return out, problems
 
-        return self._generate(prompt, "contributions", validate, paper.corpus_id, "contributions")
+        return generate_validated(
+            self.backend, prompt, "contributions", validate,
+            retries=self.retries, corpus_id=paper.corpus_id, stage="contributions",
+        )
 
     # ------------------------------------------------------------------
     # Stage 3: prerequisite extraction
@@ -226,17 +194,14 @@ class Pipeline:
             non-empty; a paper reference has a title or corpus_id; an
             internal reference names a known key other than its own."""
             problems: list[str] = []
+            entries = objects(entries, "answer", "contributions", problems)
             if not entries:
-                return [], [f"output must carry the input contribution (key {input_key!r})"]
+                problems.append(f"output must carry the input contribution (key {input_key!r})")
+                return [], problems
             out: list[Contribution] = []
             seen_keys: set[str] = set()
-            output_keys = {
-                str(e.get("key")) for e in entries if isinstance(e, dict) and e.get("key")
-            }
+            output_keys = {str(e["key"]) for e in entries if e.get("key")}
             for raw in entries:
-                if not isinstance(raw, dict):
-                    problems.append("contribution entry is not an object")
-                    continue
                 key = str(raw.get("key", ""))
                 if key != input_key and not re.fullmatch(
                     re.escape(input_key) + r"-\d+", key
@@ -276,7 +241,10 @@ class Pipeline:
                 out.append(entry)
             return out, problems
 
-        return self._generate(prompt, "contributions", validate, paper.corpus_id, "prerequisites")
+        return generate_validated(
+            self.backend, prompt, "contributions", validate,
+            retries=self.retries, corpus_id=paper.corpus_id, stage="prerequisites",
+        )
 
     # ------------------------------------------------------------------
     # Stage 4: alignment
@@ -325,34 +293,29 @@ class Pipeline:
             },
         )
 
-        def validate(matches: list) -> tuple[list[Match], list[str]]:
+        def validate(entries: list) -> tuple[list[Match], list[str]]:
+            """Record rules, plus: each match names a contribution of the cited paper."""
             problems: list[str] = []
-            out: list[Match] = []
-            for raw in matches:
-                if not isinstance(raw, dict):
-                    problems.append("match entry is not an object")
-                    continue
-                key = str(raw.get("contribution_key", raw.get("contribution_id", "")))
-                if key not in cited_ids:
+            matches = parse_matches(entries, "answer", problems)
+            for match in matches:
+                if match.contribution_id and match.contribution_id not in cited_ids:
                     problems.append(
-                        f"contribution_key {key!r} is not one of the cited paper's keys"
+                        f"answer: contribution_key {match.contribution_id!r}"
+                        " is not one of the cited paper's keys"
                     )
-                match_type = raw.get("match_type")
-                if match_type not in MATCH_TYPES:
-                    problems.append(
-                        f"match_type must be strong or weak, got {match_type!r}"
-                    )
-                out.append(Match(key, raw.get("explanation", ""), str(match_type)))
-            return out, problems
+            return matches, problems
 
-        return self._generate(prompt, "matches", validate, dep.corpus_id, "alignment")
+        return generate_validated(
+            self.backend, prompt, "matches", validate,
+            retries=self.retries, corpus_id=dep.corpus_id, stage="alignment",
+        )
 
     # ------------------------------------------------------------------
     # Orchestration
     # ------------------------------------------------------------------
 
-    def stage_paper(self, paper: PaperInput) -> StagedPaper:
-        """Run stages 2 and 3 and assemble final contributions (no matches yet)."""
+    def stage_paper(self, paper: PaperInput) -> ExtractionRecord:
+        """Run stages 2 and 3 and assemble the paper's record (no matches yet)."""
         if self.graph.is_extracted(paper.corpus_id):
             raise DuplicatePaperError(f"paper {paper.corpus_id} already extracted")
         stage2 = self.extract_contributions(paper)
@@ -392,9 +355,9 @@ class Pipeline:
             contributions.append(
                 replace(entry, id=cid, split_from=split_from, prerequisites=prerequisites)
             )
-        return StagedPaper(paper=paper, contributions=contributions)
+        return ExtractionRecord(paper.corpus_id, paper.title, paper.year, contributions)
 
-    def align_batch(self, batch: Sequence[StagedPaper], run: Callable = map) -> Aligned:
+    def align_batch(self, batch: Sequence[ExtractionRecord], run: Callable = map) -> Aligned:
         """Run every alignment the staged ``batch`` can need, through ``run``.
 
         One job per reference site: each reference of a staged paper
@@ -405,8 +368,7 @@ class Pipeline:
         ``finalize_paper`` decides what it means for the reference.
         """
         targets: dict[str, tuple[list[Contribution], PaperMeta]] = {
-            s.paper.corpus_id: (s.contributions, self.graph.extracted_meta(s.record()))
-            for s in batch
+            r.corpus_id: (r.contributions, self.graph.extracted_meta(r)) for r in batch
         }
 
         def target(corpus_id: str) -> Optional[tuple[list[Contribution], PaperMeta]]:
@@ -416,9 +378,9 @@ class Pipeline:
             return targets.get(corpus_id)
 
         jobs: dict[Site, tuple[Contribution, Prerequisite, str]] = {}
-        for staged in batch:
-            corpus_id = staged.paper.corpus_id
-            for site, dep, prereq, ref in _paper_refs(staged):
+        for record in batch:
+            corpus_id = record.corpus_id
+            for site, dep, prereq, ref in _paper_refs(record):
                 if target(ref.corpus_id) is not None:
                     jobs[site] = (dep, prereq, ref.corpus_id)
             for entry in self.graph.unresolved_citing(corpus_id):
@@ -437,7 +399,7 @@ class Pipeline:
         return dict(zip(jobs, run(align, jobs)))
 
     def finalize_paper(
-        self, staged: StagedPaper, aligned: Aligned
+        self, record: ExtractionRecord, aligned: Aligned
     ) -> tuple[ExtractionRecord, GraphDelta]:
         """Apply alignment results to one staged paper, then ingest and log
         its record with its late alignments. Makes no model call.
@@ -448,14 +410,12 @@ class Pipeline:
         its result as a late alignment; an error there skips only that
         reference.
         """
-        paper = staged.paper
-        for site, _, _, ref in _paper_refs(staged):
+        for site, _, _, ref in _paper_refs(record):
             if self.graph.is_extracted(ref.corpus_id):
                 ref.matches = _matches(aligned[site])
 
-        record = staged.record()
         late: list[UnresolvedRef] = []
-        for entry in self.graph.unresolved_citing(paper.corpus_id):
+        for entry in self.graph.unresolved_citing(record.corpus_id):
             if entry.ref.matches:
                 continue
             result = aligned[_site(entry)]
@@ -475,8 +435,8 @@ class Pipeline:
         return record, delta
 
     def run_paper(self, paper: PaperInput) -> tuple[ExtractionRecord, GraphDelta]:
-        staged = self.stage_paper(paper)
-        return self.finalize_paper(staged, self.align_batch([staged]))
+        record = self.stage_paper(paper)
+        return self.finalize_paper(record, self.align_batch([record]))
 
     def run_batch(
         self, papers: Sequence[PaperInput], parallel: int = 1
@@ -493,7 +453,7 @@ class Pipeline:
         references citing it.
         """
 
-        def stage(paper: PaperInput) -> StagedPaper | Exception:
+        def stage(paper: PaperInput) -> ExtractionRecord | Exception:
             try:
                 return self.stage_paper(paper)
             except Exception as exc:  # noqa: BLE001 - reported per paper
@@ -502,7 +462,7 @@ class Pipeline:
         with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
             outcomes = list(pool.map(stage, papers))
             aligned = self.align_batch(
-                [o for o in outcomes if isinstance(o, StagedPaper)], pool.map
+                [o for o in outcomes if isinstance(o, ExtractionRecord)], pool.map
             )
 
         results: list[tuple[PaperInput, Optional[GraphDelta], Optional[Exception]]] = []
@@ -519,10 +479,10 @@ class Pipeline:
 
 
 def _paper_refs(
-    staged: StagedPaper,
+    record: ExtractionRecord,
 ) -> Iterator[tuple[Site, Contribution, Prerequisite, PaperRef]]:
-    """The staged paper's references that cite another paper by corpus id, with their sites."""
-    for dep in staged.contributions:
+    """The record's references that cite another paper by corpus id, with their sites."""
+    for dep in record.contributions:
         for k, prereq in enumerate(dep.prerequisites):
             for j, ref in enumerate(prereq.references):
                 if isinstance(ref, PaperRef) and ref.corpus_id not in ("", None, dep.corpus_id):

@@ -1,20 +1,22 @@
 """Extraction-record parsing: one walk from a raw dict to the model.
 
-Two spellings of the same record exist in the wild: the generation
-prompts ask for ``contribution_type``/``justification``/
-``references_in_paper`` (and ``year``/``venue`` inside paper
-references), while the released record files use ``types``/
-``explanation``/``references`` and ``paper_year``/``paper_venue``.
-The parsers read both; the ``to_json`` methods of ``model`` write the
-released names, which are the durable contract. URL references arrive
-typed ``other`` from the prompts and are stored as ``artifact``.
+This is the one module that knows the shape and the spellings of a
+record or a model answer. The generation prompts ask for
+``contribution_type``/``justification``/``references_in_paper``/
+``contribution_key`` (and ``year``/``venue`` inside paper references);
+the released record files use ``types``/``explanation``/``references``/
+``contribution_id`` and ``paper_year``/``paper_venue``. The parsers read
+both; the ``to_json`` methods of ``model`` write the released names,
+which are the durable contract. URL references arrive typed ``other``
+from the prompts and are stored as ``artifact``.
 
 Each parser checks its input while it builds the ``model`` object,
 appending every problem to the caller's list with a ``where`` prefix;
-the object is valid only when no problem was added. The extraction
-pipeline parses stage outputs with ``parse_contribution``, so they pass
-the rules of ingested records, and the stages add only their own rules
-on top.
+the object is valid only when no problem was added. That includes the
+shape rule, at every level: a list field that is not a list, or an
+entry of it that is not an object, is a problem, never an exception.
+The extraction pipeline parses stage outputs with these parsers, so
+they pass the rules of ingested records, and adds only its stage rules.
 """
 from __future__ import annotations
 
@@ -42,11 +44,33 @@ def _opt_str(value: Any) -> Optional[str]:
     return None if value is None else str(value)
 
 
-def _first(obj: dict[str, Any], *keys: str, default: Any = None) -> Any:
-    for key in keys:
-        if key in obj and obj[key] is not None:
-            return obj[key]
-    return default
+def _first(obj: dict[str, Any], key: str, alias: str, default: Any = None) -> Any:
+    """``obj[key]``, else ``obj[alias]``, else ``default``; null counts as absent."""
+    value = obj.get(key)
+    if value is None:
+        value = obj.get(alias)
+        if value is None:
+            return default
+    return value
+
+
+def objects(value: Any, where: str, field: str, problems: list[str]) -> list[dict[str, Any]]:
+    """The entries of list field ``field`` that are objects; null reads as
+    empty. A value that is not a list, and each entry that is not an
+    object, is a problem."""
+    if type(value) is list:
+        for entry in value:
+            if type(entry) is not dict:
+                problems.extend(
+                    f"{where}: {field} must hold objects, got {e!r}"
+                    for e in value
+                    if type(e) is not dict
+                )
+                return [e for e in value if type(e) is dict]
+        return value
+    if value is not None:
+        problems.append(f"{where}: {field} must be a list, got {value!r}")
+    return []
 
 
 def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
@@ -62,6 +86,11 @@ def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
     if match_type not in MATCH_TYPES:
         problems.append(f"{where}: match_type must be strong or weak, got {match_type!r}")
     return Match(cid, _first(raw, "explanation", "justification", default=""), match_type)
+
+
+def parse_matches(value: Any, where: str, problems: list[str]) -> list[Match]:
+    """A list of matches in either spelling."""
+    return [_parse_match(m, where, problems) for m in objects(value, where, "matches", problems)]
 
 
 def parse_reference(
@@ -82,7 +111,7 @@ def parse_reference(
             corpus_id=_opt_str(raw.get("corpus_id")),
         )
         if omit != "matches":
-            ref.matches = [_parse_match(m, where, problems) for m in raw.get("matches", [])]
+            ref.matches = parse_matches(raw.get("matches"), where, problems)
         return ref
     if kind == "internal":
         cid = _opt_str(_first(raw, "contribution_id", "contribution_key"))
@@ -117,7 +146,9 @@ def _parse_prerequisite(
         core_or_peripheral=core_or_peripheral,
         references=[
             parse_reference(r, where, problems, omit)
-            for r in _first(raw, "references", "references_in_paper", default=[])
+            for r in objects(
+                _first(raw, "references", "references_in_paper"), where, "references", problems
+            )
         ],
     )
 
@@ -133,6 +164,11 @@ def parse_contribution(
     a pipeline stage does not produce, ``"prerequisites"`` or
     ``"matches"``: it is neither checked nor kept.
     """
+    sections = raw.get("sections")
+    if type(sections) is not list:
+        if sections is not None:
+            problems.append(f"{where}: sections must be a list, got {sections!r}")
+        sections = []
     contribution = Contribution(
         id=cid,
         name=raw.get("name", ""),
@@ -141,9 +177,9 @@ def parse_contribution(
             ContributionType(
                 t.get("type", ""), _first(t, "explanation", "justification", default="")
             )
-            for t in _first(raw, "types", "contribution_type", default=[])
+            for t in objects(_first(raw, "types", "contribution_type"), where, "types", problems)
         ],
-        sections=list(raw.get("sections", [])),
+        sections=list(sections),
         split_from=_opt_str(raw.get("split_from")),
     )
     if not contribution.name:
@@ -151,9 +187,10 @@ def parse_contribution(
     if not contribution.description:
         problems.append(f"{where}: empty description")
     if omit != "prerequisites":
+        prerequisites = objects(raw.get("prerequisites"), where, "prerequisites", problems)
         contribution.prerequisites = [
             _parse_prerequisite(p, f"{where}, prerequisite {p_idx}", problems, omit)
-            for p_idx, p in enumerate(raw.get("prerequisites", []))
+            for p_idx, p in enumerate(prerequisites)
         ]
     return contribution
 
@@ -200,7 +237,7 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
 
     contributions: list[Contribution] = []
     seen_ids: set[str] = set()
-    for i, c in enumerate(raw.get("contributions", [])):
+    for i, c in enumerate(objects(raw.get("contributions"), "record", "contributions", problems)):
         cid = _opt_str(c.get("contribution_id"))
         if cid is None:
             cid = make_contribution_id(corpus_id, i)
@@ -219,15 +256,15 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
         seen_ids.add(cid)
         contributions.append(parse_contribution(c, cid, where, problems))
 
-    # Internal references must land on a contribution of this same record.
+    # Internal references must land on another contribution of this same record.
     for i, c in enumerate(contributions):
         for p_idx, p in enumerate(c.prerequisites):
             for ref in p.references:
                 target = ref.contribution_id if isinstance(ref, InternalRef) else None
-                if target and target not in seen_ids:
+                if target and (target == c.id or target not in seen_ids):
+                    to = "itself" if target == c.id else f"unknown id {target!r}"
                     problems.append(
-                        f"contribution {c.id or i}, prerequisite {p_idx}:"
-                        f" internal reference to unknown id {target!r}"
+                        f"contribution {c.id or i}, prerequisite {p_idx}: internal reference to {to}"
                     )
     if problems:
         raise RecordValidationError(problems)

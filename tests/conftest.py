@@ -154,6 +154,68 @@ MALFORMED_ALIGNMENTS = {
 }
 
 
+def record_with(level: str, value) -> dict:
+    """A one-contribution record of paper 9, every list field holding one
+    well-formed entry, except field ``level``, which holds ``value``."""
+    match = {"contribution_id": "8.c0", "match_type": "strong"}
+    ref = {"type": "paper", "paper_title": "T", "corpus_id": "8", "matches": [match]}
+    prerequisite = {"name": "P", "description": "D", "core_or_peripheral": "core",
+                    "references": [ref]}
+    contribution = {"name": "N", "description": "D", "types": [{"type": "analysis"}],
+                    "sections": ["S1"], "prerequisites": [prerequisite]}
+    record = {"corpus_id": "9", "title": "t", "year": 2020, "contributions": [contribution]}
+    owner = {"contributions": record, "types": contribution, "prerequisites": contribution,
+             "references": prerequisite, "matches": ref}[level]
+    owner[level] = value
+    return record
+
+
+# Records breaking the shape rule at one level, each with its one problem;
+# the parsers once raised AttributeError or TypeError on every one of them.
+MISSHAPEN_RECORDS = {
+    "contributions_not_a_list": (
+        record_with("contributions", "x"),
+        "record: contributions must be a list, got 'x'",
+    ),
+    "contribution_not_an_object": (
+        record_with("contributions", ["not an object"]),
+        "record: contributions must hold objects, got 'not an object'",
+    ),
+    "types_not_a_list": (
+        record_with("types", {"type": "analysis"}),
+        "contribution 9.c0: types must be a list, got {'type': 'analysis'}",
+    ),
+    "type_not_an_object": (
+        record_with("types", ["analysis"]),
+        "contribution 9.c0: types must hold objects, got 'analysis'",
+    ),
+    "prerequisites_not_a_list": (
+        record_with("prerequisites", 3),
+        "contribution 9.c0: prerequisites must be a list, got 3",
+    ),
+    "prerequisite_not_an_object": (
+        record_with("prerequisites", [None]),
+        "contribution 9.c0: prerequisites must hold objects, got None",
+    ),
+    "references_not_a_list": (
+        record_with("references", "paper"),
+        "contribution 9.c0, prerequisite 0: references must be a list, got 'paper'",
+    ),
+    "reference_not_an_object": (
+        record_with("references", [["paper"]]),
+        "contribution 9.c0, prerequisite 0: references must hold objects, got ['paper']",
+    ),
+    "matches_not_a_list": (
+        record_with("matches", True),
+        "contribution 9.c0, prerequisite 0: matches must be a list, got True",
+    ),
+    "match_not_an_object": (
+        record_with("matches", ["8.c0"]),
+        "contribution 9.c0, prerequisite 0: matches must hold objects, got '8.c0'",
+    ),
+}
+
+
 def write_citing_pair(store: Path, alignment: dict) -> None:
     """Save a store of paper 6, whose c0 cites paper 7, then paper 7, and
     log ``alignment`` as the one late alignment."""

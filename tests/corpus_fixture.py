@@ -27,7 +27,7 @@ from contribgraph.frontier import Catalog
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import write_jsonl
 from contribgraph.model import PaperMeta, PartialDate
-from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
+from contribgraph.pipeline import PaperInput, Pipeline
 
 # Shared knobs for the end-to-end flow (builder and tests must agree).
 E2E_SEED = 7
@@ -1158,7 +1158,7 @@ def extract_with_crash(paths: CorpusPaths, store: Path, save_after: int) -> Cont
     graph = ContributionGraph()
     register_catalog(graph, paths)
     pipeline = Pipeline(
-        MockBackend(paths.mock_dir), graph, PipelineConfig(),
+        MockBackend(paths.mock_dir), graph,
         records_path=store / "records.jsonl",
     )
     for i, paper in enumerate(paper_inputs(paths)):
@@ -1176,7 +1176,7 @@ def build_corpus(root: Path) -> CorpusPaths:
     backend = RecordingBackend(paths.mock_dir)
     graph = ContributionGraph()
     register_catalog(graph, paths)
-    pipeline = Pipeline(backend, graph, PipelineConfig())
+    pipeline = Pipeline(backend, graph)
     for paper in paper_inputs(paths):
         pipeline.run_paper(paper)
 

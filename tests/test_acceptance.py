@@ -23,7 +23,7 @@ from contribgraph.evaluation import ModelCutoff, average_precision, split_by_cut
 from contribgraph.frontier import select_batch
 from contribgraph.graph import ContributionGraph
 from contribgraph.model import PartialDate
-from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
+from contribgraph.pipeline import PaperInput, Pipeline
 from contribgraph.roadmap import impact_tree, precursor_tree
 from contribgraph.taskgen import Problem, build_problem, index_years, sample_targets
 
@@ -49,7 +49,7 @@ def test_pipeline_determinism(corpus, tmp_path):
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
         pipeline = Pipeline(
-            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            MockBackend(corpus.mock_dir), graph,
             records_path=out_dir / "records.jsonl",
         )
         for paper in cf.paper_inputs(corpus):
@@ -271,7 +271,7 @@ def test_live_backend_smoke():
         "tasks; an empirical evaluation showing 12% improvement.\n"
     )
     graph = ContributionGraph()
-    pipeline = Pipeline(HttpBackend(), graph, PipelineConfig())
+    pipeline = Pipeline(HttpBackend(), graph)
     contributions = pipeline.extract_contributions(
         PaperInput("live-smoke", "A Minimal Study of Widget Ranking", 2024, text)
     )

@@ -16,7 +16,13 @@ from contribgraph.cli import build_parser, dispatch
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl, write_jsonl
 
-from conftest import DATA_DIR, GOLDEN_RECORDS, MALFORMED_ALIGNMENTS, write_citing_pair
+from conftest import (
+    DATA_DIR,
+    GOLDEN_RECORDS,
+    MALFORMED_ALIGNMENTS,
+    MISSHAPEN_RECORDS,
+    write_citing_pair,
+)
 from oracles import ap_direct
 
 
@@ -43,6 +49,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             run("taskgen", "--store", "x")
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frontier", "--k", "0"],
+            ["extract", "--catalog", "c", "--k", "0"],
+            ["extract", "--catalog", "c", "--parallel", "0"],
+            ["taskgen", "--years", "abc", "--per-year", "1"],
+            ["taskgen", "--years", "2021-", "--per-year", "1"],
+            ["taskgen", "--years", "2021", "--per-year", "0"],
+            ["export", "--root", "1.c0", "--direction", "pre", "--depth", "-1"],
+            ["export", "--root", "1.c0", "--direction", "post", "--top-k", "0"],
+            ["rank", "--problems", "p.jsonl", "--parallel", "-2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_malformed_number_exits_2(self, argv, tmp_path, capsys):
+        if argv[0] != "rank":
+            argv = [*argv, "--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+        assert not (tmp_path / "store").exists()
 
 
 class TestGoldenStore:
@@ -343,6 +374,28 @@ def test_store_without_its_log_is_a_clean_failure(corpus, tmp_path, capsys):
         assert err.startswith("error: ") and "records.jsonl is missing" in err, argv
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in store.iterdir()} == before, argv
+
+
+# A records-file line and the problem ingest must name for it.
+MISSHAPEN_LINES = {
+    **{name: (json.dumps(raw), problem) for name, (raw, problem) in MISSHAPEN_RECORDS.items()},
+    "line_not_an_object": ("[1, 2]", "records.jsonl:1: not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSHAPEN_LINES))
+def test_misshapen_record_line_is_a_clean_failure(tmp_path, capsys, name):
+    store = tmp_path / "store"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    line, problem = MISSHAPEN_LINES[name]
+    records = tmp_path / "records.jsonl"
+    records.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("ingest", "--store", store, "--records", records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_ALIGNMENTS))

@@ -51,3 +51,13 @@ def test_line_torn_inside_a_utf8_character_names_the_file_and_line(tmp_path):
     path.write_bytes(b'{"a": 1}\n' + '{"title": "Caf\u00e9"}'.encode("utf-8")[:-3])
     with pytest.raises(MalformedLineError, match=rf"^{re.escape(str(path))}:2: "):
         list(read_jsonl(path))
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "null"])
+def test_line_that_is_not_an_object_names_the_file_and_line(tmp_path, line):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    rows = read_jsonl(path)
+    assert next(rows) == {"a": 1}
+    with pytest.raises(MalformedLineError, match=rf"^{re.escape(str(path))}:2: not a JSON object"):
+        next(rows)

@@ -14,7 +14,7 @@ from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure,
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
 from contribgraph.model import InternalRef, PaperMeta, PaperRef
-from contribgraph.pipeline import PaperInput, Pipeline, PipelineConfig
+from contribgraph.pipeline import PaperInput, Pipeline
 
 from conftest import load_golden_raw
 
@@ -106,7 +106,7 @@ class ExplodingBackend(GenerationBackend):
 
 def make_pipeline(backend, graph=None, retries=2):
     graph = graph or ContributionGraph()
-    return Pipeline(backend, graph, PipelineConfig(retries=retries)), graph
+    return Pipeline(backend, graph, retries=retries), graph
 
 
 class TestParseFencedJson:
@@ -312,7 +312,7 @@ class TestExtractPrerequisites:
         entry = stage3_entry("0", "Bidirectional Transformer encoder architecture (BERT)",
                              prereqs)
         backend = QueueBackend([echo_json({"contributions": [entry]})])
-        pipeline = Pipeline(backend, golden_graph, PipelineConfig())
+        pipeline = Pipeline(backend, golden_graph)
         target = golden_graph.get_contribution(f"{BERT}.c0")
         others = [c for c in golden_graph.contributions_of(BERT) if c.id != target.id]
         paper = PaperInput(BERT, "BERT", 2019, "text")
@@ -407,9 +407,16 @@ class TestExtractPrerequisites:
                 }]),
                 "key '0', prerequisite 0: core_or_peripheral must be core or peripheral",
             ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core", "references_in_paper": ["not an object"],
+                }]),
+                "key '0', prerequisite 0: references must hold objects, got 'not an object'",
+            ),
         ],
         ids=["non_split_key", "unknown_internal_key", "paper_ref_without_title_or_id",
-             "bad_core_or_peripheral"],
+             "bad_core_or_peripheral", "non_object_reference"],
     )
     def test_retry_prompt_names_key_and_rule(self, entry, expected):
         stage2 = echo_json({"contributions": [{
@@ -463,7 +470,7 @@ class TestAlignPrerequisite:
             ],
             "overall_explanation": "ok",
         })
-        pipeline = Pipeline(QueueBackend([response]), golden_graph, PipelineConfig())
+        pipeline = Pipeline(QueueBackend([response]), golden_graph)
         matches = pipeline.align_prerequisite(dep, prereq, cited)
         assert [(m.contribution_id, m.match_type) for m in matches] == [
             (f"{ATTENTION}.c0", "strong"),
@@ -472,9 +479,25 @@ class TestAlignPrerequisite:
             (f"{ATTENTION}.c3", "weak"),
         ]
 
+    def test_match_in_stored_spelling_beside_a_null_key(self, golden_graph):
+        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        cited = golden_graph.contributions_of(ATTENTION)
+        response = echo_json({
+            "matches": [{"contribution_key": None, "contribution_id": f"{ATTENTION}.c0",
+                         "justification": "full encoder", "match_type": "strong"}],
+            "overall_explanation": "ok",
+        })
+        backend = QueueBackend([response])
+        [match] = Pipeline(backend, golden_graph).align_prerequisite(
+            dep, dep.prerequisites[0], cited
+        )
+        assert match.to_json() == {"contribution_id": f"{ATTENTION}.c0",
+                                   "explanation": "full encoder", "match_type": "strong"}
+        assert backend.usage.calls == 1
+
     def test_zero_cited_contributions_no_call(self, golden_graph):
         dep = golden_graph.get_contribution(f"{BERT}.c0")
-        pipeline = Pipeline(ExplodingBackend(), golden_graph, PipelineConfig())
+        pipeline = Pipeline(ExplodingBackend(), golden_graph)
         assert pipeline.align_prerequisite(dep, dep.prerequisites[0], []) == []
 
     def test_empty_matches_is_legal(self, golden_graph):
@@ -482,7 +505,7 @@ class TestAlignPrerequisite:
         prereq = dep.prerequisites[6]  # the unaligned optimization-techniques citation
         cited = golden_graph.contributions_of("3626819")
         response = echo_json({"matches": [], "overall_explanation": "nothing fits"})
-        pipeline = Pipeline(QueueBackend([response]), golden_graph, PipelineConfig())
+        pipeline = Pipeline(QueueBackend([response]), golden_graph)
         assert pipeline.align_prerequisite(dep, prereq, cited) == []
 
     def test_foreign_id_fails_after_retries(self, golden_graph):
@@ -493,7 +516,7 @@ class TestAlignPrerequisite:
                          "match_type": "strong"}],
             "overall_explanation": "",
         })
-        pipeline = Pipeline(QueueBackend([bad, bad, bad]), golden_graph, PipelineConfig())
+        pipeline = Pipeline(QueueBackend([bad, bad, bad]), golden_graph)
         with pytest.raises(StageFailure, match="alignment"):
             pipeline.align_prerequisite(dep, dep.prerequisites[0], cited)
 
@@ -505,7 +528,7 @@ class TestAlignPrerequisite:
                          "match_type": "medium"}],
             "overall_explanation": "",
         })
-        pipeline = Pipeline(QueueBackend([bad, bad, bad]), golden_graph, PipelineConfig())
+        pipeline = Pipeline(QueueBackend([bad, bad, bad]), golden_graph)
         with pytest.raises(StageFailure, match="strong or weak"):
             pipeline.align_prerequisite(dep, dep.prerequisites[0], cited)
 
@@ -515,7 +538,7 @@ class TestAlignPrerequisite:
             golden_graph.get_contribution(f"{ATTENTION}.c0"),
             golden_graph.get_contribution("3626819.c0"),
         ]
-        pipeline = Pipeline(ExplodingBackend(), golden_graph, PipelineConfig())
+        pipeline = Pipeline(ExplodingBackend(), golden_graph)
         with pytest.raises(ValueError, match="one corpus_id"):
             pipeline.align_prerequisite(dep, dep.prerequisites[0], cited)
 
@@ -534,6 +557,35 @@ class TestRunPaper:
         assert backend.usage.calls == 2
         assert delta.nodes_added == 1 and delta.edges_added == 0
         assert record.contributions[0].id == "31.c0"
+
+    def test_split_part_referencing_its_own_input_key_drops_that_reference(self):
+        stage2 = echo_json({"contributions": [
+            {"name": name, "description": "d", "sections": ["S1"],
+             "contribution_type": [{"type": "analysis", "justification": "j"}]}
+            for name in ("first", "second")
+        ]})
+        # Input key "1" maps onto its first part, "1-0": the reference to "1"
+        # from "1-0" lands on itself, the one to "0" on another contribution.
+        prereq = {
+            "name": "p", "description": "d", "justification": "j", "core_or_peripheral": "core",
+            "references_in_paper": [
+                {"type": "internal", "contribution_key": "1", "justification": "itself"},
+                {"type": "internal", "contribution_key": "0", "justification": "the first"},
+            ],
+        }
+        backend = QueueBackend([
+            stage2,
+            echo_json({"contributions": [stage3_entry("0", "first")]}),
+            echo_json({"contributions": [stage3_entry("1-0", "second a", [prereq]),
+                                         stage3_entry("1-1", "second b")]}),
+        ])
+        pipeline, graph = make_pipeline(backend)
+        record, delta = pipeline.run_paper(PaperInput("31", "t", 2020, "text"))
+        part = record.contributions[1]
+        assert (part.id, part.split_from) == ("31.c1", "1")
+        assert [r.contribution_id for r in part.prerequisites[0].references] == ["31.c0"]
+        assert delta.edges_added == 1
+        assert [(e.pre_id, e.dep_id) for e in graph.edges] == [("31.c0", "31.c1")]
 
     def test_failed_stage_marks_paper_failed_and_adds_nothing(self):
         stage2 = echo_json({"contributions": [{
@@ -619,7 +671,7 @@ class TestRunPaper:
         ]})
         backend = QueueBackend([stage2, stage3, match, match])
         pipeline = Pipeline(
-            backend, graph, PipelineConfig(), records_path=tmp_path / "records.jsonl"
+            backend, graph, records_path=tmp_path / "records.jsonl"
         )
         _, delta = pipeline.run_paper(PaperInput("200", "cited", 2019, "text"))
         assert len(backend.prompts) == 4 and backend.prompts[2] == backend.prompts[3]
@@ -739,7 +791,7 @@ class TestCorpusReplay:
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
         pipeline = Pipeline(
-            backend or MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            backend or MockBackend(corpus.mock_dir), graph,
             records_path=out_dir / "records.jsonl",
         )
         for paper in cf.paper_inputs(corpus):
@@ -778,7 +830,7 @@ class TestCorpusReplay:
         cf.register_catalog(graph, corpus)
         backend = ProbeBackend(corpus.mock_dir)
         pipeline = Pipeline(
-            backend, graph, PipelineConfig(),
+            backend, graph,
             records_path=tmp_path / "par" / "records.jsonl",
         )
         results = pipeline.run_batch(cf.paper_inputs(corpus), parallel=4)
@@ -811,7 +863,7 @@ class TestCorpusReplay:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
         try:
-            results = Pipeline(backend, graph, PipelineConfig()).run_batch(
+            results = Pipeline(backend, graph).run_batch(
                 cf.paper_inputs(corpus), parallel=4
             )
         finally:
@@ -827,7 +879,7 @@ class TestCorpusReplay:
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
         backend = MockBackend(corpus.mock_dir)
-        pipeline = Pipeline(backend, graph, PipelineConfig())
+        pipeline = Pipeline(backend, graph)
         oracle = cf.expected_backend_calls()
         for paper in cf.paper_inputs(corpus):
             before = backend.usage.calls
@@ -900,7 +952,7 @@ def test_mock_backend_replays_stored_response(tmp_path):
 def test_duplicate_extraction_rejected(corpus):
     graph = ContributionGraph()
     cf.register_catalog(graph, corpus)
-    pipeline = Pipeline(MockBackend(corpus.mock_dir), graph, PipelineConfig())
+    pipeline = Pipeline(MockBackend(corpus.mock_dir), graph)
     papers = cf.paper_inputs(corpus)
     pipeline.run_paper(papers[0])
     from contribgraph.errors import DuplicatePaperError
@@ -948,7 +1000,7 @@ class TestLogReplay:
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
         pipeline = Pipeline(
-            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            MockBackend(corpus.mock_dir), graph,
             records_path=tmp_path / "records.jsonl",
         )
         monkeypatch.setattr(jsonl, "append_jsonl", crashing_append)
@@ -961,7 +1013,7 @@ class TestLogReplay:
         graph = ContributionGraph.load(tmp_path)
         cf.register_catalog(graph, corpus)
         pipeline = Pipeline(
-            MockBackend(corpus.mock_dir), graph, PipelineConfig(),
+            MockBackend(corpus.mock_dir), graph,
             records_path=tmp_path / "records.jsonl",
         )
         for paper in papers:

@@ -14,7 +14,7 @@ from contribgraph.records import (
     parse_reference,
 )
 
-from conftest import GOLDEN_RECORDS
+from conftest import GOLDEN_RECORDS, MISSHAPEN_RECORDS
 
 
 def minimal_record(**overrides):
@@ -348,6 +348,20 @@ RULES = {
         lambda: with_prerequisites(prerequisite({"type": "internal", "contribution_id": "42.c9"})),
         [f"{WHERE}: internal reference to unknown id '42.c9'"],
     ),
+    "internal_to_itself": (
+        lambda: with_prerequisites(prerequisite({"type": "internal", "contribution_id": "42.c0"})),
+        [f"{WHERE}: internal reference to itself"],
+    ),
+    "sections_not_a_list": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   sections="Section 1")]),
+        ["contribution 42.c0: sections must be a list, got 'Section 1'"],
+    ),
+    # The shape rule, at each of the five levels.
+    **{
+        name: (lambda raw=raw: raw, [problem])
+        for name, (raw, problem) in MISSHAPEN_RECORDS.items()
+    },
     # Record header first, then each contribution in order: its id, its
     # own fields, its prerequisites with their references and matches;
     # internal reference targets last, once every id is known.
