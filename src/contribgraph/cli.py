@@ -355,7 +355,10 @@ def cmd_eval(args, config) -> int:
     tag = args.backend_tag or (submissions[0].backend if submissions else "")
     if tag not in cutoffs:
         raise CliError(f"no knowledge cutoff for backend tag {tag!r} in {args.cutoffs}")
-    report = evaluation.score_run(problems, submissions, cutoffs[tag])
+    try:
+        report = evaluation.score_run(problems, submissions, cutoffs[tag])
+    except ValueError as exc:  # problems and submissions that do not fit together
+        raise CliError(f"{args.submissions}: {exc}") from None
     evaluation.write_report(out_path, report)
     if args.csv:
         evaluation.append_results_csv(args.csv, report)

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
-from .errors import StageFailure
+from .errors import ContribGraphError, StageFailure
 from .model import Problem
 from .prompts import RANKING_TEMPLATE, load_template, render
 
@@ -77,8 +77,16 @@ class ModelCutoff:
 
 
 def load_cutoffs(path: str | Path) -> dict[str, ModelCutoff]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {tag: ModelCutoff.parse(tag, value) for tag, value in raw.items()}
+    """A JSON object of backend tag to cutoff, "YYYY[-MM]" or
+    {"year", "month"}; anything else raises ContribGraphError naming
+    ``path``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if type(raw) is not dict:
+            raise TypeError(f"want a JSON object, got {type(raw).__name__}")
+        return {tag: ModelCutoff.parse(tag, value) for tag, value in raw.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContribGraphError(f"{path}: bad cutoffs ({exc})") from None
 
 
 def split_by_cutoff(
@@ -258,7 +266,7 @@ def score_run(
 
 
 def read_problems(path: str | Path) -> list[Problem]:
-    return [Problem.from_json(row) for row in jsonl.read_jsonl(path)]
+    return list(jsonl.read_rows(path, Problem.from_json))
 
 
 def write_submissions(path: str | Path, submissions: Iterable[RankingSubmission]) -> None:
@@ -266,7 +274,7 @@ def write_submissions(path: str | Path, submissions: Iterable[RankingSubmission]
 
 
 def read_submissions(path: str | Path) -> list[RankingSubmission]:
-    return [RankingSubmission.from_json(row) for row in jsonl.read_jsonl(path)]
+    return list(jsonl.read_rows(path, RankingSubmission.from_json))
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:

@@ -10,11 +10,12 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from . import jsonl
 from .graph import ContributionGraph, normalize_title
 from .model import PaperMeta, PaperRef, PartialDate
+from .records import parse_paper
 
 logger = logging.getLogger(__name__)
 
@@ -27,18 +28,27 @@ class CatalogEntry:
     first_author_last: str = ""
     open_access: bool = False
     text_path: str = ""
-    date: Optional[str] = None
+    date: Optional[PartialDate] = None
     venue: Optional[str] = None
+
+    @classmethod
+    def from_row(cls, row: dict[str, Any]) -> "CatalogEntry":
+        """A catalog row, its metadata checked by ``records.parse_paper``."""
+        meta = parse_paper(row)
+        return cls(
+            corpus_id=meta.corpus_id,
+            title=meta.title,
+            year=meta.year,
+            first_author_last=row.get("first_author_last", ""),
+            open_access=bool(row.get("open_access", False)),
+            text_path=row.get("text_path", ""),
+            date=meta.date,
+            venue=meta.venue,
+        )
 
     def paper_meta(self) -> PaperMeta:
         """Catalog metadata as the store registers it."""
-        return PaperMeta(
-            corpus_id=self.corpus_id,
-            title=self.title,
-            year=self.year,
-            date=PartialDate.parse(self.date) if self.date else None,
-            venue=self.venue,
-        )
+        return PaperMeta(self.corpus_id, self.title, self.year, self.date, self.venue)
 
 
 class Catalog:
@@ -52,21 +62,9 @@ class Catalog:
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
-        entries = []
-        for row in jsonl.read_jsonl(path):
-            entries.append(
-                CatalogEntry(
-                    corpus_id=str(row["corpus_id"]),
-                    title=row.get("title", ""),
-                    year=row.get("year"),
-                    first_author_last=row.get("first_author_last", ""),
-                    open_access=bool(row.get("open_access", False)),
-                    text_path=row.get("text_path", ""),
-                    date=row.get("date"),
-                    venue=row.get("venue"),
-                )
-            )
-        return cls(entries)
+        """A row that fails ``CatalogEntry.from_row`` raises
+        MalformedLineError naming ``path:line``."""
+        return cls(list(jsonl.read_rows(path, CatalogEntry.from_row)))
 
 
 def resolve_reference(ref: PaperRef, catalog: Catalog) -> Optional[str]:

@@ -6,9 +6,13 @@ a rejected record leaves the store byte-identical and readers never
 observe a partially applied record.
 
 The append-only log (records.jsonl, plus alignments.jsonl for late
-alignments) is the one source of truth on disk: ``add_paper_record``
-derives every edge from it, and a paper is extracted when it holds the
-paper's record. nodes/edges/papers.jsonl are written views.
+alignments) is the one source of truth on disk and the only way into
+the graph: ``add_paper_record`` is the one method that adds nodes or
+edges, deriving every edge from a record and its late alignments, and a
+paper is extracted when the log holds the paper's record. A record
+passes ``records.parse_record`` before it is applied, so ``validate``
+checks only what the log does not guarantee. nodes/edges/papers.jsonl
+are written views.
 
 Unresolved references are indexed by cited paper, so applying a record
 reads only the references that cite it, and replaying the log on load,
@@ -38,9 +42,6 @@ from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
 from .model import (
     CONTRIBUTION_CATEGORIES,
-    CORE_OR_PERIPHERAL,
-    MATCH_TYPES,
-    ArtifactRef,
     Contribution,
     Edge,
     ExtractionRecord,
@@ -48,7 +49,6 @@ from .model import (
     Match,
     PaperMeta,
     PaperRef,
-    split_contribution_id,
 )
 
 logger = logging.getLogger(__name__)
@@ -224,8 +224,10 @@ class ContributionGraph:
                 self.nodes[contribution.id] = contribution
                 self._incoming.setdefault(contribution.id, [])
                 self._outgoing.setdefault(contribution.id, [])
-            for edge in new_edges:
-                self._append_edge(edge)
+            for index, edge in enumerate(new_edges, len(self.edges)):
+                self._incoming.setdefault(edge.dep_id, []).append(index)
+                self._outgoing.setdefault(edge.pre_id, []).append(index)
+            self.edges.extend(new_edges)
             self._unresolved.pop(record.corpus_id, None)
             for entry in new_unresolved:
                 self._unresolved.setdefault(entry.ref.corpus_id, []).append(entry)
@@ -237,12 +239,6 @@ class ContributionGraph:
                 unresolved_added=len(new_unresolved),
             )
 
-    def _append_edge(self, edge: Edge) -> None:
-        index = len(self.edges)
-        self.edges.append(edge)
-        self._incoming.setdefault(edge.dep_id, []).append(index)
-        self._outgoing.setdefault(edge.pre_id, []).append(index)
-
     def extracted_meta(self, record: ExtractionRecord) -> PaperMeta:
         """The paper's metadata as applying ``record`` leaves it."""
         with self._lock:
@@ -250,13 +246,6 @@ class ContributionGraph:
             meta.title = record.title or meta.title
             meta.year = record.year if record.year is not None else meta.year
             return meta
-
-    def add_edge(self, edge: Edge) -> None:
-        """Insert a single edge outside the log; builds graphs directly, for tests."""
-        with self._lock:
-            if edge.pre_id not in self.nodes or edge.dep_id not in self.nodes:
-                raise UnknownIdError(f"edge endpoints {edge.pre_id}->{edge.dep_id} not in store")
-            self._append_edge(edge)
 
     def register_paper(self, meta: PaperMeta) -> None:
         """Add or enrich catalog metadata without extracting."""
@@ -349,74 +338,28 @@ class ContributionGraph:
     # ------------------------------------------------------------------
 
     def validate(self, include_warnings: bool = False) -> list[Violation]:
-        """Check every store invariant; violations are data, not failures."""
+        """Check what the log does not guarantee: edge endpoints, the
+        adjacency and unresolved indexes, and, as warnings, off-vocabulary
+        categories. Record rules are enforced when a record enters the
+        store (``records.parse_record``). Violations are data, not
+        failures."""
         with self._lock:
             out: list[Violation] = []
-
-            for corpus_id in self.papers:
-                if not corpus_id:
-                    out.append(Violation("paper.corpus_id", corpus_id, "empty corpus_id"))
-
-            for cid, node in self.nodes.items():
-                try:
-                    corpus, _ = split_contribution_id(cid)
-                except ValueError:
-                    out.append(Violation("contribution.id", cid, "malformed id"))
-                    continue
-                if corpus not in self.papers:
-                    out.append(Violation("contribution.id", cid, f"unknown corpus {corpus!r}"))
-                if not node.name:
-                    out.append(Violation("contribution.name", cid, "empty name"))
-                if not node.description:
-                    out.append(Violation("contribution.description", cid, "empty description"))
-                if include_warnings:
+            if include_warnings:
+                for cid, node in self.nodes.items():
                     for t in node.types:
                         if t.category not in CONTRIBUTION_CATEGORIES:
+                            message = f"off-vocabulary category {t.category!r}"
                             out.append(
-                                Violation(
-                                    "contribution.category",
-                                    cid,
-                                    f"off-vocabulary category {t.category!r}",
-                                    severity="warning",
-                                )
-                            )
-                for prereq in node.prerequisites:
-                    if prereq.core_or_peripheral not in CORE_OR_PERIPHERAL:
-                        out.append(
-                            Violation(
-                                "prerequisite.core_or_peripheral",
-                                cid,
-                                f"bad value {prereq.core_or_peripheral!r}",
-                            )
-                        )
-                    for ref in prereq.references:
-                        if isinstance(ref, InternalRef) and ref.contribution_id in self.nodes:
-                            target_corpus = self.nodes[ref.contribution_id].corpus_id
-                            if target_corpus != node.corpus_id:
-                                out.append(
-                                    Violation(
-                                        "reference.internal_same_paper",
-                                        cid,
-                                        f"internal reference crosses into corpus {target_corpus!r}",
-                                    )
-                                )
-                        if isinstance(ref, ArtifactRef) and not ref.url:
-                            out.append(
-                                Violation("reference.artifact_url", cid, "empty artifact url")
+                                Violation("contribution.category", cid, message, "warning")
                             )
 
             for edge in self.edges:
                 ident = f"{edge.pre_id}->{edge.dep_id}"
-                if edge.pre_id == edge.dep_id:
-                    out.append(Violation("edge.self_loop", ident, "pre_id equals dep_id"))
                 if edge.pre_id not in self.nodes:
                     out.append(Violation("edge.endpoints", ident, "pre_id not in store"))
                 if edge.dep_id not in self.nodes:
                     out.append(Violation("edge.endpoints", ident, "dep_id not in store"))
-                if edge.match_type not in MATCH_TYPES:
-                    out.append(
-                        Violation("edge.match_type", ident, f"bad value {edge.match_type!r}")
-                    )
 
             expected_in: dict[str, list[int]] = {cid: [] for cid in self.nodes}
             expected_out: dict[str, list[int]] = {cid: [] for cid in self.nodes}
@@ -514,8 +457,8 @@ class ContributionGraph:
                     graph.add_paper_record(raw, late_for_paper)
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
-                for raw in jsonl.read_jsonl(papers_path):
-                    graph.register_paper(PaperMeta.from_json(raw))
+                for meta in jsonl.read_rows(papers_path, recmod.parse_paper):
+                    graph.register_paper(meta)
         return graph
 
     def graph_hash(self) -> str:

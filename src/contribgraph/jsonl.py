@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedLineError
+
+T = TypeVar("T")
 
 
 def dump_line(obj: dict[str, Any]) -> str:
@@ -44,6 +46,13 @@ def append_jsonl(path: str | Path, *records: dict[str, Any]) -> None:
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     """One object per non-blank line; a line that is not a UTF-8 JSON
     object raises MalformedLineError naming ``path:line``."""
+    return read_rows(path, lambda row: row)
+
+
+def read_rows(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """``parse`` of each object ``read_jsonl`` reads; a row that ``parse``
+    rejects with KeyError, TypeError or ValueError raises
+    MalformedLineError naming ``path:line`` too."""
     with Path(path).open("rb") as f:
         for number, raw in enumerate(f, 1):
             try:
@@ -55,4 +64,10 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 raise MalformedLineError(f"{path}:{number}: {exc}") from None
             if type(obj) is not dict:
                 raise MalformedLineError(f"{path}:{number}: not a JSON object: {line[:80]}")
-            yield obj
+            try:
+                row = parse(obj)
+            except KeyError as exc:
+                raise MalformedLineError(f"{path}:{number}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise MalformedLineError(f"{path}:{number}: {exc}") from None
+            yield row

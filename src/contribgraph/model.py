@@ -56,12 +56,12 @@ class PartialDate:
     @classmethod
     def parse(cls, text: str) -> "PartialDate":
         parts = str(text).split("-")
-        if not 1 <= len(parts) <= 3:
-            raise ValueError(f"bad date {text!r}")
-        year = int(parts[0])
-        month = int(parts[1]) if len(parts) > 1 else None
-        day = int(parts[2]) if len(parts) > 2 else None
-        return cls(year, month, day)
+        try:
+            if 1 <= len(parts) <= 3:
+                return cls(*map(int, parts))
+        except ValueError:
+            pass
+        raise ValueError(f"bad date {text!r}")
 
 
 @dataclass
@@ -83,17 +83,6 @@ class PaperMeta:
         if self.venue is not None:
             out["venue"] = self.venue
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "PaperMeta":
-        date = obj.get("date")
-        return cls(
-            corpus_id=str(obj["corpus_id"]),
-            title=obj.get("title", ""),
-            year=obj.get("year"),
-            date=PartialDate.parse(date) if date else None,
-            venue=obj.get("venue"),
-        )
 
 
 @dataclass

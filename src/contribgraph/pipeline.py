@@ -127,7 +127,7 @@ class Pipeline:
             """Record rules, plus at least one type and one section each."""
             problems: list[str] = []
             out: list[Contribution] = []
-            for i, raw in enumerate(objects(entries, "answer", "contributions", problems)):
+            for i, raw in objects(entries, "answer", "contributions", problems):
                 cid = make_contribution_id(paper.corpus_id, i)
                 # Stage 3 extracts the prerequisites.
                 contribution = parse_contribution(
@@ -194,7 +194,7 @@ class Pipeline:
             non-empty; a paper reference has a title or corpus_id; an
             internal reference names a known key other than its own."""
             problems: list[str] = []
-            entries = objects(entries, "answer", "contributions", problems)
+            entries = [e for _, e in objects(entries, "answer", "contributions", problems)]
             if not entries:
                 problems.append(f"output must carry the input contribution (key {input_key!r})")
                 return [], problems
@@ -433,10 +433,6 @@ class Pipeline:
             )
             jsonl.append_jsonl(self.records_path, record.to_json())
         return record, delta
-
-    def run_paper(self, paper: PaperInput) -> tuple[ExtractionRecord, GraphDelta]:
-        record = self.stage_paper(paper)
-        return self.finalize_paper(record, self.align_batch([record]))
 
     def run_batch(
         self, papers: Sequence[PaperInput], parallel: int = 1

@@ -1,7 +1,8 @@
-"""Extraction-record parsing: one walk from a raw dict to the model.
+"""Input parsing: one walk from a raw dict to the model, and the only
+home of the record rules.
 
 This is the one module that knows the shape and the spellings of a
-record or a model answer. The generation prompts ask for
+record, a model answer or a paper row. The generation prompts ask for
 ``contribution_type``/``justification``/``references_in_paper``/
 ``contribution_key`` (and ``year``/``venue`` inside paper references);
 the released record files use ``types``/``explanation``/``references``/
@@ -14,13 +15,19 @@ Each parser checks its input while it builds the ``model`` object,
 appending every problem to the caller's list with a ``where`` prefix;
 the object is valid only when no problem was added. That includes the
 shape rule, at every level: a list field that is not a list, or an
-entry of it that is not an object, is a problem, never an exception.
-The extraction pipeline parses stage outputs with these parsers, so
-they pass the rules of ingested records, and adds only its stage rules.
+entry of it that is not an object, is a problem, never an exception,
+and every entry is named by its position in the raw list. The
+extraction pipeline parses stage outputs with these parsers, so they
+pass the rules of ingested records, and adds only its stage rules.
+
+A record enters the store only through ``parse_record`` (the graph
+parses a dict, the pipeline builds its record from parsed stage
+answers), so ``ContributionGraph.validate`` does not check these rules
+again. Catalog and papers.jsonl rows enter through ``parse_paper``.
 """
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import RecordValidationError
 from .model import (
@@ -32,7 +39,9 @@ from .model import (
     ExtractionRecord,
     InternalRef,
     Match,
+    PaperMeta,
     PaperRef,
+    PartialDate,
     Prerequisite,
     Reference,
     make_contribution_id,
@@ -54,10 +63,12 @@ def _first(obj: dict[str, Any], key: str, alias: str, default: Any = None) -> An
     return value
 
 
-def objects(value: Any, where: str, field: str, problems: list[str]) -> list[dict[str, Any]]:
-    """The entries of list field ``field`` that are objects; null reads as
-    empty. A value that is not a list, and each entry that is not an
-    object, is a problem."""
+def objects(
+    value: Any, where: str, field: str, problems: list[str]
+) -> Iterable[tuple[int, dict[str, Any]]]:
+    """The entries of list field ``field`` that are objects, each with its
+    position in the list; null reads as empty. A value that is not a
+    list, and each entry that is not an object, is a problem."""
     if type(value) is list:
         for entry in value:
             if type(entry) is not dict:
@@ -66,11 +77,11 @@ def objects(value: Any, where: str, field: str, problems: list[str]) -> list[dic
                     for e in value
                     if type(e) is not dict
                 )
-                return [e for e in value if type(e) is dict]
-        return value
+                return [(i, e) for i, e in enumerate(value) if type(e) is dict]
+        return enumerate(value)
     if value is not None:
         problems.append(f"{where}: {field} must be a list, got {value!r}")
-    return []
+    return ()
 
 
 def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
@@ -90,7 +101,7 @@ def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
 
 def parse_matches(value: Any, where: str, problems: list[str]) -> list[Match]:
     """A list of matches in either spelling."""
-    return [_parse_match(m, where, problems) for m in objects(value, where, "matches", problems)]
+    return [_parse_match(m, where, problems) for _, m in objects(value, where, "matches", problems)]
 
 
 def parse_reference(
@@ -146,7 +157,7 @@ def _parse_prerequisite(
         core_or_peripheral=core_or_peripheral,
         references=[
             parse_reference(r, where, problems, omit)
-            for r in objects(
+            for _, r in objects(
                 _first(raw, "references", "references_in_paper"), where, "references", problems
             )
         ],
@@ -177,7 +188,7 @@ def parse_contribution(
             ContributionType(
                 t.get("type", ""), _first(t, "explanation", "justification", default="")
             )
-            for t in objects(_first(raw, "types", "contribution_type"), where, "types", problems)
+            for _, t in objects(_first(raw, "types", "contribution_type"), where, "types", problems)
         ],
         sections=list(sections),
         split_from=_opt_str(raw.get("split_from")),
@@ -190,7 +201,7 @@ def parse_contribution(
         prerequisites = objects(raw.get("prerequisites"), where, "prerequisites", problems)
         contribution.prerequisites = [
             _parse_prerequisite(p, f"{where}, prerequisite {p_idx}", problems, omit)
-            for p_idx, p in enumerate(prerequisites)
+            for p_idx, p in prerequisites
         ]
     return contribution
 
@@ -220,6 +231,26 @@ def parse_alignment(obj: Any, where: str) -> tuple[str, int, int, PaperRef]:
     return owner, row["prereq_index"], row["ref_index"], ref
 
 
+def parse_paper(row: dict[str, Any]) -> PaperMeta:
+    """A catalog or papers.jsonl row's metadata. Raises ValueError when
+    the row's corpus_id is missing or empty, its year is not an integer
+    or its date is malformed; ``jsonl.read_rows`` names the line."""
+    corpus_id = _opt_str(row.get("corpus_id"))
+    if not corpus_id:
+        raise ValueError("corpus_id missing or empty")
+    year = row.get("year")
+    if year is not None and not isinstance(year, int):
+        raise ValueError(f"year must be an integer, got {year!r}")
+    date = row.get("date")
+    return PaperMeta(
+        corpus_id=corpus_id,
+        title=row.get("title", ""),
+        year=year,
+        date=PartialDate.parse(date) if date else None,
+        venue=row.get("venue"),
+    )
+
+
 def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     """Check a whole extraction record while building its ExtractionRecord.
 
@@ -236,8 +267,9 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
         problems.append(f"record: year must be an integer, got {year!r}")
 
     contributions: list[Contribution] = []
+    sources: list[tuple[str, dict[str, Any]]] = []  # each contribution's where and raw form
     seen_ids: set[str] = set()
-    for i, c in enumerate(objects(raw.get("contributions"), "record", "contributions", problems)):
+    for i, c in objects(raw.get("contributions"), "record", "contributions", problems):
         cid = _opt_str(c.get("contribution_id"))
         if cid is None:
             cid = make_contribution_id(corpus_id, i)
@@ -255,17 +287,18 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
             problems.append(f"{where}: duplicate contribution_id")
         seen_ids.add(cid)
         contributions.append(parse_contribution(c, cid, where, problems))
+        sources.append((where, c))
 
     # Internal references must land on another contribution of this same record.
-    for i, c in enumerate(contributions):
-        for p_idx, p in enumerate(c.prerequisites):
+    for (where, raw_c), c in zip(sources, contributions):
+        for k, p in enumerate(c.prerequisites):
             for ref in p.references:
                 target = ref.contribution_id if isinstance(ref, InternalRef) else None
                 if target and (target == c.id or target not in seen_ids):
                     to = "itself" if target == c.id else f"unknown id {target!r}"
-                    problems.append(
-                        f"contribution {c.id or i}, prerequisite {p_idx}: internal reference to {to}"
-                    )
+                    # Name the prerequisite by its raw position, past any non-object entry.
+                    p_idx = [i for i, _ in objects(raw_c["prerequisites"], where, "", [])][k]
+                    problems.append(f"{where}, prerequisite {p_idx}: internal reference to {to}")
     if problems:
         raise RecordValidationError(problems)
     return ExtractionRecord(

@@ -11,7 +11,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 import corpus_fixture
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl, write_jsonl
-from contribgraph.model import Edge
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_RECORDS = DATA_DIR / "golden_records.jsonl"
@@ -70,18 +69,29 @@ def load_golden_raw() -> list[dict]:
     return list(read_jsonl(GOLDEN_RECORDS))
 
 
+def citation(pre_id: str, match_type: str = "strong", explanation: str = "") -> dict:
+    """A prerequisite whose one paper reference cites the paper of ``pre_id``
+    and matches ``pre_id``: an edge from ``pre_id`` once both papers are in."""
+    corpus_id = pre_id.rpartition(".c")[0]
+    match = {"contribution_id": pre_id, "explanation": explanation, "match_type": match_type}
+    reference = {"type": "paper", "paper_title": f"Paper {corpus_id}", "corpus_id": corpus_id,
+                 "matches": [match]}
+    return {"name": f"needs {pre_id}", "description": "d", "core_or_peripheral": "core",
+            "references": [reference]}
+
+
 def build_synthetic_graph(
     n_papers: int = 160, seed: int = 20240901, min_contribs: int = 2, max_contribs: int = 4
 ) -> ContributionGraph:
     """Programmatic many-paper graph for task-generation tests.
 
     Papers spread over 2015-2025 with contributions and random
-    backward citations (strong or weak), dense enough that problems
-    can fill 100 candidates.
+    backward citations (strong or weak), each one prerequisite, dense
+    enough that problems can fill 100 candidates.
     """
     rng = random.Random(seed)
     graph = ContributionGraph()
-    all_ids: list[tuple[str, int]] = []  # (contribution id, year)
+    all_ids: list[str] = []
     for i in range(n_papers):
         corpus_id = f"9{i:06d}"
         year = 2015 + (i * 11) // n_papers
@@ -102,6 +112,14 @@ def build_synthetic_graph(
                     "prerequisites": [],
                 }
             )
+        # Backward citations from this paper's contributions to earlier ones.
+        if all_ids:
+            for contribution in contributions:
+                contribution["prerequisites"] = [
+                    citation(rng.choice(all_ids), rng.choice(["strong", "weak"]),
+                             "synthetic citation")
+                    for _ in range(rng.randint(0, 3))
+                ]
         graph.add_paper_record(
             {
                 "corpus_id": corpus_id,
@@ -110,22 +128,7 @@ def build_synthetic_graph(
                 "contributions": contributions,
             }
         )
-        new_ids = [(c["contribution_id"], year) for c in contributions]
-        # Backward citations from this paper's contributions to earlier ones.
-        if all_ids:
-            for cid, _ in new_ids:
-                for _ in range(rng.randint(0, 3)):
-                    pre, _ = rng.choice(all_ids)
-                    graph.add_edge(
-                        Edge(
-                            pre_id=pre,
-                            dep_id=cid,
-                            match_type=rng.choice(["strong", "weak"]),
-                            explanation="synthetic citation",
-                            prereq_index=0,
-                        )
-                    )
-        all_ids.extend(new_ids)
+        all_ids.extend(c["contribution_id"] for c in contributions)
     return graph
 
 

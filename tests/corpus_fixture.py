@@ -26,7 +26,6 @@ from contribgraph.embedding import MockEmbeddingProvider, build_index
 from contribgraph.frontier import Catalog
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import write_jsonl
-from contribgraph.model import PaperMeta, PartialDate
 from contribgraph.pipeline import PaperInput, Pipeline
 
 # Shared knobs for the end-to-end flow (builder and tests must agree).
@@ -1137,17 +1136,17 @@ def paper_inputs(paths: CorpusPaths) -> list[PaperInput]:
     return inputs
 
 
+def extract_each(pipeline: Pipeline, papers: list[PaperInput]) -> None:
+    """Extract the papers in order, one ``run_batch`` each, as one
+    ``extract`` per paper would; every paper must succeed."""
+    for paper in papers:
+        [(_, _, error)] = pipeline.run_batch([paper])
+        assert error is None, f"{paper.corpus_id}: {error!r}"
+
+
 def register_catalog(graph: ContributionGraph, paths: CorpusPaths) -> None:
     for entry in Catalog.load(paths.catalog_path).by_id.values():
-        graph.register_paper(
-            PaperMeta(
-                corpus_id=entry.corpus_id,
-                title=entry.title,
-                year=entry.year,
-                date=PartialDate.parse(entry.date) if entry.date else None,
-                venue=entry.venue,
-            )
-        )
+        graph.register_paper(entry.paper_meta())
 
 
 def extract_with_crash(paths: CorpusPaths, store: Path, save_after: int) -> ContributionGraph:
@@ -1164,7 +1163,7 @@ def extract_with_crash(paths: CorpusPaths, store: Path, save_after: int) -> Cont
     for i, paper in enumerate(paper_inputs(paths)):
         if i == save_after:
             graph.save(store, write_records=False)
-        pipeline.run_paper(paper)
+        extract_each(pipeline, [paper])
     return graph
 
 
@@ -1177,8 +1176,7 @@ def build_corpus(root: Path) -> CorpusPaths:
     graph = ContributionGraph()
     register_catalog(graph, paths)
     pipeline = Pipeline(backend, graph)
-    for paper in paper_inputs(paths):
-        pipeline.run_paper(paper)
+    extract_each(pipeline, paper_inputs(paths))
 
     index = build_index(graph, MockEmbeddingProvider(dim=EMBED_DIM))
     result = taskgen.generate_problems(

@@ -52,8 +52,7 @@ def test_pipeline_determinism(corpus, tmp_path):
             MockBackend(corpus.mock_dir), graph,
             records_path=out_dir / "records.jsonl",
         )
-        for paper in cf.paper_inputs(corpus):
-            pipeline.run_paper(paper)
+        cf.extract_each(pipeline, cf.paper_inputs(corpus))
         graph.save(out_dir, write_records=False)
         return graph
 

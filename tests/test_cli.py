@@ -407,6 +407,103 @@ def test_malformed_alignment_line_is_a_clean_failure(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+# Catalog and papers.jsonl rows that once ended in a traceback (a string
+# year, in frontier's title resolution) or, with an empty id, entered the
+# store; each with the problem named for it.
+BAD_PAPER_ROWS = {
+    "no_corpus_id": ({"title": "T", "year": 2020}, "corpus_id missing or empty"),
+    "empty_corpus_id": ({"corpus_id": "", "title": "T"}, "corpus_id missing or empty"),
+    "malformed_date": ({"corpus_id": "5", "date": "20x1"}, "bad date '20x1'"),
+    "year_not_integer": ({"corpus_id": "5", "year": "2018"}, "year must be an integer, got '2018'"),
+}
+
+
+@pytest.mark.parametrize("source", ["catalog", "papers.jsonl"])
+@pytest.mark.parametrize("name", sorted(BAD_PAPER_ROWS))
+def test_bad_paper_row_is_a_clean_failure(tmp_path, capsys, source, name):
+    store = tmp_path / "store"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    row, problem = BAD_PAPER_ROWS[name]
+    if source == "catalog":
+        catalog = tmp_path / "catalog.jsonl"
+        write_jsonl(catalog, [{"corpus_id": "4", "title": "fine"}, row])
+        flags, where = ["--catalog", catalog], "catalog.jsonl:2: "
+    else:
+        rows = [*read_jsonl(store / "papers.jsonl"), row]
+        write_jsonl(store / "papers.jsonl", rows)
+        flags, where = [], f"papers.jsonl:{len(rows)}: "
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    capsys.readouterr()
+    for command in ("ingest", "frontier"):
+        assert run(command, "--store", store, *flags) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where + problem in err, err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before, command
+
+
+def drop_key(path: Path, key: str) -> None:
+    rows = list(read_jsonl(path))
+    del rows[0][key]
+    write_jsonl(path, rows)
+
+
+def write_cutoff(directory: Path, value) -> None:
+    tag = next(read_jsonl(directory / "submissions.jsonl"))["backend"]
+    (directory / "cutoffs.json").write_text(json.dumps({tag: value}), encoding="utf-8")
+
+
+# Inputs of eval (and of rank, which reads the problems too) that once
+# ended in a traceback: how to break a good copy, and the problem named.
+BAD_EVAL_INPUTS = {
+    "problem_without_target": (
+        lambda d: drop_key(d / "problems.jsonl", "target"),
+        "problems.jsonl:1: missing field 'target'",
+    ),
+    "submission_without_problem_id": (
+        lambda d: drop_key(d / "submissions.jsonl", "problem_id"),
+        "submissions.jsonl:1: missing field 'problem_id'",
+    ),
+    "cutoffs_not_json": (
+        lambda d: (d / "cutoffs.json").write_text("june", encoding="utf-8"),
+        "cutoffs.json: bad cutoffs (Expecting value",
+    ),
+    "cutoff_not_a_date": (
+        lambda d: write_cutoff(d, "june"),
+        "cutoffs.json: bad cutoffs (invalid literal for int() with base 10: 'june')",
+    ),
+    "problem_without_submission": (
+        lambda d: write_jsonl(
+            d / "submissions.jsonl", list(read_jsonl(d / "submissions.jsonl"))[1:]
+        ),
+        "submissions.jsonl: submissions missing for problems",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EVAL_INPUTS))
+def test_bad_eval_input_is_a_clean_failure(e2e, corpus, tmp_path, capsys, name):
+    problems, submissions = tmp_path / "problems.jsonl", tmp_path / "submissions.jsonl"
+    cutoffs = tmp_path / "cutoffs.json"
+    for source, copy in ((e2e / problems.name, problems), (e2e / submissions.name, submissions),
+                         (corpus.cutoffs_path, cutoffs)):
+        copy.write_bytes(source.read_bytes())
+    break_input, problem = BAD_EVAL_INPUTS[name]
+    break_input(tmp_path)
+    commands = [["eval", "--problems", problems, "--submissions", submissions,
+                 "--cutoffs", cutoffs, "--out", tmp_path / "report.json"]]
+    if name == "problem_without_target":
+        commands.append(["rank", "--problems", problems, "--mock", corpus.mock_dir,
+                         "--out", tmp_path / "ranked.jsonl"])
+    capsys.readouterr()
+    for argv in commands:
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err, err
+        assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "ranked.jsonl").exists()
+
+
 class TestOffVocabularyCategory:
     """A stored label outside the vocabulary is kept verbatim and
     reported once, by `validate --warnings`, not on every load."""

@@ -553,10 +553,10 @@ class TestRunPaper:
         stage3 = echo_json({"contributions": [stage3_entry("0", "only thing")]})
         backend = QueueBackend([stage2, stage3])
         pipeline, graph = make_pipeline(backend)
-        record, delta = pipeline.run_paper(PaperInput("31", "t", 2020, "text"))
-        assert backend.usage.calls == 2
+        [(_, delta, error)] = pipeline.run_batch([PaperInput("31", "t", 2020, "text")])
+        assert error is None and backend.usage.calls == 2
         assert delta.nodes_added == 1 and delta.edges_added == 0
-        assert record.contributions[0].id == "31.c0"
+        assert [c.id for c in graph.contributions_of("31")] == ["31.c0"]
 
     def test_split_part_referencing_its_own_input_key_drops_that_reference(self):
         stage2 = echo_json({"contributions": [
@@ -580,8 +580,9 @@ class TestRunPaper:
                                          stage3_entry("1-1", "second b")]}),
         ])
         pipeline, graph = make_pipeline(backend)
-        record, delta = pipeline.run_paper(PaperInput("31", "t", 2020, "text"))
-        part = record.contributions[1]
+        [(_, delta, error)] = pipeline.run_batch([PaperInput("31", "t", 2020, "text")])
+        assert error is None
+        part = graph.contributions_of("31")[1]
         assert (part.id, part.split_from) == ("31.c1", "1")
         assert [r.contribution_id for r in part.prerequisites[0].references] == ["31.c0"]
         assert delta.edges_added == 1
@@ -596,8 +597,8 @@ class TestRunPaper:
         garbage = "no json here"
         backend = QueueBackend([stage2, garbage, garbage, garbage])
         pipeline, graph = make_pipeline(backend)
-        with pytest.raises(StageFailure):
-            pipeline.run_paper(PaperInput("31", "t", 2020, "text"))
+        [(_, delta, error)] = pipeline.run_batch([PaperInput("31", "t", 2020, "text")])
+        assert isinstance(error, StageFailure) and delta is None
         assert not graph.is_extracted("31")
         assert len(graph.nodes) == 0
         assert graph.edges == []
@@ -673,7 +674,8 @@ class TestRunPaper:
         pipeline = Pipeline(
             backend, graph, records_path=tmp_path / "records.jsonl"
         )
-        _, delta = pipeline.run_paper(PaperInput("200", "cited", 2019, "text"))
+        [(_, delta, error)] = pipeline.run_batch([PaperInput("200", "cited", 2019, "text")])
+        assert error is None
         assert len(backend.prompts) == 4 and backend.prompts[2] == backend.prompts[3]
         assert delta.edges_added == 2
         logged = list(read_jsonl(tmp_path / "alignments.jsonl"))
@@ -794,8 +796,7 @@ class TestCorpusReplay:
             backend or MockBackend(corpus.mock_dir), graph,
             records_path=out_dir / "records.jsonl",
         )
-        for paper in cf.paper_inputs(corpus):
-            pipeline.run_paper(paper)
+        cf.extract_each(pipeline, cf.paper_inputs(corpus))
         graph.save(out_dir, write_records=False)
         return graph, pipeline
 
@@ -883,7 +884,7 @@ class TestCorpusReplay:
         oracle = cf.expected_backend_calls()
         for paper in cf.paper_inputs(corpus):
             before = backend.usage.calls
-            pipeline.run_paper(paper)
+            cf.extract_each(pipeline, [paper])
             assert backend.usage.calls - before == oracle[paper.corpus_id]["total"], (
                 f"call count mismatch for {paper.corpus_id}"
             )
@@ -954,11 +955,9 @@ def test_duplicate_extraction_rejected(corpus):
     cf.register_catalog(graph, corpus)
     pipeline = Pipeline(MockBackend(corpus.mock_dir), graph)
     papers = cf.paper_inputs(corpus)
-    pipeline.run_paper(papers[0])
-    from contribgraph.errors import DuplicatePaperError
-
-    with pytest.raises(DuplicatePaperError):
-        pipeline.run_paper(papers[0])
+    cf.extract_each(pipeline, papers[:1])
+    [(_, delta, error)] = pipeline.run_batch(papers[:1])
+    assert isinstance(error, DuplicatePaperError) and delta is None
 
 
 class TestLogReplay:
@@ -1004,9 +1003,11 @@ class TestLogReplay:
             records_path=tmp_path / "records.jsonl",
         )
         monkeypatch.setattr(jsonl, "append_jsonl", crashing_append)
-        with pytest.raises(Crash):
-            for paper in papers:
-                pipeline.run_paper(paper)
+        for paper in papers:
+            [(_, _, error)] = pipeline.run_batch([paper])
+            if error is not None:
+                break
+        assert isinstance(error, Crash)
         monkeypatch.undo()
 
         # Reload, and extract again whatever the log does not hold.
@@ -1016,9 +1017,7 @@ class TestLogReplay:
             MockBackend(corpus.mock_dir), graph,
             records_path=tmp_path / "records.jsonl",
         )
-        for paper in papers:
-            if not graph.is_extracted(paper.corpus_id):
-                pipeline.run_paper(paper)
+        cf.extract_each(pipeline, [p for p in papers if not graph.is_extracted(p.corpus_id)])
         assert self.edge_tuples(graph) == cf.EXPECTED_EDGES
 
         loaded = ContributionGraph.load(tmp_path)

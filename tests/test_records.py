@@ -357,6 +357,23 @@ RULES = {
                                                    sections="Section 1")]),
         ["contribution 42.c0: sections must be a list, got 'Section 1'"],
     ),
+    # An entry after a non-object one is named by its own position.
+    "contribution_after_a_non_object": (
+        lambda: {"corpus_id": "42", "contributions": [
+            "x", {"contribution_id": "42.c1", "name": "n", "description": "d"}]},
+        ["record: contributions must hold objects, got 'x'"],
+    ),
+    "prerequisite_after_a_non_object": (
+        lambda: with_prerequisites(
+            None,
+            prerequisite(core_or_peripheral="sometimes"),
+            prerequisite({"type": "internal", "contribution_id": "42.c0"}),
+        ),
+        ["contribution 42.c0: prerequisites must hold objects, got None",
+         "contribution 42.c0, prerequisite 1: core_or_peripheral must be core or peripheral,"
+         " got 'sometimes'",
+         "contribution 42.c0, prerequisite 2: internal reference to itself"],
+    ),
     # The shape rule, at each of the five levels.
     **{
         name: (lambda raw=raw: raw, [problem])

@@ -6,17 +6,23 @@ import pytest
 
 from contribgraph.errors import UnknownIdError
 from contribgraph.graph import ContributionGraph
-from contribgraph.model import Edge
 from contribgraph.roadmap import export_dot, export_json, impact_tree, precursor_tree
 
 from conftest import DATA_DIR
 from oracles import bfs_levels
 
 
-def random_dag(n_nodes=50, seed=0, edge_prob=0.08) -> ContributionGraph:
-    """All nodes in one synthetic paper; edges always point from lower
-    to higher index, so the graph is acyclic by construction."""
-    rng = random.Random(seed)
+def dag(n_nodes: int, edges=()) -> ContributionGraph:
+    """All nodes in one synthetic paper; each (pre, dep) index pair in
+    ``edges`` is an internal reference of dag.c<dep> to dag.c<pre>, which
+    makes the edge."""
+    prerequisites: dict[int, list] = {i: [] for i in range(n_nodes)}
+    for pre, dep in edges:
+        reference = {"type": "internal", "contribution_id": f"dag.c{pre}"}
+        prerequisites[dep].append(
+            {"name": f"node {pre}", "description": "d", "core_or_peripheral": "core",
+             "references": [reference]}
+        )
     graph = ContributionGraph()
     graph.add_paper_record(
         {
@@ -24,26 +30,25 @@ def random_dag(n_nodes=50, seed=0, edge_prob=0.08) -> ContributionGraph:
             "title": "synthetic dag",
             "year": 2020,
             "contributions": [
-                {
-                    "contribution_id": f"dag.c{i}",
-                    "name": f"node {i}",
-                    "description": "d",
-                    "types": [],
-                    "sections": [],
-                    "prerequisites": [],
-                }
+                {"contribution_id": f"dag.c{i}", "name": f"node {i}", "description": "d",
+                 "prerequisites": prerequisites[i]}
                 for i in range(n_nodes)
             ],
         }
     )
-    for pre in range(n_nodes):
-        for dep in range(pre + 1, n_nodes):
-            if rng.random() < edge_prob:
-                graph.add_edge(
-                    Edge(f"dag.c{pre}", f"dag.c{dep}",
-                         rng.choice(["strong", "weak"]), "", 0)
-                )
     return graph
+
+
+def random_dag(n_nodes=50, seed=0, edge_prob=0.08) -> ContributionGraph:
+    """Edges always point from lower to higher index, so the graph is
+    acyclic by construction."""
+    rng = random.Random(seed)
+    return dag(n_nodes, [
+        (pre, dep)
+        for pre in range(n_nodes)
+        for dep in range(pre + 1, n_nodes)
+        if rng.random() < edge_prob
+    ])
 
 
 def tree_nodes(tree):
@@ -104,10 +109,8 @@ class TestPrecursorTree:
             assert got == want
 
     def test_cycle_safety(self):
-        graph = random_dag(n_nodes=3, seed=0, edge_prob=0.0)
-        graph.add_edge(Edge("dag.c0", "dag.c1", "strong", "", 0))
-        graph.add_edge(Edge("dag.c1", "dag.c2", "strong", "", 0))
-        graph.add_edge(Edge("dag.c2", "dag.c0", "strong", "", 0))  # extraction noise
+        # dag.c0's reference to dag.c2 closes a cycle: extraction noise.
+        graph = dag(3, [(0, 1), (1, 2), (2, 0)])
         tree = precursor_tree(graph, "dag.c0", 10)
         assert_tree_shape(tree)
         assert {n.id for n in tree_nodes(tree)} == {"dag.c0", "dag.c2", "dag.c1"}
@@ -115,29 +118,20 @@ class TestPrecursorTree:
 
 class TestImpactTree:
     def test_few_children_all_shown(self):
-        graph = random_dag(n_nodes=4, seed=0, edge_prob=0.0)
-        for i in (1, 2, 3):
-            graph.add_edge(Edge("dag.c0", f"dag.c{i}", "strong", "", 0))
+        graph = dag(4, [(0, i) for i in (1, 2, 3)])
         tree = impact_tree(graph, "dag.c0", 2, top_k_children=5)
         assert len(tree.root.children) == 3
         assert tree.root.hidden_count == 0
 
     def test_overflow_children_folded(self):
-        graph = random_dag(n_nodes=8, seed=0, edge_prob=0.0)
-        for i in range(1, 8):
-            graph.add_edge(Edge("dag.c0", f"dag.c{i}", "strong", "", 0))
+        graph = dag(8, [(0, i) for i in range(1, 8)])
         tree = impact_tree(graph, "dag.c0", 2, top_k_children=5)
         assert len(tree.root.children) == 5
         assert tree.root.hidden_count == 2
 
     def test_children_ranked_by_out_degree(self):
-        graph = random_dag(n_nodes=10, seed=0, edge_prob=0.0)
-        graph.add_edge(Edge("dag.c0", "dag.c1", "strong", "", 0))
-        graph.add_edge(Edge("dag.c0", "dag.c2", "strong", "", 0))
         # c2 has the larger downstream fan-out, so it ranks first.
-        for i in (3, 4, 5):
-            graph.add_edge(Edge("dag.c2", f"dag.c{i}", "strong", "", 0))
-        graph.add_edge(Edge("dag.c1", "dag.c6", "strong", "", 0))
+        graph = dag(10, [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (1, 6)])
         tree = impact_tree(graph, "dag.c0", 1, top_k_children=1)
         assert [c.id for c in tree.root.children] == ["dag.c2"]
         assert tree.root.hidden_count == 1
@@ -155,9 +149,7 @@ class TestImpactTree:
                 assert len(node.children) + node.hidden_count == total
 
     def test_depth_limited_nodes_fold_everything(self):
-        graph = random_dag(n_nodes=5, seed=0, edge_prob=0.0)
-        graph.add_edge(Edge("dag.c0", "dag.c1", "strong", "", 0))
-        graph.add_edge(Edge("dag.c1", "dag.c2", "strong", "", 0))
+        graph = dag(5, [(0, 1), (1, 2)])
         tree = impact_tree(graph, "dag.c0", 1, top_k_children=5)
         leaf = tree.root.children[0]
         assert leaf.children == []
@@ -172,21 +164,17 @@ class TestExportDot:
         assert '"52967399.c5"' in dot
 
     def test_precursor_orientation_child_to_parent(self):
-        graph = random_dag(n_nodes=2, seed=0, edge_prob=0.0)
-        graph.add_edge(Edge("dag.c0", "dag.c1", "strong", "", 0))
+        graph = dag(2, [(0, 1)])
         dot = export_dot(precursor_tree(graph, "dag.c1", 1))
         assert '"dag.c0" -> "dag.c1";' in dot
 
     def test_impact_orientation_parent_to_child(self):
-        graph = random_dag(n_nodes=2, seed=0, edge_prob=0.0)
-        graph.add_edge(Edge("dag.c0", "dag.c1", "strong", "", 0))
+        graph = dag(2, [(0, 1)])
         dot = export_dot(impact_tree(graph, "dag.c0", 1, top_k_children=3))
         assert '"dag.c0" -> "dag.c1";' in dot
 
     def test_hidden_counts_render_as_boxes(self):
-        graph = random_dag(n_nodes=8, seed=0, edge_prob=0.0)
-        for i in range(1, 8):
-            graph.add_edge(Edge("dag.c0", f"dag.c{i}", "strong", "", 0))
+        graph = dag(8, [(0, i) for i in range(1, 8)])
         dot = export_dot(impact_tree(graph, "dag.c0", 1, top_k_children=5))
         assert '"dag.c0.hidden" [label="2 hidden", shape=box];' in dot
 

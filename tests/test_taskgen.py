@@ -7,7 +7,6 @@ from contribgraph.embedding import EmbeddingIndex, MockEmbeddingProvider, build_
 from contribgraph.errors import RecordValidationError
 from contribgraph.evaluation import read_problems
 from contribgraph.graph import ContributionGraph
-from contribgraph.model import Edge
 from contribgraph.taskgen import (
     Problem,
     Skip,
@@ -18,7 +17,7 @@ from contribgraph.taskgen import (
     write_problems,
 )
 
-from conftest import build_synthetic_graph
+from conftest import build_synthetic_graph, citation
 from oracles import contributions_of_scan, deduplicated_edges_scan, taskgen_candidates_brute
 
 
@@ -197,7 +196,7 @@ class TestBuildProblem:
         # it is the nearest neighbor by construction.
         graph = ContributionGraph()
 
-        def add(corpus, year, name):
+        def add(corpus, year, name, prerequisites=()):
             graph.add_paper_record(
                 {
                     "corpus_id": corpus,
@@ -210,15 +209,14 @@ class TestBuildProblem:
                             "description": f"{name} description",
                             "types": [],
                             "sections": [],
-                            "prerequisites": [],
+                            "prerequisites": list(prerequisites),
                         }
                     ],
                 }
             )
 
-        add("t", 2024, "target tech")
+        add("t", 2024, "target tech", [citation("g.c0")])
         add("g", 2020, "gold tech")
-        graph.add_edge(Edge("g.c0", "t.c0", "strong", "", 0))
         for i in range(6):
             add(f"d{i}", 2021 + (i % 3), f"distractor {i}")
         add("late", 2025, "future tech")
@@ -255,18 +253,23 @@ class TestBuildProblemEdgeCases:
 
     @pytest.fixture()
     def case(self):
+        prerequisites = {
+            "t.c0": [
+                citation("g.c0", "weak"), citation("g.c0", "strong"),  # one pair, both kinds
+                citation("g.c1", "strong"), citation("w.c0", "weak"),
+            ],
+            "t.c1": [citation("nb.c0", "strong")],
+            "out.c0": [citation("t.c0", "strong")],
+        }
         graph = ContributionGraph()
         for corpus, year, n in [
             ("t", 2024, 2), ("g", 2020, 2), ("w", 2019, 1), ("nb", 2022, 1),
             ("out", 2024, 1), ("noyear", None, 1), ("late", 2025, 1),
         ] + [(f"d{i}", 2021 + i % 3, 1) for i in range(6)]:
-            graph.add_paper_record(one_paper(corpus, year, n))
-        for pre, dep, match_type in [
-            ("g.c0", "t.c0", "weak"), ("g.c0", "t.c0", "strong"),  # one pair, both kinds
-            ("g.c1", "t.c0", "strong"), ("w.c0", "t.c0", "weak"),
-            ("nb.c0", "t.c1", "strong"), ("t.c0", "out.c0", "strong"),
-        ]:
-            graph.add_edge(Edge(pre, dep, match_type, "", 0))
+            record = one_paper(corpus, year, n)
+            for c in record["contributions"]:
+                c["prerequisites"] = prerequisites.get(c["contribution_id"], [])
+            graph.add_paper_record(record)
         near, tied = [1, 0, 0, 0], [1, 1, 0, 0]
         vectors = {
             "t.c0": near, "t.c1": near, "g.c0": near, "g.c1": near, "w.c0": near,
