@@ -6,11 +6,18 @@ fully rendered prompt (pure, deterministic, used by the whole test
 suite), and an OpenAI-compatible HTTP backend configured through
 environment variables.
 
+``JsonTransport`` is the one HTTP client, shared by the generation
+backend and the embedding provider. It uses only the standard library:
+one kept-alive ``http.client`` connection per calling thread, proxies
+from the ``*_proxy``/``no_proxy`` environment, and TLS roots from the
+system store (or ``SSL_CERT_FILE``).
+
 ``generate_validated`` is the one call -> parse -> validate -> re-prompt
 loop; the extraction stages and ranking all go through it.
 """
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
@@ -20,9 +27,13 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
+from . import __version__
 from .errors import BackendError, ParseFailure, StageFailure
+
+if TYPE_CHECKING:
+    import http.client
 
 GEN_ENDPOINT_VAR = "CONTRIBGRAPH_GEN_ENDPOINT"
 GEN_API_KEY_VAR = "CONTRIBGRAPH_GEN_API_KEY"
@@ -65,6 +76,9 @@ class GenerationBackend(ABC):
     @abstractmethod
     def generate(self, prompt: str) -> str:
         ...
+
+    def close(self) -> None:
+        """Release what the backend holds open; it stays usable."""
 
     def _account(self, tokens_in: int, tokens_out: int, cost: float) -> None:
         with self._usage_lock:
@@ -120,6 +134,142 @@ class MockBackend(GenerationBackend):
         return path
 
 
+def _proxy_from_environment(
+    scheme: str, host: str, what: str
+) -> tuple[Optional[tuple[str, Optional[int]]], dict[str, str]]:
+    """The proxy that the ``*_proxy`` environment names for ``scheme://host``
+    as (host, port), and the headers that carry its credentials; (None, {})
+    when there is none or ``no_proxy`` covers ``host``."""
+    import urllib.parse
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        return None, {}
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    try:
+        address = (parts.hostname, parts.port)
+    except ValueError as exc:
+        raise BackendError(f"{what} proxy: {exc}") from None
+    if parts.scheme != "http" or not parts.hostname:
+        raise BackendError(f"{what} proxy must be an http:// URL, got scheme {parts.scheme!r}")
+    if parts.username is None:
+        return address, {}
+    unquote = urllib.parse.unquote
+    credentials = f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode("utf-8")
+    token = base64.b64encode(credentials).decode("ascii")
+    return address, {"Proxy-Authorization": f"Basic {token}"}
+
+
+class JsonTransport:
+    """POSTs JSON to one endpoint over one kept-alive connection per thread.
+
+    ``http.client`` reopens a connection by itself after a reply that
+    closes it (HTTP/1.0 or ``Connection: close``), so the open connections
+    number at most the threads that call. The proxy is resolved once, from
+    the environment: over http the request goes to the proxy with an
+    absolute URI, over https through a ``CONNECT`` tunnel. Every failure
+    is a BackendError whose message starts with ``what`` ("generation",
+    "embedding").
+    """
+
+    def __init__(self, url: str, what: str, api_key: Optional[str], timeout: float):
+        # Imported here, not at module level: only commands that call an
+        # endpoint pay for them.
+        import ssl
+        import urllib.parse
+
+        self.what = what
+        self.timeout = timeout
+        # Some API gateways refuse a request that names no User-Agent.
+        self.headers = {"Content-Type": "application/json",
+                        "User-Agent": f"contribgraph/{__version__}"}
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
+        parts = urllib.parse.urlsplit(url)
+        try:
+            self.port = parts.port
+        except ValueError as exc:
+            raise BackendError(f"{what} endpoint {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"{what} endpoint must be an http(s) URL, got {url!r}")
+        self.https = parts.scheme == "https"
+        self.host = parts.hostname
+        self.target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self.context = ssl.create_default_context() if self.https else None
+        self.proxy, proxy_headers = _proxy_from_environment(parts.scheme, self.host, what)
+        self.tunnel_headers = proxy_headers if self.https else {}
+        if self.proxy and not self.https:
+            self.headers.update(proxy_headers)
+            self.target = f"http://{parts.netloc.rpartition('@')[2]}{self.target}"
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+
+    def post(self, payload: Any) -> bytes:
+        """The body of the 200 reply to ``payload``.
+
+        A reused connection that the server has closed is retried once,
+        on a fresh connection, when the failure comes before any byte of
+        the reply: the rule of ``xmlrpc.client.Transport.request``. A
+        timeout, a partial reply or a fresh connection is never retried.
+        """
+        import http.client
+
+        body = json.dumps(payload).encode("utf-8")
+        conn = self._connection()
+        try:
+            reused = conn.sock is not None
+            try:
+                response = self._exchange(conn, body)
+            # RemoteDisconnected, an empty status line, is a ConnectionResetError.
+            except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError):
+                if not reused:
+                    raise
+                conn.close()
+                response = self._exchange(conn, body)
+            status, data = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise BackendError(f"{self.what} request failed: {type(exc).__name__}: {exc}") from exc
+        if status != 200:
+            text = data.decode("utf-8", "replace")[:500]
+            raise BackendError(f"{self.what} endpoint returned {status}: {text}")
+        return data
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> http.client.HTTPResponse:
+        conn.request("POST", self.target, body, self.headers)
+        return conn.getresponse()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; those of threads that have ended are closed."""
+        import http.client
+
+        thread = threading.current_thread()
+        with self._lock:
+            conn = self._connections.get(thread)
+            if conn is None:
+                for gone in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(gone).close()
+                host, port = self.proxy or (self.host, self.port)
+                if self.https:
+                    conn = http.client.HTTPSConnection(
+                        host, port, timeout=self.timeout, context=self.context
+                    )
+                    if self.proxy:
+                        conn.set_tunnel(self.host, self.port, headers=self.tunnel_headers)
+                else:
+                    conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+                self._connections[thread] = conn
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later post opens a new one."""
+        with self._lock:
+            connections, self._connections = list(self._connections.values()), {}
+        for conn in connections:
+            conn.close()
+
+
 class HttpBackend(GenerationBackend):
     """OpenAI-compatible chat-completions backend.
 
@@ -144,46 +294,36 @@ class HttpBackend(GenerationBackend):
         self.model = model or os.environ.get(GEN_MODEL_VAR, "")
         self.price_in_per_1k = price_in_per_1k
         self.price_out_per_1k = price_out_per_1k
-        self.timeout = timeout
         if not self.endpoint:
             raise BackendError(
                 f"no generation endpoint configured (set {GEN_ENDPOINT_VAR})"
             )
+        self._transport = JsonTransport(self.endpoint, "generation", self.api_key, timeout)
 
     def generate(self, prompt: str) -> str:
-        import requests
-
-        payload: dict = {
+        body = self._transport.post({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        })
         try:
-            response = requests.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendError(f"generation request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendError(
-                f"generation endpoint returned {response.status_code}: {response.text[:500]}"
-            )
-        try:
-            body = response.json()
-            text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+            doc = json.loads(body)
+            text = doc["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {text!r:.80}")
+            usage = doc.get("usage") or {}
+            tokens_in = int(usage.get("prompt_tokens", len(prompt) // 4))
+            tokens_out = int(usage.get("completion_tokens", len(text) // 4))
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
-        usage = body.get("usage", {})
-        tokens_in = int(usage.get("prompt_tokens", len(prompt) // 4))
-        tokens_out = int(usage.get("completion_tokens", len(text) // 4))
         cost = (
             tokens_in * self.price_in_per_1k + tokens_out * self.price_out_per_1k
         ) / 1000.0
         self._account(tokens_in, tokens_out, cost)
         return text
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)

@@ -8,10 +8,15 @@ every row is scored in float64, an optional mask keeps only the rows
 a caller allows, and a partial selection (`np.argpartition`) picks the
 top k among them, ties broken by ascending id. Vectors are stored as
 32-bit little-endian floats.
+
+`HttpEmbeddingProvider` calls an OpenAI-compatible embeddings endpoint
+through `backends.JsonTransport`, the standard-library HTTP client the
+generation backend uses too.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 from abc import ABC, abstractmethod
@@ -21,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .backends import JsonTransport
 from .errors import BackendError
 from .graph import ContributionGraph
 from .model import Contribution
@@ -45,6 +51,9 @@ class EmbeddingProvider(ABC):
     @abstractmethod
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), dim) float32 array."""
+
+    def close(self) -> None:
+        """Release what the provider holds open; it stays usable."""
 
 
 class MockEmbeddingProvider(EmbeddingProvider):
@@ -81,38 +90,24 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.endpoint = endpoint or os.environ.get(EMBED_ENDPOINT_VAR)
         self.api_key = api_key or os.environ.get(EMBED_API_KEY_VAR)
         self.model = model or os.environ.get(EMBED_MODEL_VAR, "")
-        self.timeout = timeout
         self.dim = 0  # discovered from the first response
         if not self.endpoint:
             raise BackendError(f"no embedding endpoint configured (set {EMBED_ENDPOINT_VAR})")
+        self._transport = JsonTransport(self.endpoint, "embedding", self.api_key, timeout)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = self._transport.post({"model": self.model, "input": list(texts)})
         try:
-            response = requests.post(
-                self.endpoint,
-                json={"model": self.model, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise BackendError(f"embedding request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendError(
-                f"embedding endpoint returned {response.status_code}: {response.text[:500]}"
-            )
-        try:
-            vectors = np.asarray([row["embedding"] for row in response.json()["data"]], np.float32)
+            vectors = np.asarray([row["embedding"] for row in json.loads(body)["data"]], np.float32)
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {exc!r}") from exc
         if vectors.ndim != 2 or len(vectors) != len(texts):
             raise BackendError(f"embedding response shaped {vectors.shape} for {len(texts)} texts")
         self.dim = int(vectors.shape[1])
         return vectors
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 class EmbeddingIndex:

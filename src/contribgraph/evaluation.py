@@ -138,9 +138,12 @@ class RankingSubmission:
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "RankingSubmission":
         usage = obj.get("usage", {})
+        ranked_ids = obj["ranked_ids"]
+        if not isinstance(ranked_ids, list) or not all(isinstance(cid, str) for cid in ranked_ids):
+            raise TypeError(f"ranked_ids must be a list of strings, got {ranked_ids!r:.80}")
         return cls(
             problem_id=obj["problem_id"],
-            ranked_ids=list(obj["ranked_ids"]),
+            ranked_ids=ranked_ids,
             backend=obj.get("backend", ""),
             tokens=int(usage.get("tokens", 0)),
             cost=float(usage.get("cost", 0.0)),

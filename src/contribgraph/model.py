@@ -281,6 +281,13 @@ class Problem:
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "Problem":
         target = obj["target"]
+        candidates = obj["candidates"]
+        if not isinstance(candidates, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("id"), str) for c in candidates
+        ):
+            raise TypeError(
+                f"candidates must be a list of objects with a string id, got {candidates!r:.80}"
+            )
         return cls(
             problem_id=obj["problem_id"],
             target_id=target["id"],
@@ -288,7 +295,7 @@ class Problem:
             target_description=target.get("description", ""),
             target_year=target["year"],
             target_date=PartialDate.parse(target["date"]) if target.get("date") else None,
-            candidates=list(obj["candidates"]),
+            candidates=candidates,
             gold_ids=set(obj["gold_ids"]),
             seed=obj["seed"],
         )

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import http.server
+import os
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,130 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             continue
         word = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[outcome]
         terminalreporter.write_line(f"{word}  {label}")
+
+
+class LoopbackServer(http.server.ThreadingHTTPServer):
+    """A loopback HTTP server whose answers a test scripts.
+
+    Each POST takes the next action from ``script``, or ``default`` when
+    the script is empty; an action is a function of the handler (see
+    ``reply`` and the ones after it). The server counts the connections
+    it accepted and keeps every POST and CONNECT request it read, as
+    ``(method, path, headers, body)``.
+    """
+
+    def __init__(self, protocol: str):
+        handler = type("Handler", (LoopbackHandler,), {"protocol_version": protocol})
+        super().__init__(("127.0.0.1", 0), handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.script: list = []
+        self.default = reply(200, b"{}")
+        self.connections = 0
+        self.requests: list[tuple[str, str, dict, bytes]] = []
+        self.lock = threading.Lock()  # handler threads share the counts and the script
+        self.stopping = threading.Event()
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
+
+    @property
+    def posts(self) -> int:
+        return sum(1 for method, *_ in self.requests if method == "POST")
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out or hung up; the test checks what it saw
+
+    def stop(self) -> None:
+        self.stopping.set()
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+
+
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    disable_nagle_algorithm = True  # headers and body go out in two writes
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.requests.append(("POST", self.path, dict(self.headers), body))
+            action = self.server.script.pop(0) if self.server.script else self.server.default
+        action(self)
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.requests.append(("CONNECT", self.path, dict(self.headers), b""))
+        self.send_error(502, "no tunnels here")
+
+    def log_message(self, format, *args):
+        pass
+
+
+def reply(status: int, body: bytes):
+    """Answer with ``status`` and ``body``; the connection stays open under HTTP/1.1."""
+
+    def act(handler: LoopbackHandler) -> None:
+        handler.send_response(status)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return act
+
+
+def reply_then_drop(status: int, body: bytes):
+    """Answer as ``reply`` does, then close the connection without saying so,
+    as a server does with a kept-alive connection it let idle too long."""
+
+    def act(handler: LoopbackHandler) -> None:
+        reply(status, body)(handler)
+        handler.close_connection = True
+
+    return act
+
+
+def partial_reply(handler: LoopbackHandler) -> None:
+    """Promise 100 body bytes, send 10, then hang up."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices"')
+    handler.close_connection = True
+
+
+def hang_up(handler: LoopbackHandler) -> None:
+    """Close the connection without a byte of reply."""
+    handler.close_connection = True
+
+
+def stall(handler: LoopbackHandler) -> None:
+    """Answer nothing until the server stops."""
+    handler.server.stopping.wait(10)
+    handler.close_connection = True
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    """``start(protocol="HTTP/1.1")`` starts a LoopbackServer, stopped after
+    the test. Every proxy variable is cleared, so requests go straight to
+    the server unless the test sets one."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    servers: list[LoopbackServer] = []
+
+    def start(protocol: str = "HTTP/1.1") -> LoopbackServer:
+        servers.append(LoopbackServer(protocol))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
 
 
 @pytest.fixture(scope="session")

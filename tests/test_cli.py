@@ -442,10 +442,14 @@ def test_bad_paper_row_is_a_clean_failure(tmp_path, capsys, source, name):
         assert {p.name: p.read_bytes() for p in store.iterdir()} == before, command
 
 
-def drop_key(path: Path, key: str) -> None:
+def edit_first_row(path: Path, edit) -> None:
     rows = list(read_jsonl(path))
-    del rows[0][key]
+    edit(rows[0])
     write_jsonl(path, rows)
+
+
+def drop_key(path: Path, key: str) -> None:
+    edit_first_row(path, lambda row: row.pop(key))
 
 
 def write_cutoff(directory: Path, value) -> None:
@@ -459,6 +463,19 @@ BAD_EVAL_INPUTS = {
     "problem_without_target": (
         lambda d: drop_key(d / "problems.jsonl", "target"),
         "problems.jsonl:1: missing field 'target'",
+    ),
+    "problem_with_id_strings_as_candidates": (
+        lambda d: edit_first_row(
+            d / "problems.jsonl",
+            lambda row: row.update(candidates=[c["id"] for c in row["candidates"]]),
+        ),
+        "problems.jsonl:1: candidates must be a list of objects with a string id",
+    ),
+    "submission_with_a_string_as_ranked_ids": (
+        lambda d: edit_first_row(
+            d / "submissions.jsonl", lambda row: row.update(ranked_ids=row["ranked_ids"][0])
+        ),
+        "submissions.jsonl:1: ranked_ids must be a list of strings",
     ),
     "submission_without_problem_id": (
         lambda d: drop_key(d / "submissions.jsonl", "problem_id"),
@@ -492,7 +509,7 @@ def test_bad_eval_input_is_a_clean_failure(e2e, corpus, tmp_path, capsys, name):
     break_input(tmp_path)
     commands = [["eval", "--problems", problems, "--submissions", submissions,
                  "--cutoffs", cutoffs, "--out", tmp_path / "report.json"]]
-    if name == "problem_without_target":
+    if name in ("problem_without_target", "problem_with_id_strings_as_candidates"):
         commands.append(["rank", "--problems", problems, "--mock", corpus.mock_dir,
                          "--out", tmp_path / "ranked.jsonl"])
     capsys.readouterr()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import struct
@@ -20,7 +21,7 @@ from contribgraph.errors import BackendError
 from contribgraph.graph import ContributionGraph
 from contribgraph.model import Contribution
 
-from conftest import build_synthetic_graph
+from conftest import build_synthetic_graph, reply
 from oracles import top_k_brute
 
 
@@ -305,30 +306,35 @@ class TestMockProvider:
 
 
 class TestHttpProvider:
-    class Reply:
-        status_code = 200
+    def embed(self, loopback, body: str) -> np.ndarray:
+        server = loopback()
+        server.default = reply(200, body.encode("utf-8"))
+        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url + "/embeddings",
+                                                      model="e")) as provider:
+            vectors = provider.embed(["a", "b"])
+        assert json.loads(server.requests[0][3]) == {"model": "e", "input": ["a", "b"]}
+        return vectors
 
-        def __init__(self, text: str):
-            self.text = text
-
-        def json(self):
-            return json.loads(self.text)
-
-    def embed(self, monkeypatch, body: str):
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: self.Reply(body))
-        return HttpEmbeddingProvider(endpoint="http://localhost/embeddings").embed(["a", "b"])
-
-    def test_rows_become_the_vectors(self, monkeypatch):
+    def test_rows_become_the_vectors(self, loopback):
         body = json.dumps({"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]})
-        assert self.embed(monkeypatch, body).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert self.embed(loopback, body).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     @pytest.mark.parametrize(
         "body",
         ["<html>busy</html>", '{"object": "list"}', '{"data": [{"embedding": [1.0, 0.0]}]}'],
         ids=["not_json", "no_data", "fewer_rows_than_texts"],
     )
-    def test_malformed_response_is_a_backend_error(self, monkeypatch, body):
+    def test_malformed_response_is_a_backend_error(self, loopback, body):
         with pytest.raises(BackendError, match="embedding response"):
-            self.embed(monkeypatch, body)
+            self.embed(loopback, body)
+
+    def test_failures_name_the_embedding_endpoint(self, loopback):
+        server = loopback()
+        server.default = reply(429, b"slow down")
+        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url)) as provider:
+            with pytest.raises(BackendError, match="^embedding endpoint returned 429: slow down"):
+                provider.embed(["a"])
+        server.stop()
+        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url)) as provider:
+            with pytest.raises(BackendError, match="^embedding request failed: ConnectionRefused"):
+                provider.embed(["a"])

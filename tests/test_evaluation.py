@@ -371,6 +371,11 @@ class TestPersistence:
         loaded = read_submissions(path)
         assert [s.to_json() for s in loaded] == [s.to_json() for s in submissions]
 
+    @pytest.mark.parametrize("ranked_ids", ["b.c0", ["a.c0", 1], None, {"b.c0": 1}])
+    def test_ranked_ids_must_be_a_list_of_strings(self, ranked_ids):
+        with pytest.raises(TypeError, match="ranked_ids must be a list of strings"):
+            RankingSubmission.from_json({"problem_id": "p1", "ranked_ids": ranked_ids})
+
     def test_cutoffs_formats(self, tmp_path):
         path = tmp_path / "cutoffs.json"
         path.write_text(
