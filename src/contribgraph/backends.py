@@ -7,17 +7,16 @@ suite), and an OpenAI-compatible HTTP backend configured through
 environment variables.
 
 ``JsonTransport`` is the one HTTP client, shared by the generation
-backend and the embedding provider. It uses only the standard library:
-one kept-alive ``http.client`` connection per calling thread, proxies
-from the ``*_proxy``/``no_proxy`` environment, and TLS roots from the
-system store (or ``SSL_CERT_FILE``).
+backend and the embedding provider. It uses only the standard library
+(``urllib.request``): one connection per call, proxies from the
+``*_proxy``/``no_proxy`` environment, and TLS roots from the system
+store (or ``SSL_CERT_FILE``).
 
 ``generate_validated`` is the one call -> parse -> validate -> re-prompt
 loop; the extraction stages and ranking all go through it.
 """
 from __future__ import annotations
 
-import base64
 import contextlib
 import hashlib
 import json
@@ -27,13 +26,10 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BackendError, ParseFailure, StageFailure
-
-if TYPE_CHECKING:
-    import http.client
 
 GEN_ENDPOINT_VAR = "CONTRIBGRAPH_GEN_ENDPOINT"
 GEN_API_KEY_VAR = "CONTRIBGRAPH_GEN_API_KEY"
@@ -76,9 +72,6 @@ class GenerationBackend(ABC):
     @abstractmethod
     def generate(self, prompt: str) -> str:
         ...
-
-    def close(self) -> None:
-        """Release what the backend holds open; it stays usable."""
 
     def _account(self, tokens_in: int, tokens_out: int, cost: float) -> None:
         with self._usage_lock:
@@ -134,51 +127,34 @@ class MockBackend(GenerationBackend):
         return path
 
 
-def _proxy_from_environment(
-    scheme: str, host: str, what: str
-) -> tuple[Optional[tuple[str, Optional[int]]], dict[str, str]]:
-    """The proxy that the ``*_proxy`` environment names for ``scheme://host``
-    as (host, port), and the headers that carry its credentials; (None, {})
-    when there is none or ``no_proxy`` covers ``host``."""
-    import urllib.parse
-    import urllib.request
-
-    proxy = urllib.request.getproxies().get(scheme)
-    if not proxy or urllib.request.proxy_bypass(host):
-        return None, {}
-    parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-    try:
-        address = (parts.hostname, parts.port)
-    except ValueError as exc:
-        raise BackendError(f"{what} proxy: {exc}") from None
-    if parts.scheme != "http" or not parts.hostname:
-        raise BackendError(f"{what} proxy must be an http:// URL, got scheme {parts.scheme!r}")
-    if parts.username is None:
-        return address, {}
-    unquote = urllib.parse.unquote
-    credentials = f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode("utf-8")
-    token = base64.b64encode(credentials).decode("ascii")
-    return address, {"Proxy-Authorization": f"Basic {token}"}
-
-
 class JsonTransport:
-    """POSTs JSON to one endpoint over one kept-alive connection per thread.
+    """POSTs JSON to one endpoint through a ``urllib.request`` opener.
 
-    ``http.client`` reopens a connection by itself after a reply that
-    closes it (HTTP/1.0 or ``Connection: close``), so the open connections
-    number at most the threads that call. The proxy is resolved once, from
-    the environment: over http the request goes to the proxy with an
-    absolute URI, over https through a ``CONNECT`` tunnel. Every failure
-    is a BackendError whose message starts with ``what`` ("generation",
-    "embedding").
+    Each post opens a connection and closes it after the reply, as
+    ``requests.post`` did; nothing is kept between calls. The opener
+    reads the ``*_proxy``/``no_proxy`` environment once, when the
+    transport is made: over http a proxied request goes to the proxy with
+    an absolute URI, over https through a ``CONNECT`` tunnel, and
+    credentials in the proxy URL become Basic auth. A 307 or 308 reply is
+    not followed, so it fails like any status other than 200. Every
+    failure is a BackendError whose message starts with ``what``
+    ("generation", "embedding").
     """
 
     def __init__(self, url: str, what: str, api_key: Optional[str], timeout: float):
         # Imported here, not at module level: only commands that call an
         # endpoint pay for them.
-        import ssl
         import urllib.parse
+        import urllib.request
 
+        parts = urllib.parse.urlsplit(url)
+        try:
+            parts.port  # a port that is not a number raises here
+        except ValueError as exc:
+            raise BackendError(f"{what} endpoint {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"{what} endpoint must be an http(s) URL, got {url!r}")
+        self.url = url
         self.what = what
         self.timeout = timeout
         # Some API gateways refuse a request that names no User-Agent.
@@ -186,88 +162,35 @@ class JsonTransport:
                         "User-Agent": f"contribgraph/{__version__}"}
         if api_key:
             self.headers["Authorization"] = f"Bearer {api_key}"
-        parts = urllib.parse.urlsplit(url)
-        try:
-            self.port = parts.port
-        except ValueError as exc:
-            raise BackendError(f"{what} endpoint {url!r}: {exc}") from None
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise BackendError(f"{what} endpoint must be an http(s) URL, got {url!r}")
-        self.https = parts.scheme == "https"
-        self.host = parts.hostname
-        self.target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self.context = ssl.create_default_context() if self.https else None
-        self.proxy, proxy_headers = _proxy_from_environment(parts.scheme, self.host, what)
-        self.tunnel_headers = proxy_headers if self.https else {}
-        if self.proxy and not self.https:
-            self.headers.update(proxy_headers)
-            self.target = f"http://{parts.netloc.rpartition('@')[2]}{self.target}"
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
-        self._lock = threading.Lock()
+        self.opener = urllib.request.build_opener()
 
     def post(self, payload: Any) -> bytes:
-        """The body of the 200 reply to ``payload``.
-
-        A reused connection that the server has closed is retried once,
-        on a fresh connection, when the failure comes before any byte of
-        the reply: the rule of ``xmlrpc.client.Transport.request``. A
-        timeout, a partial reply or a fresh connection is never retried.
-        """
+        """The body of the 200 reply to ``payload``; nothing is retried."""
         import http.client
+        import urllib.error
+        import urllib.request
 
         body = json.dumps(payload).encode("utf-8")
-        conn = self._connection()
+        request = urllib.request.Request(self.url, body, self.headers, method="POST")
         try:
-            reused = conn.sock is not None
             try:
-                response = self._exchange(conn, body)
-            # RemoteDisconnected, an empty status line, is a ConnectionResetError.
-            except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError):
-                if not reused:
-                    raise
-                conn.close()
-                response = self._exchange(conn, body)
-            status, data = response.status, response.read()
+                response = self.opener.open(request, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # a reply whose status is not 2xx, body and all
+            with response:
+                status, data = response.status, response.read()
         except (OSError, http.client.HTTPException) as exc:
-            conn.close()
-            raise BackendError(f"{self.what} request failed: {type(exc).__name__}: {exc}") from exc
+            # urllib wraps a failure before the reply in a URLError; name its cause.
+            cause = getattr(exc, "reason", None)
+            if not isinstance(cause, BaseException):
+                cause = exc
+            raise BackendError(
+                f"{self.what} request failed: {type(cause).__name__}: {cause}"
+            ) from exc
         if status != 200:
             text = data.decode("utf-8", "replace")[:500]
             raise BackendError(f"{self.what} endpoint returned {status}: {text}")
         return data
-
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> http.client.HTTPResponse:
-        conn.request("POST", self.target, body, self.headers)
-        return conn.getresponse()
-
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; those of threads that have ended are closed."""
-        import http.client
-
-        thread = threading.current_thread()
-        with self._lock:
-            conn = self._connections.get(thread)
-            if conn is None:
-                for gone in [t for t in self._connections if not t.is_alive()]:
-                    self._connections.pop(gone).close()
-                host, port = self.proxy or (self.host, self.port)
-                if self.https:
-                    conn = http.client.HTTPSConnection(
-                        host, port, timeout=self.timeout, context=self.context
-                    )
-                    if self.proxy:
-                        conn.set_tunnel(self.host, self.port, headers=self.tunnel_headers)
-                else:
-                    conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
-                self._connections[thread] = conn
-        return conn
-
-    def close(self) -> None:
-        """Close every thread's connection; a later post opens a new one."""
-        with self._lock:
-            connections, self._connections = list(self._connections.values()), {}
-        for conn in connections:
-            conn.close()
 
 
 class HttpBackend(GenerationBackend):
@@ -321,9 +244,6 @@ class HttpBackend(GenerationBackend):
         ) / 1000.0
         self._account(tokens_in, tokens_out, cost)
         return text
-
-    def close(self) -> None:
-        self._transport.close()
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)

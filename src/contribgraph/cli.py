@@ -239,8 +239,7 @@ def cmd_extract(args, config) -> int:
         pipeline = Pipeline(
             backend, graph, records_path=store_dir / RECORDS_FILE, retries=args.retries
         )
-        with contextlib.closing(backend):
-            results = pipeline.run_batch(papers, parallel=args.parallel)
+        results = pipeline.run_batch(papers, parallel=args.parallel)
         failures = 0
         for paper, delta, error in results:
             if error is not None:
@@ -290,8 +289,7 @@ def cmd_embed(args, config) -> int:
         provider = HttpEmbeddingProvider(endpoint=endpoint)
     else:
         provider = MockEmbeddingProvider(dim=args.dim)
-    with contextlib.closing(provider):
-        index = build_index(graph, provider)
+    index = build_index(graph, provider)
     index.save(out_path)
     print(f"embedded {len(index)} contributions (dim {index.dim}) -> {out_path}")
     return 0
@@ -337,10 +335,9 @@ def cmd_rank(args, config) -> int:
     out_path = Path(args.out) if args.out else Path(args.problems).with_name("submissions.jsonl")
     refuse_clobber(out_path, args.force)
     backend = make_generation_backend(args, config)
-    with contextlib.closing(backend):
-        submissions = evaluation.run_ranking(
-            problems, backend, parallel=args.parallel, retries=args.retries
-        )
+    submissions = evaluation.run_ranking(
+        problems, backend, parallel=args.parallel, retries=args.retries
+    )
     evaluation.write_submissions(out_path, submissions)
     flagged = sum(1 for s in submissions if s.flagged)
     print(f"{len(submissions)} submissions ({flagged} flagged) -> {out_path}")

@@ -52,9 +52,6 @@ class EmbeddingProvider(ABC):
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), dim) float32 array."""
 
-    def close(self) -> None:
-        """Release what the provider holds open; it stays usable."""
-
 
 class MockEmbeddingProvider(EmbeddingProvider):
     """Deterministic stand-in: hashes each text to a pseudo-random unit vector."""
@@ -105,9 +102,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise BackendError(f"embedding response shaped {vectors.shape} for {len(texts)} texts")
         self.dim = int(vectors.shape[1])
         return vectors
-
-    def close(self) -> None:
-        self._transport.close()
 
 
 class EmbeddingIndex:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import http.server
 import os
 import random
@@ -61,17 +62,17 @@ class LoopbackServer(http.server.ThreadingHTTPServer):
     the script is empty; an action is a function of the handler (see
     ``reply`` and the ones after it). The server counts the connections
     it accepted and keeps every POST and CONNECT request it read, as
-    ``(method, path, headers, body)``.
+    ``(method, path, headers, body)``; ``headers`` is looked up without
+    regard to case.
     """
 
-    def __init__(self, protocol: str):
-        handler = type("Handler", (LoopbackHandler,), {"protocol_version": protocol})
-        super().__init__(("127.0.0.1", 0), handler)
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
         self.script: list = []
         self.default = reply(200, b"{}")
         self.connections = 0
-        self.requests: list[tuple[str, str, dict, bytes]] = []
+        self.requests: list[tuple[str, str, http.client.HTTPMessage, bytes]] = []
         self.lock = threading.Lock()  # handler threads share the counts and the script
         self.stopping = threading.Event()
         self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
@@ -92,6 +93,7 @@ class LoopbackServer(http.server.ThreadingHTTPServer):
 
 
 class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # a connection is closed when the client asks
     disable_nagle_algorithm = True  # headers and body go out in two writes
 
     def setup(self):
@@ -102,13 +104,13 @@ class LoopbackHandler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with self.server.lock:
-            self.server.requests.append(("POST", self.path, dict(self.headers), body))
+            self.server.requests.append(("POST", self.path, self.headers, body))
             action = self.server.script.pop(0) if self.server.script else self.server.default
         action(self)
 
     def do_CONNECT(self):
         with self.server.lock:
-            self.server.requests.append(("CONNECT", self.path, dict(self.headers), b""))
+            self.server.requests.append(("CONNECT", self.path, self.headers, b""))
         self.send_error(502, "no tunnels here")
 
     def log_message(self, format, *args):
@@ -116,7 +118,7 @@ class LoopbackHandler(http.server.BaseHTTPRequestHandler):
 
 
 def reply(status: int, body: bytes):
-    """Answer with ``status`` and ``body``; the connection stays open under HTTP/1.1."""
+    """Answer with ``status`` and ``body``."""
 
     def act(handler: LoopbackHandler) -> None:
         handler.send_response(status)
@@ -124,17 +126,6 @@ def reply(status: int, body: bytes):
         handler.send_header("Content-Length", str(len(body)))
         handler.end_headers()
         handler.wfile.write(body)
-
-    return act
-
-
-def reply_then_drop(status: int, body: bytes):
-    """Answer as ``reply`` does, then close the connection without saying so,
-    as a server does with a kept-alive connection it let idle too long."""
-
-    def act(handler: LoopbackHandler) -> None:
-        reply(status, body)(handler)
-        handler.close_connection = True
 
     return act
 
@@ -161,16 +152,16 @@ def stall(handler: LoopbackHandler) -> None:
 
 @pytest.fixture()
 def loopback(monkeypatch):
-    """``start(protocol="HTTP/1.1")`` starts a LoopbackServer, stopped after
-    the test. Every proxy variable is cleared, so requests go straight to
-    the server unless the test sets one."""
+    """``start()`` starts a LoopbackServer, stopped after the test. Every
+    proxy variable is cleared, so requests go straight to the server
+    unless the test sets one."""
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     servers: list[LoopbackServer] = []
 
-    def start(protocol: str = "HTTP/1.1") -> LoopbackServer:
-        servers.append(LoopbackServer(protocol))
+    def start() -> LoopbackServer:
+        servers.append(LoopbackServer())
         return servers[-1]
 
     yield start

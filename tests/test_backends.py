@@ -1,16 +1,14 @@
 """The HTTP path of the generation backend, against loopback servers:
-status and body checks, one kept-alive connection per thread, the
-one retry of a stale connection, and proxies from the environment."""
+status and body checks, one connection per call and no retry, and
+proxies from the environment."""
 from __future__ import annotations
 
 import base64
-import contextlib
 import json
 import os
 import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -18,11 +16,10 @@ import pytest
 from contribgraph.backends import HttpBackend
 from contribgraph.errors import BackendError
 
-from conftest import hang_up, partial_reply, reply, reply_then_drop, stall
+from conftest import hang_up, partial_reply, reply, stall
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PATH = "/v1/chat/completions"
-DISCONNECTED = "^generation request failed: RemoteDisconnected"
 # A loopback address where nothing listens: a request that skips the proxy
 # fails here, and no lookup or connection leaves the host.
 BEHIND_PROXY = "127.0.0.2:9"
@@ -35,8 +32,19 @@ def completion(text: str = "ok", **usage: int) -> bytes:
     return json.dumps(body).encode("utf-8")
 
 
-def http_backend(url: str, **kwargs) -> contextlib.closing[HttpBackend]:
-    return contextlib.closing(HttpBackend(endpoint=url + PATH, model="m", **kwargs))
+def http_backend(url: str, **kwargs) -> HttpBackend:
+    return HttpBackend(endpoint=url + PATH, model="m", **kwargs)
+
+
+def redirect(status: int, location: str):
+    def act(handler) -> None:
+        handler.send_response(status)
+        handler.send_header("Location", location)
+        handler.send_header("Content-Length", "5")
+        handler.end_headers()
+        handler.wfile.write(b"moved")
+
+    return act
 
 
 def unused_port() -> int:
@@ -50,14 +58,15 @@ class TestCompletion:
     def test_text_usage_and_request(self, loopback):
         server = loopback()
         server.default = reply(200, completion("hi", prompt_tokens=7, completion_tokens=3))
-        with http_backend(server.url, api_key="k", price_in_per_1k=1.0) as backend:
-            assert backend.generate("prompt") == "hi"
+        backend = http_backend(server.url, api_key="k", price_in_per_1k=1.0)
+        assert backend.generate("prompt") == "hi"
         assert (backend.usage.calls, backend.usage.tokens_in, backend.usage.tokens_out) == (1, 7, 3)
         assert backend.usage.cost == pytest.approx(0.007)
         method, path, headers, body = server.requests[0]
         assert (method, path) == ("POST", PATH)
         assert headers["Authorization"] == "Bearer k"
         assert headers["Content-Type"] == "application/json"
+        assert headers["User-Agent"].startswith("contribgraph/")
         assert json.loads(body) == {
             "model": "m", "messages": [{"role": "user", "content": "prompt"}], "temperature": 0.0,
         }
@@ -65,8 +74,8 @@ class TestCompletion:
     def test_usage_estimated_when_the_reply_has_none(self, loopback):
         server = loopback()
         server.default = reply(200, completion("x" * 40))
-        with http_backend(server.url) as backend:
-            backend.generate("p" * 80)
+        backend = http_backend(server.url)
+        backend.generate("p" * 80)
         assert (backend.usage.tokens_in, backend.usage.tokens_out) == (20, 10)
 
 
@@ -74,9 +83,8 @@ class TestFailures:
     def test_non_200(self, loopback):
         server = loopback()
         server.default = reply(503, b"busy " * 200)
-        with http_backend(server.url) as backend:
-            with pytest.raises(BackendError, match="^generation endpoint returned 503: busy") as e:
-                backend.generate("p")
+        with pytest.raises(BackendError, match="^generation endpoint returned 503: busy") as e:
+            http_backend(server.url).generate("p")
         assert len(str(e.value)) == len("generation endpoint returned 503: ") + 500
 
     @pytest.mark.parametrize(
@@ -89,122 +97,67 @@ class TestFailures:
     def test_malformed_body(self, loopback, body):
         server = loopback()
         server.default = reply(200, body)
-        with http_backend(server.url) as backend:
-            with pytest.raises(BackendError, match="^malformed completion response"):
-                backend.generate("p")
+        backend = http_backend(server.url)
+        with pytest.raises(BackendError, match="^malformed completion response"):
+            backend.generate("p")
         assert backend.usage.calls == 0
 
     def test_refused_connection(self, loopback):
-        with http_backend(f"http://127.0.0.1:{unused_port()}") as backend:
-            with pytest.raises(BackendError, match="^generation request failed: ConnectionRefused"):
-                backend.generate("p")
+        backend = http_backend(f"http://127.0.0.1:{unused_port()}")
+        with pytest.raises(BackendError, match="^generation request failed: ConnectionRefused"):
+            backend.generate("p")
 
     def test_read_timeout_is_not_retried(self, loopback):
         server = loopback()
-        server.script = [reply(200, completion()), stall]
-        with http_backend(server.url, timeout=0.3) as backend:
-            backend.generate("p")  # the stalled request goes out on a reused connection
-            with pytest.raises(BackendError, match="^generation request failed: .*timed out"):
-                backend.generate("p")
-        assert server.posts == 2
+        server.script = [stall]
+        backend = http_backend(server.url, timeout=0.3)
+        with pytest.raises(BackendError, match="^generation request failed: .*timed out"):
+            backend.generate("p")
+        assert server.posts == 1
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_redirect_that_keeps_the_post_is_not_followed(self, loopback, status):
+        server = loopback()
+        server.script = [redirect(status, server.url + "/elsewhere")]
+        backend = http_backend(server.url)
+        with pytest.raises(BackendError, match=f"^generation endpoint returned {status}: moved"):
+            backend.generate("p")
+        assert [path for _, path, *_ in server.requests] == [PATH]
 
     @pytest.mark.parametrize(
-        "endpoint, proxy",
-        [("ftp://model/v1", None), ("http://model:port/v1", None), ("http:///v1", None),
-         ("http://model/v1", "socks5://127.0.0.1:1080")],
-        ids=["ftp_endpoint", "bad_port", "no_host", "socks_proxy"],
+        "endpoint", ["ftp://model/v1", "http://model:port/v1", "http:///v1"],
+        ids=["ftp_endpoint", "bad_port", "no_host"],
     )
-    def test_unusable_endpoint_or_proxy_fails_at_construction(self, loopback, monkeypatch,
-                                                              endpoint, proxy):
-        if proxy:
-            monkeypatch.setenv("HTTP_PROXY", proxy)
-        with pytest.raises(BackendError, match="^generation (endpoint|proxy)"):
+    def test_unusable_endpoint_fails_at_construction(self, endpoint):
+        with pytest.raises(BackendError, match="^generation endpoint"):
             HttpBackend(endpoint=endpoint)
 
 
-class TestConnections:
-    def test_http11_calls_from_one_thread_share_one_connection(self, loopback):
-        server = loopback("HTTP/1.1")
-        server.default = reply(200, completion())
-        with http_backend(server.url) as backend:
-            for _ in range(5):
-                backend.generate("p")
-        assert (server.posts, server.connections) == (5, 1)
-
-    def test_http10_reconnects_for_every_call(self, loopback):
-        server = loopback("HTTP/1.0")
-        server.default = reply(200, completion())
-        with http_backend(server.url) as backend:
-            for _ in range(5):
-                backend.generate("p")
-        assert (server.posts, server.connections) == (5, 5)
-
-    def test_each_thread_keeps_its_own_connection(self, loopback):
+class TestOneConnectionPerCall:
+    def test_each_call_opens_and_closes_its_own_connection(self, loopback):
         server = loopback()
         server.default = reply(200, completion())
-        both_started = threading.Barrier(2, timeout=5)
-
-        def work(backend: HttpBackend) -> None:
+        backend = http_backend(server.url)
+        for _ in range(3):
             backend.generate("p")
-            both_started.wait()
-            backend.generate("p")
-            backend.generate("p")
+        assert (server.posts, server.connections) == (3, 3)
+        assert all(headers["Connection"] == "close" for _, _, headers, _ in server.requests)
 
-        with http_backend(server.url) as backend:
-            threads = [threading.Thread(target=work, args=(backend,)) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-            assert backend.usage.calls == 6
-        assert (server.posts, server.connections) == (6, 2)
-
-    def test_close_then_call_opens_a_new_connection(self, loopback):
+    def test_hang_up_before_the_reply_is_not_retried(self, loopback):
         server = loopback()
-        server.default = reply(200, completion())
-        with http_backend(server.url) as backend:
+        server.script = [hang_up, reply(200, completion())]
+        backend = http_backend(server.url)
+        with pytest.raises(BackendError, match="^generation request failed: RemoteDisconnected"):
             backend.generate("p")
-            backend.close()
-            backend.generate("p")
-        assert (server.posts, server.connections) == (2, 2)
-
-
-class TestStaleConnection:
-    def test_server_closed_idle_connection_is_retried_once(self, loopback):
-        server = loopback()
-        server.script = [reply_then_drop(200, completion("a")), reply(200, completion("b"))]
-        with http_backend(server.url) as backend:
-            assert backend.generate("p") == "a"
-            assert backend.generate("p") == "b"
-        # The request on the dropped connection never reached a handler.
-        assert (server.posts, server.connections) == (2, 2)
-
-    def test_retry_that_fails_too_is_not_retried_again(self, loopback):
-        server = loopback()
-        server.script = [reply_then_drop(200, completion()), hang_up, reply(200, completion())]
-        with http_backend(server.url) as backend:
-            backend.generate("p")
-            with pytest.raises(BackendError, match=DISCONNECTED):
-                backend.generate("p")
-        assert (server.posts, server.connections) == (2, 2)
+        assert server.posts == 1
 
     def test_partial_reply_is_never_resent(self, loopback):
         server = loopback()
-        server.script = [reply(200, completion()), partial_reply, reply(200, completion())]
-        with http_backend(server.url) as backend:
+        server.script = [partial_reply, reply(200, completion())]
+        backend = http_backend(server.url)
+        with pytest.raises(BackendError, match="^generation request failed: IncompleteRead"):
             backend.generate("p")
-            with pytest.raises(BackendError, match="^generation request failed: IncompleteRead"):
-                backend.generate("p")
-        assert (server.posts, server.connections) == (2, 1)
-
-    def test_fresh_connection_is_never_retried(self, loopback):
-        server = loopback()
-        server.script = [hang_up, reply(200, completion())]
-        with http_backend(server.url) as backend:
-            with pytest.raises(BackendError, match=DISCONNECTED):
-                backend.generate("p")
-        assert (server.posts, server.connections) == (1, 1)
+        assert server.posts == 1
 
 
 class TestProxy:
@@ -212,8 +165,7 @@ class TestProxy:
         proxy = loopback()
         proxy.default = reply(200, completion("via proxy"))
         monkeypatch.setenv("HTTP_PROXY", proxy.url)
-        with http_backend(f"http://{BEHIND_PROXY}") as backend:
-            assert backend.generate("p") == "via proxy"
+        assert http_backend(f"http://{BEHIND_PROXY}").generate("p") == "via proxy"
         _, path, headers, _ = proxy.requests[0]
         assert path == f"http://{BEHIND_PROXY}{PATH}"
         assert headers["Host"] == BEHIND_PROXY
@@ -223,8 +175,7 @@ class TestProxy:
         proxy = loopback()
         proxy.default = reply(200, completion())
         monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//user:p%40ss@"))
-        with http_backend(f"http://{BEHIND_PROXY}") as backend:
-            backend.generate("p")
+        http_backend(f"http://{BEHIND_PROXY}").generate("p")
         expected = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
         assert proxy.requests[0][2]["Proxy-Authorization"] == expected
 
@@ -233,19 +184,22 @@ class TestProxy:
         server.default = reply(200, completion("direct"))
         monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{unused_port()}")
         monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
-        with http_backend(server.url) as backend:
-            assert backend.generate("p") == "direct"
+        assert http_backend(server.url).generate("p") == "direct"
         assert server.requests[0][1] == PATH
 
     def test_https_goes_through_a_connect_tunnel(self, loopback, monkeypatch):
         proxy = loopback()
         monkeypatch.setenv("HTTPS_PROXY", proxy.url)
-        with http_backend(f"https://{BEHIND_PROXY}") as backend:
-            with pytest.raises(BackendError, match="^generation request failed: .*Tunnel.*502"):
-                backend.generate("p")
+        with pytest.raises(BackendError, match="^generation request failed: .*Tunnel.*502"):
+            http_backend(f"https://{BEHIND_PROXY}").generate("p")
         assert [(method, path) for method, path, *_ in proxy.requests] == [
             ("CONNECT", BEHIND_PROXY)
         ]
+
+    def test_proxy_other_than_http_fails_at_the_call(self, loopback, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+        with pytest.raises(BackendError, match="^generation request failed: .*socks5"):
+            http_backend(f"http://{BEHIND_PROXY}").generate("p")
 
 
 def test_http_clients_need_no_requests(tmp_path):
@@ -255,8 +209,8 @@ def test_http_clients_need_no_requests(tmp_path):
         "sys.modules['requests'] = None\n"
         "from contribgraph.backends import HttpBackend\n"
         "from contribgraph.embedding import HttpEmbeddingProvider\n"
-        "HttpBackend(endpoint='https://model.invalid/v1').close()\n"
-        "HttpEmbeddingProvider(endpoint='http://model.invalid/v1').close()\n"
+        "HttpBackend(endpoint='https://model.invalid/v1')\n"
+        "HttpEmbeddingProvider(endpoint='http://model.invalid/v1')\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,

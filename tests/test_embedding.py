@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import struct
@@ -309,9 +308,8 @@ class TestHttpProvider:
     def embed(self, loopback, body: str) -> np.ndarray:
         server = loopback()
         server.default = reply(200, body.encode("utf-8"))
-        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url + "/embeddings",
-                                                      model="e")) as provider:
-            vectors = provider.embed(["a", "b"])
+        provider = HttpEmbeddingProvider(endpoint=server.url + "/embeddings", model="e")
+        vectors = provider.embed(["a", "b"])
         assert json.loads(server.requests[0][3]) == {"model": "e", "input": ["a", "b"]}
         return vectors
 
@@ -331,10 +329,9 @@ class TestHttpProvider:
     def test_failures_name_the_embedding_endpoint(self, loopback):
         server = loopback()
         server.default = reply(429, b"slow down")
-        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url)) as provider:
-            with pytest.raises(BackendError, match="^embedding endpoint returned 429: slow down"):
-                provider.embed(["a"])
+        provider = HttpEmbeddingProvider(endpoint=server.url)
+        with pytest.raises(BackendError, match="^embedding endpoint returned 429: slow down"):
+            provider.embed(["a"])
         server.stop()
-        with contextlib.closing(HttpEmbeddingProvider(endpoint=server.url)) as provider:
-            with pytest.raises(BackendError, match="^embedding request failed: ConnectionRefused"):
-                provider.embed(["a"])
+        with pytest.raises(BackendError, match="^embedding request failed: ConnectionRefused"):
+            provider.embed(["a"])
