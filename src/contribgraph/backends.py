@@ -130,15 +130,14 @@ class MockBackend(GenerationBackend):
 class JsonTransport:
     """POSTs JSON to one endpoint through a ``urllib.request`` opener.
 
-    Each post opens a connection and closes it after the reply, as
-    ``requests.post`` did; nothing is kept between calls. The opener
-    reads the ``*_proxy``/``no_proxy`` environment once, when the
-    transport is made: over http a proxied request goes to the proxy with
-    an absolute URI, over https through a ``CONNECT`` tunnel, and
-    credentials in the proxy URL become Basic auth. A 307 or 308 reply is
-    not followed, so it fails like any status other than 200. Every
-    failure is a BackendError whose message starts with ``what``
-    ("generation", "embedding").
+    Each post opens a connection and closes it after the reply; nothing
+    is kept between calls. The opener reads the ``*_proxy``/``no_proxy``
+    environment once, when the transport is made: over http a proxied
+    request goes to the proxy with an absolute URI, over https through a
+    ``CONNECT`` tunnel, and credentials in the proxy URL become Basic
+    auth. A 307 or 308 reply is not followed, so it fails like any status
+    other than 200. Every failure is a BackendError whose message starts
+    with ``what`` ("generation", "embedding").
     """
 
     def __init__(self, url: str, what: str, api_key: Optional[str], timeout: float):
