@@ -3,8 +3,9 @@
 The pipeline talks to a single ``generate(prompt) -> text`` contract.
 Two implementations ship: a replay mock keyed by the SHA-256 of the
 fully rendered prompt (pure, deterministic, used by the whole test
-suite), and an OpenAI-compatible HTTP backend configured through
-environment variables.
+suite), and an OpenAI-compatible HTTP backend that takes its endpoint,
+key, model and prices as arguments (the CLI resolves them from flags,
+environment and config file).
 
 ``JsonTransport`` is the one HTTP client, shared by the generation
 backend and the embedding provider. It uses only the standard library
@@ -20,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import re
 import threading
 from abc import ABC, abstractmethod
@@ -30,10 +30,6 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BackendError, ParseFailure, StageFailure
-
-GEN_ENDPOINT_VAR = "CONTRIBGRAPH_GEN_ENDPOINT"
-GEN_API_KEY_VAR = "CONTRIBGRAPH_GEN_API_KEY"
-GEN_MODEL_VAR = "CONTRIBGRAPH_GEN_MODEL"
 
 
 @dataclass
@@ -193,34 +189,25 @@ class JsonTransport:
 
 
 class HttpBackend(GenerationBackend):
-    """OpenAI-compatible chat-completions backend.
-
-    Endpoint, credential, and model come from environment variables
-    unless given explicitly. Per-1k-token prices feed cost accounting.
-    """
+    """OpenAI-compatible chat-completions backend at ``endpoint``.
+    Per-1k-token prices feed cost accounting."""
 
     name = "http"
 
     def __init__(
         self,
-        endpoint: Optional[str] = None,
+        endpoint: str,
         api_key: Optional[str] = None,
-        model: Optional[str] = None,
+        model: str = "",
         price_in_per_1k: float = 0.0,
         price_out_per_1k: float = 0.0,
         timeout: float = 300.0,
     ):
         super().__init__()
-        self.endpoint = endpoint or os.environ.get(GEN_ENDPOINT_VAR)
-        self.api_key = api_key or os.environ.get(GEN_API_KEY_VAR)
-        self.model = model or os.environ.get(GEN_MODEL_VAR, "")
+        self.model = model
         self.price_in_per_1k = price_in_per_1k
         self.price_out_per_1k = price_out_per_1k
-        if not self.endpoint:
-            raise BackendError(
-                f"no generation endpoint configured (set {GEN_ENDPOINT_VAR})"
-            )
-        self._transport = JsonTransport(self.endpoint, "generation", self.api_key, timeout)
+        self._transport = JsonTransport(endpoint, "generation", api_key, timeout)
 
     def generate(self, prompt: str) -> str:
         body = self._transport.post({

@@ -2,9 +2,12 @@
 
 Workflow: ingest -> extract -> frontier -> embed -> taskgen -> rank ->
 eval -> export, plus validate. Exit status is 0 on success, 1 on
-operational failure, 2 on usage errors. Configuration precedence is
-flags > environment > config file; write subcommands hold an exclusive
-store lock.
+operational failure, 2 on usage errors. Write subcommands hold an
+exclusive store lock.
+
+Settings are read here and nowhere else, once: a subcommand's flag,
+when given, beats ``CONTRIBGRAPH_<KEY>`` in the environment, which beats
+``KEY`` in the ``--config`` file. The backends take values as arguments.
 
 Each step of the workflow is its own process, so a subcommand imports
 its own modules: the module level holds only the standard library and
@@ -38,40 +41,40 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 LOCK_FILE = "store.lock"
+ENV_PREFIX = "CONTRIBGRAPH_"
 
 
 class CliError(ContribGraphError):
     """Operational failure surfaced to the user with exit status 1."""
 
 
-def load_config_file(path: Optional[str]) -> dict[str, str]:
-    """Simple KEY=VALUE config file; blank lines and # comments ignored."""
-    if not path:
-        return {}
-    config: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"bad config line (want KEY=VALUE): {line!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
+def load_settings(config_path: Optional[str]) -> dict[str, str]:
+    """The ``--config`` file (``KEY=VALUE`` lines; blank lines and #
+    comments ignored), then every ``CONTRIBGRAPH_<KEY>`` environment
+    variable laid over it as ``KEY``: the environment wins."""
+    settings: dict[str, str] = {}
+    if config_path:
+        for line in Path(config_path).read_text(encoding="utf-8").splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise CliError(f"bad config line (want KEY=VALUE): {line!r}")
+            key, value = line.split("=", 1)
+            settings[key.strip()] = value.strip()
+    for name, value in os.environ.items():
+        if name.startswith(ENV_PREFIX):
+            settings[name[len(ENV_PREFIX):]] = value
+    return settings
 
 
-def setting(
-    flag_value: Optional[str],
-    env_var: str,
-    config: dict[str, str],
-    config_key: str,
-    default: Optional[str] = None,
-) -> Optional[str]:
-    if flag_value is not None:
-        return flag_value
-    if env_var in os.environ:
-        return os.environ[env_var]
-    return config.get(config_key, default)
+def price(settings: dict[str, str], key: str) -> float:
+    """A per-1k-token price setting: a finite number >= 0, and 0 when unset."""
+    text = settings.get(key, "0")
+    with contextlib.suppress(ValueError):
+        if 0.0 <= float(text) < float("inf"):  # false for nan too
+            return float(text)
+    raise CliError(f"{key} must be a non-negative number, got {text!r}")
 
 
 @contextlib.contextmanager
@@ -112,26 +115,23 @@ def refuse_clobber(path: Path, force: bool) -> None:
         raise CliError(f"{path} exists; pass --force to overwrite")
 
 
-def make_generation_backend(args, config: dict[str, str]) -> GenerationBackend:
+def make_generation_backend(args, settings: dict[str, str]) -> GenerationBackend:
     from . import backends
 
     if args.mock:
         return backends.MockBackend(args.mock)
-    endpoint = setting(
-        getattr(args, "endpoint", None), backends.GEN_ENDPOINT_VAR, config, "GEN_ENDPOINT"
-    )
-    api_key = setting(None, backends.GEN_API_KEY_VAR, config, "GEN_API_KEY")
-    model = setting(
-        getattr(args, "model", None), backends.GEN_MODEL_VAR, config, "GEN_MODEL", ""
-    )
-    price_in = float(config.get("PRICE_IN_PER_1K", "0"))
-    price_out = float(config.get("PRICE_OUT_PER_1K", "0"))
+    endpoint = args.endpoint if args.endpoint is not None else settings.get("GEN_ENDPOINT")
+    if not endpoint:
+        raise CliError(
+            "no generation endpoint configured: pass --endpoint, set"
+            f" {ENV_PREFIX}GEN_ENDPOINT or put GEN_ENDPOINT in the --config file"
+        )
     return backends.HttpBackend(
-        endpoint=endpoint,
-        api_key=api_key,
-        model=model,
-        price_in_per_1k=price_in,
-        price_out_per_1k=price_out,
+        endpoint,
+        api_key=settings.get("GEN_API_KEY"),
+        model=args.model if args.model is not None else settings.get("GEN_MODEL", ""),
+        price_in_per_1k=price(settings, "PRICE_IN_PER_1K"),
+        price_out_per_1k=price(settings, "PRICE_OUT_PER_1K"),
     )
 
 
@@ -167,7 +167,7 @@ def at_least(low: int) -> Callable[[str], int]:
 # ----------------------------------------------------------------------
 
 
-def cmd_ingest(args, config) -> int:
+def cmd_ingest(args, settings) -> int:
     from .frontier import Catalog
     from .graph import collector_paused
     from .jsonl import read_jsonl
@@ -200,7 +200,7 @@ def cmd_ingest(args, config) -> int:
     return 0
 
 
-def cmd_extract(args, config) -> int:
+def cmd_extract(args, settings) -> int:
     from . import frontier
     from .graph import RECORDS_FILE
     from .pipeline import PaperInput, Pipeline
@@ -235,7 +235,7 @@ def cmd_extract(args, config) -> int:
                     full_text=text_path.read_text(encoding="utf-8"),
                 )
             )
-        backend = make_generation_backend(args, config)
+        backend = make_generation_backend(args, settings)
         pipeline = Pipeline(
             backend, graph, records_path=store_dir / RECORDS_FILE, retries=args.retries
         )
@@ -259,7 +259,7 @@ def cmd_extract(args, config) -> int:
         return 1 if failures else 0
 
 
-def cmd_frontier(args, config) -> int:
+def cmd_frontier(args, settings) -> int:
     from . import frontier
 
     graph = load_store(Path(args.store))
@@ -277,16 +277,19 @@ def cmd_frontier(args, config) -> int:
     return 0
 
 
-def cmd_embed(args, config) -> int:
-    from .embedding import EMBED_ENDPOINT_VAR, HttpEmbeddingProvider, MockEmbeddingProvider
+def cmd_embed(args, settings) -> int:
+    from .embedding import HttpEmbeddingProvider, MockEmbeddingProvider
 
     store_dir = Path(args.store)
     out_path = Path(args.out) if args.out else store_dir / "embeddings.bin"
     refuse_clobber(out_path, args.force)
     graph = load_store(store_dir)
-    endpoint = setting(None, EMBED_ENDPOINT_VAR, config, "EMBED_ENDPOINT")
-    if args.provider == "http" or (args.provider == "auto" and endpoint):
-        provider = HttpEmbeddingProvider(endpoint=endpoint)
+    if settings.get("EMBED_ENDPOINT"):
+        provider = HttpEmbeddingProvider(
+            settings["EMBED_ENDPOINT"],
+            api_key=settings.get("EMBED_API_KEY"),
+            model=settings.get("EMBED_MODEL", ""),
+        )
     else:
         provider = MockEmbeddingProvider(dim=args.dim)
     index = build_index(graph, provider)
@@ -295,7 +298,7 @@ def cmd_embed(args, config) -> int:
     return 0
 
 
-def cmd_taskgen(args, config) -> int:
+def cmd_taskgen(args, settings) -> int:
     from . import taskgen
     from .embedding import EmbeddingIndex
 
@@ -328,13 +331,13 @@ def cmd_taskgen(args, config) -> int:
     return 0
 
 
-def cmd_rank(args, config) -> int:
+def cmd_rank(args, settings) -> int:
     from . import evaluation
 
     problems = evaluation.read_problems(args.problems)
     out_path = Path(args.out) if args.out else Path(args.problems).with_name("submissions.jsonl")
     refuse_clobber(out_path, args.force)
-    backend = make_generation_backend(args, config)
+    backend = make_generation_backend(args, settings)
     submissions = evaluation.run_ranking(
         problems, backend, parallel=args.parallel, retries=args.retries
     )
@@ -344,7 +347,7 @@ def cmd_rank(args, config) -> int:
     return 0
 
 
-def cmd_eval(args, config) -> int:
+def cmd_eval(args, settings) -> int:
     from . import evaluation
 
     out_path = Path(args.out) if args.out else Path(args.problems).with_name("report.json")
@@ -366,7 +369,7 @@ def cmd_eval(args, config) -> int:
     return 0
 
 
-def cmd_export(args, config) -> int:
+def cmd_export(args, settings) -> int:
     from .roadmap import export_dot, export_json, impact_tree, precursor_tree
 
     graph = load_store(Path(args.store))
@@ -386,7 +389,7 @@ def cmd_export(args, config) -> int:
     return 0
 
 
-def cmd_validate(args, config) -> int:
+def cmd_validate(args, settings) -> int:
     from .graph import EDGES_FILE, NODES_FILE, Violation
 
     store_dir = Path(args.store)
@@ -443,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel", type=at_least(1), default=1,
         help="at most N model calls in flight (default 1)",
     )
-    p.add_argument("--endpoint", help="generation endpoint (overrides env/config)")
-    p.add_argument("--model", help="generation model tag")
+    p.add_argument("--endpoint", help="generation endpoint (overrides GEN_ENDPOINT)")
+    p.add_argument("--model", help="generation model tag (overrides GEN_MODEL)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("frontier", help="print the next extraction batch")
@@ -457,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--out")
     p.add_argument("--dim", type=at_least(1), default=64, help="mock provider dimensionality")
-    p.add_argument("--provider", choices=["auto", "mock", "http"], default="auto")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_embed)
 
@@ -481,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="at most N model calls in flight (default 1)",
     )
     p.add_argument("--retries", type=at_least(0), default=2)
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
+    p.add_argument("--endpoint", help="generation endpoint (overrides GEN_ENDPOINT)")
+    p.add_argument("--model", help="generation model tag (overrides GEN_MODEL)")
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_rank)
@@ -523,8 +525,8 @@ def dispatch(argv: Sequence[str]) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config_file(args.config)
-        return args.func(args, config)
+        settings = load_settings(args.config)
+        return args.func(args, settings)
     except ContribGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,9 @@ a caller allows, and a partial selection (`np.argpartition`) picks the
 top k among them, ties broken by ascending id. Vectors are stored as
 32-bit little-endian floats.
 
-`HttpEmbeddingProvider` calls an OpenAI-compatible embeddings endpoint
-through `backends.JsonTransport`, the standard-library HTTP client the
+`HttpEmbeddingProvider` calls an OpenAI-compatible embeddings endpoint,
+given with its key and model as arguments, through
+`backends.JsonTransport`, the standard-library HTTP client the
 generation backend uses too.
 """
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .backends import JsonTransport
 from .errors import BackendError
 from .graph import ContributionGraph
 from .model import Contribution
-
-EMBED_ENDPOINT_VAR = "CONTRIBGRAPH_EMBED_ENDPOINT"
-EMBED_API_KEY_VAR = "CONTRIBGRAPH_EMBED_API_KEY"
-EMBED_MODEL_VAR = "CONTRIBGRAPH_EMBED_MODEL"
 
 MAGIC = b"SCGE"
 FORMAT_VERSION = 1
@@ -75,22 +72,14 @@ class MockEmbeddingProvider(EmbeddingProvider):
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
-    """OpenAI-compatible embeddings endpoint, configured via environment."""
+    """OpenAI-compatible embeddings endpoint at ``endpoint``."""
 
     def __init__(
-        self,
-        endpoint: Optional[str] = None,
-        api_key: Optional[str] = None,
-        model: Optional[str] = None,
-        timeout: float = 120.0,
+        self, endpoint: str, api_key: Optional[str] = None, model: str = "", timeout: float = 120.0
     ):
-        self.endpoint = endpoint or os.environ.get(EMBED_ENDPOINT_VAR)
-        self.api_key = api_key or os.environ.get(EMBED_API_KEY_VAR)
-        self.model = model or os.environ.get(EMBED_MODEL_VAR, "")
+        self.model = model
         self.dim = 0  # discovered from the first response
-        if not self.endpoint:
-            raise BackendError(f"no embedding endpoint configured (set {EMBED_ENDPOINT_VAR})")
-        self._transport = JsonTransport(self.endpoint, "embedding", self.api_key, timeout)
+        self._transport = JsonTransport(endpoint, "embedding", api_key, timeout)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         body = self._transport.post({"model": self.model, "input": list(texts)})

@@ -10,10 +10,11 @@ over problems.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -21,7 +22,7 @@ from typing import Any, Iterable, Optional, Sequence
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
 from .errors import ContribGraphError, StageFailure
-from .model import Problem
+from .model import PartialDate, Problem
 from .prompts import RANKING_TEMPLATE, load_template, render
 
 logger = logging.getLogger(__name__)
@@ -70,10 +71,15 @@ class ModelCutoff:
 
     @classmethod
     def parse(cls, tag: str, value: Any) -> "ModelCutoff":
+        """"YYYY[-MM]" or {"year": YYYY, "month": MM}: an integer year and,
+        when given, an integer month in 1-12; anything else raises ValueError."""
         if isinstance(value, dict):
-            return cls(tag, int(value["year"]), value.get("month"))
-        parts = str(value).split("-")
-        return cls(tag, int(parts[0]), int(parts[1]) if len(parts) > 1 else None)
+            year, month = value["year"], value.get("month")
+            if type(year) is not int or not (month is None or type(month) is int and 1 <= month <= 12):
+                raise ValueError(f"want an integer year and a month in 1-12, got {value!r:.80}")
+            return cls(tag, year, month)
+        date = PartialDate.parse(value)
+        return cls(tag, date.year, date.month)
 
 
 def load_cutoffs(path: str | Path) -> dict[str, ModelCutoff]:
@@ -138,6 +144,8 @@ class RankingSubmission:
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "RankingSubmission":
         usage = obj.get("usage", {})
+        if not isinstance(usage, dict):
+            raise TypeError(f"usage must be an object, got {usage!r:.80}")
         ranked_ids = obj["ranked_ids"]
         if not isinstance(ranked_ids, list) or not all(isinstance(cid, str) for cid in ranked_ids):
             raise TypeError(f"ranked_ids must be a list of strings, got {ranked_ids!r:.80}")
@@ -216,19 +224,9 @@ class EvalReport:
     n_discarded: int = 0
     cost_per_1k: float = 0.0
     backend: str = ""
-    ap_by_problem: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "map_overall": self.map_overall,
-            "map_pre": self.map_pre,
-            "map_post": self.map_post,
-            "n_pre": self.n_pre,
-            "n_post": self.n_post,
-            "n_discarded": self.n_discarded,
-            "cost_per_1k": self.cost_per_1k,
-            "backend": self.backend,
-        }
+        return dataclasses.asdict(self)  # the fields, in report.json's key order
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
@@ -252,7 +250,7 @@ def score_run(
         ranked = repair_submission(submission.ranked_ids, problem)
         ap[problem.problem_id] = average_precision(ranked, problem.gold_ids)
 
-    report = EvalReport(ap_by_problem=ap)
+    report = EvalReport()
     report.map_overall = _mean([ap[p.problem_id] for p in problems])
     if cutoff is not None:
         report.backend = cutoff.tag

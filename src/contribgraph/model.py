@@ -2,9 +2,9 @@
 
 Serialization follows the released extraction-record layout: key names
 and nesting match the record files bit-for-bit, so every ``to_json``
-builds its dict in the canonical key order and ``from_json`` accepts
-exactly those keys (ingestion-time alias handling lives in records.py,
-not here).
+builds its dict in the canonical key order. Records are read back by
+records.py, which also handles ingestion-time aliases; the one reader
+here, ``Problem.from_json``, takes a problems.jsonl row.
 """
 from __future__ import annotations
 
@@ -55,10 +55,15 @@ class PartialDate:
 
     @classmethod
     def parse(cls, text: str) -> "PartialDate":
+        """"YYYY", "YYYY-MM" or "YYYY-MM-DD", with a month in 1-12 and a
+        day in 1-31; anything else raises ValueError."""
         parts = str(text).split("-")
         try:
             if 1 <= len(parts) <= 3:
-                return cls(*map(int, parts))
+                date = cls(*map(int, parts))
+                month_ok = date.month is None or 1 <= date.month <= 12
+                if month_ok and (date.day is None or 1 <= date.day <= 31):
+                    return date
         except ValueError:
             pass
         raise ValueError(f"bad date {text!r}")
@@ -280,7 +285,12 @@ class Problem:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "Problem":
+        """A problems.jsonl row; KeyError, TypeError or ValueError when a
+        field scoring relies on is missing or ill-typed."""
         target = obj["target"]
+        year = target["year"]
+        if type(year) is not int:
+            raise TypeError(f"target year must be an integer, got {year!r:.80}")
         candidates = obj["candidates"]
         if not isinstance(candidates, list) or not all(
             isinstance(c, dict) and isinstance(c.get("id"), str) for c in candidates
@@ -288,15 +298,20 @@ class Problem:
             raise TypeError(
                 f"candidates must be a list of objects with a string id, got {candidates!r:.80}"
             )
+        gold_ids = obj["gold_ids"]
+        if not isinstance(gold_ids, list) or not all(isinstance(g, str) for g in gold_ids):
+            raise TypeError(f"gold_ids must be a list of strings, got {gold_ids!r:.80}")
+        if not gold_ids or not set(gold_ids) <= {c["id"] for c in candidates}:
+            raise ValueError(f"gold_ids must be non-empty candidate ids, got {gold_ids!r:.80}")
         return cls(
             problem_id=obj["problem_id"],
             target_id=target["id"],
             target_name=target.get("name", ""),
             target_description=target.get("description", ""),
-            target_year=target["year"],
+            target_year=year,
             target_date=PartialDate.parse(target["date"]) if target.get("date") else None,
             candidates=candidates,
-            gold_ids=set(obj["gold_ids"]),
+            gold_ids=set(gold_ids),
             seed=obj["seed"],
         )
 

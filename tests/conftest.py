@@ -19,6 +19,13 @@ from contribgraph.jsonl import read_jsonl, write_jsonl
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_RECORDS = DATA_DIR / "golden_records.jsonl"
 
+# The suite runs apart from the caller's CONTRIBGRAPH_* settings, which
+# the CLI would otherwise pick up (embed would call a configured
+# endpoint). Only the live smoke test reads them, from here.
+LIVE_SETTINGS = {
+    name: os.environ.pop(name) for name in list(os.environ) if name.startswith("CONTRIBGRAPH_")
+}
+
 # One PASS/FAIL line per acceptance criterion in the terminal summary.
 ACCEPTANCE_LABELS = {
     "test_pipeline_determinism": "pipeline determinism (10-paper mock corpus, byte-identical, edge oracle, <10s)",

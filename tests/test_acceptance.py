@@ -9,7 +9,6 @@ conftest.py prints one PASS/FAIL line per criterion after the run.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 
@@ -27,7 +26,7 @@ from contribgraph.pipeline import PaperInput, Pipeline
 from contribgraph.roadmap import impact_tree, precursor_tree
 from contribgraph.taskgen import Problem, build_problem, index_years, sample_targets
 
-from conftest import GOLDEN_RECORDS, build_synthetic_graph
+from conftest import GOLDEN_RECORDS, LIVE_SETTINGS, build_synthetic_graph
 from oracles import (
     ap_direct,
     bfs_levels,
@@ -251,7 +250,7 @@ def test_frontier_selection():
 
 
 @pytest.mark.skipif(
-    not os.environ.get("CONTRIBGRAPH_GEN_ENDPOINT"),
+    not LIVE_SETTINGS.get("CONTRIBGRAPH_GEN_ENDPOINT"),
     reason="live backend not configured (optional, not gating)",
 )
 def test_live_backend_smoke():
@@ -270,7 +269,12 @@ def test_live_backend_smoke():
         "tasks; an empirical evaluation showing 12% improvement.\n"
     )
     graph = ContributionGraph()
-    pipeline = Pipeline(HttpBackend(), graph)
+    backend = HttpBackend(
+        LIVE_SETTINGS["CONTRIBGRAPH_GEN_ENDPOINT"],
+        api_key=LIVE_SETTINGS.get("CONTRIBGRAPH_GEN_API_KEY"),
+        model=LIVE_SETTINGS.get("CONTRIBGRAPH_GEN_MODEL", ""),
+    )
+    pipeline = Pipeline(backend, graph)
     contributions = pipeline.extract_contributions(
         PaperInput("live-smoke", "A Minimal Study of Widget Ranking", 2024, text)
     )

@@ -21,6 +21,7 @@ from conftest import (
     GOLDEN_RECORDS,
     MALFORMED_ALIGNMENTS,
     MISSHAPEN_RECORDS,
+    reply,
     write_citing_pair,
 )
 from oracles import ap_direct
@@ -180,8 +181,7 @@ def e2e(corpus, tmp_path_factory):
         "--store", store, "--catalog", corpus.catalog_path,
         "--mock", corpus.mock_dir,
     ) == 0
-    assert run("embed", "--store", store, "--dim", cf.EMBED_DIM,
-               "--provider", "mock") == 0
+    assert run("embed", "--store", store, "--dim", cf.EMBED_DIM) == 0
     assert run(
         "taskgen", "--store", store,
         "--years", "2021-2025", "--per-year", cf.E2E_PER_YEAR,
@@ -414,6 +414,7 @@ BAD_PAPER_ROWS = {
     "no_corpus_id": ({"title": "T", "year": 2020}, "corpus_id missing or empty"),
     "empty_corpus_id": ({"corpus_id": "", "title": "T"}, "corpus_id missing or empty"),
     "malformed_date": ({"corpus_id": "5", "date": "20x1"}, "bad date '20x1'"),
+    "month_out_of_range": ({"corpus_id": "5", "date": "2021-13"}, "bad date '2021-13'"),
     "year_not_integer": ({"corpus_id": "5", "year": "2018"}, "year must be an integer, got '2018'"),
 }
 
@@ -487,7 +488,41 @@ BAD_EVAL_INPUTS = {
     ),
     "cutoff_not_a_date": (
         lambda d: write_cutoff(d, "june"),
-        "cutoffs.json: bad cutoffs (invalid literal for int() with base 10: 'june')",
+        "cutoffs.json: bad cutoffs (bad date 'june')",
+    ),
+    "cutoff_month_13": (
+        lambda d: write_cutoff(d, "2022-13"),
+        "cutoffs.json: bad cutoffs (bad date '2022-13')",
+    ),
+    "cutoff_month_a_string": (
+        lambda d: write_cutoff(d, {"year": 2022, "month": "6"}),
+        "cutoffs.json: bad cutoffs (want an integer year and a month in 1-12",
+    ),
+    "problem_with_a_string_target_year": (
+        lambda d: edit_first_row(
+            d / "problems.jsonl", lambda row: row["target"].update(year=str(row["target"]["year"]))
+        ),
+        "problems.jsonl:1: target year must be an integer, got '20",
+    ),
+    "problem_with_a_string_as_gold_ids": (
+        lambda d: edit_first_row(
+            d / "problems.jsonl", lambda row: row.update(gold_ids=row["gold_ids"][0])
+        ),
+        "problems.jsonl:1: gold_ids must be a list of strings",
+    ),
+    "problem_without_gold_ids": (
+        lambda d: edit_first_row(d / "problems.jsonl", lambda row: row.update(gold_ids=[])),
+        "problems.jsonl:1: gold_ids must be non-empty candidate ids, got []",
+    ),
+    "problem_with_a_gold_id_outside_the_candidates": (
+        lambda d: edit_first_row(
+            d / "problems.jsonl", lambda row: row["gold_ids"].append("elsewhere.c0")
+        ),
+        "problems.jsonl:1: gold_ids must be non-empty candidate ids, got [",
+    ),
+    "submission_with_a_number_as_usage": (
+        lambda d: edit_first_row(d / "submissions.jsonl", lambda row: row.update(usage=5)),
+        "submissions.jsonl:1: usage must be an object, got 5",
     ),
     "problem_without_submission": (
         lambda d: write_jsonl(
@@ -509,7 +544,7 @@ def test_bad_eval_input_is_a_clean_failure(e2e, corpus, tmp_path, capsys, name):
     break_input(tmp_path)
     commands = [["eval", "--problems", problems, "--submissions", submissions,
                  "--cutoffs", cutoffs, "--out", tmp_path / "report.json"]]
-    if name in ("problem_without_target", "problem_with_id_strings_as_candidates"):
+    if problem.startswith("problems.jsonl:"):  # rank reads the problems too
         commands.append(["rank", "--problems", problems, "--mock", corpus.mock_dir,
                          "--out", tmp_path / "ranked.jsonl"])
     capsys.readouterr()
@@ -588,7 +623,7 @@ class TestImportGuard:
         )
         # The probe does see numpy when a command loads it.
         assert numpy_imported(
-            tmp_path, "embed", "--store", store, "--provider", "mock", "--out", tmp_path / "e.bin"
+            tmp_path, "embed", "--store", store, "--out", tmp_path / "e.bin"
         )
 
     def test_extract_rank_and_eval(self, e2e, corpus, tmp_path):
@@ -633,13 +668,99 @@ def test_readme_cli_commands_parse():
             pytest.fail(f"README command does not parse: contribgraph {shlex.join(argv)}")
 
 
-def test_config_file_layering(tmp_path, monkeypatch):
-    from contribgraph.cli import load_config_file, setting
+# A completion whose ranking is empty: rank repairs it to the stored order.
+EMPTY_RANKING = json.dumps({"choices": [{"message": {"content": '{"ranking": []}'}}]}).encode()
 
-    config_path = tmp_path / "config"
-    config_path.write_text("GEN_ENDPOINT=http://from-config\n# comment\n", encoding="utf-8")
-    config = load_config_file(str(config_path))
-    assert setting(None, "NOT_SET_VAR", config, "GEN_ENDPOINT") == "http://from-config"
-    monkeypatch.setenv("SOME_VAR", "http://from-env")
-    assert setting(None, "SOME_VAR", config, "GEN_ENDPOINT") == "http://from-env"
-    assert setting("http://from-flag", "SOME_VAR", config, "GEN_ENDPOINT") == "http://from-flag"
+
+@pytest.fixture()
+def one_problem(e2e, tmp_path) -> Path:
+    path = tmp_path / "problems.jsonl"
+    write_jsonl(path, list(read_jsonl(e2e / "problems.jsonl"))[:1])
+    return path
+
+
+def test_config_file_layering(one_problem, tmp_path, loopback, monkeypatch):
+    """A flag beats CONTRIBGRAPH_<KEY> in the environment, which beats KEY
+    in the --config file."""
+    server = loopback()
+    server.default = reply(200, EMPTY_RANKING)
+    config = tmp_path / "config"
+    config.write_text(
+        f"# comment\n\nGEN_ENDPOINT={server.url}/config\nGEN_MODEL=config-model\n",
+        encoding="utf-8",
+    )
+
+    def sent(*flags) -> tuple[str, str]:
+        out = tmp_path / f"submissions-{server.posts}.jsonl"
+        assert run("--config", config, "rank", "--problems", one_problem, "--out", out, *flags) == 0
+        _, path, _, body = server.requests[-1]
+        return path, json.loads(body)["model"]
+
+    assert sent() == ("/config", "config-model")
+    monkeypatch.setenv("CONTRIBGRAPH_GEN_ENDPOINT", f"{server.url}/env")
+    monkeypatch.setenv("CONTRIBGRAPH_GEN_MODEL", "env-model")
+    assert sent() == ("/env", "env-model")
+    assert sent("--endpoint", f"{server.url}/flag", "--model", "") == ("/flag", "")
+
+
+def test_embed_takes_its_settings_from_config_and_environment(tmp_path, loopback, monkeypatch):
+    """embed calls the embedding endpoint when one is set, with the key
+    and model of the config file unless the environment overrides them,
+    and uses the mock provider at --dim otherwise."""
+    from contribgraph.embedding import EmbeddingIndex
+
+    store = tmp_path / "store"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    rows = len(ContributionGraph.load(store).nodes)
+    server = loopback()
+    server.default = reply(200, json.dumps({"data": [{"embedding": [1.0, 0.0, 0.0]}] * rows}).encode())
+
+    def embed(*argv) -> int:
+        out = tmp_path / f"e{len(list(tmp_path.glob('e*.bin')))}.bin"
+        assert run(*argv, "embed", "--store", store, "--dim", 5, "--out", out) == 0
+        return EmbeddingIndex.load(out).dim
+
+    assert embed() == 5 and server.requests == []
+    config = tmp_path / "config"
+    config.write_text(
+        f"EMBED_ENDPOINT={server.url}/embed\nEMBED_API_KEY=config-key\nEMBED_MODEL=config-model\n",
+        encoding="utf-8",
+    )
+    assert embed("--config", config) == 3
+    _, path, headers, body = server.requests[-1]
+    assert path == "/embed" and headers["Authorization"] == "Bearer config-key"
+    assert json.loads(body)["model"] == "config-model"
+    monkeypatch.setenv("CONTRIBGRAPH_EMBED_API_KEY", "env-key")
+    assert embed("--config", config) == 3
+    assert server.requests[-1][2]["Authorization"] == "Bearer env-key"
+
+
+@pytest.mark.parametrize(
+    "source, settings, problem",
+    [
+        ("config", {}, "no generation endpoint configured: pass --endpoint, set"
+                       " CONTRIBGRAPH_GEN_ENDPOINT or put GEN_ENDPOINT in the --config file"),
+        ("config", {"GEN_ENDPOINT": "http://127.0.0.1:9/v1", "PRICE_IN_PER_1K": "cheap"},
+         "PRICE_IN_PER_1K must be a non-negative number, got 'cheap'"),
+        ("environment", {"GEN_ENDPOINT": "http://127.0.0.1:9/v1", "PRICE_IN_PER_1K": "cheap"},
+         "PRICE_IN_PER_1K must be a non-negative number, got 'cheap'"),
+        ("environment", {"GEN_ENDPOINT": "http://127.0.0.1:9/v1", "PRICE_OUT_PER_1K": "-0.5"},
+         "PRICE_OUT_PER_1K must be a non-negative number, got '-0.5'"),
+    ],
+    ids=["no_endpoint", "price_not_a_number", "price_not_a_number_in_environment",
+         "negative_price"],
+)
+def test_bad_generation_settings_are_a_clean_failure(
+    one_problem, tmp_path, monkeypatch, capsys, source, settings, problem
+):
+    config = tmp_path / "config"
+    lines = [f"{key}={value}\n" for key, value in settings.items()] if source == "config" else []
+    config.write_text("".join(lines), encoding="utf-8")
+    if source == "environment":
+        for key, value in settings.items():
+            monkeypatch.setenv(f"CONTRIBGRAPH_{key}", value)
+    out = tmp_path / "submissions.jsonl"
+    assert run("--config", config, "rank", "--problems", one_problem, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {problem}\n"
+    assert not out.exists()

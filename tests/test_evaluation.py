@@ -25,6 +25,7 @@ from contribgraph.evaluation import (
     split_by_cutoff,
     write_submissions,
 )
+from contribgraph.errors import ContribGraphError
 from contribgraph.model import PartialDate
 from contribgraph.taskgen import Problem
 
@@ -386,6 +387,18 @@ class TestPersistence:
         assert cutoffs["a:b"].year == 2024 and cutoffs["a:b"].month == 6
         assert cutoffs["c:d"].year == 2023 and cutoffs["c:d"].month is None
         assert cutoffs["e:f"].year == 2022 and cutoffs["e:f"].month is None
+
+    @pytest.mark.parametrize(
+        "value",
+        ["2022-13", "2022-0", "2022-6-32", "june", {"year": 2022, "month": "6"},
+         {"year": 2022, "month": 13}, {"year": 2022, "month": True}, {"year": "2022"}],
+        ids=str,
+    )
+    def test_cutoff_needs_an_integer_month_in_1_to_12(self, tmp_path, value):
+        path = tmp_path / "cutoffs.json"
+        path.write_text(json.dumps({"m": value}), encoding="utf-8")
+        with pytest.raises(ContribGraphError, match="bad cutoffs"):
+            load_cutoffs(path)
 
     def test_report_json_fields(self):
         report = EvalReport(map_overall=0.5, n_pre=1, n_post=2, n_discarded=0)
