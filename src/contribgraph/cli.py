@@ -42,6 +42,10 @@ logger = logging.getLogger(__name__)
 
 LOCK_FILE = "store.lock"
 ENV_PREFIX = "CONTRIBGRAPH_"
+SETTING_KEYS = (
+    "GEN_ENDPOINT", "GEN_API_KEY", "GEN_MODEL", "PRICE_IN_PER_1K", "PRICE_OUT_PER_1K",
+    "EMBED_ENDPOINT", "EMBED_API_KEY", "EMBED_MODEL",
+)
 
 
 class CliError(ContribGraphError):
@@ -51,7 +55,9 @@ class CliError(ContribGraphError):
 def load_settings(config_path: Optional[str]) -> dict[str, str]:
     """The ``--config`` file (``KEY=VALUE`` lines; blank lines and #
     comments ignored), then every ``CONTRIBGRAPH_<KEY>`` environment
-    variable laid over it as ``KEY``: the environment wins."""
+    variable laid over it as ``KEY``: the environment wins. A key outside
+    SETTING_KEYS, from either source, is an error: a misspelt key would
+    otherwise be ignored without a word."""
     settings: dict[str, str] = {}
     if config_path:
         for line in Path(config_path).read_text(encoding="utf-8").splitlines():
@@ -61,11 +67,17 @@ def load_settings(config_path: Optional[str]) -> dict[str, str]:
             if "=" not in line:
                 raise CliError(f"bad config line (want KEY=VALUE): {line!r}")
             key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+            settings[_known(key.strip(), config_path)] = value.strip()
     for name, value in os.environ.items():
         if name.startswith(ENV_PREFIX):
-            settings[name[len(ENV_PREFIX):]] = value
+            settings[_known(name[len(ENV_PREFIX):], f"the environment ({name})")] = value
     return settings
+
+
+def _known(key: str, source: str) -> str:
+    if key not in SETTING_KEYS:
+        raise CliError(f"unknown setting {key} in {source}; the keys are {', '.join(SETTING_KEYS)}")
+    return key
 
 
 def price(settings: dict[str, str], key: str) -> float:

@@ -1,12 +1,16 @@
 """Per-contribution vector index with exact cosine top-k retrieval.
 
-The index is built once, by `build_index` or `EmbeddingIndex.load`,
-as one contiguous float32 matrix whose row norms and id ranks are
-computed at construction; it never changes afterwards. Retrieval is
-exact (no approximate structure), which keeps the oracles simple:
-every row is scored in float64, an optional mask keeps only the rows
-a caller allows, and a partial selection (`np.argpartition`) picks the
-top k among them, ties broken by ascending id. Vectors are stored as
+The index is built once, by `build_index` or `EmbeddingIndex.load`, as
+one float32 matrix with row norms (float64, a block of rows at a time)
+and id ranks; no float64 copy is kept. Retrieval is exact flat search
+(Johnson, Douze & Jegou, "Billion-scale similarity search with GPUs",
+IEEE TBD 2019): one float32 product scores every row, and the rows whose
+float32 score lies within the proven error bound of the k-th best
+(Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1)
+are scored again in float64, each by a reduction over its own row. So
+the selection and scores are those of float64 scoring, and a row's score
+depends only on the row and the query. An optional mask keeps only the
+rows a caller allows; ties break by ascending id. Vectors are stored as
 32-bit little-endian floats.
 
 `HttpEmbeddingProvider` calls an OpenAI-compatible embeddings endpoint,
@@ -35,6 +39,7 @@ from .model import Contribution
 MAGIC = b"SCGE"
 FORMAT_VERSION = 1
 EMBED_CHUNK = 64  # texts per provider.embed call
+BLOCK_ROWS = 4096  # rows converted to float64 at a time
 
 
 def embedding_text(contribution: Contribution) -> str:
@@ -59,11 +64,8 @@ class MockEmbeddingProvider(EmbeddingProvider):
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         out = np.empty((len(texts), self.dim), dtype=np.float32)
         for i, text in enumerate(texts):
-            seed = int.from_bytes(
-                hashlib.sha256(text.encode("utf-8")).digest()[:8], "big"
-            )
-            rng = np.random.default_rng(seed)
-            vec = rng.standard_normal(self.dim)
+            seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+            vec = np.random.default_rng(seed).standard_normal(self.dim)
             norm = float(np.linalg.norm(vec))
             if norm > 0:
                 vec = vec / norm
@@ -94,9 +96,8 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
 
 class EmbeddingIndex:
-    """Immutable map from distinct contribution ids to vectors: row i of one
-    float32 matrix is the vector of ids[i]; the norms are computed once, in
-    float64, and so is each row's rank in ascending id order."""
+    """Immutable map from distinct contribution ids to vectors: row i of one float32
+    matrix is the vector of ids[i]; its float64 norm and id rank are computed once."""
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float32)
@@ -109,8 +110,10 @@ class EmbeddingIndex:
             raise ValueError(f"duplicate ids in embedding index: {duplicates[:5]}")
         self.matrix = matrix
         self.dim = int(matrix.shape[1])
-        self._matrix64 = matrix.astype(np.float64)  # scored against; converted once, not per query
-        self._norms = np.linalg.norm(self._matrix64, axis=1)
+        self._norms = np.empty(len(self.ids))
+        for start in range(0, len(self.ids), BLOCK_ROWS):
+            block = matrix[start : start + BLOCK_ROWS].astype(np.float64)
+            self._norms[start : start + BLOCK_ROWS] = np.linalg.norm(block, axis=1)
         by_id = sorted(range(len(self.ids)), key=self.ids.__getitem__)
         self._id_rank = np.empty(len(self.ids), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(self.ids))
@@ -140,30 +143,32 @@ class EmbeddingIndex:
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape != (self.dim,):
             raise ValueError(f"query dim {query.shape} does not match index dim {self.dim}")
-        if mask is None:
-            rows = np.arange(len(self.ids))
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (len(self.ids),):
-                raise ValueError(f"mask shape {mask.shape} does not match {len(self.ids)} rows")
-            rows = np.flatnonzero(mask)
+        if mask is not None and np.shape(mask) != (len(self.ids),):
+            raise ValueError(f"mask shape {np.shape(mask)} does not match {len(self.ids)} rows")
+        rows = np.arange(len(self.ids)) if mask is None else np.flatnonzero(np.asarray(mask, bool))
         qnorm = float(np.linalg.norm(query))
-        if qnorm == 0.0:
-            scores = np.zeros(len(rows))
-        else:
-            # The product runs over every row, so each score is the same
-            # whatever the mask; the elementwise steps run on the allowed rows.
-            dots = (self._matrix64 @ query)[rows]
+        if qnorm > 0.0 and k < len(rows):
+            # A float32 score errs from the float64 one by at most (d + 1) * 2**-24 (query
+            # rounding, then Higham's gamma_d) plus d * 2**-150 / norm for underflow;
+            # doubling covers the float64 side and higher-order terms for d < 2**20. Clipping
+            # keeps the bound; a non-finite score bounds nothing. The k-th best score is at
+            # least the k-th best low end, so keep every row whose high end reaches it.
             norms = self._norms[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(norms > 0.0, dots / (norms * qnorm), 0.0)
-            scores = np.clip(scores, -1.0, 1.0)
-        if k < len(rows):
-            # Keep every row that scores at least the k-th best, so that rows
-            # tied with it at the cut are ranked by id below, not dropped.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                approx = (self.matrix @ (query / qnorm).astype(np.float32))[rows] / norms
+                slack = (self.dim + 4) * 2.0**-23 + self.dim * 2.0**-149 / norms
+            known = np.isfinite(approx)
+            low = np.where(known, np.clip(approx - slack, -1.0, 1.0), -1.0)
+            high = np.where(known, np.clip(approx + slack, -1.0, 1.0), 1.0)
             cut = len(rows) - k
-            keep = scores >= scores[np.argpartition(scores, cut)[cut]]
-            rows, scores = rows[keep], scores[keep]
+            rows = rows[high >= np.partition(low, cut)[cut]]
+        dots = np.zeros(len(rows))
+        for start in range(0, len(rows) if qnorm > 0.0 else 0, BLOCK_ROWS):
+            block = self.matrix[rows[start : start + BLOCK_ROWS]].astype(np.float64)
+            dots[start : start + BLOCK_ROWS] = (block * query).sum(axis=1)
+        norms = self._norms[rows] * qnorm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.clip(np.where(norms > 0.0, dots / norms, 0.0), -1.0, 1.0)
         top = np.lexsort((self._id_rank[rows], -scores))[:k]
         return [(self.ids[rows[i]], float(scores[i])) for i in top]
 
@@ -176,9 +181,7 @@ class EmbeddingIndex:
             f.write(struct.pack("<IIQ", FORMAT_VERSION, self.dim, len(self.ids)))
             for cid, row in zip(self.ids, rows):
                 raw = cid.encode("utf-8")
-                f.write(struct.pack("<H", len(raw)))
-                f.write(raw)
-                f.write(row.tobytes())
+                f.write(struct.pack("<H", len(raw)) + raw + row.tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
@@ -192,8 +195,7 @@ class EmbeddingIndex:
             # A row takes at least 2 + 4 * dim bytes: a corrupt count cannot over-allocate.
             if count * (2 + 4 * dim) > os.fstat(f.fileno()).st_size - 20:
                 raise ValueError(f"index file is too short for its {count} rows")
-            ids = []
-            matrix = np.empty((count, dim), dtype=np.float32)
+            ids, matrix = [], np.empty((count, dim), dtype=np.float32)
             for i in range(count):
                 (id_len,) = struct.unpack("<H", f.read(2))
                 ids.append(f.read(id_len).decode("utf-8"))
@@ -202,20 +204,18 @@ class EmbeddingIndex:
 
 
 def build_index(graph: ContributionGraph, provider: EmbeddingProvider) -> EmbeddingIndex:
-    """Embed every contribution (sorted by id for reproducibility) in
-    fixed chunks of EMBED_CHUNK texts, stacked once into the matrix.
-    Raises BackendError when a chunk's width differs from the first's."""
+    """Embed every contribution (sorted by id for reproducibility) in chunks of
+    EMBED_CHUNK texts, written into one preallocated matrix. Raises BackendError
+    when a chunk's width differs from chunk 0's or its rows from its texts."""
     ids = sorted(graph.nodes)
-    texts = [embedding_text(graph.nodes[cid]) for cid in ids]
-    chunks = [
-        provider.embed(texts[start : start + EMBED_CHUNK])
-        for start in range(0, len(texts), EMBED_CHUNK)
-    ]
-    for number, chunk in enumerate(chunks):
-        if chunk.shape[1] != chunks[0].shape[1]:
-            raise BackendError(
-                f"embedding chunk {number} has dimension {chunk.shape[1]},"
-                f" chunk 0 has {chunks[0].shape[1]}"
-            )
-    matrix = np.vstack(chunks) if chunks else np.empty((0, provider.dim or 1), np.float32)
+    matrix = np.empty((0, provider.dim or 1), np.float32)
+    for number, start in enumerate(range(0, len(ids), EMBED_CHUNK)):
+        texts = [embedding_text(graph.nodes[cid]) for cid in ids[start : start + EMBED_CHUNK]]
+        chunk = provider.embed(texts)
+        if number == 0:
+            matrix = np.empty((len(ids), chunk.shape[1]), np.float32)
+        if chunk.shape != (len(texts), matrix.shape[1]):
+            raise BackendError(f"embedding chunk {number} has dimension {chunk.shape[1]}, chunk 0"
+                               f" has {matrix.shape[1]}; {len(chunk)} rows for {len(texts)} texts")
+        matrix[start : start + len(texts)] = chunk
     return EmbeddingIndex(ids, matrix)

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from . import jsonl
 from .backends import GenerationBackend, generate_validated
-from .errors import ContribGraphError, StageFailure
+from .errors import BackendError, ContribGraphError, StageFailure
 from .model import PartialDate, Problem
 from .prompts import RANKING_TEMPLATE, load_template, render
 
@@ -164,8 +164,10 @@ def rank_with_model(
 ) -> RankingSubmission:
     """Ask the backend to rank the problem's candidates.
 
-    Ill-formed ids are repaired; when no attempt yields a usable ranking
-    the submission degrades to the stored candidate order and is flagged.
+    Ill-formed ids are repaired; when no attempt yields a usable ranking,
+    or a call fails at the transport, the submission degrades to the
+    stored candidate order and is flagged: one failed call loses one
+    problem, not the run.
     """
     prompt = render(
         load_template(RANKING_TEMPLATE),
@@ -189,8 +191,8 @@ def rank_with_model(
                 corpus_id=problem.problem_id,
                 stage="ranking",
             )
-    except StageFailure:
-        logger.warning("problem %s: unusable ranking, degraded to stored order", problem.problem_id)
+    except (StageFailure, BackendError) as exc:
+        logger.warning("problem %s: degraded to stored order: %s", problem.problem_id, exc)
         ranked, flagged = list(problem.candidate_ids), True
     else:
         ranked, flagged = repair_submission(raw_ids, problem), False

@@ -69,7 +69,7 @@ class GraphDelta:
     unresolved_added: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnresolvedRef:
     """A paper reference whose cited paper is not yet in the graph; as a
     late alignment, a copy carrying its matches. Equality and hash name

@@ -38,7 +38,7 @@ MATCH_TYPES = ("strong", "weak")
 CORE_OR_PERIPHERAL = ("core", "peripheral")
 
 
-@dataclass
+@dataclass(slots=True)
 class PartialDate:
     """Calendar date with optional month/day granularity."""
 
@@ -69,7 +69,7 @@ class PartialDate:
         raise ValueError(f"bad date {text!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PaperMeta:
     corpus_id: str
     title: str = ""
@@ -90,7 +90,7 @@ class PaperMeta:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ContributionType:
     category: str
     explanation: str = ""
@@ -99,7 +99,7 @@ class ContributionType:
         return {"type": self.category, "explanation": self.explanation}
 
 
-@dataclass
+@dataclass(slots=True)
 class Match:
     contribution_id: str
     explanation: str
@@ -113,7 +113,7 @@ class Match:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class PaperRef:
     title: str = ""
     first_author: Optional[dict[str, str]] = None  # last_name/first_name/middle_names
@@ -135,7 +135,7 @@ class PaperRef:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class InternalRef:
     contribution_name: str
     contribution_id: str
@@ -152,7 +152,7 @@ class InternalRef:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ArtifactRef:
     name: str
     url: str
@@ -166,7 +166,7 @@ class ArtifactRef:
 Reference = Union[PaperRef, InternalRef, ArtifactRef]
 
 
-@dataclass
+@dataclass(slots=True)
 class Prerequisite:
     name: str
     description: str
@@ -184,7 +184,7 @@ class Prerequisite:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Contribution:
     id: str
     name: str
@@ -216,7 +216,7 @@ class Contribution:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     pre_id: str
     dep_id: str
@@ -234,7 +234,7 @@ class Edge:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionRecord:
     corpus_id: str
     title: str
@@ -254,7 +254,7 @@ class ExtractionRecord:
 CANDIDATES_PER_PROBLEM = 100
 
 
-@dataclass
+@dataclass(slots=True)
 class Problem:
     problem_id: str
     target_id: str

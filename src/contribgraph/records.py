@@ -24,9 +24,17 @@ A record enters the store only through ``parse_record`` (the graph
 parses a dict, the pipeline builds its record from parsed stage
 answers), so ``ContributionGraph.validate`` does not check these rules
 again. Catalog and papers.jsonl rows enter through ``parse_paper``.
+
+The values that repeat across records are interned (``sys.intern``)
+where these parsers build objects: corpus and contribution ids,
+``match_type``, ``core_or_peripheral``, type categories, sections and
+venues. Ingest, replay and the pipeline stages all parse here, so a
+loaded store holds one copy of each such string, however many records
+name it.
 """
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable, Optional
 
 from .errors import RecordValidationError
@@ -49,8 +57,13 @@ from .model import (
 )
 
 
+def _shared(value: Any) -> Any:
+    """``value`` interned when it is a str, so that records share it."""
+    return sys.intern(value) if type(value) is str else value
+
+
 def _opt_str(value: Any) -> Optional[str]:
-    return None if value is None else str(value)
+    return None if value is None else sys.intern(str(value))
 
 
 def _first(obj: dict[str, Any], key: str, alias: str, default: Any = None) -> Any:
@@ -93,7 +106,7 @@ def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
             split_contribution_id(cid)
         except ValueError:
             problems.append(f"{where}: malformed match id {cid!r}")
-    match_type = raw.get("match_type")
+    match_type = _shared(raw.get("match_type"))
     if match_type not in MATCH_TYPES:
         problems.append(f"{where}: match_type must be strong or weak, got {match_type!r}")
     return Match(cid, _first(raw, "explanation", "justification", default=""), match_type)
@@ -118,7 +131,7 @@ def parse_reference(
             title=_first(raw, "paper_title", "title", default=""),
             first_author=raw.get("first_author"),
             year=_first(raw, "paper_year", "year"),
-            venue=_first(raw, "paper_venue", "venue"),
+            venue=_shared(_first(raw, "paper_venue", "venue")),
             corpus_id=_opt_str(raw.get("corpus_id")),
         )
         if omit != "matches":
@@ -145,7 +158,7 @@ def parse_reference(
 def _parse_prerequisite(
     raw: dict[str, Any], where: str, problems: list[str], omit: Optional[str]
 ) -> Prerequisite:
-    core_or_peripheral = raw.get("core_or_peripheral")
+    core_or_peripheral = _shared(raw.get("core_or_peripheral"))
     if core_or_peripheral not in CORE_OR_PERIPHERAL:
         problems.append(
             f"{where}: core_or_peripheral must be core or peripheral, got {core_or_peripheral!r}"
@@ -186,11 +199,11 @@ def parse_contribution(
         description=raw.get("description", ""),
         types=[
             ContributionType(
-                t.get("type", ""), _first(t, "explanation", "justification", default="")
+                _shared(t.get("type", "")), _first(t, "explanation", "justification", default="")
             )
             for _, t in objects(_first(raw, "types", "contribution_type"), where, "types", problems)
         ],
-        sections=list(sections),
+        sections=[_shared(s) for s in sections],
         split_from=_opt_str(raw.get("split_from")),
     )
     if not contribution.name:
@@ -247,7 +260,7 @@ def parse_paper(row: dict[str, Any]) -> PaperMeta:
         title=row.get("title", ""),
         year=year,
         date=PartialDate.parse(date) if date else None,
-        venue=row.get("venue"),
+        venue=_shared(row.get("venue")),
     )
 
 
@@ -272,7 +285,7 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     for i, c in objects(raw.get("contributions"), "record", "contributions", problems):
         cid = _opt_str(c.get("contribution_id"))
         if cid is None:
-            cid = make_contribution_id(corpus_id, i)
+            cid = sys.intern(make_contribution_id(corpus_id, i))
         where = f"contribution {cid or i}"
         try:
             c_corpus, c_index = split_contribution_id(cid)

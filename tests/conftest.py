@@ -67,10 +67,10 @@ class LoopbackServer(http.server.ThreadingHTTPServer):
 
     Each POST takes the next action from ``script``, or ``default`` when
     the script is empty; an action is a function of the handler (see
-    ``reply`` and the ones after it). The server counts the connections
-    it accepted and keeps every POST and CONNECT request it read, as
-    ``(method, path, headers, body)``; ``headers`` is looked up without
-    regard to case.
+    ``reply`` and the ones after it), which holds the request body as
+    ``body``. The server counts the connections it accepted and keeps
+    every POST and CONNECT request it read, as ``(method, path, headers,
+    body)``; ``headers`` is looked up without regard to case.
     """
 
     def __init__(self):
@@ -109,7 +109,7 @@ class LoopbackHandler(http.server.BaseHTTPRequestHandler):
             self.server.connections += 1
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = self.body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with self.server.lock:
             self.server.requests.append(("POST", self.path, self.headers, body))
             action = self.server.script.pop(0) if self.server.script else self.server.default

@@ -764,3 +764,52 @@ def test_bad_generation_settings_are_a_clean_failure(
     err = capsys.readouterr().err
     assert err == f"error: {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "environment"])
+def test_unknown_setting_key_is_a_clean_failure(one_problem, tmp_path, monkeypatch, capsys, source):
+    """A misspelt key (PER1K for PER_1K) would charge nothing without a word."""
+    config = tmp_path / "config"
+    misspelt = "PRICE_IN_PER1K=0.5\n" if source == "config" else ""
+    config.write_text(f"GEN_ENDPOINT=http://127.0.0.1:9/v1\n{misspelt}", encoding="utf-8")
+    where = str(config)
+    if source == "environment":
+        monkeypatch.setenv("CONTRIBGRAPH_PRICE_IN_PER1K", "0.5")
+        where = "the environment (CONTRIBGRAPH_PRICE_IN_PER1K)"
+    out = tmp_path / "submissions.jsonl"
+    assert run("--config", config, "rank", "--problems", one_problem, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown setting PRICE_IN_PER1K in {where}; the keys are GEN_ENDPOINT,")
+    assert not out.exists()
+
+
+def test_rank_degrades_the_one_problem_whose_call_failed(e2e, tmp_path, loopback, caplog):
+    """A failed call (here a 500) costs its problem alone: that row keeps
+    the stored order and is flagged, and the others match a clean run's."""
+    first = list(read_jsonl(e2e / "problems.jsonl"))[0]
+    problems = tmp_path / "problems.jsonl"
+    write_jsonl(problems, [
+        {**first, "problem_id": f"p{i}", "target": {**first["target"], "name": f"target {i}"}}
+        for i in range(4)
+    ])
+    server = loopback()
+
+    def rank(out: Path) -> list[dict]:
+        argv = ["rank", "--problems", problems, "--endpoint", server.url, "--parallel", 2]
+        assert run(*argv, "--out", out) == 0
+        return list(read_jsonl(out))
+
+    server.default = reply(200, EMPTY_RANKING)
+    clean = rank(tmp_path / "clean.jsonl")
+    server.default = lambda handler: (
+        reply(500, b"down") if b"target 2" in handler.body else reply(200, EMPTY_RANKING)
+    )(handler)
+    with caplog.at_level(logging.WARNING, logger="contribgraph.evaluation"):
+        rows = rank(tmp_path / "submissions.jsonl")
+    assert [row["problem_id"] for row in rows] == ["p0", "p1", "p2", "p3"]
+    assert [row["flagged"] for row in rows] == [False, False, True, False]
+    assert rows[2]["ranked_ids"] == [c["id"] for c in first["candidates"]]
+    assert [rows[i] for i in (0, 1, 3)] == [clean[i] for i in (0, 1, 3)]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].startswith("problem p2: degraded to stored order:")
+    assert "500" in warnings[0]

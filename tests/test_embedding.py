@@ -210,6 +210,76 @@ class TestMaskedTopK:
             make_index(n=5).cosine_top_k(np.ones(8), 2, np.ones(4, dtype=bool))
 
 
+def near_tie_index(seed: int, dim: int = 16):
+    """An index whose best rows differ from one base vector by a few float32
+    ulps in one component, so that their float64 cosines with the returned
+    query differ by far less than the float32 error bound; a few repeat
+    exactly, and random rows score below them. Ids are shuffled."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(dim).astype(np.float32)
+    cluster = np.repeat(base[None, :], 40, axis=0)
+    for row in cluster:
+        j = rng.integers(dim)
+        row[j] = np.nextafter(row[j], np.float32(rng.choice([-np.inf, np.inf])))
+        for _ in range(rng.integers(0, 4)):
+            row[j] = np.nextafter(row[j], np.float32(np.inf))
+    cluster[30:] = cluster[:10]  # exact ties
+    matrix = np.vstack([cluster, rng.standard_normal((60, dim)).astype(np.float32)])
+    ids = [f"{i}.c0" for i in rng.permutation(len(matrix))]
+    query = base.astype(np.float64) + 0.3 * rng.standard_normal(dim)
+    return EmbeddingIndex(ids, matrix), query
+
+
+class TestFloat32Scoring:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_ties_across_the_cut_match_brute_force(self, seed):
+        index, query = near_tie_index(seed)
+        want_all = top_k_brute(index.ids, index.matrix, query, len(index))
+        rng = np.random.default_rng(2000 + seed)
+        for k in (1, 5, 13, 21, 29, 34):
+            got = index.cosine_top_k(query, k)
+            assert [cid for cid, _ in got] == [cid for cid, _ in want_all[:k]]
+            mask = rng.random(len(index)) < 0.7
+            got = index.cosine_top_k(query, k, mask)
+            want = masked_brute(index, query, k, mask)
+            assert [cid for cid, _ in got] == [cid for cid, _ in want]
+            assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
+
+    def test_float32_scores_alone_would_misorder_the_near_ties(self):
+        # The construction above bites: ranking by the float32 product alone
+        # gets some seed's top 21 wrong.
+        wrong = 0
+        for seed in range(8):
+            index, query = near_tie_index(seed)
+            approx = index.matrix @ (query / np.linalg.norm(query)).astype(np.float32)
+            by_float32 = sorted(zip(index.ids, approx), key=lambda item: (-item[1], item[0]))[:21]
+            want = top_k_brute(index.ids, index.matrix, query, 21)
+            wrong += [cid for cid, _ in by_float32] != [cid for cid, _ in want]
+        assert wrong > 0
+
+    def test_a_rows_score_depends_only_on_the_row_and_the_query(self):
+        rng = np.random.default_rng(77)
+        ids = [f"r.c{i}" for i in range(300)]
+        index = EmbeddingIndex(ids, rng.standard_normal((300, 37)).astype(np.float32))
+        query = rng.standard_normal(37)
+        full = dict(index.cosine_top_k(query, len(index)))
+        for trial in range(10):
+            mask = rng.random(len(index)) < 0.3
+            for cid, score in index.cosine_top_k(query, 10, mask):
+                assert score == full[cid]
+            keep = rng.permutation(len(index))[: rng.integers(1, len(index))]
+            subset = EmbeddingIndex([ids[i] for i in keep], index.matrix[keep])
+            for cid, score in subset.cosine_top_k(query, 25):
+                assert score == full[cid]
+
+    def test_no_float64_copy_of_the_matrix(self):
+        index = make_index(n=50, dim=12)
+        for value in vars(index).values():
+            if isinstance(value, np.ndarray) and value.dtype == np.float64:
+                assert value.shape != (50, 12)
+        assert index.matrix.dtype == np.float32
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         index = make_index(n=37, dim=12, seed=9)
@@ -295,6 +365,14 @@ class TestMockProvider:
         provider = MockEmbeddingProvider(dim=8)
         provider.embed = lambda texts: MockEmbeddingProvider(dim=next(widths)).embed(texts)
         with pytest.raises(BackendError, match="embedding chunk 2 has dimension 9, chunk 0 has 8"):
+            build_index(graph, provider)
+
+    def test_chunk_with_missing_rows_is_a_backend_error(self):
+        # The matrix is preallocated: a short chunk must not leave rows unwritten.
+        graph = build_synthetic_graph(n_papers=50, seed=7)
+        provider = MockEmbeddingProvider(dim=8)
+        provider.embed = lambda texts: MockEmbeddingProvider(dim=8).embed(texts[:1])
+        with pytest.raises(BackendError, match="embedding chunk 0 .*; 1 rows for 64 texts"):
             build_index(graph, provider)
 
     def test_build_index_of_empty_graph_round_trips(self, tmp_path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from contribgraph import model
 from contribgraph.errors import RecordValidationError
-from contribgraph.graph import ContributionGraph
+from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import dump_line
 from contribgraph.records import (
     parse_alignment,
@@ -533,3 +535,47 @@ def test_golden_records_round_trip_byte_identical():
     # A stored record parses and serializes back to its own line.
     for line in GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines():
         assert dump_line(parse_record(json.loads(line)).to_json()) == line
+
+
+def test_model_objects_carry_no_instance_dict():
+    """Every model dataclass, and UnresolvedRef, is slotted: a store of
+    millions of them keeps no per-instance __dict__."""
+    classes = [
+        cls for cls in vars(model).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == model.__name__
+    ]
+    assert len(classes) >= 12
+    for cls in [*classes, UnresolvedRef]:
+        assert "__slots__" in vars(cls), cls
+        required = [
+            f for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        ]
+        assert not hasattr(cls(*[None] * len(required)), "__dict__"), cls
+
+
+def test_repeated_values_are_one_object_across_records():
+    """Two records citing one paper share its corpus id, match_type and
+    core_or_peripheral strings instead of holding a copy each."""
+    cited = {
+        "type": "paper",
+        "paper_title": "Cited",
+        "corpus_id": "900001",
+        "matches": [{"contribution_id": "900001.c0", "explanation": "e", "match_type": "strong"}],
+    }
+
+    def citing(corpus_id: str):
+        raw = with_prerequisites(prerequisite(cited, core_or_peripheral="peripheral"))
+        raw["corpus_id"] = corpus_id
+        raw["contributions"][0]["contribution_id"] = f"{corpus_id}.c0"
+        # A fresh decode, so that no string is shared before parsing.
+        prereq = parse_record(json.loads(json.dumps(raw))).contributions[0].prerequisites[0]
+        return prereq, prereq.references[0]
+
+    (prereq_a, ref_a), (prereq_b, ref_b) = citing("800001"), citing("800002")
+    assert ref_a.corpus_id == "900001" and ref_a.corpus_id is ref_b.corpus_id
+    assert ref_a.matches[0].match_type == "strong"
+    assert ref_a.matches[0].match_type is ref_b.matches[0].match_type
+    assert ref_a.matches[0].contribution_id is ref_b.matches[0].contribution_id
+    assert prereq_a.core_or_peripheral == "peripheral"
+    assert prereq_a.core_or_peripheral is prereq_b.core_or_peripheral
