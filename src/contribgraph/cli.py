@@ -181,13 +181,14 @@ def at_least(low: int) -> Callable[[str], int]:
 
 def cmd_ingest(args, settings) -> int:
     from .frontier import Catalog
-    from .graph import collector_paused
+    from .graph import RECORDS_FILE, append_log, collector_paused
     from .jsonl import read_jsonl
+    from .records import parse_record
 
     store_dir = Path(args.store)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        ingested = skipped = 0
+        ingested, skipped = [], 0
         with collector_paused():
             if args.catalog:
                 catalog = Catalog.load(args.catalog)
@@ -200,15 +201,19 @@ def cmd_ingest(args, settings) -> int:
                     if graph.is_extracted(corpus_id):
                         skipped += 1
                         continue
-                    delta = graph.add_paper_record(raw)
-                    ingested += 1
+                    record = parse_record(raw)
+                    delta = graph.add_paper_record(record)
+                    ingested.append(record)
                     print(
                         f"{corpus_id}: +{delta.nodes_added} nodes, +{delta.edges_added} edges,"
                         f" +{delta.unresolved_added} unresolved"
                     )
         if args.records:
-            print(f"records: {ingested} ingested, {skipped} already extracted")
-        graph.save(store_dir, write_records=ingested > 0)
+            print(f"records: {len(ingested)} ingested, {skipped} already extracted")
+        # Only after every record file applied: a failing row leaves the log as it was.
+        if ingested:
+            append_log(store_dir / RECORDS_FILE, ingested)
+        graph.save(store_dir)
     return 0
 
 
@@ -262,7 +267,7 @@ def cmd_extract(args, settings) -> int:
                     f"{paper.corpus_id}: +{delta.nodes_added} nodes,"
                     f" +{delta.edges_added} edges, +{delta.unresolved_added} unresolved"
                 )
-        graph.save(store_dir, write_records=False)
+        graph.save(store_dir)
         usage = backend.usage
         print(
             f"backend calls: {usage.calls}, tokens in/out: {usage.tokens_in}/{usage.tokens_out},"
@@ -439,27 +444,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by subcommands, declared once: the model client's, and the output file's.
+    calls = argparse.ArgumentParser(add_help=False)
+    calls.add_argument("--mock", help="replay-mock directory of canned responses")
+    calls.add_argument("--retries", type=at_least(0), default=2)
+    calls.add_argument(
+        "--parallel", type=at_least(1), default=1,
+        help="at most N model calls in flight (default 1)",
+    )
+    calls.add_argument("--endpoint", help="generation endpoint (overrides GEN_ENDPOINT)")
+    calls.add_argument("--model", help="generation model tag (overrides GEN_MODEL)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--force", action="store_true")
+
     p = sub.add_parser("ingest", help="register catalog papers and ingest record files")
     p.add_argument("--store", required=True)
     p.add_argument("--catalog")
     p.add_argument("--records", nargs="*", default=[])
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("extract", help="run the extraction pipeline over a batch")
+    p = sub.add_parser("extract", parents=[calls], help="run the extraction pipeline over a batch")
     p.add_argument("ids", nargs="*", help="corpus ids; defaults to the next frontier batch")
     p.add_argument("--store", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument(
         "--k", type=at_least(1), default=10, help="frontier batch size when no ids given"
     )
-    p.add_argument("--mock", help="replay-mock directory of canned responses")
-    p.add_argument("--retries", type=at_least(0), default=2)
-    p.add_argument(
-        "--parallel", type=at_least(1), default=1,
-        help="at most N model calls in flight (default 1)",
-    )
-    p.add_argument("--endpoint", help="generation endpoint (overrides GEN_ENDPOINT)")
-    p.add_argument("--model", help="generation model tag (overrides GEN_MODEL)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("frontier", help="print the next extraction batch")
@@ -468,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=at_least(1), default=10)
     p.set_defaults(func=cmd_frontier)
 
-    p = sub.add_parser("embed", help="build the embedding index")
+    p = sub.add_parser("embed", parents=[output], help="build the embedding index")
     p.add_argument("--store", required=True)
-    p.add_argument("--out")
     p.add_argument("--dim", type=at_least(1), default=64, help="mock provider dimensionality")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("taskgen", help="generate prerequisite-prediction problems")
+    p = sub.add_parser(
+        "taskgen", parents=[output], help="generate prerequisite-prediction problems"
+    )
     p.add_argument("--store", required=True)
     p.add_argument("--index")
     p.add_argument("--years", type=parse_years, required=True, help="e.g. 2021-2025 or 2021,2023")
@@ -483,32 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong-only", action="store_true")
     p.add_argument("--k", type=at_least(1), default=CANDIDATES_PER_PROBLEM)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_taskgen)
 
-    p = sub.add_parser("rank", help="rank problems with a model backend")
+    p = sub.add_parser("rank", parents=[calls, output], help="rank problems with a model backend")
     p.add_argument("--problems", required=True)
-    p.add_argument("--mock", help="replay-mock directory of canned responses")
-    p.add_argument(
-        "--parallel", type=at_least(1), default=1,
-        help="at most N model calls in flight (default 1)",
-    )
-    p.add_argument("--retries", type=at_least(0), default=2)
-    p.add_argument("--endpoint", help="generation endpoint (overrides GEN_ENDPOINT)")
-    p.add_argument("--model", help="generation model tag (overrides GEN_MODEL)")
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("eval", help="score submissions with backtesting splits")
+    p = sub.add_parser("eval", parents=[output], help="score submissions with backtesting splits")
     p.add_argument("--problems", required=True)
     p.add_argument("--submissions", required=True)
     p.add_argument("--cutoffs", required=True, help="JSON mapping backend tag -> cutoff")
     p.add_argument("--backend-tag")
-    p.add_argument("--out")
     p.add_argument("--csv", help="append (cost, MAP) row to this CSV")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="export a precursor or impact tree")

@@ -11,8 +11,9 @@ the graph: ``add_paper_record`` is the one method that adds nodes or
 edges, deriving every edge from a record and its late alignments, and a
 paper is extracted when the log holds the paper's record. A record
 passes ``records.parse_record`` before it is applied, so ``validate``
-checks only what the log does not guarantee. nodes/edges/papers.jsonl
-are written views.
+checks only what the log does not guarantee. ``append_log`` is the one
+writer of the log, and it only appends; nodes/edges/papers.jsonl are
+written views.
 
 Unresolved references are indexed by cited paper, so applying a record
 reads only the references that cite it, and replaying the log on load,
@@ -36,7 +37,7 @@ import logging
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
@@ -121,6 +122,17 @@ def collector_paused() -> Iterator[None]:
 
 def _match_edge(match: Match, dep_id: str, prereq_index: int) -> Edge:
     return Edge(match.contribution_id, dep_id, match.match_type, match.explanation, prereq_index)
+
+
+def append_log(
+    records_path: Path, records: Iterable[ExtractionRecord], late: Iterable[UnresolvedRef] = ()
+) -> None:
+    """Append ``late`` to the alignments file beside ``records_path``, then
+    ``records`` to ``records_path``. Alignments first: a crash between the
+    two appends leaves alignments of a paper with no record, which replay
+    ignores, so the paper is simply extracted again."""
+    jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
+    jsonl.append_jsonl(records_path, (r.to_json() for r in records))
 
 
 def normalize_title(title: str) -> str:
@@ -403,19 +415,15 @@ class ContributionGraph:
                     row["venue"] = meta.venue
                 yield row
 
-    def save(self, directory: str | Path, write_records: bool = True) -> None:
-        """Write the views; with ``write_records``, or when the store has
-        no log yet, write the log as well."""
+    def save(self, directory: str | Path) -> None:
+        """Write the views. Into a directory with no log yet (a store built
+        in memory), append the whole log first; a log that exists is
+        never rewritten."""
         with self._lock:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
-            if write_records or not (directory / RECORDS_FILE).exists():
-                jsonl.write_jsonl(
-                    directory / RECORDS_FILE, (r.to_json() for r in self._records.values())
-                )
-                jsonl.write_jsonl(
-                    directory / ALIGNMENTS_FILE, (a.to_json() for a in self._alignments)
-                )
+            if not (directory / RECORDS_FILE).exists():
+                append_log(directory / RECORDS_FILE, self._records.values(), self._alignments)
             jsonl.write_jsonl(directory / NODES_FILE, self.node_rows())
             jsonl.write_jsonl(directory / EDGES_FILE, (e.to_json() for e in self.edges))
             papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))

@@ -35,12 +35,13 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def append_jsonl(path: str | Path, *records: dict[str, Any]) -> None:
-    """Append rows in one write; the file is created even when there are none."""
+def append_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
+    """Append rows, one at a time; the file is created even when there are none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as f:
-        f.write("".join(dump_line(record) + "\n" for record in records))
+        for record in records:
+            f.write(dump_line(record) + "\n")
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

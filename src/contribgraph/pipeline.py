@@ -34,11 +34,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from . import jsonl
 from .backends import GenerationBackend, generate_validated
 from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.py imports it here
 from .errors import BackendError, DuplicatePaperError, StageFailure
-from .graph import ALIGNMENTS_FILE, ContributionGraph, GraphDelta, UnresolvedRef
+from .graph import ContributionGraph, GraphDelta, UnresolvedRef, append_log
 from .model import (
     Contribution,
     ExtractionRecord,
@@ -425,13 +424,7 @@ class Pipeline:
             late.append(replace(entry, ref=replace(entry.ref, matches=_matches(result))))
         delta = self.graph.add_paper_record(record, late)
         if self.records_path is not None:
-            # Alignments before the record: a crash between the two appends
-            # leaves alignments of a paper with no record, which replay
-            # ignores, so the paper is simply extracted again.
-            jsonl.append_jsonl(
-                self.records_path.with_name(ALIGNMENTS_FILE), *(e.to_json() for e in late)
-            )
-            jsonl.append_jsonl(self.records_path, record.to_json())
+            append_log(self.records_path, [record], late)
         return record, delta
 
     def run_batch(

@@ -1162,7 +1162,7 @@ def extract_with_crash(paths: CorpusPaths, store: Path, save_after: int) -> Cont
     )
     for i, paper in enumerate(paper_inputs(paths)):
         if i == save_after:
-            graph.save(store, write_records=False)
+            graph.save(store)
         extract_each(pipeline, [paper])
     return graph
 

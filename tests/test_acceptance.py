@@ -52,7 +52,7 @@ def test_pipeline_determinism(corpus, tmp_path):
             records_path=out_dir / "records.jsonl",
         )
         cf.extract_each(pipeline, cf.paper_inputs(corpus))
-        graph.save(out_dir, write_records=False)
+        graph.save(out_dir)
         return graph
 
     graph_a = one_run(tmp_path / "a")

@@ -14,7 +14,8 @@ import pytest
 import corpus_fixture as cf
 from contribgraph.cli import build_parser, dispatch
 from contribgraph.graph import ContributionGraph
-from contribgraph.jsonl import read_jsonl, write_jsonl
+from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
+from contribgraph.records import parse_record
 
 from conftest import (
     DATA_DIR,
@@ -155,19 +156,51 @@ class TestCrashedStore:
         assert run("validate", "--store", store) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    def test_ingest_rewrites_the_log_byte_identically(self, store):
+    def test_ingest_leaves_the_log_byte_identical(self, store):
         names = ("records.jsonl", "alignments.jsonl")
         before = [(store / name).read_bytes() for name in names]
         assert b"7000006.c0" in before[1]
         assert run("ingest", "--store", store) == 0
         assert [(store / name).read_bytes() for name in names] == before
 
-    def test_ingest_without_records_leaves_the_log_file_alone(self, store, corpus):
-        log = store / "records.jsonl"
-        before = log.stat()
-        assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
-        after = log.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    @pytest.mark.parametrize("flag", ["--catalog", "--records"], ids=["catalog", "golden_records"])
+    def test_ingest_without_records_leaves_the_log_file_alone(self, store, corpus, flag):
+        source = corpus.catalog_path if flag == "--catalog" else GOLDEN_RECORDS
+        if flag == "--records":  # so that every record the file holds is already extracted
+            assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+        logs = [store / "records.jsonl", store / "alignments.jsonl"]
+        before = [(log.stat().st_ino, log.stat().st_mtime_ns) for log in logs]
+        assert run("ingest", "--store", store, flag, source) == 0
+        assert [(log.stat().st_ino, log.stat().st_mtime_ns) for log in logs] == before
+
+    def test_ingest_appends_the_new_record_and_never_rewrites_the_log(self, store, tmp_path):
+        log, alignments = store / "records.jsonl", store / "alignments.jsonl"
+        inode, before, aligned = log.stat().st_ino, log.read_bytes(), alignments.read_bytes()
+        raw = next(read_jsonl(GOLDEN_RECORDS))
+        one = tmp_path / "one.jsonl"
+        write_jsonl(one, [raw])
+        assert run("ingest", "--store", store, "--records", one) == 0
+        after = log.read_bytes()
+        assert log.stat().st_ino == inode
+        assert after[: len(before)] == before
+        assert after[len(before):] == (dump_line(parse_record(raw).to_json()) + "\n").encode()
+        assert alignments.read_bytes() == aligned
+
+    def test_record_file_failing_midway_changes_nothing(self, store, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        first = dump_line(next(read_jsonl(GOLDEN_RECORDS)))
+        records.write_text(first + '\n{"corpus_id": "99", "title": "Tor\n', encoding="utf-8")
+        names = ("records.jsonl", "alignments.jsonl", "nodes.jsonl", "edges.jsonl", "papers.jsonl")
+        files = [store / name for name in names]
+
+        def state():
+            return [(path.stat().st_ino, path.read_bytes()) for path in files]
+
+        before = state()
+        assert run("ingest", "--store", store, "--records", records) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{records}:2: " in err and "Traceback" not in err
+        assert state() == before
 
 
 @pytest.fixture(scope="module")

@@ -25,10 +25,10 @@ def test_write_failing_midway_leaves_old_file_whole(tmp_path):
 
 def test_append_writes_rows_and_creates_file_when_empty(tmp_path):
     path = tmp_path / "alignments.jsonl"
-    append_jsonl(path)
+    append_jsonl(path, [])
     assert path.read_bytes() == b""
-    append_jsonl(path, {"a": 1}, {"b": 2})
-    append_jsonl(path, {"c": 3})
+    append_jsonl(path, [{"a": 1}, {"b": 2}])
+    append_jsonl(path, iter([{"c": 3}]))
     assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}, {"c": 3}]
 
 

@@ -781,7 +781,7 @@ class TestBatchFailures:
         for paper in papers:  # as `extract` registers its catalog entries
             graph.register_paper(PaperMeta(paper.corpus_id, paper.title, paper.year))
         pipeline.run_batch(papers, parallel=2)
-        graph.save(tmp_path, write_records=False)
+        graph.save(tmp_path)
         status = {p["corpus_id"]: p["status"] for p in read_jsonl(tmp_path / "papers.jsonl")}
         assert status == {"301": "pending", "302": "extracted", "303": "extracted"}
         logged = {r["corpus_id"] for r in read_jsonl(tmp_path / "records.jsonl")}
@@ -797,7 +797,7 @@ class TestCorpusReplay:
             records_path=out_dir / "records.jsonl",
         )
         cf.extract_each(pipeline, cf.paper_inputs(corpus))
-        graph.save(out_dir, write_records=False)
+        graph.save(out_dir)
         return graph, pipeline
 
     def test_edges_match_hand_enumerated_oracle(self, corpus, tmp_path):
@@ -836,7 +836,7 @@ class TestCorpusReplay:
         )
         results = pipeline.run_batch(cf.paper_inputs(corpus), parallel=4)
         assert all(error is None for _, _, error in results)
-        graph.save(tmp_path / "par", write_records=False)
+        graph.save(tmp_path / "par")
         serial = ProbeBackend(corpus.mock_dir)
         self.run_corpus(corpus, tmp_path / "ser", serial)
         for name in ("records.jsonl", "alignments.jsonl", "nodes.jsonl", "edges.jsonl"):
