@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
 from .errors import ContribGraphError
-from .model import CANDIDATES_PER_PROBLEM
+from .model import CANDIDATES_PER_PROBLEM, ExtractionRecord
 
 if TYPE_CHECKING:
     from .backends import GenerationBackend
@@ -182,13 +182,20 @@ def at_least(low: int) -> Callable[[str], int]:
 def cmd_ingest(args, settings) -> int:
     from .frontier import Catalog
     from .graph import RECORDS_FILE, append_log, collector_paused
-    from .jsonl import read_jsonl
+    from .jsonl import read_rows
     from .records import parse_record
 
     store_dir = Path(args.store)
     with store_lock(store_dir):
         graph = load_store(store_dir)
         ingested, skipped = [], 0
+
+        def new_record(raw: dict) -> Optional[ExtractionRecord]:
+            """The parsed record, or None when its paper is already extracted."""
+            if graph.is_extracted(str(raw.get("corpus_id", ""))):
+                return None
+            return parse_record(raw)
+
         with collector_paused():
             if args.catalog:
                 catalog = Catalog.load(args.catalog)
@@ -196,17 +203,15 @@ def cmd_ingest(args, settings) -> int:
                     graph.register_paper(entry.paper_meta())
                 print(f"catalog: {len(catalog.by_id)} papers registered")
             for records_file in args.records or []:
-                for raw in read_jsonl(records_file):
-                    corpus_id = str(raw.get("corpus_id", ""))
-                    if graph.is_extracted(corpus_id):
+                for record in read_rows(records_file, new_record):
+                    if record is None:
                         skipped += 1
                         continue
-                    record = parse_record(raw)
                     delta = graph.add_paper_record(record)
                     ingested.append(record)
                     print(
-                        f"{corpus_id}: +{delta.nodes_added} nodes, +{delta.edges_added} edges,"
-                        f" +{delta.unresolved_added} unresolved"
+                        f"{record.corpus_id}: +{delta.nodes_added} nodes,"
+                        f" +{delta.edges_added} edges, +{delta.unresolved_added} unresolved"
                     )
         if args.records:
             print(f"records: {len(ingested)} ingested, {skipped} already extracted")

@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import MalformedLineError
+from .errors import MalformedLineError, RecordValidationError
 
 T = TypeVar("T")
 
@@ -52,8 +52,8 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
 
 def read_rows(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
     """``parse`` of each object ``read_jsonl`` reads; a row that ``parse``
-    rejects with KeyError, TypeError or ValueError raises
-    MalformedLineError naming ``path:line`` too."""
+    rejects with KeyError, TypeError, ValueError or RecordValidationError
+    raises MalformedLineError naming ``path:line`` too."""
     with Path(path).open("rb") as f:
         for number, raw in enumerate(f, 1):
             try:
@@ -69,6 +69,6 @@ def read_rows(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterato
                 row = parse(obj)
             except KeyError as exc:
                 raise MalformedLineError(f"{path}:{number}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, RecordValidationError) as exc:
                 raise MalformedLineError(f"{path}:{number}: {exc}") from None
             yield row

@@ -13,26 +13,27 @@ passes their rules, and this module's validators add only the stage
 rules, checked on the model objects those parsers build. A staged paper
 is the ExtractionRecord that finalizing ingests and logs.
 
-A batch runs in three steps on one pool of workers: every paper is
-staged (stages 2 and 3); then every alignment the batch can need is
-run, one job per reference site, whether it cites a paper already in
-the store, a paper of the batch (in either direction), or is an older
-unresolved reference to a paper of the batch; then the papers are
-finalized serially in input order. Finalizing makes no model call: it
-decides each reference's role and applies the job's result, ingests
-the record and appends it to the log with its late alignments. The
-calls and their prompts do not depend on the parallelism, so batch
-output is byte-reproducible for any setting.
+A batch runs in three steps on one pool of workers, each job a future
+that holds its result or the error it raised: every paper is staged
+(stages 2 and 3); then every alignment the batch can need is run, one
+job per reference site, whether it cites a paper already in the store,
+a paper of the batch (in either direction), or is an older unresolved
+reference to a paper of the batch; then the papers are finalized
+serially in input order. Finalizing makes no model call: it decides
+each reference's role and takes the job's result, or meets its error,
+then ingests the record and appends it to the log with its late
+alignments. The calls and their prompts do not depend on the
+parallelism, so batch output is byte-reproducible for any setting.
 """
 from __future__ import annotations
 
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence
 
 from .backends import GenerationBackend, generate_validated
 from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.py imports it here
@@ -61,8 +62,8 @@ logger = logging.getLogger(__name__)
 
 # A reference's site: (owner contribution id, prereq_index, ref_index).
 Site = tuple[str, int, int]
-# Alignment results of a batch by site: the matches, or the error raised.
-Aligned = dict[Site, Union[list[Match], Exception]]
+# Alignment jobs of a batch by site, each future holding the matches or the error raised.
+Aligned = dict[Site, Future]
 
 
 def _prompt_json(obj: Any) -> str:
@@ -356,14 +357,14 @@ class Pipeline:
             )
         return ExtractionRecord(paper.corpus_id, paper.title, paper.year, contributions)
 
-    def align_batch(self, batch: Sequence[ExtractionRecord], run: Callable = map) -> Aligned:
-        """Run every alignment the staged ``batch`` can need, through ``run``.
+    def align_batch(self, batch: Sequence[ExtractionRecord], pool: Executor) -> Aligned:
+        """Submit to ``pool`` every alignment the staged ``batch`` can need.
 
         One job per reference site: each reference of a staged paper
         citing a paper extracted in the store or another staged paper,
         and each unmatched unresolved reference citing a staged paper.
         A store paper is presented as the graph holds it; a staged one
-        as its record will leave it. An error is returned, not raised:
+        as its record will leave it. A job's error stays in its future:
         ``finalize_paper`` decides what it means for the reference.
         """
         targets: dict[str, tuple[list[Contribution], PaperMeta]] = {
@@ -387,45 +388,41 @@ class Pipeline:
                     owner = self.graph.get_contribution(entry.owner_id)
                     jobs[_site(entry)] = (owner, owner.prerequisites[entry.prereq_index], corpus_id)
 
-        def align(site: Site) -> Union[list[Match], Exception]:
-            dep, prereq, cited = jobs[site]
-            contributions, meta = targets[cited]
-            try:
-                return self.align_prerequisite(dep, prereq, contributions, meta)
-            except Exception as exc:  # noqa: BLE001 - judged per role in finalize_paper
-                return exc
+        return {
+            site: pool.submit(self.align_prerequisite, dep, prereq, *targets[cited])
+            for site, (dep, prereq, cited) in jobs.items()
+        }
 
-        return dict(zip(jobs, run(align, jobs)))
+    def finalize_paper(self, record: ExtractionRecord, aligned: Aligned) -> GraphDelta:
+        """Apply the finished alignment jobs to one staged paper, then
+        ingest and log its record with its late alignments. Makes no
+        model call.
 
-    def finalize_paper(
-        self, record: ExtractionRecord, aligned: Aligned
-    ) -> tuple[ExtractionRecord, GraphDelta]:
-        """Apply alignment results to one staged paper, then ingest and log
-        its record with its late alignments. Makes no model call.
-
-        A reference citing an extracted paper takes its result as its
-        matches; an error there fails the paper, which then leaves the
-        store untouched. An unresolved reference citing this paper takes
-        its result as a late alignment; an error there skips only that
-        reference.
+        A reference citing an extracted paper takes its job's result as
+        its matches; its job's error is raised, and fails the paper,
+        which then leaves the store untouched. An unresolved reference
+        citing this paper takes its job's result as a late alignment; a
+        transport error or a validation failure there skips only that
+        reference, and any other error is raised.
         """
         for site, _, _, ref in _paper_refs(record):
             if self.graph.is_extracted(ref.corpus_id):
-                ref.matches = _matches(aligned[site])
+                ref.matches = aligned[site].result()
 
         late: list[UnresolvedRef] = []
         for entry in self.graph.unresolved_citing(record.corpus_id):
             if entry.ref.matches:
                 continue
-            result = aligned[_site(entry)]
-            if isinstance(result, (StageFailure, BackendError)):
-                logger.warning("late alignment skipped: %s", result)
+            try:
+                matches = aligned[_site(entry)].result()
+            except (StageFailure, BackendError) as exc:
+                logger.warning("late alignment skipped: %s", exc)
                 continue
-            late.append(replace(entry, ref=replace(entry.ref, matches=_matches(result))))
+            late.append(replace(entry, ref=replace(entry.ref, matches=matches)))
         delta = self.graph.add_paper_record(record, late)
         if self.records_path is not None:
             append_log(self.records_path, [record], late)
-        return record, delta
+        return delta
 
     def run_batch(
         self, papers: Sequence[PaperInput], parallel: int = 1
@@ -433,34 +430,23 @@ class Pipeline:
         """Stage every paper, align the batch, then finalize in input order.
 
         Staging and alignment run on one pool of ``parallel`` workers, so
-        at most ``parallel`` model calls are in flight. Returns one
-        (paper, delta, error) row per input; failed papers carry the
-        error and leave the graph untouched, so they stay pending.
-        Alignment jobs are all issued before any paper is
-        finalized, so a paper that then fails may have cost the
-        alignment calls already issued for its references, and for
-        references citing it.
+        at most ``parallel`` model calls are in flight; alignment jobs
+        are submitted once every paper is staged. Returns one (paper,
+        delta, error) row per input; a failed paper carries the error of
+        its staging or finalizing and leaves the graph untouched, so it
+        stays pending. It may have cost the alignment calls already
+        issued for its references, and for references citing it.
         """
-
-        def stage(paper: PaperInput) -> ExtractionRecord | Exception:
-            try:
-                return self.stage_paper(paper)
-            except Exception as exc:  # noqa: BLE001 - reported per paper
-                return exc
-
         with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
-            outcomes = list(pool.map(stage, papers))
+            staged = [pool.submit(self.stage_paper, paper) for paper in papers]
             aligned = self.align_batch(
-                [o for o in outcomes if isinstance(o, ExtractionRecord)], pool.map
+                [job.result() for job in staged if job.exception() is None], pool
             )
 
         results: list[tuple[PaperInput, Optional[GraphDelta], Optional[Exception]]] = []
-        for paper, outcome in zip(papers, outcomes):
-            if isinstance(outcome, Exception):
-                results.append((paper, None, outcome))
-                continue
+        for paper, job in zip(papers, staged):
             try:
-                _, delta = self.finalize_paper(outcome, aligned)
+                delta = self.finalize_paper(job.result(), aligned)
                 results.append((paper, delta, None))
             except Exception as exc:  # noqa: BLE001 - reported per paper
                 results.append((paper, None, exc))
@@ -480,9 +466,3 @@ def _paper_refs(
 
 def _site(entry: UnresolvedRef) -> Site:
     return (entry.owner_id, entry.prereq_index, entry.ref_index)
-
-
-def _matches(result: Union[list[Match], Exception]) -> list[Match]:
-    if isinstance(result, Exception):
-        raise result
-    return result

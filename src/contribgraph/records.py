@@ -134,6 +134,10 @@ def parse_reference(
             venue=_shared(_first(raw, "paper_venue", "venue")),
             corpus_id=_opt_str(raw.get("corpus_id")),
         )
+        if ref.year is not None and not isinstance(ref.year, int):
+            problems.append(f"{where}: paper reference year must be an integer, got {ref.year!r}")
+        if ref.first_author is not None and type(ref.first_author) is not dict:
+            problems.append(f"{where}: first_author must be an object, got {ref.first_author!r}")
         if omit != "matches":
             ref.matches = parse_matches(raw.get("matches"), where, problems)
         return ref

@@ -22,6 +22,7 @@ from conftest import (
     GOLDEN_RECORDS,
     MALFORMED_ALIGNMENTS,
     MISSHAPEN_RECORDS,
+    record_with,
     reply,
     write_citing_pair,
 )
@@ -413,6 +414,20 @@ def test_store_without_its_log_is_a_clean_failure(corpus, tmp_path, capsys):
 MISSHAPEN_LINES = {
     **{name: (json.dumps(raw), problem) for name, (raw, problem) in MISSHAPEN_RECORDS.items()},
     "line_not_an_object": ("[1, 2]", "records.jsonl:1: not a JSON object"),
+    # Title-only references that, once ingested, ended in a traceback in
+    # frontier's title resolution.
+    **{
+        name: (
+            json.dumps(record_with("references", [{"type": "paper", "paper_title": "T", **ref}])),
+            f"records.jsonl:1: contribution 9.c0, prerequisite 0: {problem}",
+        )
+        for name, ref, problem in [
+            ("reference_year_not_integer", {"paper_year": "2019"},
+             "paper reference year must be an integer, got '2019'"),
+            ("first_author_not_object", {"first_author": "Smith"},
+             "first_author must be an object, got 'Smith'"),
+        ]
+    },
 }
 
 

@@ -414,9 +414,17 @@ class TestExtractPrerequisites:
                 }]),
                 "key '0', prerequisite 0: references must hold objects, got 'not an object'",
             ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core",
+                    "references_in_paper": [{"type": "paper", "title": "T", "year": "2017"}],
+                }]),
+                "key '0', prerequisite 0: paper reference year must be an integer, got '2017'",
+            ),
         ],
         ids=["non_split_key", "unknown_internal_key", "paper_ref_without_title_or_id",
-             "bad_core_or_peripheral", "non_object_reference"],
+             "bad_core_or_peripheral", "non_object_reference", "string_paper_ref_year"],
     )
     def test_retry_prompt_names_key_and_rule(self, entry, expected):
         stage2 = echo_json({"contributions": [{
@@ -604,7 +612,14 @@ class TestRunPaper:
         assert graph.edges == []
 
 
-    def test_late_alignment_backend_error_skips_only_that_reference(self, caplog):
+    @pytest.mark.parametrize(
+        "failure, calls",
+        [([BackendError("connection reset")], 1), (["no json here"] * 3, 3)],
+        ids=["http", "stage"],
+    )
+    def test_late_alignment_backend_error_skips_only_that_reference(
+        self, caplog, failure, calls
+    ):
         cite = {"type": "paper", "paper_title": "cited", "corpus_id": "200"}
         graph = ContributionGraph()
         graph.add_paper_record({
@@ -629,16 +644,16 @@ class TestRunPaper:
         match = echo_json({"matches": [
             {"contribution_key": "200.c0", "explanation": "x", "match_type": "strong"}
         ]})
-        # The first late alignment call fails in transport, before the
-        # paper is applied; the second succeeds, and the paper goes in
-        # with the one late edge it yields.
-        backend = ScriptedBackend([stage2, stage3, BackendError("connection reset"), match])
+        # The first late alignment fails, in transport or on three
+        # unparseable answers, before the paper is applied; the second
+        # succeeds, and the paper goes in with the one late edge it yields.
+        backend = ScriptedBackend([stage2, stage3, *failure, match])
         pipeline, _ = make_pipeline(backend, graph)
         paper = PaperInput("200", "cited", 2019, "text")
         with caplog.at_level("WARNING"):
             [(_, delta, error)] = pipeline.run_batch([paper])
         assert error is None and delta.nodes_added == 1
-        assert len(backend.prompts) == 4
+        assert len(backend.prompts) == 3 + calls
         assert [(e.pre_id, e.dep_id, e.prereq_index) for e in graph.edges] == [
             ("200.c0", "100.c0", 1)
         ]
@@ -764,6 +779,47 @@ class TestBatchFailures:
         assert (entry.owner_id, entry.ref.corpus_id, entry.ref.matches) == ("303.c0", "302", [])
         assert graph.edges == []
 
+
+    def test_unexpected_late_alignment_error_fails_only_that_paper(self, tmp_path):
+        # 100, in the store, cites 301; aligning it raises an error that is
+        # neither a transport error nor a validation failure.
+        graph = ContributionGraph()
+        graph.add_paper_record({
+            "corpus_id": "100", "title": "citing", "year": 2020,
+            "contributions": [{
+                "contribution_id": "100.c0", "name": "n", "description": "d",
+                "types": [{"type": "analysis", "explanation": "e"}], "sections": ["S1"],
+                "prerequisites": [{
+                    "name": "p", "description": "d", "explanation": "e",
+                    "core_or_peripheral": "core",
+                    "references": [{"type": "paper", "paper_title": "t", "corpus_id": "301"}],
+                }],
+            }],
+        })
+        graph.save(tmp_path)
+        log, alignments = tmp_path / "records.jsonl", tmp_path / "alignments.jsonl"
+        logged, aligned = log.read_bytes(), alignments.read_bytes()
+        crash = RuntimeError("bug")
+        route = batch_route({})
+
+        def crashing_route(prompt: str) -> str:
+            if is_alignment(prompt):
+                raise crash
+            return route(prompt)
+
+        pipeline = Pipeline(RoutedBackend(crashing_route), graph, records_path=log)
+        (_, _, error), (_, delta, other) = pipeline.run_batch(
+            batch_inputs("301", "302"), parallel=2
+        )
+        assert error is crash
+        assert not graph.is_extracted("301") and graph.contributions_of("301") == []
+        [entry] = graph.unresolved_citing("301")
+        assert (entry.owner_id, entry.ref.matches) == ("100.c0", [])
+        assert alignments.read_bytes() == aligned
+        # The log gains the other paper's record, and nothing of 301.
+        assert log.read_bytes().startswith(logged)
+        assert [r["corpus_id"] for r in read_jsonl(log)] == ["100", "302"]
+        assert other is None and delta.nodes_added == 1 and graph.is_extracted("302")
 
     def test_paper_given_twice_fails_the_second_time_as_duplicate(self):
         backend = RoutedBackend(batch_route({"301": "301"}))  # a self-citation

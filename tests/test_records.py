@@ -334,6 +334,22 @@ RULES = {
             {"type": "paper", "matches": [{"contribution_id": "7.c0", "match_type": "maybe"}]})),
         [f"{WHERE}: match_type must be strong or weak, got 'maybe'"],
     ),
+    "reference_year_not_integer": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "paper_title": "t", "paper_year": "2019"})),
+        [f"{WHERE}: paper reference year must be an integer, got '2019'"],
+    ),
+    # The prompt spelling, ``year``, is held to the same rule.
+    "reference_year_in_prompt_spelling": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "title": "t", "year": 2019.0})),
+        [f"{WHERE}: paper reference year must be an integer, got 2019.0"],
+    ),
+    "first_author_not_object": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "paper_title": "t", "first_author": "Smith"})),
+        [f"{WHERE}: first_author must be an object, got 'Smith'"],
+    ),
     "internal_without_id": (
         lambda: with_prerequisites(prerequisite({"type": "internal", "contribution_id": ""})),
         [f"{WHERE}: internal reference without contribution_id"],
