@@ -394,6 +394,8 @@ def cmd_eval(args, settings) -> int:
 def cmd_export(args, settings) -> int:
     from .roadmap import export_dot, export_json, impact_tree, precursor_tree
 
+    if args.out:
+        refuse_clobber(Path(args.out), args.force)
     graph = load_store(Path(args.store))
     if args.direction == "pre":
         tree = precursor_tree(graph, args.root, args.depth)
@@ -513,14 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="append (cost, MAP) row to this CSV")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", help="export a precursor or impact tree")
+    p = sub.add_parser("export", parents=[output], help="export a precursor or impact tree")
     p.add_argument("--store", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--direction", choices=["pre", "post"], required=True)
     p.add_argument("--depth", type=at_least(0), default=3)
     p.add_argument("--top-k", type=at_least(1), default=5)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("validate", help="check store invariants")

@@ -20,7 +20,10 @@ reads only the references that cite it, and replaying the log on load,
 like ingesting records, costs time linear in the log. Records are keyed
 by corpus id and edges indexed by endpoint, so a paper's contributions
 and a contribution's incoming edges cost time linear in what they
-return, not in the store.
+return, not in the store. The two adjacency indexes map a contribution
+id to the positions of its incoming or outgoing edges in ``edges``; a
+contribution without such edges has no entry, so the indexes hold no
+empty lists and are derived from the edge list alone.
 
 A bulk build (replaying the log on load, ingesting record files) runs
 with the cyclic garbage collector paused. The model objects form no
@@ -149,6 +152,7 @@ class ContributionGraph:
         self.papers: dict[str, PaperMeta] = {}
         self.nodes: dict[str, Contribution] = {}
         self.edges: list[Edge] = []
+        # Contribution id -> positions in self.edges; no empty lists.
         self._incoming: dict[str, list[int]] = {}
         self._outgoing: dict[str, list[int]] = {}
         # Cited corpus id (None for a title-only reference) -> the
@@ -234,8 +238,6 @@ class ContributionGraph:
             self.papers[record.corpus_id] = self.extracted_meta(record)
             for contribution in record.contributions:
                 self.nodes[contribution.id] = contribution
-                self._incoming.setdefault(contribution.id, [])
-                self._outgoing.setdefault(contribution.id, [])
             for index, edge in enumerate(new_edges, len(self.edges)):
                 self._incoming.setdefault(edge.dep_id, []).append(index)
                 self._outgoing.setdefault(edge.pre_id, []).append(index)
@@ -373,8 +375,8 @@ class ContributionGraph:
                 if edge.dep_id not in self.nodes:
                     out.append(Violation("edge.endpoints", ident, "dep_id not in store"))
 
-            expected_in: dict[str, list[int]] = {cid: [] for cid in self.nodes}
-            expected_out: dict[str, list[int]] = {cid: [] for cid in self.nodes}
+            expected_in: dict[str, list[int]] = {}
+            expected_out: dict[str, list[int]] = {}
             for i, edge in enumerate(self.edges):
                 expected_in.setdefault(edge.dep_id, []).append(i)
                 expected_out.setdefault(edge.pre_id, []).append(i)
@@ -440,8 +442,10 @@ class ContributionGraph:
         logged for that paper in alignments.jsonl, the last one logged
         for each reference site (a paper extracted again after a crash
         logs its alignments again); papers.jsonl then adds catalog
-        papers and metadata, not status. The views are never read, and
-        a store whose views exist without its log raises
+        papers and metadata, not status. A log row that is not JSON or
+        breaks a record rule raises MalformedLineError naming
+        records.jsonl and the line. The views are never read, and a
+        store whose views exist without its log raises
         ContribGraphError rather than load as empty.
         """
         directory = Path(directory)
@@ -460,9 +464,9 @@ class ContributionGraph:
                     entry = UnresolvedRef(*site)
                     late.setdefault(entry.ref.corpus_id, {})[entry] = entry
             if records_path.exists():
-                for raw in jsonl.read_jsonl(records_path):
-                    late_for_paper = list(late.get(str(raw.get("corpus_id")), {}).values())
-                    graph.add_paper_record(raw, late_for_paper)
+                for record in jsonl.read_rows(records_path, recmod.parse_record):
+                    late_for_paper = list(late.get(record.corpus_id, {}).values())
+                    graph.add_paper_record(record, late_for_paper)
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
                 for meta in jsonl.read_rows(papers_path, recmod.parse_paper):

@@ -15,9 +15,12 @@ from .errors import MalformedLineError, RecordValidationError
 
 T = TypeVar("T")
 
+# json.dumps builds an encoder per call when given any option; one serves every line.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 def dump_line(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:

@@ -25,16 +25,28 @@ parses a dict, the pipeline builds its record from parsed stage
 answers), so ``ContributionGraph.validate`` does not check these rules
 again. Catalog and papers.jsonl rows enter through ``parse_paper``.
 
-The values that repeat across records are interned (``sys.intern``)
-where these parsers build objects: corpus and contribution ids,
-``match_type``, ``core_or_peripheral``, type categories, sections and
-venues. Ingest, replay and the pipeline stages all parse here, so a
-loaded store holds one copy of each such string, however many records
-name it.
+The values that repeat across records are shared where these parsers
+build objects, so a loaded store holds one copy of each however many
+records name it; ingest, log replay, the pipeline stages and
+alignments.jsonl all parse here. Strings are interned (``sys.intern``):
+corpus and contribution ids, ``match_type``, ``core_or_peripheral``,
+type categories, sections, venues and paper reference titles. A paper
+reference's year and ``first_author`` go through memos in this module
+(CPython shares only the ints -5..256): one int per year, and one dict
+per distinct sequence of ``first_author`` key/value pairs, in key
+order, when every value is a string or null. Any other ``first_author``
+is kept as it is, since equal values can print differently (``1``,
+``1.0``, ``true``). The memos are module-level, like the intern table,
+so that every parse path reaches them; they keep one entry per distinct
+value parsed in the process. A shared ``first_author`` is never
+mutated: the package only reads it and writes it out, and
+``tests/test_records.py`` fails on code in the package that changes one
+in place.
 """
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Any, Iterable, Optional
 
 from .errors import RecordValidationError
@@ -57,9 +69,30 @@ from .model import (
 )
 
 
+# Paper reference years and first_author objects already parsed: each
+# distinct value maps to the one object that every reference shares.
+_YEARS: dict[int, int] = {}
+_AUTHORS: dict[tuple[Optional[str], ...], dict[str, Optional[str]]] = {}
+_STR_OR_NULL = {str, type(None)}
+
+
 def _shared(value: Any) -> Any:
     """``value`` interned when it is a str, so that records share it."""
     return sys.intern(value) if type(value) is str else value
+
+
+def _shared_year(year: Any) -> Any:
+    """The one int equal to ``year`` (exactly an int, never a bool); any
+    other value as it is."""
+    return _YEARS.setdefault(year, year) if type(year) is int else year
+
+
+def _shared_author(author: Any) -> Any:
+    """The one dict with ``author``'s keys and values in its key order,
+    when it is a dict of strings or nulls; any other value as it is."""
+    if type(author) is not dict or not set(map(type, author.values())) <= _STR_OR_NULL:
+        return author
+    return _AUTHORS.setdefault(tuple(chain.from_iterable(author.items())), author)
 
 
 def _opt_str(value: Any) -> Optional[str]:
@@ -128,9 +161,9 @@ def parse_reference(
     kind = raw.get("type")
     if kind == "paper":
         ref = PaperRef(
-            title=_first(raw, "paper_title", "title", default=""),
-            first_author=raw.get("first_author"),
-            year=_first(raw, "paper_year", "year"),
+            title=_shared(_first(raw, "paper_title", "title", default="")),
+            first_author=_shared_author(raw.get("first_author")),
+            year=_shared_year(_first(raw, "paper_year", "year")),
             venue=_shared(_first(raw, "paper_venue", "venue")),
             corpus_id=_opt_str(raw.get("corpus_id")),
         )

@@ -124,6 +124,38 @@ class TestGoldenStore:
         assert f"records.jsonl:{torn_line}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ref, problem", [
+        ({"paper_year": "2019"}, "paper reference year must be an integer, got '2019'"),
+        ({"first_author": "Smith"}, "first_author must be an object, got 'Smith'"),
+    ])
+    def test_log_line_breaking_a_rule_names_the_file_and_line(self, store, capsys, ref, problem):
+        """A log record ingested before a rule existed fails every load,
+        naming the log and the line to mend."""
+        log = store / "records.jsonl"
+        bad_line = len(log.read_bytes().splitlines()) + 1
+        record = record_with("references", [{"type": "paper", "paper_title": "T", **ref}])
+        with log.open("a", encoding="utf-8") as f:
+            f.write(dump_line(record) + "\n")
+        capsys.readouterr()
+        assert run("validate", "--store", store) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:{bad_line}: contribution 9.c0, prerequisite 0: ")
+        assert problem in err and "Traceback" not in err
+
+    def test_export_refuses_clobber_then_force(self, store, tmp_path, capsys):
+        out = tmp_path / "tree.dot"
+        out.write_text("mine\n", encoding="utf-8")
+        argv = ["export", "--store", store, "--root", "52967399.c0", "--direction", "pre",
+                "--out", out]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out} exists; pass --force to overwrite\n"
+        assert out.read_text(encoding="utf-8") == "mine\n"
+        assert run(*argv, "--force") == 0
+        assert out.read_text(encoding="utf-8") == (
+            DATA_DIR / "golden_tree.dot"
+        ).read_text(encoding="utf-8")
+
     def test_reingest_is_idempotent(self, store, capsys):
         assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
         assert "4 already extracted" in capsys.readouterr().out

@@ -4,13 +4,19 @@ import gc
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contribgraph.errors import DuplicatePaperError, RecordValidationError, UnknownIdError
+from contribgraph.errors import (
+    DuplicatePaperError,
+    MalformedLineError,
+    RecordValidationError,
+    UnknownIdError,
+)
 from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import read_jsonl, write_jsonl
@@ -409,6 +415,15 @@ class TestValidate:
             v.invariant == "graph.adjacency" for v in golden_graph.validate()
         )
 
+    def test_adjacency_holds_no_empty_lists(self, golden_graph):
+        """Only contributions with edges have an adjacency entry."""
+        for index, endpoint in ((golden_graph._incoming, "dep_id"),
+                                (golden_graph._outgoing, "pre_id")):
+            assert set(index) == {getattr(e, endpoint) for e in golden_graph.edges}
+            assert set(index) < set(golden_graph.nodes)
+            assert all(index.values())
+        assert golden_graph.validate() == []
+
 
 class TestPersistence:
     def test_round_trip_via_records(self, tmp_path, golden_graph):
@@ -455,9 +470,9 @@ class TestLoadFailure:
     @pytest.fixture()
     def store(self, tmp_path):
         rows = load_golden_raw()
-        match = next(
-            m
-            for row in rows
+        line, match = next(
+            (line, m)
+            for line, row in enumerate(rows, 1)
             for c in row["contributions"]
             for prereq in c["prerequisites"]
             for ref in prereq["references"]
@@ -465,11 +480,13 @@ class TestLoadFailure:
         )
         match["match_type"] = "maybe"
         write_jsonl(tmp_path / "records.jsonl", rows)
-        return tmp_path
+        return tmp_path, line
 
     def test_schema_invalid_line_raises_and_reenables_the_collector(self, store):
+        store, line = store
         assert gc.isenabled()
-        with pytest.raises(RecordValidationError, match="got 'maybe'"):
+        where = re.escape(f"{store / 'records.jsonl'}:{line}: ")
+        with pytest.raises(MalformedLineError, match=f"^{where}.*got 'maybe'"):
             ContributionGraph.load(store)
         assert gc.isenabled()
 
@@ -482,8 +499,8 @@ class TestLoadFailure:
         try:
             ContributionGraph.load(clean)
             assert not gc.isenabled()
-            with pytest.raises(RecordValidationError):
-                ContributionGraph.load(store)
+            with pytest.raises(MalformedLineError):
+                ContributionGraph.load(store[0])
             assert not gc.isenabled()
         finally:
             gc.enable()

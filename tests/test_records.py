@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from contribgraph import model
 from contribgraph.errors import RecordValidationError
 from contribgraph.graph import ContributionGraph, UnresolvedRef
-from contribgraph.jsonl import dump_line
+from contribgraph.jsonl import dump_line, read_rows, write_jsonl
 from contribgraph.records import (
     parse_alignment,
     parse_contribution,
@@ -570,28 +572,124 @@ def test_model_objects_carry_no_instance_dict():
         assert not hasattr(cls(*[None] * len(required)), "__dict__"), cls
 
 
+CITED = {
+    "type": "paper",
+    "paper_title": "A cited paper",
+    "first_author": {"last_name": "Brandt", "first_name": "A", "middle_names": None},
+    "paper_year": 2019,  # outside CPython's cache of small ints
+    "paper_venue": "ACL",
+    "corpus_id": "900001",
+    "matches": [{"contribution_id": "900001.c0", "explanation": "e", "match_type": "strong"}],
+}
+
+
+def citing(corpus_id: str, *references) -> dict:
+    """A one-contribution record whose prerequisite cites ``references``
+    (default: CITED), decoded afresh so that no value is shared before
+    parsing."""
+    raw = with_prerequisites(prerequisite(*(references or [CITED]), core_or_peripheral="peripheral"))
+    raw["corpus_id"] = corpus_id
+    raw["contributions"][0]["contribution_id"] = f"{corpus_id}.c0"
+    return json.loads(json.dumps(raw))
+
+
+def cited_references(records) -> list[model.PaperRef]:
+    return [
+        ref
+        for record in records
+        for c in record.contributions
+        for prereq in c.prerequisites
+        for ref in prereq.references
+    ]
+
+
+def assert_shared(ref_a: model.PaperRef, ref_b: model.PaperRef) -> None:
+    assert ref_a.to_json() == ref_b.to_json() == CITED
+    for name in ("title", "first_author", "year", "venue", "corpus_id"):
+        assert getattr(ref_a, name) is getattr(ref_b, name), name
+
+
 def test_repeated_values_are_one_object_across_records():
-    """Two records citing one paper share its corpus id, match_type and
-    core_or_peripheral strings instead of holding a copy each."""
-    cited = {
-        "type": "paper",
-        "paper_title": "Cited",
-        "corpus_id": "900001",
-        "matches": [{"contribution_id": "900001.c0", "explanation": "e", "match_type": "strong"}],
-    }
-
-    def citing(corpus_id: str):
-        raw = with_prerequisites(prerequisite(cited, core_or_peripheral="peripheral"))
-        raw["corpus_id"] = corpus_id
-        raw["contributions"][0]["contribution_id"] = f"{corpus_id}.c0"
-        # A fresh decode, so that no string is shared before parsing.
-        prereq = parse_record(json.loads(json.dumps(raw))).contributions[0].prerequisites[0]
-        return prereq, prereq.references[0]
-
-    (prereq_a, ref_a), (prereq_b, ref_b) = citing("800001"), citing("800002")
-    assert ref_a.corpus_id == "900001" and ref_a.corpus_id is ref_b.corpus_id
-    assert ref_a.matches[0].match_type == "strong"
+    """Two records citing one paper share its corpus id, title, year,
+    first_author, match_type and core_or_peripheral instead of holding a
+    copy each."""
+    record_a, record_b = parse_record(citing("800001")), parse_record(citing("800002"))
+    ref_a, ref_b = cited_references([record_a, record_b])
+    assert_shared(ref_a, ref_b)
     assert ref_a.matches[0].match_type is ref_b.matches[0].match_type
     assert ref_a.matches[0].contribution_id is ref_b.matches[0].contribution_id
+    prereq_a = record_a.contributions[0].prerequisites[0]
+    prereq_b = record_b.contributions[0].prerequisites[0]
     assert prereq_a.core_or_peripheral == "peripheral"
     assert prereq_a.core_or_peripheral is prereq_b.core_or_peripheral
+
+
+def test_store_shares_cited_values_after_load_and_after_ingest(tmp_path):
+    """A replayed log shares one title, year and first_author per cited
+    paper, and a record ingested on top of it (read as `ingest` reads
+    it) shares them too."""
+    write_jsonl(tmp_path / "records.jsonl", [citing("800001"), citing("800002")])
+    graph = ContributionGraph.load(tmp_path)
+    ref_a, ref_b = cited_references(graph.records())
+    assert_shared(ref_a, ref_b)
+
+    write_jsonl(tmp_path / "new.jsonl", [citing("800003")])
+    for record in read_rows(tmp_path / "new.jsonl", parse_record):
+        graph.add_paper_record(record)
+    *_, ref_c = cited_references(graph.records())
+    assert_shared(ref_a, ref_c)
+
+
+# Pairs of first_author objects that compare equal, or hold the same
+# pairs in another order, yet print differently: each is kept as it is.
+UNSHARED_AUTHORS = {
+    "key_order": ({"last_name": "L", "first_name": "F"}, {"first_name": "F", "last_name": "L"}),
+    "list_value": ({"last_name": "L", "middle_names": ["M"]},) * 2,
+    "int_and_bool": ({"last_name": "L", "rank": 1}, {"last_name": "L", "rank": True}),
+    "int_and_float": ({"last_name": "L", "rank": 1}, {"last_name": "L", "rank": 1.0}),
+    "nested_object": ({"last_name": "L", "ids": {"orcid": "0"}},) * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHARED_AUTHORS))
+def test_first_author_that_could_print_differently_is_not_merged(name):
+    lines = [
+        json.dumps(citing(corpus_id, {**CITED, "first_author": author}), ensure_ascii=False)
+        for corpus_id, author in zip(("800001", "800002"), UNSHARED_AUTHORS[name])
+    ]
+    records = [parse_record(json.loads(line)) for line in lines]
+    assert [dump_line(record.to_json()) for record in records] == lines
+    ref_a, ref_b = cited_references(records)
+    assert ref_a.first_author is not ref_b.first_author
+
+
+MUTATING_METHODS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def test_no_code_mutates_a_shared_first_author():
+    """Every first_author dict of equal strings is one shared object, so
+    no module may change one in place: no item assignment or deletion,
+    augmented assignment or mutating method call on ``….first_author``."""
+    package = Path(model.__file__).parent
+
+    def is_first_author(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "first_author"
+
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            item_write = (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and is_first_author(node.value)
+            )
+            in_place = isinstance(node, ast.AugAssign) and is_first_author(node.target)
+            method = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATING_METHODS
+                and is_first_author(node.func.value)
+            )
+            if item_write or in_place or method:
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []
