@@ -327,10 +327,10 @@ def cmd_taskgen(args, settings) -> int:
     store_dir = Path(args.store)
     out_path = Path(args.out) if args.out else store_dir / "problems.jsonl"
     refuse_clobber(out_path, args.force)
-    graph = load_store(store_dir)
     index_path = Path(args.index) if args.index else store_dir / "embeddings.bin"
     if not index_path.exists():
         raise CliError(f"embedding index {index_path} missing; run `embed` first")
+    graph = load_store(store_dir)
     index = EmbeddingIndex.load(index_path)
     years = args.years
     result = taskgen.generate_problems(
@@ -414,21 +414,10 @@ def cmd_export(args, settings) -> int:
 
 
 def cmd_validate(args, settings) -> int:
-    from .graph import EDGES_FILE, NODES_FILE, Violation
-
     store_dir = Path(args.store)
     graph = load_store(store_dir)
     violations = graph.validate(include_warnings=args.warnings)
-    # Load never reads these views back, so a crash before `save` leaves them stale.
-    for name, derived in ((NODES_FILE, len(graph.nodes)), (EDGES_FILE, len(graph.edges))):
-        path = store_dir / name
-        if not path.exists():
-            continue
-        with path.open("rb") as f:
-            rows = sum(1 for _ in f)
-        if rows != derived:
-            message = f"{rows} rows, the log derives {derived}"
-            violations.append(Violation("store.view", name, message))
+    violations += graph.view_violations(store_dir)
     for violation in violations:
         print(violation)
     errors = [v for v in violations if v.severity == "error"]

@@ -25,6 +25,17 @@ id to the positions of its incoming or outgoing edges in ``edges``; a
 contribution without such edges has no entry, so the indexes hold no
 empty lists and are derived from the edge list alone.
 
+``graph_hash`` digests the lines of nodes.jsonl then edges.jsonl, the
+lines ``save`` writes. So ``save`` digests them as it writes them and
+stamps the digest into graph_hash.json, a derived file keyed by what
+the graph is a function of: the byte lengths of the two log files, the
+sha256 of papers.jsonl and the record count. A graph loaded from
+exactly those bytes, and unchanged since, returns the stamped digest
+from ``graph_hash`` instead of serializing every node and edge again.
+The key is sound because the log is only appended to: the same length
+means the same bytes. Anything that ever truncates or rewrites the log
+(a torn-tail recovery, say) must delete the stamp first.
+
 A bulk build (replaying the log on load, ingesting record files) runs
 with the cyclic garbage collector paused. The model objects form no
 reference cycles and are freed by reference counting, so the collector
@@ -36,11 +47,13 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import json
 import logging
+import re
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
@@ -62,6 +75,7 @@ ALIGNMENTS_FILE = "alignments.jsonl"
 NODES_FILE = "nodes.jsonl"
 EDGES_FILE = "edges.jsonl"
 PAPERS_FILE = "papers.jsonl"
+STAMP_FILE = "graph_hash.json"
 
 
 @dataclass
@@ -138,6 +152,22 @@ def append_log(
     jsonl.append_jsonl(records_path, (r.to_json() for r in records))
 
 
+def _digested(lines: Iterable[bytes], update: Callable[[bytes], object]) -> Iterator[bytes]:
+    for line in lines:
+        update(line)
+        yield line
+
+
+class _ByteCount:
+    """A ``jsonl.read_rows`` ``seen`` callback: the bytes read so far."""
+
+    def __init__(self) -> None:
+        self.total = 0
+
+    def __call__(self, raw: bytes) -> None:
+        self.total += len(raw)
+
+
 def normalize_title(title: str) -> str:
     """Casefold, strip punctuation, collapse whitespace."""
     cleaned = "".join(ch if ch.isalnum() or ch.isspace() else " " for ch in title)
@@ -161,6 +191,9 @@ class ContributionGraph:
         # Corpus id -> its one record, in the order applied.
         self._records: dict[str, ExtractionRecord] = {}
         self._alignments: list[UnresolvedRef] = []
+        # graph_hash() as stamped by the save that wrote the files this
+        # graph was loaded from; None once the graph changes.
+        self._stamped_hash: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -235,6 +268,7 @@ class ContributionGraph:
                 raise RecordValidationError([f"unknown late alignment {e}" for e in late_matches])
 
             # Apply.
+            self._stamped_hash = None
             self.papers[record.corpus_id] = self.extracted_meta(record)
             for contribution in record.contributions:
                 self.nodes[contribution.id] = contribution
@@ -264,6 +298,7 @@ class ContributionGraph:
     def register_paper(self, meta: PaperMeta) -> None:
         """Add or enrich catalog metadata without extracting."""
         with self._lock:
+            self._stamped_hash = None
             existing = self.papers.get(meta.corpus_id)
             if existing is None:
                 self.papers[meta.corpus_id] = meta
@@ -397,6 +432,35 @@ class ContributionGraph:
                     )
             return out
 
+    def view_violations(self, directory: str | Path) -> list[Violation]:
+        """Check the nodes.jsonl and edges.jsonl in ``directory`` against
+        this graph: their row counts, then, when both agree, the sha256 of
+        their rows, ``\\n`` removed, against ``graph_hash``. ``load``
+        never reads the views, so a crash before or during ``save`` can
+        leave them stale. A missing view is not checked."""
+        directory = Path(directory)
+        with self._lock:
+            out: list[Violation] = []
+            digest, counts_agree = hashlib.sha256(), True
+            for name, derived in ((NODES_FILE, len(self.nodes)), (EDGES_FILE, len(self.edges))):
+                path = directory / name
+                if not path.exists():
+                    counts_agree = False
+                    continue
+                rows = 0
+                with path.open("rb") as f:
+                    for line in f:
+                        rows += 1
+                        digest.update(line.rstrip(b"\n"))
+                if rows != derived:
+                    counts_agree = False
+                    message = f"{rows} rows, the log derives {derived}"
+                    out.append(Violation("store.view", name, message))
+            if counts_agree and digest.hexdigest() != self.graph_hash():
+                message = "rows differ in content from those the log derives (sha256 of the rows)"
+                out.append(Violation("store.view", f"{NODES_FILE}+{EDGES_FILE}", message))
+            return out
+
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -417,22 +481,58 @@ class ContributionGraph:
                     row["venue"] = meta.venue
                 yield row
 
+    def _view_lines(self) -> dict[str, Iterator[bytes]]:
+        """The lines of nodes.jsonl and of edges.jsonl, in that order and
+        without their ``\\n``: what ``save`` writes and ``graph_hash``
+        digests."""
+        dump = jsonl.dump_line
+        return {
+            NODES_FILE: (dump(row).encode("utf-8") for row in self.node_rows()),
+            EDGES_FILE: (dump(edge.to_json()).encode("utf-8") for edge in self.edges),
+        }
+
     def save(self, directory: str | Path) -> None:
-        """Write the views. Into a directory with no log yet (a store built
-        in memory), append the whole log first; a log that exists is
-        never rewritten."""
+        """Write the views, then the stamp. Into a directory with no log
+        yet (a store built in memory), append the whole log first; a log
+        that exists is never rewritten.
+
+        The view lines are digested as they are written. The stamp,
+        graph_hash.json, holds that digest and its key: the byte lengths
+        of the two log files as they stand and the sha256 of the
+        papers.jsonl just written, plus the record count, so that a
+        record applied here whose log append failed never matches. It is
+        written last, temporary file then rename, so a crash mid-save
+        leaves the old stamp, whose key then matches only files that
+        still derive the old graph. This graph's own ``graph_hash`` is
+        left as it was: only ``load`` reads the stamp. The key assumes the
+        log only grows, so whatever truncates or rewrites it must delete
+        the stamp first.
+        """
         with self._lock:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
             if not (directory / RECORDS_FILE).exists():
                 append_log(directory / RECORDS_FILE, self._records.values(), self._alignments)
-            jsonl.write_jsonl(directory / NODES_FILE, self.node_rows())
-            jsonl.write_jsonl(directory / EDGES_FILE, (e.to_json() for e in self.edges))
+            views = hashlib.sha256()
+            for name, lines in self._view_lines().items():
+                jsonl.write_lines(directory / name, _digested(lines, views.update))
             papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
-            jsonl.write_jsonl(
-                directory / PAPERS_FILE,
-                ({**row, "status": "extracted" if done else "pending"} for row, done in papers),
+            papers_lines = (
+                jsonl.dump_line({**row, "status": "extracted" if done else "pending"}).encode("utf-8")
+                for row, done in papers
             )
+            papers_digest = hashlib.sha256()
+            jsonl.write_lines(
+                directory / PAPERS_FILE,
+                _digested(papers_lines, lambda line: papers_digest.update(line + b"\n")),
+            )
+            key = _stamp_key(
+                _size(directory / RECORDS_FILE),
+                _size(directory / ALIGNMENTS_FILE),
+                papers_digest.hexdigest(),
+                len(self._records),
+            )
+            jsonl.write_jsonl(directory / STAMP_FILE, [{"graph_hash": views.hexdigest(), **key}])
 
     @classmethod
     def load(cls, directory: str | Path) -> "ContributionGraph":
@@ -447,6 +547,15 @@ class ContributionGraph:
         records.jsonl and the line. The views are never read, and a
         store whose views exist without its log raises
         ContribGraphError rather than load as empty.
+
+        The replay counts the bytes it reads from each log file and
+        hashes the papers.jsonl bytes, as it streams them. When the
+        stamp's key equals that, the graph is the one the stamping save
+        held, and ``graph_hash`` returns the stamped digest. A missing,
+        malformed or stale stamp is ignored: ``graph_hash`` then
+        recomputes. Since an equal log length must mean equal log bytes,
+        whatever truncates or rewrites the log must delete the stamp
+        first.
         """
         directory = Path(directory)
         records_path = directory / RECORDS_FILE
@@ -455,30 +564,76 @@ class ContributionGraph:
                 f"{records_path} is missing: the store's views cannot rebuild its log"
             )
         graph = cls()
+        records_read, alignments_read, papers_read = _ByteCount(), _ByteCount(), hashlib.sha256()
         with collector_paused():
             late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
             alignments_path = directory / ALIGNMENTS_FILE
             if alignments_path.exists():
-                for number, raw in enumerate(jsonl.read_jsonl(alignments_path), 1):
+                rows = jsonl.read_rows(alignments_path, lambda row: row, alignments_read)
+                for number, raw in enumerate(rows, 1):
                     site = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
                     entry = UnresolvedRef(*site)
                     late.setdefault(entry.ref.corpus_id, {})[entry] = entry
             if records_path.exists():
-                for record in jsonl.read_rows(records_path, recmod.parse_record):
+                for record in jsonl.read_rows(records_path, recmod.parse_record, records_read):
                     late_for_paper = list(late.get(record.corpus_id, {}).values())
                     graph.add_paper_record(record, late_for_paper)
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
-                for meta in jsonl.read_rows(papers_path, recmod.parse_paper):
+                for meta in jsonl.read_rows(papers_path, recmod.parse_paper, papers_read.update):
                     graph.register_paper(meta)
+        key = _stamp_key(
+            records_read.total, alignments_read.total, papers_read.hexdigest(), len(graph._records)
+        )
+        graph._stamped_hash = _read_stamp(directory / STAMP_FILE, key)
         return graph
 
     def graph_hash(self) -> str:
-        """Stable digest over the node and edge content."""
+        """Stable digest over the node and edge content: the sha256 of the
+        lines of nodes.jsonl then edges.jsonl, without their ``\\n``. A
+        graph loaded from files that match their stamp, and unchanged
+        since, returns the stamped digest at no cost; any other graph
+        returns ``recompute_hash()``. The stamp is keyed by log lengths,
+        so whatever truncates or rewrites the log (a torn-tail recovery,
+        say) must delete the stamp first."""
+        with self._lock:
+            return self._stamped_hash or self.recompute_hash()
+
+    def recompute_hash(self) -> str:
+        """``graph_hash`` from the graph itself, never from the stamp."""
         with self._lock:
             digest = hashlib.sha256()
-            for row in self.node_rows():
-                digest.update(jsonl.dump_line(row).encode("utf-8"))
-            for edge in self.edges:
-                digest.update(jsonl.dump_line(edge.to_json()).encode("utf-8"))
+            for lines in self._view_lines().values():
+                for line in lines:
+                    digest.update(line)
             return digest.hexdigest()
+
+
+def _size(path: Path) -> int:
+    return path.stat().st_size if path.exists() else 0
+
+
+def _stamp_key(
+    records_bytes: int, alignments_bytes: int, papers_sha256: str, records: int
+) -> dict[str, Any]:
+    return {
+        "records_bytes": records_bytes,
+        "alignments_bytes": alignments_bytes,
+        "papers_sha256": papers_sha256,
+        "records": records,
+    }
+
+
+def _read_stamp(path: Path, key: dict[str, Any]) -> Optional[str]:
+    """The stamp's digest when its key equals ``key``; None when the
+    stamp is missing, unreadable, malformed or stale."""
+    try:
+        stamp = json.loads(path.read_bytes())
+        digest = stamp["graph_hash"]
+        fresh = all(type(stamp[name]) is type(value) and stamp[name] == value
+                    for name, value in key.items())
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if fresh and isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest):
+        return digest
+    return None

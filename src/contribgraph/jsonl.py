@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MalformedLineError, RecordValidationError
 
@@ -24,15 +24,21 @@ def dump_line(obj: dict[str, Any]) -> str:
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
-    """Write to a temporary file beside ``path``, then rename it over
-    ``path``: a failure midway leaves the old file whole."""
+    """``write_lines`` of each record's ``dump_line``."""
+    write_lines(path, (dump_line(record).encode("utf-8") for record in records))
+
+
+def write_lines(path: str | Path, lines: Iterable[bytes]) -> None:
+    """Write each line and a ``\\n`` to a temporary file beside ``path``,
+    then rename it over ``path``: a failure midway leaves the old file
+    whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as f:
-            for record in records:
-                f.write(dump_line(record) + "\n")
+        with tmp.open("wb") as f:
+            for line in lines:
+                f.write(line + b"\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -53,12 +59,20 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     return read_rows(path, lambda row: row)
 
 
-def read_rows(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+def read_rows(
+    path: str | Path,
+    parse: Callable[[dict[str, Any]], T],
+    seen: Optional[Callable[[bytes], object]] = None,
+) -> Iterator[T]:
     """``parse`` of each object ``read_jsonl`` reads; a row that ``parse``
     rejects with KeyError, TypeError, ValueError or RecordValidationError
-    raises MalformedLineError naming ``path:line`` too."""
+    raises MalformedLineError naming ``path:line`` too. ``seen``, when
+    given, is called with the bytes of each line as read, blank lines and
+    the ``\\n`` included, so the caller can count or hash what it read."""
     with Path(path).open("rb") as f:
         for number, raw in enumerate(f, 1):
+            if seen is not None:
+                seen(raw)
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:

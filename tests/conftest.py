@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.client
 import http.server
+import json
 import os
 import random
 import sys
@@ -359,3 +360,13 @@ def write_citing_pair(store: Path, alignment: dict) -> None:
         })
     graph.save(store)
     write_jsonl(store / "alignments.jsonl", [alignment])
+
+
+FORGED = "0" * 64
+
+
+def forge_stamp(store) -> None:
+    """Put FORGED in place of the stamped digest, keeping its key: a load
+    that trusts the stamp then returns FORGED from ``graph_hash``."""
+    path = store / "graph_hash.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "graph_hash": FORGED}))

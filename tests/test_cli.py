@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,11 @@ from contribgraph.records import parse_record
 
 from conftest import (
     DATA_DIR,
+    FORGED,
     GOLDEN_RECORDS,
     MALFORMED_ALIGNMENTS,
     MISSHAPEN_RECORDS,
+    forge_stamp,
     record_with,
     reply,
     write_citing_pair,
@@ -236,6 +239,86 @@ class TestCrashedStore:
         assert state() == before
 
 
+def stamped_digest(store: Path) -> str:
+    return json.loads((store / "graph_hash.json").read_bytes())["graph_hash"]
+
+
+class TestGraphHashStamp:
+    """Each write subcommand leaves a stamp whose digest is the one a full
+    recomputation over the replayed log gives; `validate` compares the
+    views' bytes with it."""
+
+    @pytest.fixture()
+    def venue_catalog(self, tmp_path):
+        """A catalog that gives an extracted golden paper a venue."""
+        path = tmp_path / "catalog.jsonl"
+        write_jsonl(path, [{"corpus_id": "52967399", "title": "BERT", "year": 2019,
+                            "venue": "NAACL"}])
+        return path
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+        return store
+
+    def test_ingest_of_records_stamps_the_full_digest(self, store):
+        assert stamped_digest(store) == ContributionGraph.load(store).recompute_hash()
+
+    def test_ingest_of_a_catalog_alone_stamps_the_full_digest(self, store, venue_catalog):
+        before = stamped_digest(store)
+        assert run("ingest", "--store", store, "--catalog", venue_catalog) == 0
+        assert b'"venue": "NAACL"' in (store / "nodes.jsonl").read_bytes()
+        assert stamped_digest(store) == ContributionGraph.load(store).recompute_hash() != before
+
+    def test_extract_with_a_late_alignment_stamps_the_full_digest(self, corpus, tmp_path):
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0
+        assert run(
+            "extract", *cf.EXTRACTION_ORDER, "--store", store,
+            "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir,
+        ) == 0
+        assert (store / "alignments.jsonl").read_bytes()  # the late alignment
+        assert stamped_digest(store) == ContributionGraph.load(store).recompute_hash()
+
+        # taskgen takes its manifest's hash from the stamp, and writes the
+        # same manifest without it.
+        argv = ["taskgen", "--store", store, "--years", "2021-2025", "--per-year",
+                cf.E2E_PER_YEAR, "--seed", cf.E2E_SEED, "--k", cf.E2E_K, "--force"]
+        assert run("embed", "--store", store, "--dim", cf.EMBED_DIM) == 0
+        assert run(*argv) == 0
+        manifest = (store / "problems_manifest.json").read_bytes()
+        assert json.loads(manifest)["graph_hash"] == stamped_digest(store)
+        forge_stamp(store)
+        assert run(*argv) == 0
+        assert json.loads((store / "problems_manifest.json").read_bytes())["graph_hash"] == FORGED
+        (store / "graph_hash.json").unlink()
+        assert run(*argv) == 0
+        assert (store / "problems_manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("stamp", ["current", "deleted"])
+    def test_validate_names_a_view_whose_rows_drifted_from_the_log(
+        self, store, venue_catalog, tmp_path, capsys, stamp
+    ):
+        """A crash between replacing nodes.jsonl and replacing papers.jsonl
+        in `ingest --catalog`: the row counts agree, the rows do not."""
+        stale = tmp_path / "stale"
+        shutil.copytree(store, stale)
+        assert run("ingest", "--store", store, "--catalog", venue_catalog) == 0
+        shutil.copyfile(store / "nodes.jsonl", stale / "nodes.jsonl")
+        if stamp == "deleted":
+            (stale / "graph_hash.json").unlink()
+        capsys.readouterr()
+        assert run("validate", "--store", stale) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "[error] store.view (nodes.jsonl+edges.jsonl): rows differ in content from"
+            " those the log derives (sha256 of the rows)",
+            "1 violations",
+        ]
+        assert run("validate", "--store", store) == 0
+
+
 @pytest.fixture(scope="module")
 def e2e(corpus, tmp_path_factory):
     """ingest -> extract -> embed -> taskgen -> rank -> eval."""
@@ -377,6 +460,22 @@ class TestEndToEnd:
         )
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+
+def test_taskgen_without_an_index_fails_before_loading_the_store(tmp_path, capsys, monkeypatch):
+    from contribgraph import cli
+
+    def load_store(store_dir):
+        pytest.fail("taskgen loaded the store before checking for its index")
+
+    store = tmp_path / "store"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    monkeypatch.setattr(cli, "load_store", load_store)
+    capsys.readouterr()
+    assert run("taskgen", "--store", store, "--years", "2019", "--per-year", 1) == 1
+    index = store / "embeddings.bin"
+    assert capsys.readouterr().err == f"error: embedding index {index} missing; run `embed` first\n"
+    assert not (store / "problems.jsonl").exists()
 
 
 def test_extract_uses_frontier_when_no_ids(corpus, tmp_path, capsys):

@@ -20,13 +20,15 @@ from contribgraph.errors import (
 from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph, UnresolvedRef
 from contribgraph.jsonl import read_jsonl, write_jsonl
-from contribgraph.model import ExtractionRecord, PaperRef
+from contribgraph.model import ExtractionRecord, PaperMeta, PaperRef
 
 from conftest import (
+    FORGED,
     LATE_ALIGNMENT,
     MALFORMED_ALIGNMENTS,
     build_synthetic_graph,
     citation,
+    forge_stamp,
     load_golden_raw,
     write_citing_pair,
 )
@@ -430,7 +432,8 @@ class TestPersistence:
         golden_graph.save(tmp_path)
         loaded = ContributionGraph.load(tmp_path)
         assert loaded.validate() == []
-        assert loaded.graph_hash() == golden_graph.graph_hash()
+        # Recomputed from the replay: the stamp holds the live graph's digest.
+        assert loaded.recompute_hash() == golden_graph.graph_hash()
         assert sorted(u.key() for u in loaded.unresolved) == sorted(
             u.key() for u in golden_graph.unresolved
         )
@@ -461,6 +464,89 @@ class TestPersistence:
         ]
         match = paper_ref["matches"][0]
         assert list(match.keys()) == ["contribution_id", "explanation", "match_type"]
+
+
+def append_line(path, row: dict) -> None:
+    with path.open("a", encoding="utf-8") as f:
+        f.write(json.dumps(row) + "\n")
+
+
+def edit_stamp(store, edit) -> None:
+    path = store / "graph_hash.json"
+    path.write_bytes(edit(path.read_bytes()))
+
+
+class TestGraphHashStamp:
+    """``save`` stamps the digest of the views it writes into
+    graph_hash.json; ``load`` returns it only when the stamp's key equals
+    the bytes it replayed, and a stamp that does not match changes no
+    value."""
+
+    @pytest.fixture()
+    def store(self, tmp_path, golden_graph):
+        golden_graph.save(tmp_path / "store")  # a directory with no log yet
+        return tmp_path / "store"
+
+    def test_save_into_an_empty_directory_stamps_the_full_digest(self, store, golden_graph):
+        stamp = json.loads((store / "graph_hash.json").read_bytes())
+        views = b"".join(
+            line.rstrip(b"\n")
+            for name in ("nodes.jsonl", "edges.jsonl")
+            for line in (store / name).open("rb")
+        )
+        loaded = ContributionGraph.load(store)
+        assert stamp["graph_hash"] == hashlib.sha256(views).hexdigest()
+        assert stamp["graph_hash"] == golden_graph.recompute_hash() == loaded.recompute_hash()
+        assert loaded.graph_hash() == stamp["graph_hash"]
+
+    def test_a_matching_key_is_trusted(self, store):
+        forge_stamp(store)
+        assert ContributionGraph.load(store).graph_hash() == FORGED
+
+    @pytest.mark.parametrize("change", [
+        lambda store: append_line(store / "records.jsonl", make_record("777")),
+        lambda store: append_line(store / "alignments.jsonl", LATE_ALIGNMENT),
+        lambda store: append_line(
+            store / "papers.jsonl", {"corpus_id": "999", "title": "P", "year": 2020}
+        ),
+        lambda store: (store / "graph_hash.json").unlink(),
+        lambda store: edit_stamp(store, lambda raw: raw[: len(raw) // 2]),
+        lambda store: edit_stamp(store, lambda raw: b""),
+        lambda store: edit_stamp(store, lambda raw: b"\xff not json"),
+        lambda store: edit_stamp(store, lambda raw: b"[" + raw + b"]"),
+        lambda store: edit_stamp(store, lambda raw: raw.replace(b'"records": 4', b'"records": "4"')),
+        lambda store: edit_stamp(store, lambda raw: raw.replace(FORGED.encode(), b"Z" * 64)),
+        lambda store: edit_stamp(store, lambda raw: raw.replace(b'"graph_hash"', b'"digest"')),
+    ], ids=[
+        "record_appended", "alignment_appended", "papers_edited", "stamp_deleted",
+        "stamp_truncated", "stamp_empty", "stamp_not_json", "stamp_not_an_object",
+        "stamp_key_of_the_wrong_type", "stamp_digest_not_hex", "stamp_without_digest",
+    ])
+    def test_a_stale_or_bad_stamp_falls_back_to_the_full_digest(self, store, change):
+        forge_stamp(store)
+        change(store)
+        loaded = ContributionGraph.load(store)
+        assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
+
+    @pytest.mark.parametrize("change", [
+        lambda graph: graph.add_paper_record(make_record("777")),
+        lambda graph: graph.register_paper(PaperMeta("999", "P", 2020)),
+    ], ids=["record_added", "paper_registered"])
+    def test_a_graph_changed_after_load_computes_its_digest(self, store, change):
+        forge_stamp(store)
+        loaded = ContributionGraph.load(store)
+        change(loaded)
+        assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
+
+    def test_a_record_missing_from_the_log_is_never_stamped(self, store, golden_graph):
+        """A record applied whose log append failed: the views and the
+        stamp hold it, the log does not."""
+        golden_graph.add_paper_record(make_record("777"))
+        golden_graph.save(store)
+        forge_stamp(store)
+        loaded = ContributionGraph.load(store)
+        assert not loaded.is_extracted("777")
+        assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
 
 
 class TestLoadFailure:
@@ -530,7 +616,7 @@ def test_synthetic_graphs_survive_save_and_load(tmp_path, build):
     assert graph.edges
     graph.save(tmp_path)
     loaded = ContributionGraph.load(tmp_path)
-    assert loaded.graph_hash() == graph.graph_hash()
+    assert loaded.recompute_hash() == graph.graph_hash()
     assert loaded.edges == graph.edges
 
 

@@ -1,22 +1,30 @@
 from __future__ import annotations
 
+import json
 import re
 import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
+from tempfile import TemporaryDirectory
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus_fixture as cf
 from contribgraph import jsonl
 from contribgraph.backends import GenerationBackend, MockBackend, echo_json, parse_fenced_json
+from contribgraph.cli import dispatch
 from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
 from contribgraph.model import InternalRef, PaperMeta, PaperRef
 from contribgraph.pipeline import PaperInput, Pipeline
 
-from conftest import load_golden_raw
+from conftest import FORGED, forge_stamp, load_golden_raw
 
 BERT = "52967399"
 ATTENTION = "13756489"
@@ -1094,4 +1102,49 @@ class TestLogReplay:
         with (tmp_path / "edges.jsonl").open("a", encoding="utf-8") as f:
             f.write('{"pre_id": "7000001.c0", "dep_id": "7000002.c1", '
                     '"match_type": "weak", "explanation": "", "prereq_index": 0}\n')
-        assert ContributionGraph.load(tmp_path).graph_hash() == live.graph_hash()
+        assert ContributionGraph.load(tmp_path).recompute_hash() == live.graph_hash()
+
+
+class TestCrawlOrder:
+    """The store is a function of the set of papers extracted: whatever
+    the order, the cut into `extract` runs and `--parallel`, the crawl
+    makes only calls the replay files answer, ends at the same edges and
+    unresolved references, and leaves a stamp that a reload trusts and a
+    full recomputation confirms."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        order=st.permutations(cf.EXTRACTION_ORDER),
+        cuts=st.sets(st.integers(1, len(cf.EXTRACTION_ORDER) - 1)),
+        parallel=st.sampled_from([1, 2, 4]),
+    )
+    def test_any_order_batches_and_parallel_end_at_the_oracle(self, corpus, order, cuts, parallel):
+        misses: list[str] = []
+        generate = MockBackend.generate
+
+        def replay(backend, prompt):
+            try:
+                return generate(backend, prompt)
+            except BackendError:
+                misses.append(prompt[:80])
+                raise
+
+        bounds = [0, *sorted(cuts), len(order)]
+        with TemporaryDirectory() as tmp, mock.patch.object(MockBackend, "generate", replay):
+            store, catalog = f"{tmp}/store", str(corpus.catalog_path)
+            assert dispatch(["ingest", "--store", store, "--catalog", catalog]) == 0
+            for start, end in zip(bounds, bounds[1:]):
+                assert dispatch([
+                    "extract", *order[start:end], "--store", store, "--catalog", catalog,
+                    "--mock", str(corpus.mock_dir), "--parallel", str(parallel),
+                ]) == 0
+            assert misses == []
+
+            loaded = ContributionGraph.load(store)
+            edges = Counter((e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in loaded.edges)
+            assert edges == Counter(cf.EXPECTED_EDGES)
+            assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
+            stamped = json.loads(Path(store, "graph_hash.json").read_bytes())["graph_hash"]
+            assert loaded.graph_hash() == stamped == loaded.recompute_hash()
+            forge_stamp(Path(store))
+            assert ContributionGraph.load(store).graph_hash() == FORGED
