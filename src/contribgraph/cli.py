@@ -209,10 +209,7 @@ def cmd_ingest(args, settings) -> int:
                         continue
                     delta = graph.add_paper_record(record)
                     ingested.append(record)
-                    print(
-                        f"{record.corpus_id}: +{delta.nodes_added} nodes,"
-                        f" +{delta.edges_added} edges, +{delta.unresolved_added} unresolved"
-                    )
+                    print(f"{record.corpus_id}: {delta}")
         if args.records:
             print(f"records: {len(ingested)} ingested, {skipped} already extracted")
         # Only after every record file applied: a failing row leaves the log as it was.
@@ -262,23 +259,16 @@ def cmd_extract(args, settings) -> int:
             backend, graph, records_path=store_dir / RECORDS_FILE, retries=args.retries
         )
         results = pipeline.run_batch(papers, parallel=args.parallel)
-        failures = 0
         for paper, delta, error in results:
-            if error is not None:
-                failures += 1
-                print(f"{paper.corpus_id}: FAILED ({error})")
-            else:
-                print(
-                    f"{paper.corpus_id}: +{delta.nodes_added} nodes,"
-                    f" +{delta.edges_added} edges, +{delta.unresolved_added} unresolved"
-                )
+            outcome = delta if error is None else f"FAILED ({error})"
+            print(f"{paper.corpus_id}: {outcome}")
         graph.save(store_dir)
         usage = backend.usage
         print(
             f"backend calls: {usage.calls}, tokens in/out: {usage.tokens_in}/{usage.tokens_out},"
             f" cost: ${usage.cost:.4f}"
         )
-        return 1 if failures else 0
+        return 1 if any(error is not None for _, _, error in results) else 0
 
 
 def cmd_frontier(args, settings) -> int:
@@ -287,11 +277,8 @@ def cmd_frontier(args, settings) -> int:
     graph = load_store(Path(args.store))
     catalog = frontier.Catalog.load(args.catalog) if args.catalog else None
     histogram = frontier.build_histogram(graph, catalog)
-    if catalog is not None:
-        availability = frontier.catalog_availability(catalog)
-    else:
-        availability = lambda key: True  # noqa: E731
-    batch = frontier.select_batch(histogram, availability, args.k)
+    available = frontier.catalog_availability(catalog) if catalog is not None else lambda key: True
+    batch = frontier.select_batch(histogram, available, args.k)
     for key in batch:
         print(f"{key}\t{histogram[key]}")
     if not batch:
@@ -331,12 +318,16 @@ def cmd_taskgen(args, settings) -> int:
     if not index_path.exists():
         raise CliError(f"embedding index {index_path} missing; run `embed` first")
     graph = load_store(store_dir)
-    index = EmbeddingIndex.load(index_path)
-    years = args.years
+    if not graph.nodes:
+        raise CliError(f"store {store_dir} has no contributions to sample targets from")
+    try:
+        index = EmbeddingIndex.load(index_path)
+    except ValueError as exc:  # not an index file, or a broken one
+        raise CliError(f"{index_path}: {exc}") from None
     result = taskgen.generate_problems(
         graph,
         index,
-        years=years,
+        years=args.years,
         n_per_year=args.per_year,
         rng_seed=args.seed,
         strong_only=args.strong_only,
@@ -345,7 +336,7 @@ def cmd_taskgen(args, settings) -> int:
     taskgen.write_problems(out_path, result.problems)
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     taskgen.write_manifest(
-        manifest_path, graph, years, args.per_year, args.seed, args.strong_only, args.k, result
+        manifest_path, graph, args.years, args.per_year, args.seed, args.strong_only, args.k, result
     )
     print(f"{len(result.problems)} problems, {len(result.skips)} skipped -> {out_path}")
     for reason, count in Counter(skip.reason for skip in result.skips).most_common():

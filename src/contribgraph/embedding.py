@@ -186,10 +186,11 @@ class EmbeddingIndex:
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
         with Path(path).open("rb") as f:
-            magic = f.read(4)
-            if magic != MAGIC:
-                raise ValueError(f"not an embedding index file (magic {magic!r})")
-            version, dim, count = struct.unpack("<IIQ", f.read(16))
+            header = f.read(20)
+            if header[:4] != MAGIC or len(header) < 20:
+                raise ValueError(f"not an embedding index file ({len(header)}-byte header,"
+                                 f" magic {header[:4]!r})")
+            version, dim, count = struct.unpack("<IIQ", header[4:])
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported index version {version}")
             # A row takes at least 2 + 4 * dim bytes: a corrupt count cannot over-allocate.
@@ -197,7 +198,7 @@ class EmbeddingIndex:
                 raise ValueError(f"index file is too short for its {count} rows")
             ids, matrix = [], np.empty((count, dim), dtype=np.float32)
             for i in range(count):
-                (id_len,) = struct.unpack("<H", f.read(2))
+                id_len = int.from_bytes(f.read(2), "little")
                 ids.append(f.read(id_len).decode("utf-8"))
                 matrix[i] = np.frombuffer(f.read(4 * dim), dtype="<f4")
         return cls(ids, matrix)

@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import jsonl
-from .graph import ContributionGraph, normalize_title
-from .model import PaperMeta, PaperRef, PartialDate
+from .graph import ContributionGraph
+from .model import PaperMeta, PaperRef, PartialDate, normalize_title
 from .records import parse_paper
 
 logger = logging.getLogger(__name__)
@@ -74,8 +74,8 @@ def resolve_reference(ref: PaperRef, catalog: Catalog) -> Optional[str]:
     title match with year agreement within one year and, on a title
     tie, first-author last-name agreement. Ambiguity resolves to none.
     """
-    if ref.corpus_id:
-        return ref.corpus_id
+    if ref.cited_id is not None:
+        return ref.cited_id
     if not ref.title:
         return None
     candidates = catalog.by_title.get(normalize_title(ref.title), [])

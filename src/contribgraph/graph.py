@@ -15,15 +15,16 @@ checks only what the log does not guarantee. ``append_log`` is the one
 writer of the log, and it only appends; nodes/edges/papers.jsonl are
 written views.
 
-Unresolved references are indexed by cited paper, so applying a record
-reads only the references that cite it, and replaying the log on load,
-like ingesting records, costs time linear in the log. Records are keyed
-by corpus id and edges indexed by endpoint, so a paper's contributions
-and a contribution's incoming edges cost time linear in what they
-return, not in the store. The two adjacency indexes map a contribution
-id to the positions of its incoming or outgoing edges in ``edges``; a
-contribution without such edges has no entry, so the indexes hold no
-empty lists and are derived from the edge list alone.
+Unresolved references (``model.UnresolvedRef``) are indexed by cited
+paper, ``PaperRef.cited_id``, None for the title-only ones, so applying
+a record reads only the references that cite it, and replaying the log
+on load, like ingesting records, costs time linear in the log. Records
+are keyed by corpus id and edges indexed by endpoint, so a paper's
+contributions and a contribution's incoming edges cost time linear in
+what they return, not in the store. The two adjacency indexes map a
+contribution id to the positions of its incoming or outgoing edges in
+``edges``; a contribution without such edges has no entry, so the
+indexes hold no empty lists and are derived from the edge list alone.
 
 ``graph_hash`` digests the lines of nodes.jsonl then edges.jsonl, the
 lines ``save`` writes. So ``save`` digests them as it writes them and
@@ -51,7 +52,7 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -66,6 +67,7 @@ from .model import (
     Match,
     PaperMeta,
     PaperRef,
+    UnresolvedRef,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,31 +88,9 @@ class GraphDelta:
     edges_added: int = 0
     unresolved_added: int = 0
 
-
-@dataclass(frozen=True, slots=True)
-class UnresolvedRef:
-    """A paper reference whose cited paper is not yet in the graph; as a
-    late alignment, a copy carrying its matches. Equality and hash name
-    just the reference's site: owner, prerequisite and position."""
-
-    owner_id: str  # dependent contribution
-    prereq_index: int
-    ref_index: int  # position among the prerequisite's references
-    ref: PaperRef = field(compare=False)
-
-    def key(self) -> str:
-        """Histogram key: corpus id when known, else normalized title+year."""
-        if self.ref.corpus_id:
-            return self.ref.corpus_id
-        return f"title:{normalize_title(self.ref.title)}|{self.ref.year}"
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "owner_id": self.owner_id,
-            "prereq_index": self.prereq_index,
-            "ref_index": self.ref_index,
-            "reference": self.ref.to_json(),
-        }
+    def __str__(self) -> str:
+        return (f"+{self.nodes_added} nodes, +{self.edges_added} edges,"
+                f" +{self.unresolved_added} unresolved")
 
 
 @dataclass
@@ -166,12 +146,6 @@ class _ByteCount:
 
     def __call__(self, raw: bytes) -> None:
         self.total += len(raw)
-
-
-def normalize_title(title: str) -> str:
-    """Casefold, strip punctuation, collapse whitespace."""
-    cleaned = "".join(ch if ch.isalnum() or ch.isspace() else " " for ch in title)
-    return " ".join(cleaned.casefold().split())
 
 
 class ContributionGraph:
@@ -238,7 +212,7 @@ class ContributionGraph:
                             internal = Match(ref.contribution_id, ref.explanation, "strong")
                             new_edges.append(_match_edge(internal, contribution.id, k))
                         elif isinstance(ref, PaperRef):
-                            cited = ref.corpus_id
+                            cited = ref.cited_id
                             if cited == record.corpus_id:
                                 continue  # a self-citation stays in the record only
                             if self.is_extracted(cited):
@@ -278,7 +252,7 @@ class ContributionGraph:
             self.edges.extend(new_edges)
             self._unresolved.pop(record.corpus_id, None)
             for entry in new_unresolved:
-                self._unresolved.setdefault(entry.ref.corpus_id, []).append(entry)
+                self._unresolved.setdefault(entry.ref.cited_id, []).append(entry)
             self._records[record.corpus_id] = record
             self._alignments.extend(late)
             return GraphDelta(
@@ -571,13 +545,11 @@ class ContributionGraph:
             if alignments_path.exists():
                 rows = jsonl.read_rows(alignments_path, lambda row: row, alignments_read)
                 for number, raw in enumerate(rows, 1):
-                    site = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
-                    entry = UnresolvedRef(*site)
-                    late.setdefault(entry.ref.corpus_id, {})[entry] = entry
+                    entry = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
+                    late.setdefault(entry.ref.cited_id, {})[entry] = entry
             if records_path.exists():
                 for record in jsonl.read_rows(records_path, recmod.parse_record, records_read):
-                    late_for_paper = list(late.get(record.corpus_id, {}).values())
-                    graph.add_paper_record(record, late_for_paper)
+                    graph.add_paper_record(record, list(late.get(record.corpus_id, {}).values()))
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
                 for meta in jsonl.read_rows(papers_path, recmod.parse_paper, papers_read.update):

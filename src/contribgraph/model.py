@@ -1,8 +1,9 @@
-"""Domain types for the contribution graph.
+"""Domain types for the contribution graph and its log.
 
 Serialization follows the released extraction-record layout: key names
 and nesting match the record files bit-for-bit, so every ``to_json``
-builds its dict in the canonical key order. Records are read back by
+builds its dict in the canonical key order; ``UnresolvedRef.to_json``
+builds an alignments.jsonl row. Records and alignments are read back by
 records.py, which also handles ingestion-time aliases; the one reader
 here, ``Problem.from_json``, takes a problems.jsonl row.
 """
@@ -124,6 +125,11 @@ class PaperRef:
 
     type = "paper"
 
+    @property
+    def cited_id(self) -> Optional[str]:
+        """The corpus id cited; None for a title-only reference, whose id is null or ""."""
+        return self.corpus_id or None
+
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"type": "paper", "paper_title": self.title}
         if self.first_author is not None:
@@ -164,6 +170,36 @@ class ArtifactRef:
 
 
 Reference = Union[PaperRef, InternalRef, ArtifactRef]
+
+
+def normalize_title(title: str) -> str:
+    """Casefold, strip punctuation, collapse whitespace."""
+    cleaned = "".join(ch if ch.isalnum() or ch.isspace() else " " for ch in title)
+    return " ".join(cleaned.casefold().split())
+
+
+@dataclass(frozen=True, slots=True)
+class UnresolvedRef:
+    """A paper reference at its site: owner, prerequisite and position;
+    equality and hash name just the site. It keys the unresolved index
+    and a crawl batch's alignment jobs, and is a logged late alignment."""
+
+    owner_id: str  # dependent contribution
+    prereq_index: int
+    ref_index: int  # position among the prerequisite's references
+    ref: PaperRef = field(compare=False)
+
+    def key(self) -> str:
+        """Histogram key: the cited corpus id, else normalized title+year."""
+        return self.ref.cited_id or f"title:{normalize_title(self.ref.title)}|{self.ref.year}"
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "owner_id": self.owner_id,
+            "prereq_index": self.prereq_index,
+            "ref_index": self.ref_index,
+            "reference": self.ref.to_json(),
+        }
 
 
 @dataclass(slots=True)

@@ -38,7 +38,7 @@ from typing import Any, Iterator, Optional, Sequence
 from .backends import GenerationBackend, generate_validated
 from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.py imports it here
 from .errors import BackendError, DuplicatePaperError, StageFailure
-from .graph import ContributionGraph, GraphDelta, UnresolvedRef, append_log
+from .graph import ContributionGraph, GraphDelta, append_log
 from .model import (
     Contribution,
     ExtractionRecord,
@@ -47,6 +47,7 @@ from .model import (
     PaperMeta,
     PaperRef,
     Prerequisite,
+    UnresolvedRef,
     make_contribution_id,
 )
 from .prompts import (
@@ -60,10 +61,9 @@ from .records import objects, parse_contribution, parse_matches
 
 logger = logging.getLogger(__name__)
 
-# A reference's site: (owner contribution id, prereq_index, ref_index).
-Site = tuple[str, int, int]
-# Alignment jobs of a batch by site, each future holding the matches or the error raised.
-Aligned = dict[Site, Future]
+# Alignment jobs of a batch by reference site, each future holding the
+# matches or the error raised.
+Aligned = dict[UnresolvedRef, Future]
 
 
 def _prompt_json(obj: Any) -> str:
@@ -224,7 +224,7 @@ class Pipeline:
                         problems.append(f"{where}: empty name")
                     for ref in prereq.references:
                         if isinstance(ref, PaperRef):
-                            if not ref.title and not ref.corpus_id:
+                            if not ref.title and ref.cited_id is None:
                                 problems.append(
                                     f"{where}: paper reference needs a title or corpus_id"
                                 )
@@ -360,12 +360,13 @@ class Pipeline:
     def align_batch(self, batch: Sequence[ExtractionRecord], pool: Executor) -> Aligned:
         """Submit to ``pool`` every alignment the staged ``batch`` can need.
 
-        One job per reference site: each reference of a staged paper
-        citing a paper extracted in the store or another staged paper,
-        and each unmatched unresolved reference citing a staged paper.
-        A store paper is presented as the graph holds it; a staged one
-        as its record will leave it. A job's error stays in its future:
-        ``finalize_paper`` decides what it means for the reference.
+        One job per reference site, keyed by its ``UnresolvedRef``: each
+        reference of a staged paper citing a paper extracted in the store
+        or another staged paper, and each unmatched unresolved reference
+        citing a staged paper. A store paper is presented as the graph
+        holds it; a staged one as its record will leave it. A job's error
+        stays in its future: ``finalize_paper`` decides what it means for
+        the reference.
         """
         targets: dict[str, tuple[list[Contribution], PaperMeta]] = {
             r.corpus_id: (r.contributions, self.graph.extracted_meta(r)) for r in batch
@@ -377,16 +378,16 @@ class Pipeline:
                 targets[corpus_id] = (self.graph.contributions_of(corpus_id), meta)
             return targets.get(corpus_id)
 
-        jobs: dict[Site, tuple[Contribution, Prerequisite, str]] = {}
+        jobs: dict[UnresolvedRef, tuple[Contribution, Prerequisite, str]] = {}
         for record in batch:
             corpus_id = record.corpus_id
-            for site, dep, prereq, ref in _paper_refs(record):
-                if target(ref.corpus_id) is not None:
-                    jobs[site] = (dep, prereq, ref.corpus_id)
+            for site, dep, prereq in _paper_refs(record):
+                if target(site.ref.cited_id) is not None:
+                    jobs[site] = (dep, prereq, site.ref.cited_id)
             for entry in self.graph.unresolved_citing(corpus_id):
                 if not entry.ref.matches:
                     owner = self.graph.get_contribution(entry.owner_id)
-                    jobs[_site(entry)] = (owner, owner.prerequisites[entry.prereq_index], corpus_id)
+                    jobs[entry] = (owner, owner.prerequisites[entry.prereq_index], corpus_id)
 
         return {
             site: pool.submit(self.align_prerequisite, dep, prereq, *targets[cited])
@@ -394,9 +395,9 @@ class Pipeline:
         }
 
     def finalize_paper(self, record: ExtractionRecord, aligned: Aligned) -> GraphDelta:
-        """Apply the finished alignment jobs to one staged paper, then
-        ingest and log its record with its late alignments. Makes no
-        model call.
+        """Apply the finished alignment jobs, ``aligned`` by reference
+        site, to one staged paper, then ingest and log its record with its
+        late alignments. Makes no model call.
 
         A reference citing an extracted paper takes its job's result as
         its matches; its job's error is raised, and fails the paper,
@@ -405,16 +406,16 @@ class Pipeline:
         transport error or a validation failure there skips only that
         reference, and any other error is raised.
         """
-        for site, _, _, ref in _paper_refs(record):
-            if self.graph.is_extracted(ref.corpus_id):
-                ref.matches = aligned[site].result()
+        for site, _, _ in _paper_refs(record):
+            if self.graph.is_extracted(site.ref.cited_id):
+                site.ref.matches = aligned[site].result()
 
         late: list[UnresolvedRef] = []
         for entry in self.graph.unresolved_citing(record.corpus_id):
             if entry.ref.matches:
                 continue
             try:
-                matches = aligned[_site(entry)].result()
+                matches = aligned[entry].result()
             except (StageFailure, BackendError) as exc:
                 logger.warning("late alignment skipped: %s", exc)
                 continue
@@ -455,14 +456,10 @@ class Pipeline:
 
 def _paper_refs(
     record: ExtractionRecord,
-) -> Iterator[tuple[Site, Contribution, Prerequisite, PaperRef]]:
-    """The record's references that cite another paper by corpus id, with their sites."""
+) -> Iterator[tuple[UnresolvedRef, Contribution, Prerequisite]]:
+    """The record's references citing another paper by corpus id, at their sites."""
     for dep in record.contributions:
         for k, prereq in enumerate(dep.prerequisites):
             for j, ref in enumerate(prereq.references):
-                if isinstance(ref, PaperRef) and ref.corpus_id not in ("", None, dep.corpus_id):
-                    yield (dep.id, k, j), dep, prereq, ref
-
-
-def _site(entry: UnresolvedRef) -> Site:
-    return (entry.owner_id, entry.prereq_index, entry.ref_index)
+                if isinstance(ref, PaperRef) and ref.cited_id not in (None, dep.corpus_id):
+                    yield UnresolvedRef(dep.id, k, j, ref), dep, prereq

@@ -64,6 +64,7 @@ from .model import (
     PartialDate,
     Prerequisite,
     Reference,
+    UnresolvedRef,
     make_contribution_id,
     split_contribution_id,
 )
@@ -256,11 +257,11 @@ def parse_contribution(
     return contribution
 
 
-def parse_alignment(obj: Any, where: str) -> tuple[str, int, int, PaperRef]:
-    """One logged late alignment as (owner_id, prereq_index, ref_index,
-    paper reference). Raises RecordValidationError naming ``where``
-    unless the owner id is well formed, the indices are non-negative
-    integers and the reference passes the record rules."""
+def parse_alignment(obj: Any, where: str) -> UnresolvedRef:
+    """One alignments.jsonl row as the site it aligns, carrying its paper
+    reference and that reference's matches. Raises RecordValidationError
+    naming ``where`` unless the owner id is well formed, the indices are
+    non-negative integers and the reference passes the record rules."""
     row = obj if isinstance(obj, dict) else {}
     problems: list[str] = []
     owner = row.get("owner_id")
@@ -278,7 +279,7 @@ def parse_alignment(obj: Any, where: str) -> tuple[str, int, int, PaperRef]:
         problems.append(f"{where}: reference must be a paper reference, got {raw!r}")
     if problems:
         raise RecordValidationError(problems)
-    return owner, row["prereq_index"], row["ref_index"], ref
+    return UnresolvedRef(owner, row["prereq_index"], row["ref_index"], ref)
 
 
 def parse_paper(row: dict[str, Any]) -> PaperMeta:

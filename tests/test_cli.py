@@ -478,6 +478,32 @@ def test_taskgen_without_an_index_fails_before_loading_the_store(tmp_path, capsy
     assert not (store / "problems.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "index_bytes, error",
+    [
+        (b"XXXXgarbage", "error: {index}: not an embedding index file (11-byte header, magic b'XXXX')"),
+        (b"SCGE\x01\x00", "error: {index}: not an embedding index file (6-byte header, magic b'SCGE')"),
+        (None, "error: store {store} has no contributions to sample targets from"),
+    ],
+    ids=["wrong_magic", "short_header", "no_contributions"],
+)
+def test_taskgen_over_a_broken_index_or_an_empty_store_fails_cleanly(
+    tmp_path, capsys, index_bytes, error
+):
+    store, index = tmp_path / "store", tmp_path / "store" / "embeddings.bin"
+    if index_bytes is None:  # catalog papers only: embed writes an index of 0 rows
+        write_jsonl(tmp_path / "catalog.jsonl", [{"corpus_id": "1", "title": "T", "year": 2019}])
+        assert run("ingest", "--store", store, "--catalog", tmp_path / "catalog.jsonl") == 0
+        assert run("embed", "--store", store) == 0
+    else:
+        assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+        index.write_bytes(index_bytes)
+    capsys.readouterr()
+    assert run("taskgen", "--store", store, "--years", "2019", "--per-year", 1) == 1
+    assert capsys.readouterr().err == error.format(index=index, store=store) + "\n"
+    assert not (store / "problems.jsonl").exists()
+
+
 def test_extract_uses_frontier_when_no_ids(corpus, tmp_path, capsys):
     store = tmp_path / "store"
     assert run("ingest", "--store", store, "--catalog", corpus.catalog_path) == 0

@@ -176,6 +176,26 @@ class TestBuildHistogram:
         assert dict(build_histogram(graph, catalog)) == {"55": 1}
         assert list(build_histogram(graph))[0].startswith("title:")
 
+    def test_empty_corpus_id_counts_as_title_only(self):
+        """A reference whose corpus_id is "" cites no paper by id: the graph
+        indexes it, and the frontier counts and resolves it, with the
+        title-only references."""
+        title_only = {"type": "paper", "paper_title": "Paper Two", "paper_year": 2019}
+        twins = [title_only, {**title_only, "corpus_id": ""}]
+        graph = ContributionGraph()
+        graph.add_paper_record({
+            "corpus_id": "1", "title": "citing", "year": 2020,
+            "contributions": [{
+                "contribution_id": "1.c0", "name": "x", "description": "d",
+                "prerequisites": [{"name": "p", "description": "d", "explanation": "e",
+                                   "core_or_peripheral": "core", "references": twins}],
+            }],
+        })
+        catalog = catalog_of(entry("2", "Paper Two", 2019))
+        assert dict(build_histogram(graph, catalog)) == {"2": 2}
+        assert dict(build_histogram(graph)) == {"title:paper two|2019": 2}
+        assert list(graph.unresolved_by_cited()) == [None]
+
 
 class TestSelectBatch:
     def test_top_k_by_count(self):

@@ -18,9 +18,9 @@ from contribgraph.errors import (
     UnknownIdError,
 )
 from contribgraph.frontier import build_histogram
-from contribgraph.graph import ContributionGraph, UnresolvedRef
+from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl, write_jsonl
-from contribgraph.model import ExtractionRecord, PaperMeta, PaperRef
+from contribgraph.model import ExtractionRecord, PaperMeta, PaperRef, UnresolvedRef
 
 from conftest import (
     FORGED,

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from unittest import mock
@@ -25,6 +27,10 @@ from contribgraph.model import InternalRef, PaperMeta, PaperRef
 from contribgraph.pipeline import PaperInput, Pipeline
 
 from conftest import FORGED, forge_stamp, load_golden_raw
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
+import stub  # noqa: E402
 
 BERT = "52967399"
 ATTENTION = "13756489"
@@ -1148,3 +1154,119 @@ class TestCrawlOrder:
             assert loaded.graph_hash() == stamped == loaded.recompute_hash()
             forge_stamp(Path(store))
             assert ContributionGraph.load(store).graph_hash() == FORGED
+
+
+class StubBackend(GenerationBackend):
+    """The benchmark's stub model called in process: each answer is a pure
+    function of the prompt, and about one first attempt in 25 fails."""
+
+    name = "stub"
+
+    def generate(self, prompt, temperature=0.0):
+        self._account(len(prompt) // 4, 0, 0.0)
+        return stub.answer(prompt)
+
+
+@pytest.fixture(scope="module")
+def crawl(tmp_path_factory):
+    """A 24-paper generated crawl corpus: its paper specs and inputs."""
+    corpus = gen.crawl_corpus(3, tmp_path_factory.mktemp("crawl"), n_papers=24, seed_batch=4)
+    inputs = {
+        row["corpus_id"]: (
+            PaperMeta(row["corpus_id"], row["title"], row["year"]),
+            PaperInput(row["corpus_id"], row["title"], row["year"],
+                       Path(row["text_path"]).read_text(encoding="utf-8")),
+        )
+        for row in read_jsonl(corpus.catalog_path)
+    }
+    return corpus.papers, inputs
+
+
+@st.composite
+def crawl_plans(draw, ids):
+    """A subset of ``ids`` in some order, cut into batches."""
+    subset = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
+    order = draw(st.permutations(subset))
+    cuts = draw(st.sets(st.integers(1, len(order) - 1))) if len(order) > 1 else set()
+    bounds = [0, *sorted(cuts), len(order)]
+    return [order[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def run_crawl(inputs, plan, parallel, directory) -> ContributionGraph:
+    """Extract ``plan``'s batches in order with the stub, logging into
+    ``directory``; every paper must succeed."""
+    graph = ContributionGraph()
+    pipeline = Pipeline(StubBackend(), graph, records_path=Path(directory, "records.jsonl"))
+    for batch in plan:
+        for corpus_id in batch:
+            graph.register_paper(inputs[corpus_id][0])
+        results = pipeline.run_batch([inputs[c][1] for c in batch], parallel=parallel)
+        assert [error for _, _, error in results] == [None] * len(batch)
+    return graph
+
+
+def edge_multiset(graph: ContributionGraph) -> Counter:
+    return Counter((e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in graph.edges)
+
+
+def citing_two(papers):
+    """(x, y, z, spec): paper x's first prerequisite citing a paper y, with
+    x's spec rewired so that prerequisite also cites an older paper z.
+    The stub matches at least one contribution of each of y and z."""
+    def matched(prereq, cited):
+        return any(gen.match_type(prereq["name"], f"{cited}.c{t}")
+                   for t in range(gen.CONTRIBS_PER_PAPER))
+
+    for x, spec in papers.items():
+        for c, contribution in enumerate(spec["contributions"]):
+            for k, prereq in enumerate(contribution["prereqs"]):
+                for y in [r["corpus_id"] for r in prereq["refs"] if r["kind"] == "paper"]:
+                    older = [z for z in papers if z < x and z != y and matched(prereq, z)]
+                    if matched(prereq, y) and older:
+                        rewired = json.loads(json.dumps(spec))
+                        rewired["contributions"][c]["prereqs"][k]["refs"].append(
+                            {"kind": "paper", "corpus_id": older[0]}
+                        )
+                        return x, y, older[0], rewired
+    raise AssertionError("no paper cites another")
+
+
+class TestGeneratedCrawl:
+    """On a generated corpus too, the edges are a function of the set of
+    papers extracted, whatever their order, batches and parallelism:
+    every catalog reference between two extracted papers is aligned once,
+    forward or late, and the log replays to the same edges."""
+
+    IDS = [str(2_000_000 + i) for i in range(24)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(plan=crawl_plans(IDS), parallel=st.sampled_from([1, 2, 4]))
+    def test_edges_match_the_oracle_for_the_subset(self, crawl, plan, parallel):
+        papers, inputs = crawl
+        oracle = gen.crawl_oracle_edges(papers, {c for batch in plan for c in batch})
+        with TemporaryDirectory() as tmp:
+            graph = run_crawl(inputs, plan, parallel, tmp)
+            assert edge_multiset(graph) == edge_multiset(ContributionGraph.load(tmp)) == oracle
+
+    @pytest.mark.parametrize("parallel", [1, 4])
+    @pytest.mark.parametrize(
+        "roles", [["xyz"], ["yz", "x"], ["y", "x", "z"]], ids=["late", "forward", "both"]
+    )
+    def test_one_prerequisite_citing_two_papers_keeps_each_site_apart(
+        self, crawl, roles, parallel
+    ):
+        """Two references of one prerequisite cite two papers: each site
+        takes its own alignment, forward or late."""
+        papers, inputs = crawl
+        x, y, z, spec = citing_two(papers)
+        papers = {**papers, x: spec}
+        text = gen.paper_text(spec, random.Random(0))
+        inputs = {**inputs, x: (inputs[x][0], replace(inputs[x][1], full_text=text))}
+        plan = [[{"x": x, "y": y, "z": z}[role] for role in batch] for batch in roles]
+        oracle = gen.crawl_oracle_edges(papers, {x, y, z})
+        for cited in (y, z):
+            assert any(pre.startswith(f"{cited}.c") and dep.startswith(f"{x}.c")
+                       for pre, dep, _, _ in oracle)
+        with TemporaryDirectory() as tmp:
+            graph = run_crawl(inputs, plan, parallel, tmp)
+            assert edge_multiset(graph) == edge_multiset(ContributionGraph.load(tmp)) == oracle

@@ -9,8 +9,9 @@ import pytest
 
 from contribgraph import model
 from contribgraph.errors import RecordValidationError
-from contribgraph.graph import ContributionGraph, UnresolvedRef
+from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_rows, write_jsonl
+from contribgraph.model import UnresolvedRef
 from contribgraph.records import (
     parse_alignment,
     parse_contribution,
@@ -494,9 +495,9 @@ def test_problem_text_of_each_alignment_rule(rule):
 def test_alignment_parses_to_its_site():
     row = {"owner_id": "42.c0", "prereq_index": 1, "ref_index": 2,
            "reference": {"type": "paper", "title": "T", "year": 2019, "corpus_id": 7}}
-    owner, prereq_index, ref_index, ref = parse_alignment(row, "row 1")
-    assert (owner, prereq_index, ref_index) == ("42.c0", 1, 2)
-    assert ref.to_json() == {"type": "paper", "paper_title": "T", "paper_year": 2019,
+    site = parse_alignment(row, "row 1")
+    assert (site.owner_id, site.prereq_index, site.ref_index) == ("42.c0", 1, 2)
+    assert site.ref.to_json() == {"type": "paper", "paper_title": "T", "paper_year": 2019,
                              "paper_venue": None, "corpus_id": "7", "matches": []}
 
 
