@@ -198,9 +198,13 @@ class EmbeddingIndex:
                 raise ValueError(f"index file is too short for its {count} rows")
             ids, matrix = [], np.empty((count, dim), dtype=np.float32)
             for i in range(count):
-                id_len = int.from_bytes(f.read(2), "little")
-                ids.append(f.read(id_len).decode("utf-8"))
-                matrix[i] = np.frombuffer(f.read(4 * dim), dtype="<f4")
+                head = f.read(2)
+                size = int.from_bytes(head, "little") + 4 * dim
+                row = f.read(size)
+                if len(head) < 2 or len(row) < size:
+                    raise ValueError(f"index file ends early, in row {i} of {count}")
+                ids.append(row[: size - 4 * dim].decode("utf-8"))
+                matrix[i] = np.frombuffer(row, dtype="<f4", offset=size - 4 * dim)
         return cls(ids, matrix)
 
 

@@ -52,7 +52,7 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -184,8 +184,9 @@ class ContributionGraph:
         index, and those citing this paper become edges through their
         own matches or those in ``late``. The index is keyed by cited
         paper, so only this paper's entry is read and removed: the cost
-        is linear in the record, not in the store. A rejected record
-        leaves the store untouched. A dict is checked by
+        is linear in the record, not in the store. Under the lock it
+        reads the indexes directly, not through the locked queries. A
+        rejected record leaves the store untouched. A dict is checked by
         ``records.parse_record``; an ExtractionRecord must already pass
         its rules.
         """
@@ -193,7 +194,7 @@ class ContributionGraph:
             record = recmod.parse_record(record)
 
         with self._lock:
-            if self.is_extracted(record.corpus_id):
+            if record.corpus_id in self._records:
                 raise DuplicatePaperError(f"corpus {record.corpus_id} already extracted")
             if any(c.id in self.nodes for c in record.contributions):
                 raise RecordValidationError(
@@ -202,33 +203,33 @@ class ContributionGraph:
 
             # Stage every mutation before applying any of them.
             new_edges: list[Edge] = []
-            new_unresolved: list[UnresolvedRef] = []
+            new_unresolved: list[tuple[Optional[str], UnresolvedRef]] = []  # with the cited id
             record_ids = {c.id for c in record.contributions}
             for contribution in record.contributions:
+                dep_id = contribution.id
                 for k, prereq in enumerate(contribution.prerequisites):
                     for j, ref in enumerate(prereq.references):
                         if isinstance(ref, InternalRef):
                             # An internal reference is a strong match inside the paper.
-                            internal = Match(ref.contribution_id, ref.explanation, "strong")
-                            new_edges.append(_match_edge(internal, contribution.id, k))
+                            new_edges.append(
+                                Edge(ref.contribution_id, dep_id, "strong", ref.explanation, k)
+                            )
                         elif isinstance(ref, PaperRef):
                             cited = ref.cited_id
                             if cited == record.corpus_id:
                                 continue  # a self-citation stays in the record only
-                            if self.is_extracted(cited):
+                            if cited in self._records:
                                 for match in ref.matches:
                                     if match.contribution_id in self.nodes:
-                                        new_edges.append(_match_edge(match, contribution.id, k))
+                                        new_edges.append(_match_edge(match, dep_id, k))
                                     else:
                                         logger.warning(
                                             "%s: match target %s not in store, skipped",
-                                            contribution.id,
+                                            dep_id,
                                             match.contribution_id,
                                         )
                             else:
-                                new_unresolved.append(
-                                    UnresolvedRef(contribution.id, k, j, ref)
-                                )
+                                new_unresolved.append((cited, UnresolvedRef(dep_id, k, j, ref)))
                         # Artifact references never become edges.
 
             # Late materialization: references from earlier records that cite
@@ -251,8 +252,8 @@ class ContributionGraph:
                 self._outgoing.setdefault(edge.pre_id, []).append(index)
             self.edges.extend(new_edges)
             self._unresolved.pop(record.corpus_id, None)
-            for entry in new_unresolved:
-                self._unresolved.setdefault(entry.ref.cited_id, []).append(entry)
+            for cited, entry in new_unresolved:
+                self._unresolved.setdefault(cited, []).append(entry)
             self._records[record.corpus_id] = record
             self._alignments.extend(late)
             return GraphDelta(
@@ -262,12 +263,12 @@ class ContributionGraph:
             )
 
     def extracted_meta(self, record: ExtractionRecord) -> PaperMeta:
-        """The paper's metadata as applying ``record`` leaves it."""
+        """The paper's metadata as applying ``record`` leaves it, as a new
+        object: the catalog's is left as it is."""
         with self._lock:
-            meta = replace(self.papers.get(record.corpus_id) or PaperMeta(record.corpus_id))
-            meta.title = record.title or meta.title
-            meta.year = record.year if record.year is not None else meta.year
-            return meta
+            meta = self.papers.get(record.corpus_id) or PaperMeta(record.corpus_id)
+            year = meta.year if record.year is None else record.year
+            return PaperMeta(meta.corpus_id, record.title or meta.title, year, meta.date, meta.venue)
 
     def register_paper(self, meta: PaperMeta) -> None:
         """Add or enrich catalog metadata without extracting."""

@@ -16,10 +16,13 @@ from .errors import MalformedLineError, RecordValidationError
 T = TypeVar("T")
 
 # json.dumps builds an encoder per call when given any option; one serves every line.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 def dump_line(obj: dict[str, Any]) -> str:
+    """``obj`` as one line of JSON. The encoder does not check for
+    circular references: rows are built from the model objects, which
+    form no cycles (see graph.py), and from parsed JSON, which has none."""
     return _ENCODER.encode(obj)
 
 

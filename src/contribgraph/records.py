@@ -11,14 +11,17 @@ both; the ``to_json`` methods of ``model`` write the released names,
 which are the durable contract. URL references arrive typed ``other``
 from the prompts and are stored as ``artifact``.
 
-Each parser checks its input while it builds the ``model`` object,
-appending every problem to the caller's list with a ``where`` prefix;
-the object is valid only when no problem was added. That includes the
-shape rule, at every level: a list field that is not a list, or an
-entry of it that is not an object, is a problem, never an exception,
-and every entry is named by its position in the raw list. The
-extraction pipeline parses stage outputs with these parsers, so they
-pass the rules of ingested records, and adds only its stage rules.
+Each parser checks its input in the one walk that builds the ``model``
+object, appending every problem to the caller's list with a ``where``
+prefix; the object is valid only when no problem was added. A prefix is
+formatted (``_at``) only when a problem is appended: until then a
+contribution or prerequisite is named by a tuple, so a valid record
+formats none. The rules include the shape rule, at every level: a list
+field that is not a list, or an entry of it that is not an object, is a
+problem, never an exception, and every entry is named by its position
+in the raw list. The extraction pipeline parses stage outputs with
+these parsers, so they pass the rules of ingested records, and adds
+only its stage rules.
 
 A record enters the store only through ``parse_record`` (the graph
 parses a dict, the pipeline builds its record from parsed stage
@@ -45,9 +48,8 @@ in place.
 """
 from __future__ import annotations
 
-import sys
-from itertools import chain
-from typing import Any, Iterable, Optional
+from sys import intern
+from typing import Any, Iterable, Optional, Union
 
 from .errors import RecordValidationError
 from .model import (
@@ -73,35 +75,24 @@ from .model import (
 # Paper reference years and first_author objects already parsed: each
 # distinct value maps to the one object that every reference shares.
 _YEARS: dict[int, int] = {}
-_AUTHORS: dict[tuple[Optional[str], ...], dict[str, Optional[str]]] = {}
-_STR_OR_NULL = {str, type(None)}
+_AUTHORS: dict[tuple[tuple[str, Optional[str]], ...], dict[str, Optional[str]]] = {}
+
+# A problem's location: its text, or (owner, label, index), whose text
+# ``_at`` builds only when a problem is found there.
+Where = Union[str, tuple[Any, str, Any]]
 
 
-def _shared(value: Any) -> Any:
-    """``value`` interned when it is a str, so that records share it."""
-    return sys.intern(value) if type(value) is str else value
-
-
-def _shared_year(year: Any) -> Any:
-    """The one int equal to ``year`` (exactly an int, never a bool); any
-    other value as it is."""
-    return _YEARS.setdefault(year, year) if type(year) is int else year
-
-
-def _shared_author(author: Any) -> Any:
-    """The one dict with ``author``'s keys and values in its key order,
-    when it is a dict of strings or nulls; any other value as it is."""
-    if type(author) is not dict or not set(map(type, author.values())) <= _STR_OR_NULL:
-        return author
-    return _AUTHORS.setdefault(tuple(chain.from_iterable(author.items())), author)
-
-
-def _opt_str(value: Any) -> Optional[str]:
-    return None if value is None else sys.intern(str(value))
+def _at(where: Where) -> str:
+    if type(where) is str:
+        return where
+    owner, label, index = where
+    return f"{_at(owner)}{label}{index}"
 
 
 def _first(obj: dict[str, Any], key: str, alias: str, default: Any = None) -> Any:
-    """``obj[key]``, else ``obj[alias]``, else ``default``; null counts as absent."""
+    """``obj[key]``, else ``obj[alias]``, else ``default``; null counts as
+    absent. Called as ``obj.get(key) or _first(…)``, the same value, so a
+    field that holds a non-empty value costs no call."""
     value = obj.get(key)
     if value is None:
         value = obj.get(alias)
@@ -110,151 +101,190 @@ def _first(obj: dict[str, Any], key: str, alias: str, default: Any = None) -> An
     return value
 
 
+def _not_a_list(value: Any, where: Where, field: str, problems: list[str]) -> tuple[()]:
+    """No entries for list field ``field``: null reads as empty, and any
+    other value that is not a list is a problem."""
+    if value is not None:
+        problems.append(f"{_at(where)}: {field} must be a list, got {value!r}")
+    return ()
+
+
+def _not_an_object(entry: Any, where: Where, field: str, problems: list[str], mark: int) -> int:
+    """Put the problem of an entry of list ``field`` that is not an object at
+    ``mark``, before any found in the list's objects; returns the next mark."""
+    problems.insert(mark, f"{_at(where)}: {field} must hold objects, got {entry!r}")
+    return mark + 1
+
+
 def objects(
-    value: Any, where: str, field: str, problems: list[str]
+    value: Any, where: Where, field: str, problems: list[str]
 ) -> Iterable[tuple[int, dict[str, Any]]]:
     """The entries of list field ``field`` that are objects, each with its
     position in the list; null reads as empty. A value that is not a
     list, and each entry that is not an object, is a problem."""
-    if type(value) is list:
-        for entry in value:
-            if type(entry) is not dict:
-                problems.extend(
-                    f"{where}: {field} must hold objects, got {e!r}"
-                    for e in value
-                    if type(e) is not dict
-                )
-                return [(i, e) for i, e in enumerate(value) if type(e) is dict]
-        return enumerate(value)
-    if value is not None:
-        problems.append(f"{where}: {field} must be a list, got {value!r}")
-    return ()
+    out, mark = [], len(problems)
+    listed = value if type(value) is list else _not_a_list(value, where, field, problems)
+    for i, entry in enumerate(listed):
+        if type(entry) is not dict:
+            mark = _not_an_object(entry, where, field, problems, mark)
+            continue
+        out.append((i, entry))
+    return out
 
 
-def _parse_match(raw: dict[str, Any], where: str, problems: list[str]) -> Match:
-    cid = _opt_str(_first(raw, "contribution_id", "contribution_key"))
-    if not cid:
-        problems.append(f"{where}: match without contribution_id")
-    else:
-        try:
-            split_contribution_id(cid)
-        except ValueError:
-            problems.append(f"{where}: malformed match id {cid!r}")
-    match_type = _shared(raw.get("match_type"))
-    if match_type not in MATCH_TYPES:
-        problems.append(f"{where}: match_type must be strong or weak, got {match_type!r}")
-    return Match(cid, _first(raw, "explanation", "justification", default=""), match_type)
-
-
-def parse_matches(value: Any, where: str, problems: list[str]) -> list[Match]:
+def parse_matches(value: Any, where: Where, problems: list[str]) -> list[Match]:
     """A list of matches in either spelling."""
-    return [_parse_match(m, where, problems) for _, m in objects(value, where, "matches", problems)]
+    matches, mark = [], len(problems)
+    for raw in value if type(value) is list else _not_a_list(value, where, "matches", problems):
+        if type(raw) is not dict:
+            mark = _not_an_object(raw, where, "matches", problems, mark)
+            continue
+        get = raw.get
+        cid = get("contribution_id") or _first(raw, "contribution_id", "contribution_key")
+        cid = None if cid is None else intern(str(cid))
+        if not cid:
+            problems.append(f"{_at(where)}: match without contribution_id")
+        else:
+            try:
+                split_contribution_id(cid)
+            except ValueError:
+                problems.append(f"{_at(where)}: malformed match id {cid!r}")
+        match_type = get("match_type")
+        match_type = intern(match_type) if type(match_type) is str else match_type
+        if match_type not in MATCH_TYPES:
+            problems.append(f"{_at(where)}: match_type must be strong or weak, got {match_type!r}")
+        explanation = get("explanation") or _first(raw, "explanation", "justification", "")
+        matches.append(Match(cid, explanation, match_type))
+    return matches
 
 
 def parse_reference(
-    raw: dict[str, Any], where: str, problems: list[str], omit: Optional[str] = None
+    raw: dict[str, Any], where: Where, problems: list[str], omit: Optional[str] = None
 ) -> Optional[Reference]:
     """One reference in either spelling; None when its type is unknown.
 
     With ``omit="matches"`` a paper reference's matches are neither
     checked nor kept.
     """
-    kind = raw.get("type")
+    get = raw.get
+    kind = get("type")
     if kind == "paper":
-        ref = PaperRef(
-            title=_shared(_first(raw, "paper_title", "title", default="")),
-            first_author=_shared_author(raw.get("first_author")),
-            year=_shared_year(_first(raw, "paper_year", "year")),
-            venue=_shared(_first(raw, "paper_venue", "venue")),
-            corpus_id=_opt_str(raw.get("corpus_id")),
+        year = get("paper_year") or _first(raw, "paper_year", "year")
+        if type(year) is int:
+            year = _YEARS.setdefault(year, year)
+        elif year is not None:
+            problems.append(f"{_at(where)}: paper reference year must be an integer, got {year!r}")
+        author = get("first_author")
+        if type(author) is dict:
+            # Only dicts of strings and nulls are kept: a hit needs no type check.
+            key = tuple(author.items())
+            try:
+                author = _AUTHORS[key]
+            except TypeError:  # a list or object value: not shared
+                pass
+            except KeyError:
+                if all(value is None or type(value) is str for value in author.values()):
+                    _AUTHORS[key] = author
+        elif author is not None:
+            problems.append(f"{_at(where)}: first_author must be an object, got {author!r}")
+        title = get("paper_title") or _first(raw, "paper_title", "title", "")
+        venue = get("paper_venue") or _first(raw, "paper_venue", "venue")
+        corpus_id = get("corpus_id")
+        return PaperRef(
+            intern(title) if type(title) is str else title, author, year,
+            intern(venue) if type(venue) is str else venue,
+            None if corpus_id is None else intern(str(corpus_id)),
+            [] if omit == "matches" else parse_matches(get("matches"), where, problems),
         )
-        if ref.year is not None and not isinstance(ref.year, int):
-            problems.append(f"{where}: paper reference year must be an integer, got {ref.year!r}")
-        if ref.first_author is not None and type(ref.first_author) is not dict:
-            problems.append(f"{where}: first_author must be an object, got {ref.first_author!r}")
-        if omit != "matches":
-            ref.matches = parse_matches(raw.get("matches"), where, problems)
-        return ref
     if kind == "internal":
-        cid = _opt_str(_first(raw, "contribution_id", "contribution_key"))
+        cid = get("contribution_id") or _first(raw, "contribution_id", "contribution_key")
+        cid = None if cid is None else intern(str(cid))
         if not cid:
-            problems.append(f"{where}: internal reference without contribution_id")
-        return InternalRef(
-            contribution_name=raw.get("contribution_name", ""),
-            contribution_id=cid,
-            explanation=_first(raw, "explanation", "justification", default=""),
-        )
+            problems.append(f"{_at(where)}: internal reference without contribution_id")
+        explanation = get("explanation") or _first(raw, "explanation", "justification", "")
+        return InternalRef(get("contribution_name", ""), cid, explanation)
     if kind in ("artifact", "other"):
-        artifact = ArtifactRef(name=raw.get("name", ""), url=raw.get("url", ""))
-        if not artifact.url:
-            problems.append(f"{where}: artifact reference with empty url")
-        return artifact
-    problems.append(f"{where}: unknown reference type {kind!r}")
+        url = get("url", "")
+        if not url:
+            problems.append(f"{_at(where)}: artifact reference with empty url")
+        return ArtifactRef(get("name", ""), url)
+    problems.append(f"{_at(where)}: unknown reference type {kind!r}")
     return None
 
 
-def _parse_prerequisite(
-    raw: dict[str, Any], where: str, problems: list[str], omit: Optional[str]
-) -> Prerequisite:
-    core_or_peripheral = _shared(raw.get("core_or_peripheral"))
-    if core_or_peripheral not in CORE_OR_PERIPHERAL:
-        problems.append(
-            f"{where}: core_or_peripheral must be core or peripheral, got {core_or_peripheral!r}"
-        )
-    return Prerequisite(
-        name=raw.get("name", ""),
-        description=raw.get("description", ""),
-        explanation=_first(raw, "explanation", "justification", default=""),
-        core_or_peripheral=core_or_peripheral,
-        references=[
-            parse_reference(r, where, problems, omit)
-            for _, r in objects(
-                _first(raw, "references", "references_in_paper"), where, "references", problems
-            )
-        ],
-    )
-
-
 def parse_contribution(
-    raw: dict[str, Any], cid: str, where: str, problems: list[str], omit: Optional[str] = None
+    raw: dict[str, Any],
+    cid: str,
+    where: Where,
+    problems: list[str],
+    omit: Optional[str] = None,
+    internal: Optional[list[tuple[Where, str, int, str]]] = None,
 ) -> Contribution:
     """One contribution in either spelling, under the id ``cid``.
 
     Checks name, description, prerequisite kinds and references; the
     id's place in a record and the targets of internal references are
-    record-level rules, checked by ``parse_record``. ``omit`` names what
-    a pipeline stage does not produce, ``"prerequisites"`` or
-    ``"matches"``: it is neither checked nor kept.
+    record-level rules, checked by ``parse_record``, for which
+    ``internal`` collects each internal reference's where, owner id,
+    prerequisite position and target. ``omit`` names what a pipeline
+    stage does not produce, ``"prerequisites"`` or ``"matches"``: it is
+    neither checked nor kept.
     """
-    sections = raw.get("sections")
+    get = raw.get
+    sections = get("sections")
     if type(sections) is not list:
-        if sections is not None:
-            problems.append(f"{where}: sections must be a list, got {sections!r}")
-        sections = []
-    contribution = Contribution(
-        id=cid,
-        name=raw.get("name", ""),
-        description=raw.get("description", ""),
-        types=[
-            ContributionType(
-                _shared(t.get("type", "")), _first(t, "explanation", "justification", default="")
+        sections = _not_a_list(sections, where, "sections", problems)
+    types = get("types") or _first(raw, "types", "contribution_type")
+    categories, mark = [], len(problems)
+    for t in types if type(types) is list else _not_a_list(types, where, "types", problems):
+        if type(t) is not dict:
+            mark = _not_an_object(t, where, "types", problems, mark)
+            continue
+        category = t.get("type", "")
+        category = intern(category) if type(category) is str else category
+        explanation = t.get("explanation") or _first(t, "explanation", "justification", "")
+        categories.append(ContributionType(category, explanation))
+    name, description = get("name", ""), get("description", "")
+    if not name:
+        problems.append(f"{_at(where)}: empty name")
+    if not description:
+        problems.append(f"{_at(where)}: empty description")
+    prerequisites, mark = [], len(problems)
+    prereqs = get("prerequisites") if omit != "prerequisites" else None
+    for p_idx, p in enumerate(
+        prereqs if type(prereqs) is list else _not_a_list(prereqs, where, "prerequisites", problems)
+    ):
+        if type(p) is not dict:
+            mark = _not_an_object(p, where, "prerequisites", problems, mark)
+            continue
+        p_get, at = p.get, (where, ", prerequisite ", p_idx)
+        core_or_peripheral = p_get("core_or_peripheral")
+        if type(core_or_peripheral) is str:
+            core_or_peripheral = intern(core_or_peripheral)
+        if core_or_peripheral not in CORE_OR_PERIPHERAL:
+            problems.append(
+                f"{_at(at)}: core_or_peripheral must be core or peripheral,"
+                f" got {core_or_peripheral!r}"
             )
-            for _, t in objects(_first(raw, "types", "contribution_type"), where, "types", problems)
-        ],
-        sections=[_shared(s) for s in sections],
-        split_from=_opt_str(raw.get("split_from")),
+        explanation = p_get("explanation") or _first(p, "explanation", "justification", "")
+        value = p_get("references") or _first(p, "references", "references_in_paper")
+        refs, r_mark = [], len(problems)
+        for r in value if type(value) is list else _not_a_list(value, at, "references", problems):
+            if type(r) is not dict:
+                r_mark = _not_an_object(r, at, "references", problems, r_mark)
+                continue
+            ref = parse_reference(r, at, problems, omit)
+            if internal is not None and type(ref) is InternalRef:
+                internal.append((where, cid, p_idx, ref.contribution_id))
+            refs.append(ref)
+        prerequisites.append(Prerequisite(
+            p_get("name", ""), p_get("description", ""), explanation, core_or_peripheral, refs
+        ))
+    split_from = get("split_from")
+    return Contribution(
+        cid, name, description, categories, [intern(s) if type(s) is str else s for s in sections],
+        prerequisites, None if split_from is None else intern(str(split_from)),
     )
-    if not contribution.name:
-        problems.append(f"{where}: empty name")
-    if not contribution.description:
-        problems.append(f"{where}: empty description")
-    if omit != "prerequisites":
-        prerequisites = objects(raw.get("prerequisites"), where, "prerequisites", problems)
-        contribution.prerequisites = [
-            _parse_prerequisite(p, f"{where}, prerequisite {p_idx}", problems, omit)
-            for p_idx, p in prerequisites
-        ]
-    return contribution
 
 
 def parse_alignment(obj: Any, where: str) -> UnresolvedRef:
@@ -286,19 +316,20 @@ def parse_paper(row: dict[str, Any]) -> PaperMeta:
     """A catalog or papers.jsonl row's metadata. Raises ValueError when
     the row's corpus_id is missing or empty, its year is not an integer
     or its date is malformed; ``jsonl.read_rows`` names the line."""
-    corpus_id = _opt_str(row.get("corpus_id"))
+    corpus_id = row.get("corpus_id")
+    corpus_id = "" if corpus_id is None else intern(str(corpus_id))
     if not corpus_id:
         raise ValueError("corpus_id missing or empty")
     year = row.get("year")
-    if year is not None and not isinstance(year, int):
+    if year is not None and type(year) is not int:
         raise ValueError(f"year must be an integer, got {year!r}")
-    date = row.get("date")
+    date, venue = row.get("date"), row.get("venue")
     return PaperMeta(
         corpus_id=corpus_id,
         title=row.get("title", ""),
         year=year,
         date=PartialDate.parse(date) if date else None,
-        venue=_shared(row.get("venue")),
+        venue=intern(venue) if type(venue) is str else venue,
     )
 
 
@@ -308,50 +339,50 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     A contribution without an id takes the one of its position. Raises
     RecordValidationError with every problem found. Off-vocabulary
     category labels pass verbatim; `validate --warnings` reports them.
+    The walk collects internal references as it meets them and checks
+    their targets at its end, once every id of the record is known.
     """
     problems: list[str] = []
-    corpus_id = _opt_str(raw.get("corpus_id")) or ""
+    corpus_id = raw.get("corpus_id")
+    corpus_id = "" if corpus_id is None else intern(str(corpus_id))
     if not corpus_id:
         problems.append("record: corpus_id missing or empty")
     year = raw.get("year")
-    if year is not None and not isinstance(year, int):
+    if year is not None and type(year) is not int:
         problems.append(f"record: year must be an integer, got {year!r}")
 
     contributions: list[Contribution] = []
-    sources: list[tuple[str, dict[str, Any]]] = []  # each contribution's where and raw form
     seen_ids: set[str] = set()
-    for i, c in objects(raw.get("contributions"), "record", "contributions", problems):
-        cid = _opt_str(c.get("contribution_id"))
-        if cid is None:
-            cid = sys.intern(make_contribution_id(corpus_id, i))
-        where = f"contribution {cid or i}"
+    internal: list[tuple[Where, str, int, str]] = []
+    value, mark = raw.get("contributions"), len(problems)
+    for i, c in enumerate(
+        value if type(value) is list else _not_a_list(value, "record", "contributions", problems)
+    ):
+        if type(c) is not dict:
+            mark = _not_an_object(c, "record", "contributions", problems, mark)
+            continue
+        cid = c.get("contribution_id")
+        cid = intern(make_contribution_id(corpus_id, i) if cid is None else str(cid))
+        where = ("contribution", " ", cid or i)
         try:
             c_corpus, c_index = split_contribution_id(cid)
         except ValueError:
-            problems.append(f"{where}: malformed contribution_id {cid!r}")
+            problems.append(f"{_at(where)}: malformed contribution_id {cid!r}")
             c_corpus, c_index = corpus_id, i
         if c_corpus != corpus_id:
-            problems.append(f"{where}: id names corpus {c_corpus!r}, record is {corpus_id!r}")
+            problems.append(f"{_at(where)}: id names corpus {c_corpus!r}, record is {corpus_id!r}")
         if c_index != i:
-            problems.append(f"{where}: index {c_index} out of record order (position {i})")
+            problems.append(f"{_at(where)}: index {c_index} out of record order (position {i})")
         if cid in seen_ids:
-            problems.append(f"{where}: duplicate contribution_id")
+            problems.append(f"{_at(where)}: duplicate contribution_id")
         seen_ids.add(cid)
-        contributions.append(parse_contribution(c, cid, where, problems))
-        sources.append((where, c))
+        contributions.append(parse_contribution(c, cid, where, problems, internal=internal))
 
     # Internal references must land on another contribution of this same record.
-    for (where, raw_c), c in zip(sources, contributions):
-        for k, p in enumerate(c.prerequisites):
-            for ref in p.references:
-                target = ref.contribution_id if isinstance(ref, InternalRef) else None
-                if target and (target == c.id or target not in seen_ids):
-                    to = "itself" if target == c.id else f"unknown id {target!r}"
-                    # Name the prerequisite by its raw position, past any non-object entry.
-                    p_idx = [i for i, _ in objects(raw_c["prerequisites"], where, "", [])][k]
-                    problems.append(f"{where}, prerequisite {p_idx}: internal reference to {to}")
+    for where, cid, p_idx, target in internal:
+        if target and (target == cid or target not in seen_ids):
+            to = "itself" if target == cid else f"unknown id {target!r}"
+            problems.append(f"{_at(where)}, prerequisite {p_idx}: internal reference to {to}")
     if problems:
         raise RecordValidationError(problems)
-    return ExtractionRecord(
-        corpus_id=corpus_id, title=raw.get("title", ""), year=year, contributions=contributions
-    )
+    return ExtractionRecord(corpus_id, raw.get("title", ""), year, contributions)

@@ -571,6 +571,8 @@ def test_store_without_its_log_is_a_clean_failure(corpus, tmp_path, capsys):
 MISSHAPEN_LINES = {
     **{name: (json.dumps(raw), problem) for name, (raw, problem) in MISSHAPEN_RECORDS.items()},
     "line_not_an_object": ("[1, 2]", "records.jsonl:1: not a JSON object"),
+    "year_is_a_boolean": (json.dumps({**record_with("matches", []), "year": True}),
+                          "records.jsonl:1: record: year must be an integer, got True"),
     # Title-only references that, once ingested, ended in a traceback in
     # frontier's title resolution.
     **{
@@ -581,6 +583,8 @@ MISSHAPEN_LINES = {
         for name, ref, problem in [
             ("reference_year_not_integer", {"paper_year": "2019"},
              "paper reference year must be an integer, got '2019'"),
+            ("reference_year_is_a_boolean", {"paper_year": True},
+             "paper reference year must be an integer, got True"),
             ("first_author_not_object", {"first_author": "Smith"},
              "first_author must be an object, got 'Smith'"),
         ]
@@ -621,6 +625,7 @@ BAD_PAPER_ROWS = {
     "malformed_date": ({"corpus_id": "5", "date": "20x1"}, "bad date '20x1'"),
     "month_out_of_range": ({"corpus_id": "5", "date": "2021-13"}, "bad date '2021-13'"),
     "year_not_integer": ({"corpus_id": "5", "year": "2018"}, "year must be an integer, got '2018'"),
+    "year_is_a_boolean": ({"corpus_id": "5", "year": False}, "year must be an integer, got False"),
 }
 
 

@@ -320,6 +320,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingIndex.load(path)
 
+    @pytest.mark.parametrize("cut, row", [(1, 9), (3, 9), (200, 7)])
+    def test_file_cut_inside_its_rows_names_the_row(self, tmp_path, cut, row):
+        # Rows of 2 + 43 + 32 bytes: ids long enough that a cut of 200
+        # bytes passes the row-count check, which assumes empty ids.
+        path = tmp_path / "embeddings.bin"
+        ids = [f"{'9' * 40}.c{i}" for i in range(10)]
+        EmbeddingIndex(ids, np.ones((10, 8), np.float32)).save(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"^index file ends early, in row {row} of 10$"):
+            EmbeddingIndex.load(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "embeddings.bin"
         make_index(n=10, dim=4).save(path)

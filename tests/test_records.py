@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -283,6 +286,11 @@ RULES = {
         lambda: minimal_record(year="2020"),
         ["record: year must be an integer, got '2020'"],
     ),
+    # JSON true and false are Python bools, which isinstance counts as ints.
+    "year_is_a_boolean": (
+        lambda: minimal_record(year=True),
+        ["record: year must be an integer, got True"],
+    ),
     "malformed_id": (
         lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
                                                    contribution_id="42-0")]),
@@ -347,6 +355,11 @@ RULES = {
         lambda: with_prerequisites(prerequisite(
             {"type": "paper", "title": "t", "year": 2019.0})),
         [f"{WHERE}: paper reference year must be an integer, got 2019.0"],
+    ),
+    "reference_year_is_a_boolean": (
+        lambda: with_prerequisites(prerequisite(
+            {"type": "paper", "paper_title": "t", "paper_year": False})),
+        [f"{WHERE}: paper reference year must be an integer, got False"],
     ),
     "first_author_not_object": (
         lambda: with_prerequisites(prerequisite(
@@ -548,6 +561,49 @@ def test_off_vocabulary_category_warns_but_passes():
         ("contribution.category", "42.c0", "warning")
     ]
     assert "'galactic_insight'" in warnings[0].message
+
+
+OUTCOMES = Path(__file__).parent / "data" / "record_outcomes.jsonl"
+
+
+def pinned_input(bases: dict, case: dict):
+    """A record_outcomes.jsonl case's input: its base with the value at
+    ``path`` replaced by ``value``, or deleted when there is none."""
+    raw = copy.deepcopy(bases[case["base"]])
+    if not case["path"]:
+        return case.get("value", raw)
+    *parents, last = case["path"]
+    owner = reduce(getitem, parents, raw)
+    if "value" in case:
+        owner[last] = case["value"]
+    else:
+        del owner[last]
+    return raw
+
+
+def test_parse_outcomes_match_the_pinned_file():
+    """Every mutated record and alignment row that
+    scripts/make_record_outcomes.py pinned still parses to the same line,
+    or fails with the same exception and problems in the same order."""
+    rows = [json.loads(line) for line in OUTCOMES.read_text(encoding="utf-8").splitlines()]
+    bases = {row["base"]: row["input"] for row in rows if "case" not in row}
+    cases = [row for row in rows if "case" in row]
+    assert len(cases) > 200
+    wrong = []
+    for case in cases:
+        raw = pinned_input(bases, case)
+        try:
+            if case["parser"] == "record":
+                built = parse_record(raw)
+            else:
+                built = parse_alignment(raw, "row 1")
+            got = {"line": dump_line(built.to_json())}
+        except RecordValidationError as exc:
+            got = {"error": type(exc).__name__, "problems": exc.problems}
+        expected = {k: case[k] for k in ("line", "error", "problems") if k in case}
+        if got != expected:
+            wrong.append((case["case"], expected, got))
+    assert wrong == []
 
 
 def test_golden_records_round_trip_byte_identical():
