@@ -113,15 +113,6 @@ class MockBackend(GenerationBackend):
         self._account(len(prompt) // 4, len(response) // 4, 0.0)
         return response
 
-    @staticmethod
-    def store_response(directory: str | Path, prompt: str, response: str) -> Path:
-        """Write a canned response file for the given prompt (fixture authoring)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{prompt_hash(prompt)}.txt"
-        path.write_text(response, encoding="utf-8")
-        return path
-
 
 class JsonTransport:
     """POSTs JSON to one endpoint through a ``urllib.request`` opener.
@@ -296,8 +287,3 @@ def generate_validated(
                     return value
         current = prompt + _retry_suffix(problems)
     raise StageFailure(corpus_id, stage, "; ".join(problems))
-
-
-def echo_json(obj) -> str:
-    """Format an object the way canned fixture responses do."""
-    return "```\n" + json.dumps(obj, ensure_ascii=False, indent=2) + "\n```\n"

@@ -6,11 +6,11 @@ into finer-grained ones), and prerequisite-to-contribution alignment
 against cited papers. Stage outputs are strict fenced JSON; a schema
 violation re-prompts with the validator's errors appended, up to a
 retry budget (``backends.generate_validated``, shared with ranking).
-``records`` alone knows the shape and spellings of an answer: each
-stage output is parsed by the parser of ingested records
-(``records.objects``, ``parse_contribution``, ``parse_matches``), so it
-passes their rules, and this module's validators add only the stage
-rules, checked on the model objects those parsers build. A staged paper
+``records`` alone knows the shape and spellings of an answer: a stage
+output is parsed by the parsers of ingested records (``records.objects``,
+``parse_contribution``, ``check_internal``, ``parse_matches``), so it
+passes their rules; this module's validators add only the stage rules,
+each fault once, naming an entry by its raw position. A staged paper
 is the ExtractionRecord that finalizing ingests and logs.
 
 A batch runs in three steps on one pool of workers, each job a future
@@ -57,7 +57,7 @@ from .prompts import (
     load_template,
     render,
 )
-from .records import objects, parse_contribution, parse_matches
+from .records import check_internal, objects, parse_contribution, parse_matches
 
 logger = logging.getLogger(__name__)
 
@@ -190,9 +190,9 @@ class Pipeline:
 
         def validate(entries: list) -> tuple[list[Contribution], list[str]]:
             """Stage rules, then record rules: each key is the input key or
-            a dash-split of it and unique; prerequisite names are
-            non-empty; a paper reference has a title or corpus_id; an
-            internal reference names a known key other than its own."""
+            a dash-split of it and unique; prerequisite names are non-empty;
+            a paper reference has a title or corpus_id. Internal reference
+            targets come last, checked against the input and output keys."""
             problems: list[str] = []
             entries = [e for _, e in objects(entries, "answer", "contributions", problems)]
             if not entries:
@@ -201,6 +201,7 @@ class Pipeline:
             out: list[Contribution] = []
             seen_keys: set[str] = set()
             output_keys = {str(e["key"]) for e in entries if e.get("key")}
+            internal: list = []  # filled by parse_contribution, checked last
             for raw in entries:
                 key = str(raw.get("key", ""))
                 if key != input_key and not re.fullmatch(
@@ -216,29 +217,21 @@ class Pipeline:
                 # are alignment's output, not this stage's.
                 record_problems: list[str] = []
                 entry = parse_contribution(
-                    raw, key, f"key {key!r}", record_problems, omit="matches"
+                    raw, key, f"key {key!r}", record_problems, omit="matches", internal=internal
                 )
-                for p_idx, prereq in enumerate(entry.prerequisites):
+                # Name each prerequisite by its raw position, as the record rules do.
+                positions = (i for i, _ in objects(raw.get("prerequisites"), "", "", []))
+                for p_idx, prereq in zip(positions, entry.prerequisites):
                     where = f"key {key!r}, prerequisite {p_idx}"
                     if not prereq.name:
                         problems.append(f"{where}: empty name")
                     for ref in prereq.references:
-                        if isinstance(ref, PaperRef):
-                            if not ref.title and ref.cited_id is None:
-                                problems.append(
-                                    f"{where}: paper reference needs a title or corpus_id"
-                                )
-                        elif isinstance(ref, InternalRef):
-                            # The echoed stage key, mapped to a final id by stage_paper.
-                            target = ref.contribution_id
-                            if target == key:
-                                problems.append(f"{where}: internal reference to itself")
-                            elif target not in known_keys and target not in output_keys:
-                                problems.append(
-                                    f"{where}: internal reference to unknown key {target!r}"
-                                )
+                        # A title that is no string is the record rule's complaint.
+                        if isinstance(ref, PaperRef) and ref.title == "" and ref.cited_id is None:
+                            problems.append(f"{where}: paper reference needs a title or corpus_id")
                 problems.extend(record_problems)
                 out.append(entry)
+            check_internal(internal, known_keys | output_keys, "key", problems)
             return out, problems
 
         return generate_validated(

@@ -20,8 +20,8 @@ formats none. The rules include the shape rule, at every level: a list
 field that is not a list, or an entry of it that is not an object, is a
 problem, never an exception, and every entry is named by its position
 in the raw list. The extraction pipeline parses stage outputs with
-these parsers, so they pass the rules of ingested records, and adds
-only its stage rules.
+these parsers and the one internal-reference rule, ``check_internal``
+(a record's ids, an answer's keys), and adds only its stage rules.
 
 A record enters the store only through ``parse_record`` (the graph
 parses a dict, the pipeline builds its record from parsed stage
@@ -80,6 +80,8 @@ _AUTHORS: dict[tuple[tuple[str, Optional[str]], ...], dict[str, Optional[str]]] 
 # A problem's location: its text, or (owner, label, index), whose text
 # ``_at`` builds only when a problem is found there.
 Where = Union[str, tuple[Any, str, Any]]
+# An internal reference as collected: where, owner id, prerequisite position, target.
+Internal = tuple[Where, str, int, str]
 
 
 def _at(where: Where) -> str:
@@ -149,6 +151,7 @@ def parse_matches(value: Any, where: Where, problems: list[str]) -> list[Match]:
                 split_contribution_id(cid)
             except ValueError:
                 problems.append(f"{_at(where)}: malformed match id {cid!r}")
+                cid = None  # one complaint: later rules skip a missing id
         match_type = get("match_type")
         match_type = intern(match_type) if type(match_type) is str else match_type
         if match_type not in MATCH_TYPES:
@@ -188,11 +191,14 @@ def parse_reference(
         elif author is not None:
             problems.append(f"{_at(where)}: first_author must be an object, got {author!r}")
         title = get("paper_title") or _first(raw, "paper_title", "title", "")
+        if type(title) is str:
+            title = intern(title)
+        else:
+            problems.append(f"{_at(where)}: paper reference title must be a string, got {title!r}")
         venue = get("paper_venue") or _first(raw, "paper_venue", "venue")
         corpus_id = get("corpus_id")
         return PaperRef(
-            intern(title) if type(title) is str else title, author, year,
-            intern(venue) if type(venue) is str else venue,
+            title, author, year, intern(venue) if type(venue) is str else venue,
             None if corpus_id is None else intern(str(corpus_id)),
             [] if omit == "matches" else parse_matches(get("matches"), where, problems),
         )
@@ -218,15 +224,15 @@ def parse_contribution(
     where: Where,
     problems: list[str],
     omit: Optional[str] = None,
-    internal: Optional[list[tuple[Where, str, int, str]]] = None,
+    internal: Optional[list[Internal]] = None,
 ) -> Contribution:
     """One contribution in either spelling, under the id ``cid``.
 
     Checks name, description, prerequisite kinds and references; the
-    id's place in a record and the targets of internal references are
-    record-level rules, checked by ``parse_record``, for which
-    ``internal`` collects each internal reference's where, owner id,
-    prerequisite position and target. ``omit`` names what a pipeline
+    id's place in a record is checked by ``parse_record``, and the
+    targets of internal references by ``check_internal``, once every id
+    is known, for which ``internal`` collects each internal reference
+    (an ``Internal``). ``omit`` names what a pipeline
     stage does not produce, ``"prerequisites"`` or ``"matches"``: it is
     neither checked nor kept.
     """
@@ -247,6 +253,8 @@ def parse_contribution(
     name, description = get("name", ""), get("description", "")
     if not name:
         problems.append(f"{_at(where)}: empty name")
+    elif type(name) is not str:
+        problems.append(f"{_at(where)}: name must be a string, got {name!r}")
     if not description:
         problems.append(f"{_at(where)}: empty description")
     prerequisites, mark = [], len(problems)
@@ -287,6 +295,16 @@ def parse_contribution(
     )
 
 
+def check_internal(internal: list[Internal], known: set[str], noun: str, problems: list[str]) -> None:
+    """The one internal-reference rule, for records and stage answers: each
+    target in ``internal`` (from ``parse_contribution``) is another
+    contribution, one of ``known``, whose ``noun`` is "id" or "key"."""
+    for where, cid, p_idx, target in internal:
+        if target and (target == cid or target not in known):
+            to = "itself" if target == cid else f"unknown {noun} {target!r}"
+            problems.append(f"{_at(where)}, prerequisite {p_idx}: internal reference to {to}")
+
+
 def parse_alignment(obj: Any, where: str) -> UnresolvedRef:
     """One alignments.jsonl row as the site it aligns, carrying its paper
     reference and that reference's matches. Raises RecordValidationError
@@ -313,9 +331,9 @@ def parse_alignment(obj: Any, where: str) -> UnresolvedRef:
 
 
 def parse_paper(row: dict[str, Any]) -> PaperMeta:
-    """A catalog or papers.jsonl row's metadata. Raises ValueError when
-    the row's corpus_id is missing or empty, its year is not an integer
-    or its date is malformed; ``jsonl.read_rows`` names the line."""
+    """A catalog or papers.jsonl row's metadata. Raises ValueError when its
+    corpus_id is missing or empty, its year is no integer, its title no
+    string or its date malformed; ``jsonl.read_rows`` names the line."""
     corpus_id = row.get("corpus_id")
     corpus_id = "" if corpus_id is None else intern(str(corpus_id))
     if not corpus_id:
@@ -323,10 +341,13 @@ def parse_paper(row: dict[str, Any]) -> PaperMeta:
     year = row.get("year")
     if year is not None and type(year) is not int:
         raise ValueError(f"year must be an integer, got {year!r}")
+    title = row.get("title")
+    if type(title) is not str and title is not None:
+        raise ValueError(f"title must be a string, got {title!r}")
     date, venue = row.get("date"), row.get("venue")
     return PaperMeta(
         corpus_id=corpus_id,
-        title=row.get("title", ""),
+        title=title or "",  # null reads as absent
         year=year,
         date=PartialDate.parse(date) if date else None,
         venue=intern(venue) if type(venue) is str else venue,
@@ -350,10 +371,13 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     year = raw.get("year")
     if year is not None and type(year) is not int:
         problems.append(f"record: year must be an integer, got {year!r}")
+    title = raw.get("title", "")
+    if type(title) is not str and title is not None:
+        problems.append(f"record: title must be a string, got {title!r}")
 
     contributions: list[Contribution] = []
     seen_ids: set[str] = set()
-    internal: list[tuple[Where, str, int, str]] = []
+    internal: list[Internal] = []
     value, mark = raw.get("contributions"), len(problems)
     for i, c in enumerate(
         value if type(value) is list else _not_a_list(value, "record", "contributions", problems)
@@ -378,11 +402,7 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
         seen_ids.add(cid)
         contributions.append(parse_contribution(c, cid, where, problems, internal=internal))
 
-    # Internal references must land on another contribution of this same record.
-    for where, cid, p_idx, target in internal:
-        if target and (target == cid or target not in seen_ids):
-            to = "itself" if target == cid else f"unknown id {target!r}"
-            problems.append(f"{_at(where)}, prerequisite {p_idx}: internal reference to {to}")
+    check_internal(internal, seen_ids, "id", problems)
     if problems:
         raise RecordValidationError(problems)
-    return ExtractionRecord(corpus_id, raw.get("title", ""), year, contributions)
+    return ExtractionRecord(corpus_id, title, year, contributions)

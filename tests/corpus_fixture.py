@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from contribgraph import evaluation, taskgen
-from contribgraph.backends import GenerationBackend, MockBackend
+from contribgraph.backends import GenerationBackend, MockBackend, prompt_hash
 from contribgraph.embedding import MockEmbeddingProvider, build_index
 from contribgraph.frontier import Catalog
 from contribgraph.graph import ContributionGraph
@@ -936,6 +936,20 @@ def expected_backend_calls() -> dict[str, dict[str, int]]:
 # ----------------------------------------------------------------------
 
 
+def echo_json(obj) -> str:
+    """Format an object the way canned fixture responses do."""
+    return "```\n" + json.dumps(obj, ensure_ascii=False, indent=2) + "\n```\n"
+
+
+def store_response(directory: str | Path, prompt: str, response: str) -> Path:
+    """Write the replay file ``MockBackend`` answers ``prompt`` with."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{prompt_hash(prompt)}.txt"
+    path.write_text(response, encoding="utf-8")
+    return path
+
+
 def paper_text(spec: dict) -> str:
     lines = [
         f"[corpus:{spec['corpus_id']}]",
@@ -1012,7 +1026,7 @@ def _stage3_response(spec: dict, key: str) -> str:
             for entry in spec["stage3"][key]
         ]
     }
-    return "```\n" + json.dumps(doc, ensure_ascii=False, indent=2) + "\n```\n"
+    return echo_json(doc)
 
 
 _ALIGNMENTS: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
@@ -1033,7 +1047,7 @@ def _alignment_response(cited_corpus: str, prereq_name: str) -> str:
         ],
         "overall_explanation": "Scripted fixture alignment.",
     }
-    return "```\n" + json.dumps(doc, ensure_ascii=False, indent=2) + "\n```\n"
+    return echo_json(doc)
 
 
 def _ranking_response(prompt: str) -> str:
@@ -1075,7 +1089,7 @@ class RecordingBackend(GenerationBackend):
 
     def generate(self, prompt, temperature=0.0):
         response = scripted_response(prompt)
-        MockBackend.store_response(self.directory, prompt, response)
+        store_response(self.directory, prompt, response)
         self._account(len(prompt) // 4, len(response) // 4, 0.0)
         return response
 

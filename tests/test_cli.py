@@ -573,6 +573,14 @@ MISSHAPEN_LINES = {
     "line_not_an_object": ("[1, 2]", "records.jsonl:1: not a JSON object"),
     "year_is_a_boolean": (json.dumps({**record_with("matches", []), "year": True}),
                           "records.jsonl:1: record: year must be an integer, got True"),
+    # A title or name that is not a string once ingested, then failed
+    # export (``roadmap._dot_escape``) with a traceback.
+    "title_not_a_string": (json.dumps({**record_with("matches", []), "title": 44}),
+                           "records.jsonl:1: record: title must be a string, got 44"),
+    "name_not_a_string": (
+        json.dumps(record_with("contributions", [{"name": 7, "description": "D"}])),
+        "records.jsonl:1: contribution 9.c0: name must be a string, got 7",
+    ),
     # Title-only references that, once ingested, ended in a traceback in
     # frontier's title resolution.
     **{
@@ -587,6 +595,8 @@ MISSHAPEN_LINES = {
              "paper reference year must be an integer, got True"),
             ("first_author_not_object", {"first_author": "Smith"},
              "first_author must be an object, got 'Smith'"),
+            ("reference_title_not_a_string", {"paper_title": 5},
+             "paper reference title must be a string, got 5"),
         ]
     },
 }
@@ -626,6 +636,8 @@ BAD_PAPER_ROWS = {
     "month_out_of_range": ({"corpus_id": "5", "date": "2021-13"}, "bad date '2021-13'"),
     "year_not_integer": ({"corpus_id": "5", "year": "2018"}, "year must be an integer, got '2018'"),
     "year_is_a_boolean": ({"corpus_id": "5", "year": False}, "year must be an integer, got False"),
+    # Once a traceback in Catalog.__init__'s title lookup.
+    "title_not_a_string": ({"corpus_id": "5", "title": 5}, "title must be a string, got 5"),
 }
 
 
@@ -651,6 +663,16 @@ def test_bad_paper_row_is_a_clean_failure(tmp_path, capsys, source, name):
         assert err.startswith("error: ") and where + problem in err, err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in store.iterdir()} == before, command
+
+
+def test_null_catalog_title_reads_as_absent(tmp_path, capsys):
+    """A null title once failed Catalog.__init__'s title lookup with a traceback."""
+    store, catalog = tmp_path / "store", tmp_path / "catalog.jsonl"
+    write_jsonl(catalog, [{"corpus_id": "5", "title": None, "year": 2020}])
+    assert run("ingest", "--store", store, "--catalog", catalog) == 0
+    assert run("frontier", "--store", store, "--catalog", catalog) == 0
+    assert [row["title"] for row in read_jsonl(store / "papers.jsonl")] == [""]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def edit_first_row(path: Path, edit) -> None:

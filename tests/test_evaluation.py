@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contribgraph.backends import GenerationBackend, echo_json
+from contribgraph.backends import GenerationBackend
 from contribgraph.evaluation import (
     EvalReport,
     ModelCutoff,
@@ -29,6 +29,7 @@ from contribgraph.errors import ContribGraphError
 from contribgraph.model import PartialDate
 from contribgraph.taskgen import Problem
 
+from corpus_fixture import echo_json
 from oracles import ap_direct, expected_ap_random, split_brute
 
 

@@ -272,6 +272,24 @@ class TestAddPaperRecord:
         }
         assert graph.validate() == []
 
+    def test_match_outside_the_cited_paper_is_skipped_with_a_warning(self, caplog):
+        graph = ContributionGraph()
+        graph.add_paper_record(make_record("10", n=1))
+        citing = make_record("20", n=1)
+        prereq = cites("10")
+        prereq["references"][0]["matches"] = [
+            {"contribution_id": "10.c0", "explanation": "m", "match_type": "strong"},
+            {"contribution_id": "10.c7", "explanation": "m", "match_type": "weak"},
+        ]
+        citing["contributions"][0]["prerequisites"] = [prereq]
+        with caplog.at_level("WARNING", logger="contribgraph.graph"):
+            delta = graph.add_paper_record(citing)
+        assert delta.edges_added == 1
+        assert [(e.pre_id, e.dep_id) for e in graph.edges] == [("10.c0", "20.c0")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "20.c0: match target 10.c7 not in store, skipped"
+        ]
+
     def test_rejected_record_leaves_store_untouched(self, golden_graph):
         before_hash = golden_graph.graph_hash()
         before_unresolved = [u.key() for u in golden_graph.unresolved]

@@ -18,15 +18,21 @@ from hypothesis import strategies as st
 
 import corpus_fixture as cf
 from contribgraph import jsonl
-from contribgraph.backends import GenerationBackend, MockBackend, echo_json, parse_fenced_json
+from contribgraph.backends import (
+    GenerationBackend,
+    MockBackend,
+    generate_validated,
+    parse_fenced_json,
+)
 from contribgraph.cli import dispatch
 from contribgraph.errors import BackendError, DuplicatePaperError, ParseFailure, StageFailure
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import read_jsonl
-from contribgraph.model import InternalRef, PaperMeta, PaperRef
+from contribgraph.model import InternalRef, PaperMeta, PaperRef, Prerequisite
 from contribgraph.pipeline import PaperInput, Pipeline
 
 from conftest import FORGED, forge_stamp, load_golden_raw
+from corpus_fixture import echo_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -146,6 +152,21 @@ class TestParseFencedJson:
         with pytest.raises(ParseFailure) as info:
             parse_fenced_json("I refuse to answer in JSON.")
         assert info.value.raw_text == "I refuse to answer in JSON."
+
+
+@pytest.mark.parametrize(
+    "doc", [["a list"], {"matches": {}}, {"ranking": []}], ids=["list", "not_a_list", "no_key"]
+)
+def test_answer_without_its_list_is_prompted_again(doc):
+    backend = QueueBackend([echo_json(doc), echo_json({"matches": []})])
+    value = generate_validated(
+        backend, "prompt", "matches", lambda entries: (entries, []),
+        retries=1, corpus_id="1", stage="alignment",
+    )
+    assert value == []
+    first, retry = backend.prompts
+    assert first == "prompt"
+    assert "\n- top level must be a dict with a `matches` list\n" in retry
 
 
 def golden_bert_stage2_response() -> str:
@@ -436,29 +457,98 @@ class TestExtractPrerequisites:
                 }]),
                 "key '0', prerequisite 0: paper reference year must be an integer, got '2017'",
             ),
+            # A prerequisite after a non-object one is named by its raw
+            # position, by the stage rules as by the record rules.
+            (
+                stage3_entry("0", prereqs=[None, {
+                    "name": "", "description": "d", "justification": "j",
+                    "core_or_peripheral": "sometimes", "references_in_paper": [],
+                }]),
+                ["key '0', prerequisite 1: empty name",
+                 "key '0': prerequisites must hold objects, got None",
+                 "key '0', prerequisite 1: core_or_peripheral must be core or peripheral,"
+                 " got 'sometimes'"],
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core", "references_in_paper": [{"type": "internal"}],
+                }]),
+                ["key '0', prerequisite 0: internal reference without contribution_id"],
+            ),
+            (
+                {"contributions": [stage3_entry("0"), stage3_entry("0")]},
+                ["duplicate key '0'"],
+            ),
+            (
+                {"contributions": []},
+                ["output must carry the input contribution (key '0')"],
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core",
+                    "references_in_paper": [{"type": "internal", "contribution_key": "0"}],
+                }]),
+                ["key '0', prerequisite 0: internal reference to itself"],
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core", "references_in_paper": [],
+                }]),
+                ["key '0', prerequisite 0: empty name"],
+            ),
+            (
+                stage3_entry("0", prereqs=[{
+                    "name": "p", "description": "d", "justification": "j",
+                    "core_or_peripheral": "core",
+                    "references_in_paper": [{"type": "paper", "title": 0}],
+                }]),
+                ["key '0', prerequisite 0: paper reference title must be a string, got 0"],
+            ),
+            # An alignment answer: a malformed id is not also a foreign one.
+            (
+                {"matches": [{"contribution_key": "garbage", "justification": "j",
+                              "match_type": "strong"}]},
+                ["answer: malformed match id 'garbage'"],
+            ),
         ],
         ids=["non_split_key", "unknown_internal_key", "paper_ref_without_title_or_id",
-             "bad_core_or_peripheral", "non_object_reference", "string_paper_ref_year"],
+             "bad_core_or_peripheral", "non_object_reference", "string_paper_ref_year",
+             "prerequisite_after_a_non_object", "internal_without_key", "duplicate_key",
+             "missing_input_key", "internal_to_itself", "empty_prerequisite_name",
+             "paper_ref_title_not_a_string", "alignment_malformed_id"],
     )
     def test_retry_prompt_names_key_and_rule(self, entry, expected):
+        """The retry prompt names each fault once, in order: one complaint
+        per expected text (a list, or one text), each starting with it.
+        ``entry`` is a stage-3 entry, or a whole stage-3 or alignment answer."""
+        expected = [expected] if isinstance(expected, str) else expected
         stage2 = echo_json({"contributions": [{
             "name": "only thing", "description": "d",
             "contribution_type": [{"type": "analysis", "justification": "j"}],
             "sections": ["S1"],
         }]})
-        backend = QueueBackend([
-            stage2,
-            echo_json({"contributions": [entry]}),
-            echo_json({"contributions": [stage3_entry("0")]}),
-        ])
+        answer = entry
+        if "contributions" not in answer and "matches" not in answer:
+            answer = {"contributions": [entry]}
+        good = {"matches": []} if "matches" in answer else {"contributions": [stage3_entry("0")]}
+        backend = QueueBackend([stage2, echo_json(answer), echo_json(good)])
         pipeline, _ = make_pipeline(backend)
         paper = PaperInput("31", "t", 2020, "text")
         contributions = pipeline.extract_contributions(paper)
-        out = pipeline.extract_prerequisites(contributions[0], [], paper)
-        assert [e.id for e in out] == ["0"]
+        if "matches" in answer:
+            prereq = Prerequisite("p", "d", "j", "core", [])
+            assert pipeline.align_prerequisite(contributions[0], prereq, contributions) == []
+        else:
+            out = pipeline.extract_prerequisites(contributions[0], [], paper)
+            assert [e.id for e in out] == ["0"]
         first, retry = backend.prompts[1:]
         assert retry.startswith(first)
-        assert expected in retry[len(first):]
+        complaints = re.findall(r"^- (.*)$", retry[len(first):], re.MULTILINE)
+        assert len(complaints) == len(expected), complaints
+        assert all(c.startswith(e) for c, e in zip(complaints, expected)), complaints
 
     def test_unknown_reference_type_fails(self):
         entry = stage3_entry("0", prereqs=[{
@@ -674,6 +764,38 @@ class TestRunPaper:
         assert graph.unresolved == []
         assert any("late alignment skipped" in r.message for r in caplog.records)
 
+
+    def test_unresolved_reference_with_its_own_matches_is_not_aligned_late(self, tmp_path):
+        match = {"contribution_id": "200.c0", "explanation": "x", "match_type": "weak"}
+        graph = ContributionGraph()
+        graph.add_paper_record({
+            "corpus_id": "100", "title": "citing", "year": 2020,
+            "contributions": [{
+                "contribution_id": "100.c0", "name": "n", "description": "d",
+                "types": [{"type": "analysis", "explanation": "e"}], "sections": ["S1"],
+                "prerequisites": [
+                    {"name": "p", "description": "d", "explanation": "e",
+                     "core_or_peripheral": "core",
+                     "references": [{"type": "paper", "paper_title": "cited",
+                                     "corpus_id": "200", "matches": [match]}]},
+                ],
+            }],
+        })
+        assert len(graph.unresolved) == 1
+        stage2 = one_contribution("cited thing")
+        stage3 = echo_json({"contributions": [stage3_entry("0", "cited thing")]})
+        # No alignment answer is queued: a third call would fail the paper.
+        backend = QueueBackend([stage2, stage3])
+        pipeline = Pipeline(backend, graph, records_path=tmp_path / "records.jsonl")
+        [(_, delta, error)] = pipeline.run_batch([PaperInput("200", "cited", 2019, "text")])
+        assert error is None and len(backend.prompts) == 2
+        assert delta.edges_added == 1
+        assert [(e.pre_id, e.dep_id, e.match_type) for e in graph.edges] == [
+            ("200.c0", "100.c0", "weak")
+        ]
+        assert graph.unresolved == []
+        alignments = tmp_path / "alignments.jsonl"
+        assert not alignments.exists() or list(read_jsonl(alignments)) == []
 
     def test_prerequisite_citing_one_paper_twice_aligns_each_reference(self, tmp_path):
         cite = {"type": "paper", "paper_title": "cited", "corpus_id": "200"}
@@ -1014,7 +1136,7 @@ def test_mock_backend_strict_unknown_hash(tmp_path):
 
 
 def test_mock_backend_replays_stored_response(tmp_path):
-    MockBackend.store_response(tmp_path, "hello prompt", "canned!")
+    cf.store_response(tmp_path, "hello prompt", "canned!")
     backend = MockBackend(tmp_path)
     assert backend.generate("hello prompt") == "canned!"
     assert backend.usage.calls == 1

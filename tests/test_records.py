@@ -291,6 +291,12 @@ RULES = {
         lambda: minimal_record(year=True),
         ["record: year must be an integer, got True"],
     ),
+    # A title or name that is not a string once ingested, then failed
+    # frontier, extract or export with a traceback.
+    "title_not_a_string": (
+        lambda: minimal_record(title=44),
+        ["record: title must be a string, got 44"],
+    ),
     "malformed_id": (
         lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
                                                    contribution_id="42-0")]),
@@ -320,6 +326,11 @@ RULES = {
         lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
                                                    name="")]),
         ["contribution 42.c0: empty name"],
+    ),
+    "name_not_a_string": (
+        lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
+                                                   name=["Thing"])]),
+        ["contribution 42.c0: name must be a string, got ['Thing']"],
     ),
     "empty_description": (
         lambda: minimal_record(contributions=[dict(minimal_record()["contributions"][0],
@@ -360,6 +371,15 @@ RULES = {
         lambda: with_prerequisites(prerequisite(
             {"type": "paper", "paper_title": "t", "paper_year": False})),
         [f"{WHERE}: paper reference year must be an integer, got False"],
+    ),
+    "reference_title_not_a_string": (
+        lambda: with_prerequisites(prerequisite({"type": "paper", "paper_title": 5})),
+        [f"{WHERE}: paper reference title must be a string, got 5"],
+    ),
+    # The prompt spelling, ``title``, is held to the same rule.
+    "reference_title_in_prompt_spelling": (
+        lambda: with_prerequisites(prerequisite({"type": "paper", "title": 0})),
+        [f"{WHERE}: paper reference title must be a string, got 0"],
     ),
     "first_author_not_object": (
         lambda: with_prerequisites(prerequisite(
