@@ -188,7 +188,7 @@ def cmd_ingest(args, settings) -> int:
     store_dir = Path(args.store)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        ingested, skipped = [], 0
+        ingested, skipped, registered = [], 0, False
 
         def new_record(raw: dict) -> Optional[ExtractionRecord]:
             """The parsed record, or None when its paper is already extracted."""
@@ -200,7 +200,7 @@ def cmd_ingest(args, settings) -> int:
             if args.catalog:
                 catalog = Catalog.load(args.catalog)
                 for entry in catalog.by_id.values():
-                    graph.register_paper(entry.paper_meta())
+                    registered |= graph.register_paper(entry.paper_meta())
                 print(f"catalog: {len(catalog.by_id)} papers registered")
             for records_file in args.records or []:
                 for record in read_rows(records_file, new_record):
@@ -212,8 +212,10 @@ def cmd_ingest(args, settings) -> int:
                     print(f"{record.corpus_id}: {delta}")
         if args.records:
             print(f"records: {len(ingested)} ingested, {skipped} already extracted")
-        # Only after every record file applied: a failing row leaves the log as it was.
+        # Only after every record file applied: a failing row leaves the store as it was.
         if ingested:
+            if registered:  # papers.jsonl alone keeps catalog metadata
+                graph.write_papers(store_dir)
             append_log(store_dir / RECORDS_FILE, ingested)
         graph.save(store_dir)
     return 0
@@ -237,7 +239,7 @@ def cmd_extract(args, settings) -> int:
             if not ids:
                 print("frontier is empty; nothing to extract")
                 return 0
-        papers = []
+        papers, registered = [], False
         for corpus_id in ids:
             entry = catalog.by_id.get(corpus_id)
             if entry is None:
@@ -245,7 +247,7 @@ def cmd_extract(args, settings) -> int:
             text_path = Path(entry.text_path)
             if not text_path.exists():
                 raise CliError(f"corpus {corpus_id}: text file {text_path} missing")
-            graph.register_paper(entry.paper_meta())
+            registered |= graph.register_paper(entry.paper_meta())
             papers.append(
                 PaperInput(
                     corpus_id=entry.corpus_id,
@@ -258,6 +260,8 @@ def cmd_extract(args, settings) -> int:
         pipeline = Pipeline(
             backend, graph, records_path=store_dir / RECORDS_FILE, retries=args.retries
         )
+        if registered:  # papers.jsonl alone keeps catalog metadata: write it before the log grows
+            graph.write_papers(store_dir)
         results = pipeline.run_batch(papers, parallel=args.parallel)
         for paper, delta, error in results:
             outcome = delta if error is None else f"FAILED ({error})"

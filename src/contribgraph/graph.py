@@ -10,10 +10,13 @@ alignments) is the one source of truth on disk and the only way into
 the graph: ``add_paper_record`` is the one method that adds nodes or
 edges, deriving every edge from a record and its late alignments, and a
 paper is extracted when the log holds the paper's record. A record
-passes ``records.parse_record`` before it is applied, so ``validate``
-checks only what the log does not guarantee. ``append_log`` is the one
-writer of the log, and it only appends; nodes/edges/papers.jsonl are
-written views.
+passes ``records.parse_record`` before it is applied, and the edge and
+unresolved indexes change only there, so ``validate`` checks only what a
+store's files can get wrong; tests pin the in-memory invariants.
+``append_log`` is the one writer of the log, and it only appends;
+nodes/edges/papers.jsonl are written views. papers.jsonl is also the
+only file that keeps catalog metadata, so a writer that registers new
+metadata writes it before it appends to the log.
 
 Unresolved references (``model.UnresolvedRef``) are indexed by cited
 paper, ``PaperRef.cited_id``, None for the title-only ones, so applying
@@ -196,10 +199,6 @@ class ContributionGraph:
         with self._lock:
             if record.corpus_id in self._records:
                 raise DuplicatePaperError(f"corpus {record.corpus_id} already extracted")
-            if any(c.id in self.nodes for c in record.contributions):
-                raise RecordValidationError(
-                    [f"record {record.corpus_id}: contribution id already in store"]
-                )
 
             # Stage every mutation before applying any of them.
             new_edges: list[Edge] = []
@@ -270,18 +269,24 @@ class ContributionGraph:
             year = meta.year if record.year is None else record.year
             return PaperMeta(meta.corpus_id, record.title or meta.title, year, meta.date, meta.venue)
 
-    def register_paper(self, meta: PaperMeta) -> None:
-        """Add or enrich catalog metadata without extracting."""
+    def register_paper(self, meta: PaperMeta) -> bool:
+        """Add or enrich catalog metadata without extracting; whether that
+        added or changed anything."""
         with self._lock:
-            self._stamped_hash = None
             existing = self.papers.get(meta.corpus_id)
-            if existing is None:
-                self.papers[meta.corpus_id] = meta
-                return
-            existing.title = existing.title or meta.title
-            existing.year = existing.year if existing.year is not None else meta.year
-            existing.date = existing.date or meta.date
-            existing.venue = existing.venue or meta.venue
+            if existing is not None:
+                meta = PaperMeta(
+                    existing.corpus_id,
+                    existing.title or meta.title,
+                    existing.year if existing.year is not None else meta.year,
+                    existing.date or meta.date,
+                    existing.venue or meta.venue,
+                )
+                if meta == existing:
+                    return False
+            self._stamped_hash = None
+            self.papers[meta.corpus_id] = meta
+            return True
 
     # ------------------------------------------------------------------
     # Queries
@@ -362,50 +367,23 @@ class ContributionGraph:
     # ------------------------------------------------------------------
 
     def validate(self, include_warnings: bool = False) -> list[Violation]:
-        """Check what the log does not guarantee: edge endpoints, the
-        adjacency and unresolved indexes, and, as warnings, off-vocabulary
-        categories. Record rules are enforced when a record enters the
-        store (``records.parse_record``). Violations are data, not
-        failures."""
+        """With ``include_warnings``, off-vocabulary categories, as
+        warnings; otherwise nothing. What a store's files can get wrong is
+        checked elsewhere: ``load`` fails on a log row that breaks a record
+        rule, and ``view_violations`` names views that drifted from the
+        log. The adjacency and unresolved indexes change only in
+        ``add_paper_record``, which keeps them consistent by construction.
+        Violations are data, not failures."""
+        if not include_warnings:
+            return []
         with self._lock:
-            out: list[Violation] = []
-            if include_warnings:
-                for cid, node in self.nodes.items():
-                    for t in node.types:
-                        if t.category not in CONTRIBUTION_CATEGORIES:
-                            message = f"off-vocabulary category {t.category!r}"
-                            out.append(
-                                Violation("contribution.category", cid, message, "warning")
-                            )
-
-            for edge in self.edges:
-                ident = f"{edge.pre_id}->{edge.dep_id}"
-                if edge.pre_id not in self.nodes:
-                    out.append(Violation("edge.endpoints", ident, "pre_id not in store"))
-                if edge.dep_id not in self.nodes:
-                    out.append(Violation("edge.endpoints", ident, "dep_id not in store"))
-
-            expected_in: dict[str, list[int]] = {}
-            expected_out: dict[str, list[int]] = {}
-            for i, edge in enumerate(self.edges):
-                expected_in.setdefault(edge.dep_id, []).append(i)
-                expected_out.setdefault(edge.pre_id, []).append(i)
-            if expected_in != self._incoming or expected_out != self._outgoing:
-                out.append(
-                    Violation("graph.adjacency", "*", "adjacency indexes disagree with edge list")
-                )
-
-            for cited, entries in self._unresolved.items():
-                if self.is_extracted(cited):
-                    out.extend(
-                        Violation(
-                            "graph.unresolved",
-                            entry.owner_id,
-                            f"unresolved reference to extracted paper {cited}",
-                        )
-                        for entry in entries
-                    )
-            return out
+            return [
+                Violation("contribution.category", cid,
+                          f"off-vocabulary category {t.category!r}", "warning")
+                for cid, node in self.nodes.items()
+                for t in node.types
+                if t.category not in CONTRIBUTION_CATEGORIES
+            ]
 
     def view_violations(self, directory: str | Path) -> list[Violation]:
         """Check the nodes.jsonl and edges.jsonl in ``directory`` against
@@ -491,23 +469,29 @@ class ContributionGraph:
             views = hashlib.sha256()
             for name, lines in self._view_lines().items():
                 jsonl.write_lines(directory / name, _digested(lines, views.update))
-            papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
-            papers_lines = (
-                jsonl.dump_line({**row, "status": "extracted" if done else "pending"}).encode("utf-8")
-                for row, done in papers
-            )
-            papers_digest = hashlib.sha256()
-            jsonl.write_lines(
-                directory / PAPERS_FILE,
-                _digested(papers_lines, lambda line: papers_digest.update(line + b"\n")),
-            )
             key = _stamp_key(
                 _size(directory / RECORDS_FILE),
                 _size(directory / ALIGNMENTS_FILE),
-                papers_digest.hexdigest(),
+                self.write_papers(directory),
                 len(self._records),
             )
             jsonl.write_jsonl(directory / STAMP_FILE, [{"graph_hash": views.hexdigest(), **key}])
+
+    def write_papers(self, directory: str | Path) -> str:
+        """Write papers.jsonl, one row per known paper with its status, and
+        return the sha256 of the bytes written."""
+        with self._lock:
+            papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
+            lines = (
+                jsonl.dump_line({**row, "status": "extracted" if done else "pending"}).encode("utf-8")
+                for row, done in papers
+            )
+            digest = hashlib.sha256()
+            jsonl.write_lines(
+                Path(directory) / PAPERS_FILE,
+                _digested(lines, lambda line: digest.update(line + b"\n")),
+            )
+            return digest.hexdigest()
 
     @classmethod
     def load(cls, directory: str | Path) -> "ContributionGraph":

@@ -26,7 +26,7 @@ from contribgraph.pipeline import PaperInput, Pipeline
 from contribgraph.roadmap import impact_tree, precursor_tree
 from contribgraph.taskgen import Problem, build_problem, index_years, sample_targets
 
-from conftest import GOLDEN_RECORDS, LIVE_SETTINGS, build_synthetic_graph
+from conftest import GOLDEN_RECORDS, LIVE_SETTINGS, assert_index_invariants, build_synthetic_graph
 from oracles import (
     ap_direct,
     bfs_levels,
@@ -65,7 +65,7 @@ def test_pipeline_determinism(corpus, tmp_path):
         ).read_bytes(), f"{name} differs between runs"
     got = [(e.pre_id, e.dep_id, e.match_type, e.prereq_index) for e in graph_a.edges]
     assert got == cf.EXPECTED_EDGES
-    assert graph_b.validate() == []
+    assert_index_invariants(graph_b)
     assert elapsed < 10.0, f"two mock runs took {elapsed:.1f}s"
 
 
@@ -82,7 +82,7 @@ def test_golden_record(golden_graph):
     assert (f"{bert}.c1", f"{bert}.c0", "strong") in edges  # MLM, internal
     assert (f"{bert}.c2", f"{bert}.c0", "strong") in edges  # NSP, internal
     assert "2359786" in [u.key() for u in golden_graph.unresolved]
-    assert golden_graph.validate() == []
+    assert_index_invariants(golden_graph)
 
 
 def test_ap_map_correctness():

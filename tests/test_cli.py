@@ -16,6 +16,7 @@ import corpus_fixture as cf
 from contribgraph.cli import build_parser, dispatch
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
+from contribgraph.model import PartialDate
 from contribgraph.records import parse_record
 
 from conftest import (
@@ -24,6 +25,8 @@ from conftest import (
     GOLDEN_RECORDS,
     MALFORMED_ALIGNMENTS,
     MISSHAPEN_RECORDS,
+    assert_index_invariants,
+    citation,
     forge_stamp,
     record_with,
     reply,
@@ -92,6 +95,7 @@ class TestGoldenStore:
     def test_validate_clean_store(self, store, capsys):
         assert run("validate", "--store", store) == 0
         assert "0 violations" in capsys.readouterr().out
+        assert_index_invariants(ContributionGraph.load(store))
 
     def test_export_matches_golden_dot(self, store, tmp_path):
         out = tmp_path / "tree.dot"
@@ -420,6 +424,17 @@ class TestEndToEnd:
             f"  {len(skipped)} skipped: insufficient candidates",
         ]
 
+    def test_taskgen_skips_a_target_whose_gold_set_exceeds_k(self, e2e, tmp_path, capsys):
+        out = tmp_path / "problems.jsonl"
+        assert run(
+            "taskgen", "--store", e2e, "--years", "2021-2025", "--per-year", cf.E2E_PER_YEAR,
+            "--seed", cf.E2E_SEED, "--k", 1, "--out", out,
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"3 problems, 5 skipped -> {out}",
+            "  5 skipped: gold set (2) exceeds candidate count 1",
+        ]
+
     def test_eval_refuses_an_existing_report_before_scoring(
         self, e2e, corpus, capsys, monkeypatch
     ):
@@ -483,9 +498,10 @@ def test_taskgen_without_an_index_fails_before_loading_the_store(tmp_path, capsy
     [
         (b"XXXXgarbage", "error: {index}: not an embedding index file (11-byte header, magic b'XXXX')"),
         (b"SCGE\x01\x00", "error: {index}: not an embedding index file (6-byte header, magic b'SCGE')"),
+        (b"SCGE\x02\x00\x00\x00\x08" + bytes(11), "error: {index}: unsupported index version 2"),
         (None, "error: store {store} has no contributions to sample targets from"),
     ],
-    ids=["wrong_magic", "short_header", "no_contributions"],
+    ids=["wrong_magic", "short_header", "other_version", "no_contributions"],
 )
 def test_taskgen_over_a_broken_index_or_an_empty_store_fails_cleanly(
     tmp_path, capsys, index_bytes, error
@@ -502,6 +518,80 @@ def test_taskgen_over_a_broken_index_or_an_empty_store_fails_cleanly(
     assert run("taskgen", "--store", store, "--years", "2019", "--per-year", 1) == 1
     assert capsys.readouterr().err == error.format(index=index, store=store) + "\n"
     assert not (store / "problems.jsonl").exists()
+
+
+def test_taskgen_skips_a_target_ingested_after_embed(tmp_path, capsys):
+    """A record ingested after `embed` has no row in the index: its
+    contribution is sampled as a target, then skipped."""
+    store, records, out = tmp_path / "store", tmp_path / "late.jsonl", tmp_path / "problems.jsonl"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    assert run("embed", "--store", store, "--dim", 8) == 0
+    contribution = {"name": "n", "description": "d", "types": [], "sections": [],
+                    "prerequisites": [citation("52967399.c0")]}
+    write_jsonl(records, [{"corpus_id": "1", "title": "Late", "year": 2020,
+                           "contributions": [contribution]}])
+    assert run("ingest", "--store", store, "--records", records) == 0
+    capsys.readouterr()
+    assert run("taskgen", "--store", store, "--years", "2020", "--per-year", 1, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"0 problems, 1 skipped -> {out}",
+        "  1 skipped: target missing from embedding index",
+    ]
+
+
+@pytest.mark.parametrize("case", ["not_in_catalog", "text_missing"])
+def test_extract_of_a_paper_it_cannot_read_changes_nothing(corpus, tmp_path, capsys, case):
+    """`extract` checks every id against the catalog and its text file
+    before it writes anything, even the metadata of the ids before it."""
+    store, catalog = tmp_path / "store", tmp_path / "catalog.jsonl"
+    rows = list(read_jsonl(corpus.catalog_path))
+    missing = tmp_path / "missing.txt"
+    for row in rows:
+        if row["corpus_id"] == "7000003":
+            row["text_path"] = str(missing)
+    write_jsonl(catalog, rows)
+    assert run("extract", "7000001", "--store", store, "--catalog", catalog,
+               "--mock", corpus.mock_dir) == 0
+    before = {path.name: path.read_bytes() for path in store.iterdir()}
+    bad, error = {
+        "not_in_catalog": ("999", "corpus 999 not in catalog"),
+        "text_missing": ("7000003", f"corpus 7000003: text file {missing} missing"),
+    }[case]
+    capsys.readouterr()
+    assert run("extract", "7000002", bad, "--store", store, "--catalog", catalog,
+               "--mock", corpus.mock_dir) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["extract", "ingest"])
+def test_a_writer_that_dies_before_its_save_keeps_the_catalog_date(
+    corpus, tmp_path, monkeypatch, command
+):
+    """papers.jsonl alone keeps catalog metadata, so `extract` and `ingest`
+    write it before they append a record to the log: a writer that dies
+    after the append, before its save, loses no date."""
+    store = tmp_path / "store"
+    common = ["--store", store, "--catalog", corpus.catalog_path]
+    if command == "extract":
+        assert run("extract", "7000001", "7000002", "7000003", *common,
+                   "--mock", corpus.mock_dir) == 0
+        argv = ["extract", "7000004", *common, "--mock", corpus.mock_dir]
+    else:
+        source = tmp_path / "source"
+        assert run("extract", "7000004", "--store", source, "--catalog", corpus.catalog_path,
+                   "--mock", corpus.mock_dir) == 0
+        argv = ["ingest", *common, "--records", source / "records.jsonl"]
+
+    def save(graph, directory):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ContributionGraph, "save", save)
+    assert run(*argv) == 1
+    monkeypatch.undo()
+    loaded = ContributionGraph.load(store)
+    assert loaded.is_extracted("7000004")
+    assert loaded.papers["7000004"].date == PartialDate(2019, 5)
 
 
 def test_extract_uses_frontier_when_no_ids(corpus, tmp_path, capsys):
@@ -755,6 +845,10 @@ BAD_EVAL_INPUTS = {
     "submission_with_a_number_as_usage": (
         lambda d: edit_first_row(d / "submissions.jsonl", lambda row: row.update(usage=5)),
         "submissions.jsonl:1: usage must be an object, got 5",
+    ),
+    "cutoffs_without_the_tag": (
+        lambda d: (d / "cutoffs.json").write_text("{}", encoding="utf-8"),
+        f"no knowledge cutoff for backend tag {cf.MOCK_TAG!r} in ",
     ),
     "problem_without_submission": (
         lambda d: write_jsonl(

@@ -31,7 +31,7 @@ from contribgraph.jsonl import read_jsonl
 from contribgraph.model import InternalRef, PaperMeta, PaperRef, Prerequisite
 from contribgraph.pipeline import PaperInput, Pipeline
 
-from conftest import FORGED, forge_stamp, load_golden_raw
+from conftest import FORGED, assert_index_invariants, forge_stamp, load_golden_raw
 from corpus_fixture import echo_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -1002,7 +1002,7 @@ class TestCorpusReplay:
         assert sorted(u.key() for u in graph.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
         for corpus_id, count in cf.FINAL_CONTRIBUTION_COUNTS.items():
             assert len(graph.contributions_of(corpus_id)) == count
-        assert graph.validate() == []
+        assert_index_invariants(graph)
 
     def test_split_provenance_recorded(self, corpus, tmp_path):
         graph, _ = self.run_corpus(corpus, tmp_path / "run")
@@ -1167,7 +1167,7 @@ class TestLogReplay:
         assert loaded.edges == live.edges
         assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
         assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
-        assert loaded.validate() == []
+        assert_index_invariants(loaded)
 
     def test_crash_between_log_appends_then_reextract_keeps_every_edge(
         self, corpus, tmp_path, monkeypatch
@@ -1215,7 +1215,7 @@ class TestLogReplay:
         loaded = ContributionGraph.load(tmp_path)
         assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
         assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
-        assert loaded.validate() == []
+        assert_index_invariants(loaded)
         # The re-extraction logged the late alignment again; replay keeps one.
         loaded.save(tmp_path / "rewritten")
         sites = [
@@ -1266,6 +1266,7 @@ class TestCrawlOrder:
                     "extract", *order[start:end], "--store", store, "--catalog", catalog,
                     "--mock", str(corpus.mock_dir), "--parallel", str(parallel),
                 ]) == 0
+                assert_index_invariants(ContributionGraph.load(store))
             assert misses == []
 
             loaded = ContributionGraph.load(store)
@@ -1324,6 +1325,7 @@ def run_crawl(inputs, plan, parallel, directory) -> ContributionGraph:
             graph.register_paper(inputs[corpus_id][0])
         results = pipeline.run_batch([inputs[c][1] for c in batch], parallel=parallel)
         assert [error for _, _, error in results] == [None] * len(batch)
+        assert_index_invariants(graph)
     return graph
 
 
