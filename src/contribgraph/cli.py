@@ -13,7 +13,11 @@ Each step of the workflow is its own process, so a subcommand imports
 its own modules: the module level holds only the standard library and
 the package modules that argument parsing and dispatch need, and each
 ``cmd_*`` imports the package modules it uses. numpy is thus loaded
-only by ``embed`` and ``taskgen``.
+only by ``embed`` and ``taskgen``, and runs its BLAS on one thread
+unless ``OPENBLAS_NUM_THREADS`` is already set: every product here is
+one matrix-vector product of at most tens of thousands of rows, too
+small to repay waking a second thread, and starting the pool adds tens
+of milliseconds to ``import numpy``.
 """
 from __future__ import annotations
 
@@ -37,6 +41,9 @@ if TYPE_CHECKING:
     from .backends import GenerationBackend
     from .embedding import EmbeddingIndex, EmbeddingProvider
     from .graph import ContributionGraph
+
+# Read once, when numpy loads, so it is set here, before any cmd_* imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 logger = logging.getLogger(__name__)
 
@@ -387,6 +394,7 @@ def cmd_eval(args, settings) -> int:
 
 
 def cmd_export(args, settings) -> int:
+    from .jsonl import write_chunks
     from .roadmap import export_dot, export_json, impact_tree, precursor_tree
 
     if args.out:
@@ -401,7 +409,7 @@ def cmd_export(args, settings) -> int:
     else:
         text = json.dumps(export_json(tree), indent=2, ensure_ascii=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_chunks(args.out, [text.encode("utf-8")])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

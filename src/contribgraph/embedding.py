@@ -27,10 +27,11 @@ import struct
 from abc import ABC, abstractmethod
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import jsonl
 from .backends import JsonTransport
 from .errors import BackendError
 from .graph import ContributionGraph
@@ -173,15 +174,13 @@ class EmbeddingIndex:
         return [(self.ids[rows[i]], float(scores[i])) for i in top]
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows = self.matrix.astype("<f4", copy=False)
-        with path.open("wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<IIQ", FORMAT_VERSION, self.dim, len(self.ids)))
-            for cid, row in zip(self.ids, rows):
-                raw = cid.encode("utf-8")
-                f.write(struct.pack("<H", len(raw)) + raw + row.tobytes())
+        jsonl.write_chunks(path, self._chunks())
+
+    def _chunks(self) -> Iterator[bytes]:
+        yield MAGIC + struct.pack("<IIQ", FORMAT_VERSION, self.dim, len(self.ids))
+        for cid, row in zip(self.ids, self.matrix.astype("<f4", copy=False)):
+            raw = cid.encode("utf-8")
+            yield struct.pack("<H", len(raw)) + raw + row.tobytes()
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":

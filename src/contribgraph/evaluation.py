@@ -281,9 +281,7 @@ def read_submissions(path: str | Path) -> list[RankingSubmission]:
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
-    )
+    jsonl.write_chunks(path, [(json.dumps(report.to_json(), indent=2) + "\n").encode("utf-8")])
 
 
 def append_results_csv(path: str | Path, report: EvalReport) -> None:

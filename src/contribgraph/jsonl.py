@@ -1,4 +1,4 @@
-"""JSONL read/write helpers.
+"""JSONL read/write helpers, and the one writer of whole files.
 
 Lines are UTF-8, one JSON object each, written in the dict's insertion
 order (callers build dicts in the canonical key order, so files are
@@ -32,16 +32,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
 
 
 def write_lines(path: str | Path, lines: Iterable[bytes]) -> None:
-    """Write each line and a ``\\n`` to a temporary file beside ``path``,
-    then rename it over ``path``: a failure midway leaves the old file
-    whole."""
+    """``write_chunks`` of each line and a ``\\n``."""
+    write_chunks(path, (line + b"\n" for line in lines))
+
+
+def write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside ``path``, then rename
+    it over ``path``: a failure midway leaves the old file whole. Every
+    file the package writes whole goes through here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as f:
-            for line in lines:
-                f.write(line + b"\n")
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -221,4 +221,4 @@ def write_manifest(
         "skipped": len(result.skips),
         "graph_hash": graph.graph_hash(),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    jsonl.write_chunks(path, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])

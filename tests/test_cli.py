@@ -26,6 +26,7 @@ from conftest import (
     MALFORMED_ALIGNMENTS,
     MISSHAPEN_RECORDS,
     assert_index_invariants,
+    build_synthetic_graph,
     citation,
     forge_stamp,
     record_with,
@@ -913,28 +914,57 @@ class TestOffVocabularyCategory:
 
 
 # Runs one CLI command (or none) in a fresh interpreter, then says on
-# stderr whether numpy was imported.
+# stderr whether numpy was imported, what OPENBLAS_NUM_THREADS reads and
+# how many threads the process has (Linux).
 IMPORT_PROBE = """
+import os
 import sys
 from contribgraph import cli
 status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print("numpy imported" if "numpy" in sys.modules else "numpy not imported", file=sys.stderr)
+print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None, file=sys.stderr)
 sys.exit(status)
 """
 
 
-def numpy_imported(cwd: Path, *argv) -> bool:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def cli_env(blas_threads: str | None = None) -> dict[str, str]:
+    """This environment with this checkout's sources first on the path, and
+    OPENBLAS_NUM_THREADS set to ``blas_threads`` or, for None, unset: the
+    pytest process has it from importing the CLI."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def probe(cwd: Path, *argv, blas_threads: str | None = None) -> list[str]:
+    """IMPORT_PROBE's three lines."""
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *map(str, argv)],
-        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        cwd=cwd, env=cli_env(blas_threads), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1] == "numpy imported"
+    return proc.stderr.splitlines()[-3:]
+
+
+def numpy_imported(cwd: Path, *argv) -> bool:
+    return probe(cwd, *argv)[0] == "numpy imported"
 
 
 class TestImportGuard:
-    """Each subcommand imports its own modules: numpy only for embed and taskgen."""
+    """Each subcommand imports its own modules: numpy only for embed and
+    taskgen, on one BLAS thread unless the caller chose a count."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_embed_runs_blas_on_one_thread_unless_preset(self, tmp_path, preset, expected):
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+        imported, variable, threads = probe(tmp_path, "embed", "--store", store, blas_threads=preset)
+        assert (imported, variable) == ("numpy imported", expected)
+        if preset is None:  # numpy read the value: OpenBLAS started no worker thread
+            assert threads in ("1", "None")
 
     def test_importing_the_cli(self, tmp_path):
         assert not numpy_imported(tmp_path)
@@ -969,6 +999,33 @@ class TestImportGuard:
             "--submissions", submissions, "--cutoffs", corpus.cutoffs_path,
             "--out", tmp_path / "report.json",
         )
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """embed then taskgen, each in a fresh interpreter, on one BLAS thread
+    and on two: the float32 product only pre-selects rows within an error
+    bound that holds in any summation order, and float64 rescoring picks."""
+    build_synthetic_graph(n_papers=160, seed=20240901).save(tmp_path / "store")
+    outputs = {}
+    for threads in ("1", "2"):
+        store = tmp_path / f"store-{threads}"
+        shutil.copytree(tmp_path / "store", store)
+        for argv in (
+            ["embed", "--store", store, "--dim", 64],
+            ["taskgen", "--store", store, "--years", "2021-2025", "--per-year", 2, "--seed", 7],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "contribgraph.cli", *map(str, argv)],
+                env=cli_env(threads), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [
+            (store / name).read_bytes()
+            for name in ("embeddings.bin", "problems.jsonl", "problems_manifest.json")
+        ]
+    problems = [json.loads(line) for line in outputs["1"][1].splitlines()]
+    assert sum(len(p["candidates"]) > len(p["gold_ids"]) for p in problems) >= 3
+    assert outputs["1"] == outputs["2"]
 
 
 def readme_cli_commands() -> list[list[str]]:

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import errno
 import re
+import resource
+import signal
 
+import numpy as np
 import pytest
 
+from contribgraph.embedding import EmbeddingIndex
 from contribgraph.errors import ContribGraphError, MalformedLineError
+from contribgraph.evaluation import EvalReport, write_report
 from contribgraph.jsonl import append_jsonl, read_jsonl, write_jsonl
 
 
@@ -21,6 +28,45 @@ def test_write_failing_midway_leaves_old_file_whole(tmp_path):
         write_jsonl(path, rows())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+@contextlib.contextmanager
+def disk_full_after(limit: int):
+    """While open, a write that takes any file past ``limit`` bytes fails
+    with EFBIG, as a write to a full disk fails with ENOSPC."""
+    old_limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    old_handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, old_limit[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, old_limit)
+        signal.signal(signal.SIGXFSZ, old_handler)
+
+
+def index_of(rows: int) -> EmbeddingIndex:
+    return EmbeddingIndex([f"p.c{i}" for i in range(rows)], np.ones((rows, 64), np.float32))
+
+
+# Whole-file writers outside the store, by file name: a write of a path
+# and a value, then a small value and a large one, past the disk's limit.
+WHOLE_FILE_WRITERS = {
+    "embeddings.bin": (lambda path, index: index.save(path), index_of(1), index_of(100)),
+    "report.json": (write_report, EvalReport(backend="b"), EvalReport(backend="b" * 4096)),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_FILE_WRITERS)
+def test_disk_full_midway_leaves_old_file_whole(tmp_path, name):
+    write, small, large = WHOLE_FILE_WRITERS[name]
+    path = tmp_path / name
+    write(path, small)
+    before = path.read_bytes()
+    with pytest.raises(OSError) as info, disk_full_after(len(before) + 64):
+        write(path, large)
+    assert info.value.errno == errno.EFBIG
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_append_writes_rows_and_creates_file_when_empty(tmp_path):
