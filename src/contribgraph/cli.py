@@ -188,7 +188,7 @@ def at_least(low: int) -> Callable[[str], int]:
 
 def cmd_ingest(args, settings) -> int:
     from .frontier import Catalog
-    from .graph import RECORDS_FILE, append_log, collector_paused
+    from .graph import RECORDS_FILE, collector_paused
     from .jsonl import read_rows
     from .records import parse_record
 
@@ -223,7 +223,7 @@ def cmd_ingest(args, settings) -> int:
         if ingested:
             if registered:  # papers.jsonl alone keeps catalog metadata
                 graph.write_papers(store_dir)
-            append_log(store_dir / RECORDS_FILE, ingested)
+            graph.append_log(store_dir / RECORDS_FILE, ingested)
         graph.save(store_dir)
     return 0
 

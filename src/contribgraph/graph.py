@@ -18,6 +18,17 @@ nodes/edges/papers.jsonl are written views. papers.jsonl is also the
 only file that keeps catalog metadata, so a writer that registers new
 metadata writes it before it appends to the log.
 
+A nodes.jsonl row is a contribution's JSON as its record's log line
+holds it, with the closing ``}`` replaced by the paper's metadata
+fields. So each contribution is encoded once: ``append_log`` keeps
+where each contribution of the records it appended lies in the log
+(the file, an offset and byte lengths, never the text), and ``save``
+into that store reads those rows' JSON back, sequentially and from the
+page cache, instead of encoding it again. Every other row is encoded.
+A part read back that does not start with its contribution's id, or
+end with ``}``, fails the save: a wrong span would corrupt nodes.jsonl
+and its stamped digest together, where ``validate`` could not see it.
+
 Unresolved references (``model.UnresolvedRef``) are indexed by cited
 paper, ``PaperRef.cited_id``, None for the title-only ones, so applying
 a record reads only the references that cite it, and replaying the log
@@ -55,9 +66,10 @@ import json
 import logging
 import re
 import threading
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
@@ -124,17 +136,6 @@ def _match_edge(match: Match, dep_id: str, prereq_index: int) -> Edge:
     return Edge(match.contribution_id, dep_id, match.match_type, match.explanation, prereq_index)
 
 
-def append_log(
-    records_path: Path, records: Iterable[ExtractionRecord], late: Iterable[UnresolvedRef] = ()
-) -> None:
-    """Append ``late`` to the alignments file beside ``records_path``, then
-    ``records`` to ``records_path``. Alignments first: a crash between the
-    two appends leaves alignments of a paper with no record, which replay
-    ignores, so the paper is simply extracted again."""
-    jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
-    jsonl.append_jsonl(records_path, (r.to_json() for r in records))
-
-
 def _digested(lines: Iterable[bytes], update: Callable[[bytes], object]) -> Iterator[bytes]:
     for line in lines:
         update(line)
@@ -171,6 +172,13 @@ class ContributionGraph:
         # graph_hash() as stamped by the save that wrote the files this
         # graph was loaded from; None once the graph changes.
         self._stamped_hash: Optional[str] = None
+        # The records.jsonl this graph last appended to, as (st_dev,
+        # st_ino), and for each record appended there: the byte offset of
+        # its first contribution, then each contribution's length in
+        # bytes. An array holds no object references, so the collector
+        # neither tracks nor counts it.
+        self._log_file: Optional[tuple[int, int]] = None
+        self._log_spans: dict[str, array] = {}
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -418,36 +426,90 @@ class ContributionGraph:
     # Persistence
     # ------------------------------------------------------------------
 
-    def node_rows(self) -> Iterator[dict[str, Any]]:
-        """nodes.jsonl rows, one at a time: contribution fields joined with
-        paper metadata."""
-        for record in self._records.values():
-            meta = self.papers[record.corpus_id]
-            for contribution in record.contributions:
-                row = contribution.to_json()
-                row["corpus_id"] = meta.corpus_id
-                row["title"] = meta.title
-                row["year"] = meta.year
-                if meta.date is not None:
-                    row["date"] = meta.date.to_json()
-                if meta.venue is not None:
-                    row["venue"] = meta.venue
-                yield row
+    def append_log(
+        self,
+        records_path: str | Path,
+        records: Iterable[ExtractionRecord],
+        late: Iterable[UnresolvedRef] = (),
+    ) -> None:
+        """Append ``late`` to the alignments file beside ``records_path``,
+        then ``records`` to ``records_path``: the one writer of the log,
+        which it only appends to. Alignments first: a crash between the
+        two appends leaves alignments of a paper with no record, which
+        replay ignores, so the paper is simply extracted again.
 
-    def _view_lines(self) -> dict[str, Iterator[bytes]]:
+        Each contribution is encoded once. A record's line is its fields,
+        then its contributions' JSON joined by ``", "``, then ``]}``: the
+        bytes of ``dump_line(record.to_json())``. Once the append returns,
+        the graph keeps where each record's contributions lie in that
+        file, the offset of the first and the byte length of each, never
+        their text, so that ``save`` into that store reads them back
+        instead of encoding them again. An append that fails keeps none.
+        """
+        records_path = Path(records_path)
+        jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
+        dump = jsonl.dump_line
+        spans: dict[str, array] = {}  # offsets from the start of the append
+
+        def lines() -> Iterator[bytes]:
+            at = 0
+            for record in records:
+                row = record.to_json()
+                parts = [dump(c).encode("utf-8") for c in row["contributions"]]
+                row["contributions"] = []
+                header = dump(row)[:-2].encode("utf-8")  # without the empty list's "]}"
+                line = b"".join((header, b", ".join(parts), b"]}"))
+                spans[record.corpus_id] = array("q", [at + len(header), *map(len, parts)])
+                at += len(line) + 1
+                yield line
+
+        with self._lock:
+            start = jsonl.append_lines(records_path, lines())
+            for span in spans.values():
+                span[0] += start
+            log_file = _identity(records_path)
+            if log_file != self._log_file:
+                self._log_file, self._log_spans = log_file, {}
+            self._log_spans.update(spans)
+
+    def _node_lines(self, log: Optional[Path]) -> Iterator[bytes]:
+        """nodes.jsonl lines: each contribution's JSON with its closing
+        ``}`` replaced by the paper's metadata fields, encoded once per
+        paper. A record this graph appended to ``log`` has its
+        contributions' JSON read back from there; any other's is encoded."""
+        dump = jsonl.dump_line
+        spans = self._log_spans
+        if log is None or not spans or _identity(log) != self._log_file:
+            spans = {}
+        with log.open("rb") if spans else contextlib.nullcontext() as f:
+            for record in self._records.values():
+                tail = b", " + dump(self.papers[record.corpus_id].to_json())[1:].encode("utf-8")
+                span = spans.get(record.corpus_id)
+                if span is None:
+                    parts = [dump(c.to_json()).encode("utf-8") for c in record.contributions]
+                else:
+                    parts = _read_parts(f, record, span[0], span[1:])
+                for part in parts:
+                    yield part[:-1] + tail
+
+    def _view_lines(self, log: Optional[Path] = None) -> dict[str, Iterator[bytes]]:
         """The lines of nodes.jsonl and of edges.jsonl, in that order and
         without their ``\\n``: what ``save`` writes and ``graph_hash``
-        digests."""
+        digests. ``log`` is the records.jsonl node rows may be read back
+        from."""
         dump = jsonl.dump_line
         return {
-            NODES_FILE: (dump(row).encode("utf-8") for row in self.node_rows()),
+            NODES_FILE: self._node_lines(log),
             EDGES_FILE: (dump(edge.to_json()).encode("utf-8") for edge in self.edges),
         }
 
     def save(self, directory: str | Path) -> None:
         """Write the views, then the stamp. Into a directory with no log
         yet (a store built in memory), append the whole log first; a log
-        that exists is never rewritten.
+        that exists is never rewritten. The node rows of the records this
+        graph appended to this directory's log are built from the JSON
+        read back from it; every other row is encoded (see the module
+        docstring).
 
         The view lines are digested as they are written. The stamp,
         graph_hash.json, holds that digest and its key: the byte lengths
@@ -464,10 +526,11 @@ class ContributionGraph:
         with self._lock:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
-            if not (directory / RECORDS_FILE).exists():
-                append_log(directory / RECORDS_FILE, self._records.values(), self._alignments)
+            log = directory / RECORDS_FILE
+            if not log.exists():
+                self.append_log(log, self._records.values(), self._alignments)
             views = hashlib.sha256()
-            for name, lines in self._view_lines().items():
+            for name, lines in self._view_lines(log).items():
                 jsonl.write_lines(directory / name, _digested(lines, views.update))
             key = _stamp_key(
                 _size(directory / RECORDS_FILE),
@@ -564,6 +627,43 @@ class ContributionGraph:
                 for line in lines:
                     digest.update(line)
             return digest.hexdigest()
+
+
+def _identity(path: Path) -> tuple[int, int]:
+    """The file at ``path``, as (st_dev, st_ino)."""
+    stat = path.stat()
+    return stat.st_dev, stat.st_ino
+
+
+def _read_parts(
+    f: BinaryIO, record: ExtractionRecord, offset: int, lengths: Sequence[int]
+) -> list[bytes]:
+    """The JSON of each of ``record``'s contributions, read from ``f`` at
+    ``offset``, where they lie joined by ``", "`` with these byte
+    lengths. A part that does not start with its contribution's id or
+    end with ``}`` raises ContribGraphError: a wrong span would corrupt
+    nodes.jsonl and its stamped digest together."""
+    if len(lengths) != len(record.contributions):
+        raise ContribGraphError(
+            f"{f.name}: {len(lengths)} contributions logged at byte {offset} for"
+            f" {record.corpus_id}, which has {len(record.contributions)}"
+        )
+    if not lengths:
+        return []
+    f.seek(offset)
+    data = f.read(sum(lengths) + 2 * (len(lengths) - 1))
+    parts, start = [], 0
+    for contribution, length in zip(record.contributions, lengths):
+        part = data[start:start + length]
+        head = ('{"contribution_id": ' + jsonl.dump_line(contribution.id)).encode("utf-8")
+        if not (part.startswith(head) and part.endswith(b"}")):
+            raise ContribGraphError(
+                f"{f.name} at byte {offset + start}: the log does not hold"
+                f" contribution {contribution.id} where it was appended"
+            )
+        parts.append(part)
+        start += length + 2
+    return parts
 
 
 def _size(path: Path) -> int:

@@ -19,7 +19,7 @@ T = TypeVar("T")
 _ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
-def dump_line(obj: dict[str, Any]) -> str:
+def dump_line(obj: Any) -> str:
     """``obj`` as one line of JSON. The encoder does not check for
     circular references: rows are built from the model objects, which
     form no cycles (see graph.py), and from parsed JSON, which has none."""
@@ -39,10 +39,13 @@ def write_lines(path: str | Path, lines: Iterable[bytes]) -> None:
 def write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks to a temporary file beside ``path``, then rename
     it over ``path``: a failure midway leaves the old file whole. Every
-    file the package writes whole goes through here."""
+    file the package writes whole goes through here. The temporary file
+    is named after the writing process, ``<name>.<pid>.tmp``, so that
+    concurrent writers of one path each rename a whole file of their own:
+    the last rename wins."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as f:
             f.writelines(chunks)
@@ -52,12 +55,21 @@ def write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 def append_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
-    """Append rows, one at a time; the file is created even when there are none."""
+    """``append_lines`` of each record's ``dump_line``."""
+    append_lines(path, (dump_line(record).encode("utf-8") for record in records))
+
+
+def append_lines(path: str | Path, lines: Iterable[bytes]) -> int:
+    """Append each line and a ``\\n``, one at a time, and return the byte
+    offset at which the first starts: the file's length before. The
+    file is created even when there are none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as f:
-        for record in records:
-            f.write(dump_line(record) + "\n")
+    with path.open("ab") as f:
+        start = f.tell()
+        for line in lines:
+            f.write(line + b"\n")
+    return start
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

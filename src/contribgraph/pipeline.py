@@ -38,7 +38,7 @@ from typing import Any, Iterator, Optional, Sequence
 from .backends import GenerationBackend, generate_validated
 from .backends import parse_fenced_json  # noqa: F401 - bench/tests/test_bench.py imports it here
 from .errors import BackendError, DuplicatePaperError, StageFailure
-from .graph import ContributionGraph, GraphDelta, append_log
+from .graph import ContributionGraph, GraphDelta
 from .model import (
     Contribution,
     ExtractionRecord,
@@ -415,7 +415,7 @@ class Pipeline:
             late.append(replace(entry, ref=replace(entry.ref, matches=matches)))
         delta = self.graph.add_paper_record(record, late)
         if self.records_path is not None:
-            append_log(self.records_path, [record], late)
+            self.graph.append_log(self.records_path, [record], late)
         return delta
 
     def run_batch(

@@ -7,6 +7,7 @@ the code paths they check (graph/index objects are only read).
 """
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -202,6 +203,31 @@ def split_brute(problems, cutoff_year, cutoff_month):
             else:
                 out["post"].append(problem.problem_id)
     return out
+
+
+# ----------------------------------------------------------------------
+# Store views
+# ----------------------------------------------------------------------
+
+
+def node_lines_fresh(graph) -> bytes:
+    """nodes.jsonl with each row built as a dict and encoded whole: the
+    contribution's fields, then its paper's corpus id, title and year,
+    then its date and venue when known; records in the order applied."""
+    lines = []
+    for record in graph.records():
+        meta = graph.papers[record.corpus_id]
+        for contribution in record.contributions:
+            row = contribution.to_json()
+            row["corpus_id"] = meta.corpus_id
+            row["title"] = meta.title
+            row["year"] = meta.year
+            if meta.date is not None:
+                row["date"] = meta.date.to_json()
+            if meta.venue is not None:
+                row["venue"] = meta.venue
+            lines.append(json.dumps(row, ensure_ascii=False) + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

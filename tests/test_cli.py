@@ -270,6 +270,11 @@ class TestGraphHashStamp:
     def test_ingest_of_records_stamps_the_full_digest(self, store):
         assert stamped_digest(store) == ContributionGraph.load(store).recompute_hash()
 
+    def test_ingest_of_records_leaves_both_log_files(self, store):
+        lines = [dump_line(parse_record(raw).to_json()) + "\n" for raw in read_jsonl(GOLDEN_RECORDS)]
+        assert (store / "records.jsonl").read_text(encoding="utf-8") == "".join(lines)
+        assert (store / "alignments.jsonl").read_bytes() == b""
+
     def test_ingest_of_a_catalog_alone_stamps_the_full_digest(self, store, venue_catalog):
         before = stamped_digest(store)
         assert run("ingest", "--store", store, "--catalog", venue_catalog) == 0

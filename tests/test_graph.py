@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contribgraph.errors import (
+    ContribGraphError,
     DuplicatePaperError,
     MalformedLineError,
     RecordValidationError,
@@ -19,8 +20,9 @@ from contribgraph.errors import (
 )
 from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph
-from contribgraph.jsonl import read_jsonl, write_jsonl
-from contribgraph.model import PaperMeta, PaperRef, UnresolvedRef
+from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
+from contribgraph.model import PaperMeta, PaperRef, PartialDate, UnresolvedRef
+from contribgraph.records import parse_record
 
 from conftest import (
     FORGED,
@@ -33,6 +35,8 @@ from conftest import (
     load_golden_raw,
     write_citing_pair,
 )
+from oracles import node_lines_fresh
+from test_jsonl import disk_full_after
 from test_roadmap import random_dag
 
 
@@ -699,3 +703,109 @@ class TestAlignmentsLog:
         write_citing_pair(tmp_path, MALFORMED_ALIGNMENTS[name])
         with pytest.raises(RecordValidationError, match="alignments.jsonl row 1"):
             ContributionGraph.load(tmp_path)
+
+
+# Characters of one to four UTF-8 bytes, so byte lengths differ from
+# character lengths.
+NON_ASCII = "\u00c5str\u00f6m \u2013 \u6570\u636e \U0001f642"
+
+
+def rich_record(corpus_id: str, n: int = 2, year: int = 2020) -> dict:
+    """``make_record`` with non-ASCII text and, past one contribution, a
+    dash-split contribution."""
+    record = make_record(corpus_id, n, year)
+    for c in record["contributions"]:
+        c["name"] = f"{NON_ASCII} {c['name']}"
+        c["description"] = f"{c['description']} \u00e9t\u00e9 {NON_ASCII}"
+    if n > 1:
+        record["contributions"][1]["split_from"] = f"{NON_ASCII} key"
+    return record
+
+
+class TestNodeRowsFromTheLog:
+    """``save`` builds each node row of a record this graph appended to
+    the store's log from the bytes its log line holds; every other row is
+    encoded. Either way each row is the row encoded whole, and the stamp
+    is the full digest."""
+
+    LOG = "records.jsonl"
+
+    def build(self, store) -> ContributionGraph:
+        """Papers 1 and 2 are loaded from the log; 3 to 6 are appended by
+        this graph, 5 with no contributions. Paper 4 has a date and a
+        venue before the append, paper 6 a date registered after it."""
+        first = ContributionGraph()
+        for raw in (rich_record("1"), rich_record("2", n=1)):
+            first.add_paper_record(raw)
+        first.save(store)
+        graph = ContributionGraph.load(store)
+        graph.register_paper(PaperMeta("4", "", None, PartialDate(2021, 3), f"{NON_ASCII} Venue"))
+        raws = [rich_record("3"), rich_record("4", year=2021), make_record("5", n=0),
+                rich_record("6", n=3)]
+        records = [parse_record(raw) for raw in raws]
+        for record in records:
+            graph.add_paper_record(record)
+        graph.append_log(store / self.LOG, records)
+        graph.register_paper(PaperMeta("6", "", None, PartialDate(2020, 1, 2)))
+        return graph
+
+    def assert_fresh(self, graph, store) -> None:
+        assert (store / "nodes.jsonl").read_bytes() == node_lines_fresh(graph)
+        stamp = json.loads((store / "graph_hash.json").read_bytes())
+        assert stamp["graph_hash"] == graph.recompute_hash()
+
+    def test_rows_read_back_equal_rows_encoded(self, tmp_path):
+        graph = self.build(tmp_path)
+        graph.save(tmp_path)
+        self.assert_fresh(graph, tmp_path)
+        nodes = (tmp_path / "nodes.jsonl").read_text(encoding="utf-8")
+        assert '"split_from": ' in nodes and f'"venue": "{NON_ASCII} Venue"' in nodes
+        assert '"contribution_id": "6.c0"' in nodes and '"date": "2020-01-02"' in nodes
+        assert ContributionGraph.load(tmp_path).graph_hash() == graph.recompute_hash()
+
+    def test_the_append_writes_each_record_as_encoded_whole(self, tmp_path):
+        graph = self.build(tmp_path)
+        lines = (tmp_path / self.LOG).read_text(encoding="utf-8").splitlines()
+        assert lines == [dump_line(record.to_json()) for record in graph.records()]
+
+    def test_only_a_save_into_the_appended_log_reads_it_back(self, tmp_path):
+        """An edit that keeps every length shows in the rows read back,
+        and in no other directory's rows."""
+        store, copied, empty = tmp_path / "store", tmp_path / "copied", tmp_path / "empty"
+        graph = self.build(store)
+        log = store / self.LOG
+        with log.open("r+b") as f:
+            f.write(log.read_bytes().replace(b"thing 0 of paper 3", b"THING 0 OF PAPER 3"))
+        copied.mkdir()
+        (copied / self.LOG).write_bytes(log.read_bytes())
+        graph.save(store)
+        assert b"THING 0 OF PAPER 3" in (store / "nodes.jsonl").read_bytes()
+        for directory in (copied, empty):
+            graph.save(directory)
+            self.assert_fresh(graph, directory)
+
+    def test_a_log_that_moved_the_appended_bytes_fails_the_save(self, tmp_path):
+        graph = self.build(tmp_path)
+        log = tmp_path / self.LOG
+        data = log.read_bytes()
+        with log.open("r+b") as f:  # the same file, every byte one later
+            f.write(b"\n" + data)
+        with pytest.raises(ContribGraphError, match="does not hold contribution 3.c0"):
+            graph.save(tmp_path)
+
+    def test_an_append_failing_midway_keeps_no_span(self, tmp_path):
+        graph = self.build(tmp_path)
+        log = tmp_path / self.LOG
+        before = log.read_bytes()
+        records = [parse_record(rich_record(c)) for c in ("7", "8")]
+        for record in records:
+            graph.add_paper_record(record)
+        whole = len(dump_line(records[0].to_json()).encode("utf-8")) + 1
+        with pytest.raises(OSError), disk_full_after(len(before) + whole + 200):
+            graph.append_log(log, records)
+        assert len(log.read_bytes()) == len(before) + whole + 200  # 7 whole, 8 torn
+        # Were a span kept for 7 or 8, reading it back from the log cut
+        # back to its length before would fail.
+        log.write_bytes(before)
+        graph.save(tmp_path)
+        self.assert_fresh(graph, tmp_path)

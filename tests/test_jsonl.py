@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import os
 import re
 import resource
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +72,41 @@ def test_disk_full_midway_leaves_old_file_whole(tmp_path, name):
     assert info.value.errno == errno.EFBIG
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Writes argv[1] through write_chunks: twenty chunks of argv[2], one
+# every 20 ms.
+SLOW_WRITER = """
+import sys, time
+from contribgraph.jsonl import write_chunks
+
+def chunks():
+    for _ in range(20):
+        time.sleep(0.02)
+        yield sys.argv[2].encode() * 1000
+
+write_chunks(sys.argv[1], chunks())
+"""
+
+
+def test_concurrent_writers_of_one_path_each_rename_a_whole_file(tmp_path):
+    path = tmp_path / "out.bin"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+    writers = []
+    for fill in "ab":
+        writers.append(subprocess.Popen(
+            [sys.executable, "-c", SLOW_WRITER, str(path), fill],
+            env=env, stderr=subprocess.PIPE, text=True,
+        ))
+        time.sleep(0.1)
+    outcomes = [(w.communicate(timeout=30)[1], w.returncode) for w in writers]
+    assert outcomes == [("", 0), ("", 0)]
+    assert path.read_bytes() in (b"a" * 20000, b"b" * 20000)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_append_writes_rows_and_creates_file_when_empty(tmp_path):

@@ -1173,11 +1173,12 @@ class TestLogReplay:
         self, corpus, tmp_path, monkeypatch
     ):
         # The writer dies in the finalize of 7000006, whose late alignment
-        # gives 7000005.c0 its edge: its second log append writes nothing.
+        # gives 7000005.c0 its edge: its second log append, the record's,
+        # writes nothing.
         papers = cf.paper_inputs(corpus)
         second_append = 2 * cf.EXTRACTION_ORDER.index("7000006") + 2
         appends = []
-        append = jsonl.append_jsonl
+        append = jsonl.append_lines
 
         class Crash(Exception):
             pass
@@ -1186,7 +1187,7 @@ class TestLogReplay:
             appends.append(path)
             if len(appends) == second_append:
                 raise Crash
-            append(path, *rows)
+            return append(path, *rows)
 
         graph = ContributionGraph()
         cf.register_catalog(graph, corpus)
@@ -1194,7 +1195,7 @@ class TestLogReplay:
             MockBackend(corpus.mock_dir), graph,
             records_path=tmp_path / "records.jsonl",
         )
-        monkeypatch.setattr(jsonl, "append_jsonl", crashing_append)
+        monkeypatch.setattr(jsonl, "append_lines", crashing_append)
         for paper in papers:
             [(_, _, error)] = pipeline.run_batch([paper])
             if error is not None:
