@@ -110,10 +110,11 @@ def store_lock(store_dir: Path):
 
 
 def load_store(store_dir: Path) -> ContributionGraph:
-    """Replay the store, then freeze it: it lives until the process exits,
-    so the cyclic collector need never scan it. Freezing before the
-    collector resumes also spares the one scan of everything the replay
-    built."""
+    """Replay the store, then freeze it (``gc.freeze``): it lives until
+    the process exits, so the cyclic collector need never scan it.
+    Freezing before the collector resumes also spares the one scan of
+    everything the replay built. ``ingest`` freezes what it adds to the
+    graph the same way."""
     from .graph import ContributionGraph, collector_paused
 
     with collector_paused():
@@ -217,6 +218,7 @@ def cmd_ingest(args, settings) -> int:
                     delta = graph.add_paper_record(record)
                     ingested.append(record)
                     print(f"{record.corpus_id}: {delta}")
+            gc.freeze()  # as load_store does: what the build made lives until exit
         if args.records:
             print(f"records: {len(ingested)} ingested, {skipped} already extracted")
         # Only after every record file applied: a failing row leaves the store as it was.

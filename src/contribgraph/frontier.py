@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -33,15 +34,21 @@ class CatalogEntry:
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "CatalogEntry":
-        """A catalog row, its metadata checked by ``records.parse_paper``."""
+        """A catalog row, its metadata checked by ``records.parse_paper``.
+        Raises ValueError when ``open_access`` is not a boolean or
+        ``first_author_last`` or ``text_path`` not a string; null reads
+        as absent. ``jsonl.read_rows`` names the line."""
         meta = parse_paper(row)
+        open_access = row.get("open_access")
+        if open_access is not None and type(open_access) is not bool:
+            raise ValueError(f"open_access must be true or false, got {open_access!r}")
         return cls(
             corpus_id=meta.corpus_id,
             title=meta.title,
             year=meta.year,
-            first_author_last=row.get("first_author_last", ""),
-            open_access=bool(row.get("open_access", False)),
-            text_path=row.get("text_path", ""),
+            first_author_last=_string(row, "first_author_last"),
+            open_access=bool(open_access),
+            text_path=_string(row, "text_path"),
             date=meta.date,
             venue=meta.venue,
         )
@@ -51,14 +58,32 @@ class CatalogEntry:
         return PaperMeta(self.corpus_id, self.title, self.year, self.date, self.venue)
 
 
+def _string(row: dict[str, Any], name: str) -> str:
+    """The row's string field ``name``, "" when absent or null."""
+    value = row.get(name)
+    if value is None:
+        return ""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 class Catalog:
     """Known-paper catalog with a normalized-title lookup."""
 
     def __init__(self, entries: list[CatalogEntry]):
         self.by_id: dict[str, CatalogEntry] = {e.corpus_id: e for e in entries}
-        self.by_title: dict[str, list[CatalogEntry]] = {}
-        for entry in entries:
-            self.by_title.setdefault(normalize_title(entry.title), []).append(entry)
+        self._entries = entries
+
+    @cached_property
+    def by_title(self) -> dict[str, list[CatalogEntry]]:
+        """Normalized title -> every entry with it, in file order, duplicate
+        ids included. Built on first use: only title-only references look
+        titles up, and ``ingest`` reads ``by_id`` alone."""
+        by_title: dict[str, list[CatalogEntry]] = {}
+        for entry in self._entries:
+            by_title.setdefault(normalize_title(entry.title), []).append(entry)
+        return by_title
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":

@@ -179,6 +179,9 @@ class ContributionGraph:
         # neither tracks nor counts it.
         self._log_file: Optional[tuple[int, int]] = None
         self._log_spans: dict[str, array] = {}
+        # The papers.jsonl of this graph's last write_papers, as (st_dev,
+        # st_ino), and the sha256 of its bytes; None once the graph changes.
+        self._papers_written: Optional[tuple[tuple[int, int], str]] = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -250,7 +253,7 @@ class ContributionGraph:
                 raise RecordValidationError([f"unknown late alignment {e}" for e in late_matches])
 
             # Apply.
-            self._stamped_hash = None
+            self._stamped_hash = self._papers_written = None
             self.papers[record.corpus_id] = self.extracted_meta(record)
             for contribution in record.contributions:
                 self.nodes[contribution.id] = contribution
@@ -292,7 +295,7 @@ class ContributionGraph:
                 )
                 if meta == existing:
                     return False
-            self._stamped_hash = None
+            self._stamped_hash = self._papers_written = None
             self.papers[meta.corpus_id] = meta
             return True
 
@@ -504,12 +507,15 @@ class ContributionGraph:
         }
 
     def save(self, directory: str | Path) -> None:
-        """Write the views, then the stamp. Into a directory with no log
-        yet (a store built in memory), append the whole log first; a log
-        that exists is never rewritten. The node rows of the records this
-        graph appended to this directory's log are built from the JSON
-        read back from it; every other row is encoded (see the module
-        docstring).
+        """Write the views, then papers.jsonl, then the stamp. Into a
+        directory with no log yet (a store built in memory), append the
+        whole log first; a log that exists is never rewritten. The node
+        rows of the records this graph appended to this directory's log
+        are built from the JSON read back from it; every other row is
+        encoded (see the module docstring). A papers.jsonl that this
+        graph's last ``write_papers`` wrote, the same file, with the graph
+        unchanged since, is left as it is: it holds the bytes a rewrite
+        would write.
 
         The view lines are digested as they are written. The stamp,
         graph_hash.json, holds that digest and its key: the byte lengths
@@ -532,17 +538,24 @@ class ContributionGraph:
             views = hashlib.sha256()
             for name, lines in self._view_lines(log).items():
                 jsonl.write_lines(directory / name, _digested(lines, views.update))
+            written, papers = self._papers_written, directory / PAPERS_FILE
+            if written is not None and papers.exists() and _identity(papers) == written[0]:
+                papers_sha256 = written[1]
+            else:
+                papers_sha256 = self.write_papers(directory)
             key = _stamp_key(
                 _size(directory / RECORDS_FILE),
                 _size(directory / ALIGNMENTS_FILE),
-                self.write_papers(directory),
+                papers_sha256,
                 len(self._records),
             )
             jsonl.write_jsonl(directory / STAMP_FILE, [{"graph_hash": views.hexdigest(), **key}])
 
     def write_papers(self, directory: str | Path) -> str:
         """Write papers.jsonl, one row per known paper with its status, and
-        return the sha256 of the bytes written."""
+        return the sha256 of the bytes written. The graph keeps which file
+        that was and the digest until it next changes, so that a ``save``
+        into the same directory before then need not write it again."""
         with self._lock:
             papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
             lines = (
@@ -550,11 +563,10 @@ class ContributionGraph:
                 for row, done in papers
             )
             digest = hashlib.sha256()
-            jsonl.write_lines(
-                Path(directory) / PAPERS_FILE,
-                _digested(lines, lambda line: digest.update(line + b"\n")),
-            )
-            return digest.hexdigest()
+            path = Path(directory) / PAPERS_FILE
+            jsonl.write_lines(path, _digested(lines, lambda line: digest.update(line + b"\n")))
+            self._papers_written = _identity(path), digest.hexdigest()
+            return self._papers_written[1]
 
     @classmethod
     def load(cls, directory: str | Path) -> "ContributionGraph":

@@ -2,12 +2,16 @@
 
 Lines are UTF-8, one JSON object each, written in the dict's insertion
 order (callers build dicts in the canonical key order, so files are
-byte-reproducible).
+byte-reproducible). Every line is encoded by ``dump_line``, whose bytes
+are those of ``json.dumps(obj, ensure_ascii=False)``; it calls one C
+encoder, built once at import, where ``JSONEncoder.encode`` would build
+one per call.
 """
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -15,15 +19,25 @@ from .errors import MalformedLineError, RecordValidationError
 
 T = TypeVar("T")
 
-# json.dumps builds an encoder per call when given any option; one serves every line.
+# json.dumps builds a JSONEncoder per call when given any option, and
+# JSONEncoder.encode builds a C encoder per call; dump_line calls one C
+# encoder, built here with _ENCODER's settings (no markers: no circular
+# check). _C_ENCODE is None where the C accelerator is missing.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+_C_ENCODE = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator,
+    _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 
 def dump_line(obj: Any) -> str:
     """``obj`` as one line of JSON. The encoder does not check for
     circular references: rows are built from the model objects, which
     form no cycles (see graph.py), and from parsed JSON, which has none."""
-    return _ENCODER.encode(obj)
+    if _C_ENCODE is None:
+        return _ENCODER.encode(obj)
+    return "".join(_C_ENCODE(obj, 0))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:

@@ -184,6 +184,21 @@ def corpus(tmp_path_factory) -> corpus_fixture.CorpusPaths:
 
 
 @pytest.fixture()
+def write_papers_calls(monkeypatch) -> list:
+    """The directory of each ``ContributionGraph.write_papers`` call made
+    during the test, in order; the calls still write."""
+    calls = []
+    real = ContributionGraph.write_papers
+
+    def write_papers(graph, directory):
+        calls.append(directory)
+        return real(graph, directory)
+
+    monkeypatch.setattr(ContributionGraph, "write_papers", write_papers)
+    return calls
+
+
+@pytest.fixture()
 def golden_graph() -> ContributionGraph:
     graph = ContributionGraph()
     for raw in read_jsonl(GOLDEN_RECORDS):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import fcntl
+import gc
 import json
 import logging
 import os
@@ -769,6 +770,85 @@ def test_null_catalog_title_reads_as_absent(tmp_path, capsys):
     assert run("frontier", "--store", store, "--catalog", catalog) == 0
     assert [row["title"] for row in read_jsonl(store / "papers.jsonl")] == [""]
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Catalog fields of the wrong type: "false" once read as open access, so
+# `frontier --catalog` offered the paper, and a number as text_path once
+# failed `frontier --catalog` with a traceback.
+BAD_CATALOG_FIELDS = {
+    "open_access_a_string": ({"open_access": "false"}, "open_access must be true or false, got 'false'"),
+    "text_path_a_number": ({"text_path": 5}, "text_path must be a string, got 5"),
+    "first_author_last_a_number": ({"first_author_last": 5}, "first_author_last must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CATALOG_FIELDS))
+def test_bad_catalog_field_is_a_clean_failure(tmp_path, capsys, name):
+    store, catalog = tmp_path / "store", tmp_path / "catalog.jsonl"
+    assert run("ingest", "--store", store, "--records", GOLDEN_RECORDS) == 0
+    fields, problem = BAD_CATALOG_FIELDS[name]
+    write_jsonl(catalog, [{"corpus_id": "4", "title": "fine"}, {"corpus_id": "5", **fields}])
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    capsys.readouterr()
+    for argv in (["ingest"], ["frontier"], ["extract", "--mock", tmp_path]):
+        assert run(*argv, "--store", store, "--catalog", catalog) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "catalog.jsonl:2: " + problem in err, err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before, argv
+
+
+class TestIngestPaysOnce:
+    """An in-process `ingest` freezes the graph it built before it saves,
+    and writes papers.jsonl once, whatever its inputs."""
+
+    @pytest.fixture()
+    def catalog(self, tmp_path):
+        """Every golden paper with a venue, and one paper no record extracts."""
+        path = tmp_path / "catalog.jsonl"
+        rows = [{"corpus_id": raw["corpus_id"], "venue": "V"} for raw in read_jsonl(GOLDEN_RECORDS)]
+        write_jsonl(path, [*rows, {"corpus_id": "1", "title": "Catalog only", "date": "2020-02"}])
+        return path
+
+    def test_the_graph_is_frozen_before_the_save(self, tmp_path, catalog, monkeypatch):
+        tracked = []
+        real = ContributionGraph.save
+
+        def save(graph, directory):
+            built = {id(c) for c in graph.nodes.values()}
+            assert built
+            tracked.extend(o for o in gc.get_objects() if id(o) in built)
+            real(graph, directory)
+
+        monkeypatch.setattr(ContributionGraph, "save", save)
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, "--catalog", catalog, "--records", GOLDEN_RECORDS) == 0
+        assert tracked == []
+
+    @pytest.mark.parametrize("inputs", ["catalog_and_records", "records", "catalog"])
+    def test_papers_jsonl_is_written_once(self, tmp_path, catalog, write_papers_calls, inputs):
+        flags = {
+            "catalog_and_records": ["--catalog", catalog, "--records", GOLDEN_RECORDS],
+            "records": ["--records", GOLDEN_RECORDS],
+            "catalog": ["--catalog", catalog],
+        }[inputs]
+        store = tmp_path / "store"
+        assert run("ingest", "--store", store, *flags) == 0
+        assert len(write_papers_calls) == 1
+        # The file holds what the loaded graph writes, and the stamp's key matches it.
+        loaded = ContributionGraph.load(store)
+        loaded.write_papers(tmp_path / "again")
+        assert (store / "papers.jsonl").read_bytes() == (tmp_path / "again" / "papers.jsonl").read_bytes()
+        forge_stamp(store)
+        assert ContributionGraph.load(store).graph_hash() == FORGED
+
+    def test_one_shot_and_stepwise_ingests_write_the_same_store(self, tmp_path, catalog):
+        one, steps = tmp_path / "one", tmp_path / "steps"
+        assert run("ingest", "--store", one, "--catalog", catalog, "--records", GOLDEN_RECORDS) == 0
+        for flags in (["--catalog", catalog], ["--records", GOLDEN_RECORDS], []):
+            assert run("ingest", "--store", steps, *flags) == 0
+        for name in ("papers.jsonl", "nodes.jsonl", "edges.jsonl", "graph_hash.json"):
+            assert (one / name).read_bytes() == (steps / name).read_bytes(), name
 
 
 def edit_first_row(path: Path, edit) -> None:

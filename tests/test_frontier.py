@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from contribgraph import frontier
 from contribgraph.frontier import (
     Catalog,
     CatalogEntry,
@@ -256,3 +257,71 @@ def test_monotone_progress_after_extraction():
     after = build_histogram(graph)
     assert all(key not in after for key in batch)
     assert sum(after.values()) == sum(before.values()) - 5
+
+
+class TestCatalogRow:
+    """A catalog field of the wrong type is a row error, not a silent
+    reading or a traceback later; null reads as absent."""
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("open_access", "false", "open_access must be true or false, got 'false'"),
+        ("open_access", 0, "open_access must be true or false, got 0"),
+        ("open_access", 1, "open_access must be true or false, got 1"),
+        ("text_path", 5, "text_path must be a string, got 5"),
+        ("text_path", ["p.txt"], "text_path must be a string, got ['p.txt']"),
+        ("first_author_last", 5, "first_author_last must be a string, got 5"),
+        ("first_author_last", {"last": "x"}, "first_author_last must be a string, got {'last': 'x'}"),
+    ])
+    def test_a_field_of_the_wrong_type_is_rejected(self, field, value, problem):
+        with pytest.raises(ValueError) as raised:
+            CatalogEntry.from_row({"corpus_id": "1", "title": "T", field: value})
+        assert str(raised.value) == problem
+
+    def test_null_reads_as_absent(self):
+        row = {"corpus_id": "1", "open_access": None, "text_path": None, "first_author_last": None}
+        assert CatalogEntry.from_row(row) == CatalogEntry.from_row({"corpus_id": "1"})
+        assert CatalogEntry.from_row(row) == CatalogEntry(corpus_id="1")
+
+    def test_well_typed_fields_are_kept(self):
+        row = {"corpus_id": "1", "title": "T", "year": 2020, "first_author_last": "Smith",
+               "open_access": True, "text_path": "p.txt"}
+        assert CatalogEntry.from_row(row) == CatalogEntry(
+            corpus_id="1", title="T", year=2020, first_author_last="Smith",
+            open_access=True, text_path="p.txt",
+        )
+
+
+class TestTitleIndex:
+    """The catalog normalizes its titles on the first title lookup, not
+    when it is built, and indexes every row in file order."""
+
+    @pytest.fixture()
+    def normalized(self, monkeypatch):
+        calls = []
+        real = frontier.normalize_title
+
+        def normalize_title(title):
+            calls.append(title)
+            return real(title)
+
+        monkeypatch.setattr(frontier, "normalize_title", normalize_title)
+        return calls
+
+    def test_built_once_on_first_use(self, normalized):
+        catalog = catalog_of(entry("1", "On Things", 2020), entry("2", "Other Things", 2020))
+        assert catalog.by_id["2"].title == "Other Things"
+        assert normalized == []
+        ref = PaperRef(title="On Things", year=2020, corpus_id=None)
+        assert resolve_reference(ref, catalog) == "1"
+        assert resolve_reference(ref, catalog) == "1"
+        assert normalized == ["On Things", "Other Things", "On Things", "On Things"]
+
+    def test_duplicate_ids_are_all_indexed_in_file_order(self):
+        first, second = entry("1", "On Things", 2020), entry("1", "Other Things", 2020)
+        catalog = catalog_of(first, second)
+        assert catalog.by_id == {"1": second}
+        ref = PaperRef(title="On Things", year=2020, corpus_id=None)
+        assert resolve_reference(ref, catalog) == "1"
+        assert catalog.by_title == {"on things": [first], "other things": [second]}
+        twin = catalog_of(first, entry("1", "On Things", 2021))
+        assert [e.year for e in twin.by_title["on things"]] == [2020, 2021]

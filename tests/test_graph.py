@@ -555,6 +555,87 @@ class TestGraphHashStamp:
         assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
 
 
+class TestPapersWrittenOnce:
+    """``save`` leaves alone the papers.jsonl that this graph's last
+    ``write_papers`` wrote, when the graph is unchanged since and the file
+    is the same; any change in between makes it write the file again."""
+
+    def build(self, store) -> ContributionGraph:
+        graph = ContributionGraph()
+        graph.add_paper_record(make_record("1"))
+        graph.register_paper(PaperMeta("2", "Two", 2019, PartialDate(2019, 4)))
+        graph.save(store)
+        graph.write_papers(store)
+        return graph
+
+    def assert_fresh(self, graph, store, tmp_path) -> None:
+        """papers.jsonl holds what a fresh write of ``graph`` holds, and
+        the stamp's key matches it."""
+        fresh = ContributionGraph()
+        for record in graph.records():
+            fresh.add_paper_record(record)
+        for meta in graph.papers.values():
+            fresh.register_paper(meta)
+        fresh.write_papers(tmp_path / "fresh")
+        assert (store / "papers.jsonl").read_bytes() == (tmp_path / "fresh" / "papers.jsonl").read_bytes()
+        forge_stamp(store)
+        assert ContributionGraph.load(store).graph_hash() == FORGED
+
+    def test_a_save_right_after_write_papers_leaves_it(self, tmp_path, write_papers_calls):
+        graph = self.build(tmp_path)
+        del write_papers_calls[:]
+        graph.save(tmp_path)
+        graph.save(tmp_path)
+        assert write_papers_calls == []
+        self.assert_fresh(graph, tmp_path, tmp_path)
+
+    @staticmethod
+    def extract(graph, store, raw) -> None:
+        """Apply a record and append it to the log, as ``ingest`` does."""
+        record = parse_record(raw)
+        graph.add_paper_record(record)
+        graph.append_log(store / "records.jsonl", [record])
+
+    @pytest.mark.parametrize("change", [
+        lambda graph, store: TestPapersWrittenOnce.extract(graph, store, make_record("2", year=2019)),
+        lambda graph, store: TestPapersWrittenOnce.extract(graph, store, make_record("3")),
+        lambda graph, store: graph.register_paper(PaperMeta("2", "", None, None, "Venue")),
+        lambda graph, store: graph.register_paper(PaperMeta("4", "Four", 2021)),
+    ], ids=["record_of_a_pending_paper", "new_record", "metadata_enriched", "paper_registered"])
+    def test_a_change_after_write_papers_makes_the_save_write_it(
+        self, tmp_path, write_papers_calls, change
+    ):
+        store = tmp_path / "store"
+        graph = self.build(store)
+        change(graph, store)
+        del write_papers_calls[:]
+        graph.save(store)
+        assert write_papers_calls == [store]
+        self.assert_fresh(graph, store, tmp_path)
+
+    def test_a_registration_that_changes_nothing_keeps_it(self, tmp_path, write_papers_calls):
+        graph = self.build(tmp_path)
+        assert not graph.register_paper(PaperMeta("2", "Other", 2020))
+        del write_papers_calls[:]
+        graph.save(tmp_path)
+        assert write_papers_calls == []
+
+    @pytest.mark.parametrize("elsewhere", ["another_directory", "file_deleted", "file_replaced"])
+    def test_a_save_where_that_file_is_not_writes_it(self, tmp_path, write_papers_calls, elsewhere):
+        store = tmp_path / "store"
+        graph = self.build(store)
+        if elsewhere == "another_directory":
+            store = tmp_path / "other"
+        elif elsewhere == "file_deleted":
+            (store / "papers.jsonl").unlink()
+        else:
+            write_jsonl(store / "papers.jsonl", [{"corpus_id": "9"}])
+        del write_papers_calls[:]
+        graph.save(store)
+        assert write_papers_calls == [store]
+        self.assert_fresh(graph, store, tmp_path)
+
+
 class TestLoadFailure:
     """A log line that fails the schema check fails ``load`` loudly, and
     the collector pause around the replay ends with it."""

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import json
+import math
 import os
 import re
 import resource
@@ -13,11 +15,48 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from contribgraph import jsonl
 from contribgraph.embedding import EmbeddingIndex
 from contribgraph.errors import ContribGraphError, MalformedLineError
 from contribgraph.evaluation import EvalReport, write_report
-from contribgraph.jsonl import append_jsonl, read_jsonl, write_jsonl
+from contribgraph.jsonl import append_jsonl, dump_line, read_jsonl, write_jsonl
+
+
+# Text of any code point but lone surrogates: control characters, non-ASCII.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()  # nan and infinities included
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf])
+    | TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "fallback"])
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"a": [1, {"b": "\u00e9\x00\x1f\u2028"}], "\u6570": [-0.0, 1e300, 2**100]})
+@example(value="\ttop-level \u00c5 \U0001f642")
+def test_dump_line_is_json_dumps(c_encoder, value):
+    """Through the one C encoder or its fallback, ``dump_line`` gives the
+    text of ``json.dumps(value, ensure_ascii=False)``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if c_encoder:
+            assert jsonl._C_ENCODE is not None
+        else:
+            patch.setattr(jsonl, "_C_ENCODE", None)
+        assert dump_line(value) == json.dumps(value, ensure_ascii=False)
 
 
 def test_write_failing_midway_leaves_old_file_whole(tmp_path):
