@@ -1,8 +1,14 @@
 """Per-contribution vector index with exact cosine top-k retrieval.
 
 The index is built once, by `build_index` or `EmbeddingIndex.load`, as
-one float32 matrix with row norms (float64, a block of rows at a time)
-and id ranks; no float64 copy is kept. Retrieval is exact flat search
+one float32 matrix with row norms and id ranks; no float64 copy is kept.
+Norms, and the float64 rescoring below, convert a block of rows at a
+time, squared or scaled in place: a block is capped in bytes,
+`BLOCK_BYTES` of float64 (512 rows at dim 64, 21 at dim 1536), not in
+rows, so the temporary stays that small at any dimension. Each row is
+still reduced on its own, so no norm or score depends on the block.
+
+Retrieval is exact flat search
 (Johnson, Douze & Jegou, "Billion-scale similarity search with GPUs",
 IEEE TBD 2019): one float32 product scores every row, and the rows whose
 float32 score lies within the proven error bound of the k-th best
@@ -40,7 +46,7 @@ from .model import Contribution
 MAGIC = b"SCGE"
 FORMAT_VERSION = 1
 EMBED_CHUNK = 64  # texts per provider.embed call
-BLOCK_ROWS = 4096  # rows converted to float64 at a time
+BLOCK_BYTES = 256 * 1024  # float64 bytes converted at a time
 
 
 def embedding_text(contribution: Contribution) -> str:
@@ -111,16 +117,23 @@ class EmbeddingIndex:
             raise ValueError(f"duplicate ids in embedding index: {duplicates[:5]}")
         self.matrix = matrix
         self.dim = int(matrix.shape[1])
+        self._block_rows = max(1, BLOCK_BYTES // (8 * self.dim))
         self._norms = np.empty(len(self.ids))
-        for start in range(0, len(self.ids), BLOCK_ROWS):
-            block = matrix[start : start + BLOCK_ROWS].astype(np.float64)
-            self._norms[start : start + BLOCK_ROWS] = np.linalg.norm(block, axis=1)
+        for start, stop in self._blocks(len(self.ids)):
+            block = matrix[start:stop].astype(np.float64)
+            block *= block
+            np.sqrt(block.sum(axis=1), out=self._norms[start:stop])
         by_id = sorted(range(len(self.ids)), key=self.ids.__getitem__)
         self._id_rank = np.empty(len(self.ids), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(self.ids))
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _blocks(self, n: int) -> Iterator[tuple[int, int]]:
+        """(start, stop) of each block of ``n`` rows."""
+        for start in range(0, n, self._block_rows):
+            yield start, min(start + self._block_rows, n)
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._positions
@@ -164,9 +177,10 @@ class EmbeddingIndex:
             cut = len(rows) - k
             rows = rows[high >= np.partition(low, cut)[cut]]
         dots = np.zeros(len(rows))
-        for start in range(0, len(rows) if qnorm > 0.0 else 0, BLOCK_ROWS):
-            block = self.matrix[rows[start : start + BLOCK_ROWS]].astype(np.float64)
-            dots[start : start + BLOCK_ROWS] = (block * query).sum(axis=1)
+        for start, stop in self._blocks(len(rows) if qnorm > 0.0 else 0):
+            block = self.matrix[rows[start:stop]].astype(np.float64)
+            block *= query
+            dots[start:stop] = block.sum(axis=1)
         norms = self._norms[rows] * qnorm
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.clip(np.where(norms > 0.0, dots / norms, 0.0), -1.0, 1.0)

@@ -35,10 +35,25 @@ a record reads only the references that cite it, and replaying the log
 on load, like ingesting records, costs time linear in the log. Records
 are keyed by corpus id and edges indexed by endpoint, so a paper's
 contributions and a contribution's incoming edges cost time linear in
-what they return, not in the store. The two adjacency indexes map a
-contribution id to the positions of its incoming or outgoing edges in
-``edges``; a contribution without such edges has no entry, so the
-indexes hold no empty lists and are derived from the edge list alone.
+what they return, not in the store.
+
+Edges are stored as columns (``EdgeColumns``; Abadi, Madden & Hachem,
+"Column-stores vs. row-stores: how different are they really?", SIGMOD
+2008): row i of parallel columns holds edge i's pre and dep ids, the
+interned strings the nodes are keyed by, its prerequisite index in an
+``array``, a match-type code in a byte array, and its explanation, the
+string its match holds. The two adjacency indexes keep no list and no
+int object per edge: a dict maps each contribution with incoming
+(outgoing) edges to the row of its newest one, and an ``array`` of
+links per row chains each contribution's edges back to its first, so
+the indexes too are derived from the rows alone. ``graph.edges`` is the
+columns themselves, a read-only sequence of ``model.Edge`` that equals
+a list of the same edges; an ``Edge`` is built only when a query asks
+for one (``incoming_edges``, ``outgoing_edges``, ``deduplicated_edges``,
+or iterating ``edges``), and ``save``, ``graph_hash`` and
+``dependent_ids`` read the columns. Against an ``Edge`` per edge in a
+list and two dicts of position lists, a store keeps about a third of
+the bytes for its edges.
 
 ``graph_hash`` digests the lines of nodes.jsonl then edges.jsonl, the
 lines ``save`` writes. So ``save`` digests them as it writes them and
@@ -75,6 +90,7 @@ from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
 from .model import (
     CONTRIBUTION_CATEGORIES,
+    MATCH_TYPES,
     Contribution,
     Edge,
     ExtractionRecord,
@@ -83,6 +99,7 @@ from .model import (
     PaperMeta,
     PaperRef,
     UnresolvedRef,
+    edge_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -132,8 +149,102 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _match_edge(match: Match, dep_id: str, prereq_index: int) -> Edge:
-    return Edge(match.contribution_id, dep_id, match.match_type, match.explanation, prereq_index)
+_MATCH_CODES = {match_type: code for code, match_type in enumerate(MATCH_TYPES)}
+_STRONG, _WEAK = _MATCH_CODES["strong"], _MATCH_CODES["weak"]
+
+# A staged edge: pre id, dep id, match-type code, explanation, prerequisite index.
+_Row = tuple[str, str, int, str, int]
+
+
+def _match_row(match: Match, dep_id: str, prereq_index: int) -> _Row:
+    code = _MATCH_CODES[match.match_type]
+    return match.contribution_id, dep_id, code, match.explanation, prereq_index
+
+
+class EdgeColumns(Sequence[Edge]):
+    """The graph's edges as parallel columns, read as a sequence of
+    ``Edge``: row i holds ``pre[i]``, ``dep[i]``, ``prereq_index[i]``,
+    ``MATCH_TYPES[match_code[i]]`` and ``explanation[i]``. The ids and
+    explanations are the strings the record holds; an ``Edge`` is built
+    only when one is read. It supports ``len``, indexing and iteration,
+    equals any sequence of the same edges, and is never changed but by
+    ``ContributionGraph.add_paper_record``.
+
+    Each endpoint's edges form a chain, newest first: ``in_last[cid]`` is
+    the row of the newest edge into ``cid``, ``in_prev[row]`` the row of the
+    edge into the same contribution before it, or -1; ``out_last`` and
+    ``out_prev`` chain the edges out of a contribution. A contribution
+    without such edges has no key."""
+
+    def __init__(self) -> None:
+        self.pre: list[str] = []
+        self.dep: list[str] = []
+        self.prereq_index = array("i")
+        self.match_code = array("B")
+        self.explanation: list[str] = []
+        self.in_last: dict[str, int] = {}
+        self.in_prev = array("i")
+        self.out_last: dict[str, int] = {}
+        self.out_prev = array("i")
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+    def __getitem__(self, row: int) -> Edge:  # type: ignore[override]
+        return Edge(self.pre[row], self.dep[row], MATCH_TYPES[self.match_code[row]],
+                    self.explanation[row], self.prereq_index[row])
+
+    def __iter__(self) -> Iterator[Edge]:
+        for pre, dep, code, explanation, k in self._columns():
+            yield Edge(pre, dep, MATCH_TYPES[code], explanation, k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EdgeColumns({list(self)!r})"
+
+    def _columns(self) -> Iterator[_Row]:
+        return zip(self.pre, self.dep, self.match_code, self.explanation, self.prereq_index)
+
+    def _extend(self, rows: Iterable[_Row]) -> None:
+        in_last, out_last = self.in_last, self.out_last
+        for pre, dep, code, explanation, k in rows:
+            self.in_prev.append(in_last.get(dep, -1))
+            self.out_prev.append(out_last.get(pre, -1))
+            in_last[dep] = out_last[pre] = len(self.pre)
+            self.pre.append(pre)
+            self.dep.append(dep)
+            self.match_code.append(code)
+            self.explanation.append(explanation)
+            self.prereq_index.append(k)
+
+    def incoming_rows(self, cid: str) -> list[int]:
+        """The rows of the edges into ``cid``, oldest first."""
+        return _chain(self.in_last.get(cid, -1), self.in_prev)
+
+    def outgoing_rows(self, cid: str) -> list[int]:
+        """The rows of the edges out of ``cid``, oldest first."""
+        return _chain(self.out_last.get(cid, -1), self.out_prev)
+
+    def lines(self) -> Iterator[bytes]:
+        """The edges.jsonl lines, without their ``\\n``."""
+        dump = jsonl.dump_line
+        for pre, dep, code, explanation, k in self._columns():
+            yield dump(edge_json(pre, dep, MATCH_TYPES[code], explanation, k)).encode("utf-8")
+
+
+def _chain(row: int, prev: array) -> list[int]:
+    rows = []
+    while row >= 0:
+        rows.append(row)
+        row = prev[row]
+    rows.reverse()
+    return rows
 
 
 def _digested(lines: Iterable[bytes], update: Callable[[bytes], object]) -> Iterator[bytes]:
@@ -159,10 +270,7 @@ class ContributionGraph:
         self._lock = threading.RLock()
         self.papers: dict[str, PaperMeta] = {}
         self.nodes: dict[str, Contribution] = {}
-        self.edges: list[Edge] = []
-        # Contribution id -> positions in self.edges; no empty lists.
-        self._incoming: dict[str, list[int]] = {}
-        self._outgoing: dict[str, list[int]] = {}
+        self.edges = EdgeColumns()
         # Cited corpus id (None for a title-only reference) -> the
         # unresolved references citing it, in insertion order; no empty lists.
         self._unresolved: dict[Optional[str], list[UnresolvedRef]] = {}
@@ -212,7 +320,7 @@ class ContributionGraph:
                 raise DuplicatePaperError(f"corpus {record.corpus_id} already extracted")
 
             # Stage every mutation before applying any of them.
-            new_edges: list[Edge] = []
+            new_edges: list[_Row] = []
             new_unresolved: list[tuple[Optional[str], UnresolvedRef]] = []  # with the cited id
             record_ids = {c.id for c in record.contributions}
             for contribution in record.contributions:
@@ -222,7 +330,7 @@ class ContributionGraph:
                         if isinstance(ref, InternalRef):
                             # An internal reference is a strong match inside the paper.
                             new_edges.append(
-                                Edge(ref.contribution_id, dep_id, "strong", ref.explanation, k)
+                                (ref.contribution_id, dep_id, _STRONG, ref.explanation, k)
                             )
                         elif isinstance(ref, PaperRef):
                             cited = ref.cited_id
@@ -231,7 +339,7 @@ class ContributionGraph:
                             if cited in self._records:
                                 for match in ref.matches:
                                     if match.contribution_id in self.nodes:
-                                        new_edges.append(_match_edge(match, dep_id, k))
+                                        new_edges.append(_match_row(match, dep_id, k))
                                     else:
                                         logger.warning(
                                             "%s: match target %s not in store, skipped",
@@ -248,7 +356,7 @@ class ContributionGraph:
             for entry in self._unresolved.get(record.corpus_id, ()):
                 for match in entry.ref.matches + late_matches.pop(entry, []):
                     if match.contribution_id in record_ids:
-                        new_edges.append(_match_edge(match, entry.owner_id, entry.prereq_index))
+                        new_edges.append(_match_row(match, entry.owner_id, entry.prereq_index))
             if late_matches:
                 raise RecordValidationError([f"unknown late alignment {e}" for e in late_matches])
 
@@ -257,10 +365,7 @@ class ContributionGraph:
             self.papers[record.corpus_id] = self.extracted_meta(record)
             for contribution in record.contributions:
                 self.nodes[contribution.id] = contribution
-            for index, edge in enumerate(new_edges, len(self.edges)):
-                self._incoming.setdefault(edge.dep_id, []).append(index)
-                self._outgoing.setdefault(edge.pre_id, []).append(index)
-            self.edges.extend(new_edges)
+            self.edges._extend(new_edges)
             self._unresolved.pop(record.corpus_id, None)
             for cited, entry in new_unresolved:
                 self._unresolved.setdefault(cited, []).append(entry)
@@ -330,26 +435,32 @@ class ContributionGraph:
     def incoming_edges(self, cid: str) -> list[Edge]:
         with self._lock:
             self.get_contribution(cid)
-            found = [self.edges[i] for i in self._incoming.get(cid, [])]
+            found = [self.edges[i] for i in self.edges.incoming_rows(cid)]
             return sorted(found, key=lambda e: (e.pre_id, e.prereq_index))
 
     def outgoing_edges(self, cid: str) -> list[Edge]:
         with self._lock:
             self.get_contribution(cid)
-            found = [self.edges[i] for i in self._outgoing.get(cid, [])]
+            found = [self.edges[i] for i in self.edges.outgoing_rows(cid)]
             return sorted(found, key=lambda e: (e.dep_id, e.prereq_index))
 
     def deduplicated_edges(self, dep_id: str) -> list[Edge]:
         """The incoming edges of ``dep_id``, one per precursor in order of
         first appearance; strong beats weak when collapsing."""
         with self._lock:
-            best: dict[str, Edge] = {}
-            for i in self._incoming.get(dep_id, ()):
-                edge = self.edges[i]
-                kept = best.get(edge.pre_id)
-                if kept is None or (kept.match_type == "weak" and edge.match_type == "strong"):
-                    best[edge.pre_id] = edge
-            return list(best.values())
+            edges = self.edges
+            codes = edges.match_code
+            best: dict[str, int] = {}
+            for i in edges.incoming_rows(dep_id):
+                kept = best.get(edges.pre[i])
+                if kept is None or (codes[kept] == _WEAK and codes[i] == _STRONG):
+                    best[edges.pre[i]] = i
+            return [edges[i] for i in best.values()]
+
+    def dependent_ids(self) -> list[str]:
+        """The contributions with at least one incoming edge."""
+        with self._lock:
+            return list(self.edges.in_last)
 
     @property
     def unresolved(self) -> list[UnresolvedRef]:
@@ -500,11 +611,7 @@ class ContributionGraph:
         without their ``\\n``: what ``save`` writes and ``graph_hash``
         digests. ``log`` is the records.jsonl node rows may be read back
         from."""
-        dump = jsonl.dump_line
-        return {
-            NODES_FILE: self._node_lines(log),
-            EDGES_FILE: (dump(edge.to_json()).encode("utf-8") for edge in self.edges),
-        }
+        return {NODES_FILE: self._node_lines(log), EDGES_FILE: self.edges.lines()}
 
     def save(self, directory: str | Path) -> None:
         """Write the views, then papers.jsonl, then the stamp. Into a
@@ -582,6 +689,13 @@ class ContributionGraph:
         store whose views exist without its log raises
         ContribGraphError rather than load as empty.
 
+        A writer appends a batch's late alignments before its records, so
+        ``load`` notes the length of records.jsonl before it reads
+        alignments.jsonl and replays records only up to that length: each
+        record it applies had its late alignments logged before it looked,
+        and a record appended since is not replayed, so a load during a
+        crawl holds a graph some state of the store derives.
+
         The replay counts the bytes it reads from each log file and
         hashes the papers.jsonl bytes, as it streams them. When the
         stamp's key equals that, the graph is the one the stamping save
@@ -599,6 +713,7 @@ class ContributionGraph:
             )
         graph = cls()
         records_read, alignments_read, papers_read = _ByteCount(), _ByteCount(), hashlib.sha256()
+        committed = _size(records_path)  # before alignments.jsonl: see the docstring
         with collector_paused():
             late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
             alignments_path = directory / ALIGNMENTS_FILE
@@ -608,7 +723,8 @@ class ContributionGraph:
                     entry = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
                     late.setdefault(entry.ref.cited_id, {})[entry] = entry
             if records_path.exists():
-                for record in jsonl.read_rows(records_path, recmod.parse_record, records_read):
+                rows = jsonl.read_rows(records_path, recmod.parse_record, records_read, committed)
+                for record in rows:
                     graph.add_paper_record(record, list(late.get(record.corpus_id, {}).values()))
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():

@@ -13,7 +13,7 @@ import json
 import os
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MalformedLineError, RecordValidationError
 
@@ -96,14 +96,16 @@ def read_rows(
     path: str | Path,
     parse: Callable[[dict[str, Any]], T],
     seen: Optional[Callable[[bytes], object]] = None,
+    limit: Optional[int] = None,
 ) -> Iterator[T]:
     """``parse`` of each object ``read_jsonl`` reads; a row that ``parse``
     rejects with KeyError, TypeError, ValueError or RecordValidationError
     raises MalformedLineError naming ``path:line`` too. ``seen``, when
     given, is called with the bytes of each line as read, blank lines and
-    the ``\\n`` included, so the caller can count or hash what it read."""
+    the ``\\n`` included, so the caller can count or hash what it read.
+    With ``limit``, only the file's first ``limit`` bytes are read."""
     with Path(path).open("rb") as f:
-        for number, raw in enumerate(f, 1):
+        for number, raw in enumerate(f if limit is None else _lines_upto(f, limit), 1):
             if seen is not None:
                 seen(raw)
             try:
@@ -122,3 +124,9 @@ def read_rows(
             except (TypeError, ValueError, RecordValidationError) as exc:
                 raise MalformedLineError(f"{path}:{number}: {exc}") from None
             yield row
+
+
+def _lines_upto(f: BinaryIO, limit: int) -> Iterator[bytes]:
+    while limit > 0 and (raw := f.readline(limit)):
+        limit -= len(raw)
+        yield raw

@@ -261,13 +261,23 @@ class Edge:
     prereq_index: int = 0
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "pre_id": self.pre_id,
-            "dep_id": self.dep_id,
-            "match_type": self.match_type,
-            "explanation": self.explanation,
-            "prereq_index": self.prereq_index,
-        }
+        return edge_json(
+            self.pre_id, self.dep_id, self.match_type, self.explanation, self.prereq_index
+        )
+
+
+def edge_json(
+    pre_id: str, dep_id: str, match_type: str, explanation: str, prereq_index: int
+) -> dict[str, Any]:
+    """An edges.jsonl row: ``Edge.to_json``, for callers that hold the
+    fields without an Edge."""
+    return {
+        "pre_id": pre_id,
+        "dep_id": dep_id,
+        "match_type": match_type,
+        "explanation": explanation,
+        "prereq_index": prereq_index,
+    }
 
 
 @dataclass(slots=True)

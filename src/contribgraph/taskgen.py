@@ -55,7 +55,7 @@ def sample_targets(
         raise ValueError("graph has no contributions to sample from")
     rng = random.Random(rng_seed)
     pools: dict[int, list[str]] = {year: [] for year in years}
-    for cid in {e.dep_id for e in graph.edges}:
+    for cid in graph.dependent_ids():
         pool = pools.get(graph.year_of(cid))
         if pool is not None:
             pool.append(cid)

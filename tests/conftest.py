@@ -209,15 +209,21 @@ def golden_graph() -> ContributionGraph:
 def assert_index_invariants(graph: ContributionGraph) -> None:
     """What ``add_paper_record`` keeps by construction, so that no run-time
     check repeats it: every edge joins two stored contributions, the
-    adjacency indexes hold each edge's position under its endpoints and
-    nothing else, and no unresolved reference cites an extracted paper."""
+    adjacency chains hold each edge's row under its endpoints, oldest
+    first, and nothing else, and no unresolved reference cites an
+    extracted paper."""
     incoming: dict[str, list[int]] = {}
     outgoing: dict[str, list[int]] = {}
     for i, edge in enumerate(graph.edges):
         assert edge.pre_id in graph.nodes and edge.dep_id in graph.nodes, edge
         incoming.setdefault(edge.dep_id, []).append(i)
         outgoing.setdefault(edge.pre_id, []).append(i)
-    assert (graph._incoming, graph._outgoing) == (incoming, outgoing)
+    edges = graph.edges
+    chained = (
+        {cid: edges.incoming_rows(cid) for cid in edges.in_last},
+        {cid: edges.outgoing_rows(cid) for cid in edges.out_last},
+    )
+    assert chained == (incoming, outgoing)
     assert [cited for cited in graph.unresolved_by_cited() if graph.is_extracted(cited)] == []
 
 

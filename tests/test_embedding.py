@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contribgraph.embedding import (
+    BLOCK_BYTES,
     EmbeddingIndex,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
@@ -271,6 +272,27 @@ class TestFloat32Scoring:
             subset = EmbeddingIndex([ids[i] for i in keep], index.matrix[keep])
             for cid, score in subset.cosine_top_k(query, 25):
                 assert score == full[cid]
+
+    @pytest.mark.parametrize("dim", [64, 1536])
+    def test_block_size_never_changes_a_norm_or_a_score(self, dim):
+        # Three whole float64 blocks of BLOCK_BYTES and a partial one, rows of
+        # norms from 0.01 to 100, against a float64 reduction of each row alone.
+        block = BLOCK_BYTES // (8 * dim)
+        n = 3 * block + block // 3 + 1
+        rng = np.random.default_rng(dim)
+        matrix = (rng.standard_normal((n, dim)) * rng.uniform(0.01, 100, (n, 1))).astype(np.float32)
+        ids = [f"b.c{i}" for i in range(n)]
+        index = EmbeddingIndex(ids, matrix)
+        rows = [row.astype(np.float64) for row in matrix]
+        norms = [np.sqrt(np.add.reduce(row * row)) for row in rows]
+        assert index._norms.tolist() == norms
+        query = rng.standard_normal(dim)
+        qnorm = float(np.linalg.norm(query))
+        want = {cid: float(np.clip(np.add.reduce(row * query) / (norm * qnorm), -1.0, 1.0))
+                for cid, row, norm in zip(ids, rows, norms)}
+        assert dict(index.cosine_top_k(query, n)) == want
+        for cid, score in index.cosine_top_k(query, block + 5):
+            assert score == want[cid]
 
     def test_no_float64_copy_of_the_matrix(self):
         index = make_index(n=50, dim=12)

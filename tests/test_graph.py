@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from contribgraph.errors import (
 from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
-from contribgraph.model import PaperMeta, PaperRef, PartialDate, UnresolvedRef
+from contribgraph.model import Edge, PaperMeta, PaperRef, PartialDate, UnresolvedRef
 from contribgraph.records import parse_record
 
 from conftest import (
@@ -423,13 +424,115 @@ class TestQueries:
         assert [(e.pre_id, e.match_type, e.explanation) for e in dedup] == [("1.c0", "strong", "s")]
 
 
+def edge_graph(n_papers: int, references: bool) -> tuple[ContributionGraph, list]:
+    """Parsed records of ``n_papers`` papers of three contributions, each
+    contribution of paper p > 0 with six prerequisites, each citing and
+    matching a contribution of an earlier paper, so six edges; without
+    ``references`` the prerequisites cite nothing. Returns an empty graph
+    and the records, parsed, so that applying them allocates only what
+    the graph keeps."""
+    rng = random.Random(7)
+    parsed = []
+    for p in range(n_papers):
+        raw = make_record(str(1000 + p), n=3)
+        for contribution in raw["contributions"] if p else ():
+            for k in range(6):
+                pre = f"{1000 + rng.randrange(p)}.c{rng.randrange(3)}"
+                prerequisite = citation(pre, rng.choice(["strong", "weak"]), f"why {k}")
+                if not references:
+                    prerequisite["references"] = []
+                contribution["prerequisites"].append(prerequisite)
+        parsed.append(parse_record(raw))
+    return ContributionGraph(), parsed
+
+
+def traced_bytes(build) -> tuple[int, object]:
+    """The bytes that ``build()`` allocates and keeps, and what it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+class TestEdgeColumns:
+    def test_edges_read_as_a_sequence_of_edges(self, golden_graph):
+        edges = golden_graph.edges
+        listed = list(edges)
+        assert len(edges) == len(listed) > 3 and all(isinstance(e, Edge) for e in listed)
+        assert [edges[i] for i in range(len(edges))] == listed
+        assert edges[-1] == listed[-1]
+        assert edges == listed and listed == edges and edges != listed[:-1]
+        assert edges == tuple(listed) and edges != [*listed[:-1], listed[0]]
+        assert listed[0] in edges and edges.index(listed[2]) == 2
+        with pytest.raises(IndexError):
+            edges[len(edges)]
+        assert not hasattr(edges, "append")
+
+    def test_rows_read_back_what_the_record_holds(self):
+        graph = ContributionGraph()
+        graph.add_paper_record(make_record("1", n=1))
+        record = make_record("2", n=2, internal=[(1, 0)])
+        record["contributions"][0]["prerequisites"] = [
+            citation("1.c0", "weak", "w"), citation("1.c0", "strong", "s"),
+        ]
+        graph.add_paper_record(parse_record(record))
+        assert list(graph.edges) == [
+            Edge("1.c0", "2.c0", "weak", "w", 0),
+            Edge("1.c0", "2.c0", "strong", "s", 1),
+            Edge("2.c0", "2.c1", "strong", "dep", 0),
+        ]
+        refs = [r for c in graph.records()[1].contributions for p in c.prerequisites
+                for r in p.references]
+        held = [r.matches[0].explanation if isinstance(r, PaperRef) else r.explanation
+                for r in refs]
+        assert len(held) == 3 and all(a is b for a, b in zip(graph.edges.explanation, held))
+        assert graph.edges.incoming_rows("2.c0") == [0, 1]
+        assert graph.edges.outgoing_rows("1.c0") == [0, 1]
+        assert graph.edges.incoming_rows("1.c0") == []
+        assert sorted(graph.dependent_ids()) == ["2.c0", "2.c1"]
+
+    def test_edge_storage_is_at_most_half_the_object_layout(self):
+        """Edge storage, the bytes a store of six edges per contribution
+        keeps beyond the same store whose prerequisites cite nothing, is
+        at most half what an ``Edge`` per edge plus dict-of-list indexes
+        of positions would keep for the same edges."""
+        n_papers = 400
+        plain, plain_records = edge_graph(n_papers, references=False)
+        graph, records = edge_graph(n_papers, references=True)
+        without, _ = traced_bytes(lambda: [plain.add_paper_record(r) for r in plain_records])
+        with_edges, _ = traced_bytes(lambda: [graph.add_paper_record(r) for r in records])
+        assert len(graph.edges) == 6 * 3 * (n_papers - 1)
+
+        def object_layout():
+            edges = [Edge(e.pre_id, e.dep_id, e.match_type, e.explanation, e.prereq_index)
+                     for e in graph.edges]
+            incoming: dict[str, list[int]] = {}
+            outgoing: dict[str, list[int]] = {}
+            for i, edge in enumerate(edges):
+                incoming.setdefault(edge.dep_id, []).append(i)
+                outgoing.setdefault(edge.pre_id, []).append(i)
+            return edges, incoming, outgoing
+
+        objects, _ = traced_bytes(object_layout)
+        assert with_edges - without <= objects / 2, (with_edges - without, objects)
+
+    def test_edges_rows_are_the_edges_json(self, golden_graph, tmp_path):
+        golden_graph.save(tmp_path)
+        assert (tmp_path / "edges.jsonl").read_text(encoding="utf-8").splitlines() == [
+            dump_line(edge.to_json()) for edge in golden_graph.edges
+        ]
+
+
 class TestValidate:
     def test_adjacency_holds_no_empty_lists(self, golden_graph):
         """Only contributions with edges have an adjacency entry, and it
-        holds exactly their edges' positions: each index equals a rebuild
-        from the edge list."""
+        chains exactly their edges' rows: each index equals a rebuild from
+        the edge list."""
         assert_index_invariants(golden_graph)
-        for index in (golden_graph._incoming, golden_graph._outgoing):
+        for index in (golden_graph.edges.in_last, golden_graph.edges.out_last):
             assert set(index) < set(golden_graph.nodes)
 
 

@@ -1225,6 +1225,41 @@ class TestLogReplay:
         ]
         assert len(sites) == len(set(sites)) > 0
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_load_during_an_extract_holds_a_state_of_the_store(
+        self, corpus, tmp_path, monkeypatch, n
+    ):
+        # A reader has read alignments.jsonl when a writer extracts the rest
+        # of the corpus. Replaying every record then would apply the record
+        # of 7000006 without the late alignment logged with it, which gives
+        # 7000005.c0 its edge from 7000006.c0: ten records, 27 of 28 edges.
+        papers = cf.paper_inputs(corpus)
+        assert n <= cf.EXTRACTION_ORDER.index("7000006")
+        store = tmp_path / "store"
+        graph = ContributionGraph()
+        cf.register_catalog(graph, corpus)
+        pipeline = Pipeline(
+            MockBackend(corpus.mock_dir), graph, records_path=store / "records.jsonl"
+        )
+        cf.extract_each(pipeline, papers[:n])
+        graph.save(store)
+        before = ContributionGraph.load(store)
+        read_rows = jsonl.read_rows
+
+        def writer_between_the_reads(path, *args):
+            if Path(path).name == "records.jsonl":
+                cf.extract_each(pipeline, papers[n:])
+            return read_rows(path, *args)
+
+        monkeypatch.setattr(jsonl, "read_rows", writer_between_the_reads)
+        reader = ContributionGraph.load(store)
+        monkeypatch.undo()
+        assert len(graph.records()) == 10
+        assert reader.records() == before.records() and len(reader.records()) == n
+        assert reader.edges == before.edges
+        assert reader.recompute_hash() == before.recompute_hash()
+        assert self.edge_tuples(ContributionGraph.load(store)) == cf.EXPECTED_EDGES
+
     def test_extra_edges_row_is_ignored(self, corpus, tmp_path):
         live = cf.extract_with_crash(corpus, tmp_path, save_after=0)
         live.save(tmp_path)
