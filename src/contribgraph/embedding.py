@@ -33,6 +33,7 @@ import struct
 from abc import ABC, abstractmethod
 from collections import Counter
 from pathlib import Path
+from sys import intern
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -216,7 +217,8 @@ class EmbeddingIndex:
                 row = f.read(size)
                 if len(head) < 2 or len(row) < size:
                     raise ValueError(f"index file ends early, in row {i} of {count}")
-                ids.append(row[: size - 4 * dim].decode("utf-8"))
+                # Interned: the index shares the id strings a loaded graph keys its nodes by.
+                ids.append(intern(row[: size - 4 * dim].decode("utf-8")))
                 matrix[i] = np.frombuffer(row, dtype="<f4", offset=size - 4 * dim)
         return cls(ids, matrix)
 

@@ -354,7 +354,7 @@ class ContributionGraph:
             # this paper become edges through their own matches or late ones.
             late_matches = {entry: entry.ref.matches for entry in late}
             for entry in self._unresolved.get(record.corpus_id, ()):
-                for match in entry.ref.matches + late_matches.pop(entry, []):
+                for match in entry.ref.matches + late_matches.pop(entry, ()):
                     if match.contribution_id in record_ids:
                         new_edges.append(_match_row(match, entry.owner_id, entry.prereq_index))
             if late_matches:

@@ -6,6 +6,18 @@ builds its dict in the canonical key order; ``UnresolvedRef.to_json``
 builds an alignments.jsonl row. Records and alignments are read back by
 records.py, which also handles ingestion-time aliases; the one reader
 here, ``Problem.from_json``, takes a problems.jsonl row.
+
+Records are immutable once a graph holds them: every sequence a record
+holds (its contributions; a contribution's types, sections and
+prerequisites; a prerequisite's references; a paper reference's
+matches) is a tuple, an empty one the shared ``()``, and no code
+assigns a field of a record that was applied. The one field set after
+a record is built is a staged paper reference's ``matches``, which
+``pipeline.finalize_paper`` fills from alignment before it applies the
+record. A tuple of n items is one block of 40 + 8n bytes; a list built
+by appending is 56 bytes plus a separate buffer that it over-allocates
+(88 bytes in all for one item). What never changes can be shared: the
+parsers in records.py share years and dates (``PartialDate`` is frozen).
 """
 from __future__ import annotations
 
@@ -39,9 +51,10 @@ MATCH_TYPES = ("strong", "weak")
 CORE_OR_PERIPHERAL = ("core", "peripheral")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PartialDate:
-    """Calendar date with optional month/day granularity."""
+    """Calendar date with optional month/day granularity; frozen, so that
+    every paper of one date can share one object."""
 
     year: int
     month: Optional[int] = None
@@ -121,7 +134,7 @@ class PaperRef:
     year: Optional[int] = None
     venue: Optional[str] = None
     corpus_id: Optional[str] = None
-    matches: list[Match] = field(default_factory=list)
+    matches: tuple[Match, ...] = ()
 
     type = "paper"
 
@@ -208,7 +221,7 @@ class Prerequisite:
     description: str
     explanation: str = ""
     core_or_peripheral: str = "core"
-    references: list[Reference] = field(default_factory=list)
+    references: tuple[Reference, ...] = ()
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -225,9 +238,9 @@ class Contribution:
     id: str
     name: str
     description: str
-    types: list[ContributionType] = field(default_factory=list)
-    sections: list[str] = field(default_factory=list)
-    prerequisites: list[Prerequisite] = field(default_factory=list)
+    types: tuple[ContributionType, ...] = ()
+    sections: tuple[str, ...] = ()
+    prerequisites: tuple[Prerequisite, ...] = ()
     split_from: Optional[str] = None  # original stage-2 key when dash-split
 
     @property
@@ -285,7 +298,7 @@ class ExtractionRecord:
     corpus_id: str
     title: str
     year: Optional[int]
-    contributions: list[Contribution] = field(default_factory=list)
+    contributions: tuple[Contribution, ...] = ()
 
     def to_json(self) -> dict[str, Any]:
         return {

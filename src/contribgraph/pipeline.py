@@ -249,11 +249,11 @@ class Pipeline:
         prereq: Prerequisite,
         cited_contributions: Sequence[Contribution],
         cited_meta: Optional[PaperMeta] = None,
-    ) -> list[Match]:
+    ) -> tuple[Match, ...]:
         """The prompt names the cited paper by ``cited_meta``, by default the graph's."""
         if not cited_contributions:
             # Nothing to align against; a legal zero-match outcome.
-            return []
+            return ()
         cited_corpora = {c.corpus_id for c in cited_contributions}
         if len(cited_corpora) != 1:
             raise ValueError("cited contributions must share one corpus_id")
@@ -286,7 +286,7 @@ class Pipeline:
             },
         )
 
-        def validate(entries: list) -> tuple[list[Match], list[str]]:
+        def validate(entries: list) -> tuple[tuple[Match, ...], list[str]]:
             """Record rules, plus: each match names a contribution of the cited paper."""
             problems: list[str] = []
             matches = parse_matches(entries, "answer", problems)
@@ -343,12 +343,12 @@ class Pipeline:
                             continue
                         ref = replace(ref, contribution_id=target)
                     kept.append(ref)
-                prerequisites.append(replace(prereq, references=kept))
+                prerequisites.append(replace(prereq, references=tuple(kept)))
             split_from = input_key if entry.id != input_key else None
             contributions.append(
-                replace(entry, id=cid, split_from=split_from, prerequisites=prerequisites)
+                replace(entry, id=cid, split_from=split_from, prerequisites=tuple(prerequisites))
             )
-        return ExtractionRecord(paper.corpus_id, paper.title, paper.year, contributions)
+        return ExtractionRecord(paper.corpus_id, paper.title, paper.year, tuple(contributions))
 
     def align_batch(self, batch: Sequence[ExtractionRecord], pool: Executor) -> Aligned:
         """Submit to ``pool`` every alignment the staged ``batch`` can need.
@@ -361,11 +361,11 @@ class Pipeline:
         stays in its future: ``finalize_paper`` decides what it means for
         the reference.
         """
-        targets: dict[str, tuple[list[Contribution], PaperMeta]] = {
+        targets: dict[str, tuple[Sequence[Contribution], PaperMeta]] = {
             r.corpus_id: (r.contributions, self.graph.extracted_meta(r)) for r in batch
         }
 
-        def target(corpus_id: str) -> Optional[tuple[list[Contribution], PaperMeta]]:
+        def target(corpus_id: str) -> Optional[tuple[Sequence[Contribution], PaperMeta]]:
             if corpus_id not in targets and self.graph.is_extracted(corpus_id):
                 meta = self.graph.papers[corpus_id]
                 targets[corpus_id] = (self.graph.contributions_of(corpus_id), meta)

@@ -33,15 +33,18 @@ build objects, so a loaded store holds one copy of each however many
 records name it; ingest, log replay, the pipeline stages and
 alignments.jsonl all parse here. Strings are interned (``sys.intern``):
 corpus and contribution ids, ``match_type``, ``core_or_peripheral``,
-type categories, sections, venues and paper reference titles. A paper
-reference's year and ``first_author`` go through memos in this module
-(CPython shares only the ints -5..256): one int per year, and one dict
-per distinct sequence of ``first_author`` key/value pairs, in key
-order, when every value is a string or null. Any other ``first_author``
-is kept as it is, since equal values can print differently (``1``,
-``1.0``, ``true``). The memos are module-level, like the intern table,
-so that every parse path reaches them; they keep one entry per distinct
-value parsed in the process. A shared ``first_author`` is never
+type categories, sections, venues and paper reference titles. Years,
+dates and a paper reference's ``first_author`` go through memos in this
+module (CPython shares only the ints -5..256): one int per year, of a
+record, a paper reference or a catalog or papers.jsonl row; one frozen
+``PartialDate`` per date text; and one dict per distinct sequence of
+``first_author`` key/value pairs, in key order, when every value is a
+string or null. Any other ``first_author`` is kept as it is, since
+equal values can print differently (``1``, ``1.0``, ``true``). The
+memos are module-level, like the intern table, so that every parse path
+reaches them; they keep one entry per distinct value parsed in the
+process. Every sequence a parser builds is a tuple (``model``), and an
+empty one is the shared ``()``. A shared ``first_author`` is never
 mutated: the package only reads it and writes it out, and
 ``tests/test_records.py`` fails on code in the package that changes one
 in place.
@@ -72,9 +75,10 @@ from .model import (
 )
 
 
-# Paper reference years and first_author objects already parsed: each
-# distinct value maps to the one object that every reference shares.
+# Years, dates (by their text) and first_author objects already parsed:
+# each distinct value maps to the one object that every parse shares.
 _YEARS: dict[int, int] = {}
+_DATES: dict[str, PartialDate] = {}
 _AUTHORS: dict[tuple[tuple[str, Optional[str]], ...], dict[str, Optional[str]]] = {}
 
 # A problem's location: its text, or (owner, label, index), whose text
@@ -134,7 +138,7 @@ def objects(
     return out
 
 
-def parse_matches(value: Any, where: Where, problems: list[str]) -> list[Match]:
+def parse_matches(value: Any, where: Where, problems: list[str]) -> tuple[Match, ...]:
     """A list of matches in either spelling."""
     matches, mark = [], len(problems)
     for raw in value if type(value) is list else _not_a_list(value, where, "matches", problems):
@@ -158,7 +162,7 @@ def parse_matches(value: Any, where: Where, problems: list[str]) -> list[Match]:
             problems.append(f"{_at(where)}: match_type must be strong or weak, got {match_type!r}")
         explanation = get("explanation") or _first(raw, "explanation", "justification", "")
         matches.append(Match(cid, explanation, match_type))
-    return matches
+    return tuple(matches)
 
 
 def parse_reference(
@@ -200,7 +204,7 @@ def parse_reference(
         return PaperRef(
             title, author, year, intern(venue) if type(venue) is str else venue,
             None if corpus_id is None else intern(str(corpus_id)),
-            [] if omit == "matches" else parse_matches(get("matches"), where, problems),
+            () if omit == "matches" else parse_matches(get("matches"), where, problems),
         )
     if kind == "internal":
         cid = get("contribution_id") or _first(raw, "contribution_id", "contribution_key")
@@ -286,12 +290,14 @@ def parse_contribution(
                 internal.append((where, cid, p_idx, ref.contribution_id))
             refs.append(ref)
         prerequisites.append(Prerequisite(
-            p_get("name", ""), p_get("description", ""), explanation, core_or_peripheral, refs
+            p_get("name", ""), p_get("description", ""), explanation, core_or_peripheral,
+            tuple(refs),
         ))
     split_from = get("split_from")
     return Contribution(
-        cid, name, description, categories, [intern(s) if type(s) is str else s for s in sections],
-        prerequisites, None if split_from is None else intern(str(split_from)),
+        cid, name, description, tuple(categories),
+        tuple([intern(s) if type(s) is str else s for s in sections]), tuple(prerequisites),
+        None if split_from is None else intern(str(split_from)),
     )
 
 
@@ -330,6 +336,15 @@ def parse_alignment(obj: Any, where: str) -> UnresolvedRef:
     return UnresolvedRef(owner, row["prereq_index"], row["ref_index"], ref)
 
 
+def _date(value: Any) -> PartialDate:
+    """``PartialDate.parse(value)``, one object per date text."""
+    text = str(value)
+    date = _DATES.get(text)
+    if date is None:
+        date = _DATES[text] = PartialDate.parse(value)
+    return date
+
+
 def parse_paper(row: dict[str, Any]) -> PaperMeta:
     """A catalog or papers.jsonl row's metadata. Raises ValueError when its
     corpus_id is missing or empty, its year is no integer, its title no
@@ -339,7 +354,9 @@ def parse_paper(row: dict[str, Any]) -> PaperMeta:
     if not corpus_id:
         raise ValueError("corpus_id missing or empty")
     year = row.get("year")
-    if year is not None and type(year) is not int:
+    if type(year) is int:
+        year = _YEARS.setdefault(year, year)
+    elif year is not None:
         raise ValueError(f"year must be an integer, got {year!r}")
     title = row.get("title")
     if type(title) is not str and title is not None:
@@ -349,7 +366,7 @@ def parse_paper(row: dict[str, Any]) -> PaperMeta:
         corpus_id=corpus_id,
         title=title or "",  # null reads as absent
         year=year,
-        date=PartialDate.parse(date) if date else None,
+        date=_date(date) if date else None,
         venue=intern(venue) if type(venue) is str else venue,
     )
 
@@ -369,7 +386,9 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     if not corpus_id:
         problems.append("record: corpus_id missing or empty")
     year = raw.get("year")
-    if year is not None and type(year) is not int:
+    if type(year) is int:
+        year = _YEARS.setdefault(year, year)
+    elif year is not None:
         problems.append(f"record: year must be an integer, got {year!r}")
     title = raw.get("title", "")
     if type(title) is not str and title is not None:
@@ -405,4 +424,4 @@ def parse_record(raw: dict[str, Any]) -> ExtractionRecord:
     check_internal(internal, seen_ids, "id", problems)
     if problems:
         raise RecordValidationError(problems)
-    return ExtractionRecord(corpus_id, title, year, contributions)
+    return ExtractionRecord(corpus_id, title, year, tuple(contributions))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import http.client
 import http.server
 import json
@@ -61,6 +62,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             continue
         word = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[outcome]
         terminalreporter.write_line(f"{word}  {label}")
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_test():
+    """Return what a test's CLI calls froze (``cli.load_store`` and
+    ``ingest`` call ``gc.freeze``) to the collector once the test ends:
+    frozen cyclic garbage is never collected, so it would pile up over
+    the session."""
+    yield
+    gc.unfreeze()
 
 
 class LoopbackServer(http.server.ThreadingHTTPServer):

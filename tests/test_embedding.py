@@ -330,6 +330,17 @@ class TestPersistence:
         EmbeddingIndex.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_loaded_ids_are_the_graphs_keys(self, golden_graph, tmp_path):
+        """A loaded index holds no second copy of the ids: each is the
+        string a loaded graph keys that contribution by."""
+        golden_graph.save(tmp_path)
+        build_index(golden_graph, MockEmbeddingProvider(dim=4)).save(tmp_path / "embeddings.bin")
+        graph = ContributionGraph.load(tmp_path)
+        index = EmbeddingIndex.load(tmp_path / "embeddings.bin")
+        keys = {cid: cid for cid in graph.nodes}
+        assert sorted(keys) == index.ids
+        assert all(cid is keys[cid] for cid in index.ids)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingIndex(["p.c1", "p.c2", "p.c1"], np.eye(3, dtype=np.float32))

@@ -599,9 +599,9 @@ class TestGraphHashStamp:
     def test_save_into_an_empty_directory_stamps_the_full_digest(self, store, golden_graph):
         stamp = json.loads((store / "graph_hash.json").read_bytes())
         views = b"".join(
-            line.rstrip(b"\n")
+            line
             for name in ("nodes.jsonl", "edges.jsonl")
-            for line in (store / name).open("rb")
+            for line in (store / name).read_bytes().splitlines()
         )
         loaded = ContributionGraph.load(store)
         assert stamp["graph_hash"] == hashlib.sha256(views).hexdigest()

@@ -250,7 +250,7 @@ class TestExtractContributions:
         backend = QueueBackend([echo_json({"contributions": [entry]})])
         pipeline, _ = make_pipeline(backend)
         [contribution] = pipeline.extract_contributions(bert_paper())
-        assert contribution.prerequisites == []
+        assert contribution.prerequisites == ()
         assert len(backend.prompts) == 1
 
     def test_mean_contribution_count_over_25_papers(self):
@@ -369,7 +369,7 @@ class TestExtractPrerequisites:
         contributions = pipeline.extract_contributions(bert_paper())
         out = pipeline.extract_prerequisites(contributions[0], contributions[1:], bert_paper())
         assert len(out) == 1
-        assert out[0].prerequisites == []
+        assert out[0].prerequisites == ()
 
     def test_split_keys_accepted(self):
         backend = QueueBackend([
@@ -403,7 +403,7 @@ class TestExtractPrerequisites:
         pipeline, _ = make_pipeline(backend)
         contributions = pipeline.extract_contributions(bert_paper())
         [out] = pipeline.extract_prerequisites(contributions[0], contributions[1:], bert_paper())
-        assert out.prerequisites[0].references[0].matches == []
+        assert out.prerequisites[0].references[0].matches == ()
         assert len(backend.prompts) == 2
 
     def test_unrelated_key_fails_after_retries(self):
@@ -539,8 +539,8 @@ class TestExtractPrerequisites:
         paper = PaperInput("31", "t", 2020, "text")
         contributions = pipeline.extract_contributions(paper)
         if "matches" in answer:
-            prereq = Prerequisite("p", "d", "j", "core", [])
-            assert pipeline.align_prerequisite(contributions[0], prereq, contributions) == []
+            prereq = Prerequisite("p", "d", "j", "core", ())
+            assert pipeline.align_prerequisite(contributions[0], prereq, contributions) == ()
         else:
             out = pipeline.extract_prerequisites(contributions[0], [], paper)
             assert [e.id for e in out] == ["0"]
@@ -610,7 +610,7 @@ class TestAlignPrerequisite:
     def test_zero_cited_contributions_no_call(self, golden_graph):
         dep = golden_graph.get_contribution(f"{BERT}.c0")
         pipeline = Pipeline(ExplodingBackend(), golden_graph)
-        assert pipeline.align_prerequisite(dep, dep.prerequisites[0], []) == []
+        assert pipeline.align_prerequisite(dep, dep.prerequisites[0], []) == ()
 
     def test_empty_matches_is_legal(self, golden_graph):
         dep = golden_graph.get_contribution(f"{BERT}.c0")
@@ -618,7 +618,7 @@ class TestAlignPrerequisite:
         cited = golden_graph.contributions_of("3626819")
         response = echo_json({"matches": [], "overall_explanation": "nothing fits"})
         pipeline = Pipeline(QueueBackend([response]), golden_graph)
-        assert pipeline.align_prerequisite(dep, prereq, cited) == []
+        assert pipeline.align_prerequisite(dep, prereq, cited) == ()
 
     def test_foreign_id_fails_after_retries(self, golden_graph):
         dep = golden_graph.get_contribution(f"{BERT}.c0")
@@ -912,7 +912,7 @@ class TestBatchFailures:
         }
         assert [r.corpus_id for r in graph.records()] == ["301", "303"]
         [entry] = graph.unresolved
-        assert (entry.owner_id, entry.ref.corpus_id, entry.ref.matches) == ("303.c0", "302", [])
+        assert (entry.owner_id, entry.ref.corpus_id, entry.ref.matches) == ("303.c0", "302", ())
         assert graph.edges == []
 
 
@@ -950,7 +950,7 @@ class TestBatchFailures:
         assert error is crash
         assert not graph.is_extracted("301") and graph.contributions_of("301") == []
         [entry] = graph.unresolved_citing("301")
-        assert (entry.owner_id, entry.ref.matches) == ("100.c0", [])
+        assert (entry.owner_id, entry.ref.matches) == ("100.c0", ())
         assert alignments.read_bytes() == aligned
         # The log gains the other paper's record, and nothing of 301.
         assert log.read_bytes().startswith(logged)

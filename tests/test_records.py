@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from contribgraph import model
+import corpus_fixture as cf
+from contribgraph import cli, model
 from contribgraph.errors import RecordValidationError
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_rows, write_jsonl
@@ -18,6 +19,7 @@ from contribgraph.model import UnresolvedRef
 from contribgraph.records import (
     parse_alignment,
     parse_contribution,
+    parse_paper,
     parse_record,
     parse_reference,
 )
@@ -689,8 +691,9 @@ def assert_shared(ref_a: model.PaperRef, ref_b: model.PaperRef) -> None:
 def test_repeated_values_are_one_object_across_records():
     """Two records citing one paper share its corpus id, title, year,
     first_author, match_type and core_or_peripheral instead of holding a
-    copy each."""
+    copy each, and two records of one year share that year."""
     record_a, record_b = parse_record(citing("800001")), parse_record(citing("800002"))
+    assert record_a.year == 2020 and record_a.year is record_b.year
     ref_a, ref_b = cited_references([record_a, record_b])
     assert_shared(ref_a, ref_b)
     assert ref_a.matches[0].match_type is ref_b.matches[0].match_type
@@ -715,6 +718,72 @@ def test_store_shares_cited_values_after_load_and_after_ingest(tmp_path):
         graph.add_paper_record(record)
     *_, ref_c = cited_references(graph.records())
     assert_shared(ref_a, ref_c)
+
+
+def test_papers_of_one_date_share_its_year_and_date():
+    """Catalog and papers.jsonl rows of one year and date share one int
+    and one frozen PartialDate, whichever spelling of the date they use."""
+    rows = json.loads('[{"corpus_id": "1", "year": 2019, "date": "2019-05"},'
+                      ' {"corpus_id": "2", "year": 2019, "date": "2019-05"},'
+                      ' {"corpus_id": "3", "year": 2019, "date": "2019-5"}]')
+    a, b, c = (parse_paper(row) for row in rows)
+    assert a.year == 2019 and a.year is b.year is c.year
+    assert a.date == model.PartialDate(2019, 5) == c.date and a.date is b.date
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.date.month = 6
+
+
+def lists_in(value, path: str) -> list[str]:
+    """The path of every list reachable from ``value`` through dataclass
+    fields, tuples and dicts."""
+    if type(value) is list:
+        return [path]
+    if type(value) is tuple:
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    elif type(value) is dict:
+        items = [(f"{path}[{key!r}]", item) for key, item in value.items()]
+    elif dataclasses.is_dataclass(value):
+        items = [(f"{path}.{f.name}", getattr(value, f.name)) for f in dataclasses.fields(value)]
+    else:
+        return []
+    return [found for sub, item in items for found in lists_in(item, sub)]
+
+
+def test_records_hold_no_list(corpus, tmp_path, monkeypatch):
+    """Every record a graph holds keeps its sequences in tuples, whether
+    `ingest` parsed it, a replay-mock `extract` built it, or a load
+    replayed it; and the record the CLI built equals the one the reload
+    replays."""
+    built = []  # each graph a CLI step loaded, and then built on
+    real_load_store = cli.load_store
+
+    def load_store(store):
+        built.append(real_load_store(store))
+        return built[-1]
+
+    def run(*argv) -> int:
+        return cli.dispatch([str(a) for a in argv])
+
+    monkeypatch.setattr(cli, "load_store", load_store)
+    ingested, extracted = tmp_path / "ingested", tmp_path / "extracted"
+    assert run("ingest", "--store", ingested, "--records", GOLDEN_RECORDS) == 0
+    from_ingest = built[-1]
+    assert run("ingest", "--store", extracted, "--catalog", corpus.catalog_path) == 0
+    assert run(
+        "extract", *cf.EXTRACTION_ORDER, "--store", extracted,
+        "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir,
+    ) == 0
+    from_extract = built[-1]
+    assert len(from_extract.records()) == len(cf.EXTRACTION_ORDER)
+
+    for store, graph in ((ingested, from_ingest), (extracted, from_extract)):
+        reloaded = ContributionGraph.load(store)
+        for route in (graph, reloaded):
+            assert route.records()
+            assert [p for r in route.records() for p in lists_in(r, r.corpus_id)] == []
+            assert [p for m in route.papers.values() for p in lists_in(m, m.corpus_id)] == []
+        assert graph.records() == reloaded.records()
+        assert graph.papers == reloaded.papers
 
 
 # Pairs of first_author objects that compare equal, or hold the same
