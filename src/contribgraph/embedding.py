@@ -42,7 +42,7 @@ from . import jsonl
 from .backends import JsonTransport
 from .errors import BackendError
 from .graph import ContributionGraph
-from .model import Contribution
+from .model import ContributionNode
 
 MAGIC = b"SCGE"
 FORMAT_VERSION = 1
@@ -50,7 +50,7 @@ EMBED_CHUNK = 64  # texts per provider.embed call
 BLOCK_BYTES = 256 * 1024  # float64 bytes converted at a time
 
 
-def embedding_text(contribution: Contribution) -> str:
+def embedding_text(contribution: ContributionNode) -> str:
     """Name and description concatenated with a fixed ": " separator."""
     return f"{contribution.name}: {contribution.description}"
 

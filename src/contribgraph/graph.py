@@ -18,16 +18,35 @@ nodes/edges/papers.jsonl are written views. papers.jsonl is also the
 only file that keeps catalog metadata, so a writer that registers new
 metadata writes it before it appends to the log.
 
+Once a record is in the log, the graph holds none of its prerequisite
+side (Sheehy & Smith, "Bitcask", 2010; Kleppmann, DDIA ch. 3: a small
+index in memory over an append-only log, the values read from the
+log). It keeps the record's nodes (``model.ContributionNode``: a
+contribution without its prerequisites), its edges and its unresolved
+references, and where its line lies in records.jsonl: the byte offset
+where the line's JSON starts and its length, noted by ``load`` as it
+replays the line and by ``append_log`` as it appends it. A record no
+log holds yet (a graph built in memory) is held whole, with the late
+alignments applied with it. ``record`` and ``records`` read a logged
+record back from its line through ``records.parse_record``, the one
+parse path; the line must still hold the paper's record, the same
+nodes, or the read raises ContribGraphError naming the file and the
+byte offset. Each read stays inside its line's span, so below the
+length ``load`` noted; the log is opened for one read, or one pass
+over many, and closed after it.
+
 A nodes.jsonl row is a contribution's JSON as its record's log line
 holds it, with the closing ``}`` replaced by the paper's metadata
-fields. So each contribution is encoded once: ``append_log`` keeps
-where each contribution of the records it appended lies in the log
-(the file, an offset and byte lengths, never the text), and ``save``
-into that store reads those rows' JSON back, sequentially and from the
-page cache, instead of encoding it again. Every other row is encoded.
-A part read back that does not start with its contribution's id, or
-end with ``}``, fails the save: a wrong span would corrupt nodes.jsonl
-and its stamped digest together, where ``validate`` could not see it.
+fields. So each contribution is encoded once, when its record is
+appended: ``save`` and ``recompute_hash`` copy a logged record's rows
+from its line, sequentially and from the page cache, and encode only
+the rows of held records. A contribution's JSON is found in the line
+by its start, which holds the node's id, name and description as
+``append_log`` encodes them (``_line_parts``). A line not laid out that
+way, one written by hand say, is parsed instead and its rows encoded.
+Either way a line that no longer holds the paper's record fails the
+save: a wrong row would corrupt nodes.jsonl and its stamped digest
+together, where ``validate`` could not see it.
 
 Unresolved references (``model.UnresolvedRef``) are indexed by cited
 paper, ``PaperRef.cited_id``, None for the title-only ones, so applying
@@ -84,14 +103,14 @@ import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import jsonl, records as recmod
 from .errors import ContribGraphError, DuplicatePaperError, RecordValidationError, UnknownIdError
 from .model import (
     CONTRIBUTION_CATEGORIES,
     MATCH_TYPES,
-    Contribution,
+    ContributionNode,
     Edge,
     ExtractionRecord,
     InternalRef,
@@ -254,13 +273,17 @@ def _digested(lines: Iterable[bytes], update: Callable[[bytes], object]) -> Iter
 
 
 class _ByteCount:
-    """A ``jsonl.read_rows`` ``seen`` callback: the bytes read so far."""
+    """A ``jsonl.read_rows`` ``seen`` callback: the bytes read so far; and
+    of the last line read, which ends at ``total``, its length and the
+    length of its leading whitespace."""
 
     def __init__(self) -> None:
-        self.total = 0
+        self.total = self.last = self.lead = 0
 
     def __call__(self, raw: bytes) -> None:
-        self.total += len(raw)
+        self.last = len(raw)
+        self.total += self.last
+        self.lead = 0 if raw[:1] == b"{" else self.last - len(raw.lstrip())
 
 
 class ContributionGraph:
@@ -269,24 +292,26 @@ class ContributionGraph:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self.papers: dict[str, PaperMeta] = {}
-        self.nodes: dict[str, Contribution] = {}
+        self.nodes: dict[str, ContributionNode] = {}
         self.edges = EdgeColumns()
         # Cited corpus id (None for a title-only reference) -> the
         # unresolved references citing it, in insertion order; no empty lists.
         self._unresolved: dict[Optional[str], list[UnresolvedRef]] = {}
-        # Corpus id -> its one record, in the order applied.
-        self._records: dict[str, ExtractionRecord] = {}
-        self._alignments: list[UnresolvedRef] = []
+        # Corpus id -> the paper's nodes in record order, for every record
+        # applied, in the order applied.
+        self._extracted: dict[str, tuple[ContributionNode, ...]] = {}
+        # The records no log holds, each with the late alignments applied
+        # with it.
+        self._held: dict[str, tuple[ExtractionRecord, tuple[UnresolvedRef, ...]]] = {}
         # graph_hash() as stamped by the save that wrote the files this
         # graph was loaded from; None once the graph changes.
         self._stamped_hash: Optional[str] = None
-        # The records.jsonl this graph last appended to, as (st_dev,
-        # st_ino), and for each record appended there: the byte offset of
-        # its first contribution, then each contribution's length in
-        # bytes. An array holds no object references, so the collector
-        # neither tracks nor counts it.
+        # The records.jsonl the logged records lie in, that file as
+        # (st_dev, st_ino), and for each logged record the byte offset
+        # and length of its line there.
+        self._log: Optional[Path] = None
         self._log_file: Optional[tuple[int, int]] = None
-        self._log_spans: dict[str, array] = {}
+        self._spans: dict[str, tuple[int, int]] = {}
         # The papers.jsonl of this graph's last write_papers, as (st_dev,
         # st_ino), and the sha256 of its bytes; None once the graph changes.
         self._papers_written: Optional[tuple[tuple[int, int], str]] = None
@@ -310,13 +335,14 @@ class ContributionGraph:
         reads the indexes directly, not through the locked queries. A
         rejected record leaves the store untouched. A dict is checked by
         ``records.parse_record``; an ExtractionRecord must already pass
-        its rules.
+        its rules. The graph holds the record whole, with ``late``, until
+        the log holds it (``append_log``, or ``load`` as it replays it).
         """
         if isinstance(record, dict):
             record = recmod.parse_record(record)
 
         with self._lock:
-            if record.corpus_id in self._records:
+            if record.corpus_id in self._extracted:
                 raise DuplicatePaperError(f"corpus {record.corpus_id} already extracted")
 
             # Stage every mutation before applying any of them.
@@ -336,7 +362,7 @@ class ContributionGraph:
                             cited = ref.cited_id
                             if cited == record.corpus_id:
                                 continue  # a self-citation stays in the record only
-                            if cited in self._records:
+                            if cited in self._extracted:
                                 for match in ref.matches:
                                     if match.contribution_id in self.nodes:
                                         new_edges.append(_match_row(match, dep_id, k))
@@ -363,14 +389,15 @@ class ContributionGraph:
             # Apply.
             self._stamped_hash = self._papers_written = None
             self.papers[record.corpus_id] = self.extracted_meta(record)
-            for contribution in record.contributions:
-                self.nodes[contribution.id] = contribution
+            nodes = tuple([contribution.node() for contribution in record.contributions])
+            for node in nodes:
+                self.nodes[node.id] = node
             self.edges._extend(new_edges)
             self._unresolved.pop(record.corpus_id, None)
             for cited, entry in new_unresolved:
                 self._unresolved.setdefault(cited, []).append(entry)
-            self._records[record.corpus_id] = record
-            self._alignments.extend(late)
+            self._extracted[record.corpus_id] = nodes
+            self._held[record.corpus_id] = record, tuple(late)
             return GraphDelta(
                 nodes_added=len(record.contributions),
                 edges_added=len(new_edges),
@@ -411,21 +438,20 @@ class ContributionGraph:
     def is_extracted(self, corpus_id: Optional[str]) -> bool:
         """Whether the log holds the paper's record."""
         with self._lock:
-            return corpus_id in self._records
+            return corpus_id in self._extracted
 
-    def get_contribution(self, cid: str) -> Contribution:
+    def get_contribution(self, cid: str) -> ContributionNode:
         with self._lock:
             try:
                 return self.nodes[cid]
             except KeyError:
                 raise UnknownIdError(f"unknown contribution id {cid!r}") from None
 
-    def contributions_of(self, corpus_id: str) -> list[Contribution]:
-        """The paper's contributions in record order, which is index order;
-        none unless the paper was extracted."""
+    def contributions_of(self, corpus_id: str) -> tuple[ContributionNode, ...]:
+        """The paper's nodes in record order, which is index order; none
+        unless the paper was extracted. The graph's own tuple, not a copy."""
         with self._lock:
-            record = self._records.get(corpus_id)
-            return list(record.contributions) if record is not None else []
+            return self._extracted.get(corpus_id, ())
 
     def year_of(self, cid: str) -> Optional[int]:
         with self._lock:
@@ -480,9 +506,88 @@ class ContributionGraph:
         with self._lock:
             return list(self._unresolved.get(corpus_id, ()))
 
-    def records(self) -> list[ExtractionRecord]:
+    def record(self, corpus_id: str) -> ExtractionRecord:
+        """The paper's whole record: from memory when no log holds it,
+        else read back from its line in the log (see the module
+        docstring)."""
         with self._lock:
-            return list(self._records.values())
+            if corpus_id not in self._extracted:
+                raise UnknownIdError(f"no record of paper {corpus_id!r}")
+            held = self._held.get(corpus_id)
+            return held[0] if held is not None else next(self._records([corpus_id]))
+
+    def records(self) -> list[ExtractionRecord]:
+        """Every whole record, in the order applied; the logged ones are
+        read back from the log."""
+        with self._lock:
+            return list(self._records(self._extracted))
+
+    def _records(self, corpus_ids: Iterable[str]) -> Iterator[ExtractionRecord]:
+        for corpus_id, line, offset in self._lines(corpus_ids):
+            yield self._record_at(corpus_id, line, offset)
+
+    def _whole(
+        self, corpus_ids: Iterable[str]
+    ) -> list[tuple[ExtractionRecord, tuple[UnresolvedRef, ...]]]:
+        """Each paper's record with the late alignments applied with it;
+        for a logged record, the ones its log's alignments file holds for
+        it, which ``load`` applies."""
+        log = self._log
+        logged = _read_late(log.with_name(ALIGNMENTS_FILE)) if log and self._spans else {}
+        return [
+            self._held.get(record.corpus_id)
+            or (record, tuple(logged.get(record.corpus_id, {}).values()))
+            for record in self._records(corpus_ids)
+        ]
+
+    def _lines(self, corpus_ids: Iterable[str]) -> Iterator[tuple[str, Optional[bytes], int]]:
+        """Each of ``corpus_ids`` with its record's log line and the line's
+        offset; None for the line of a record no log holds. The log is
+        opened once, only if one of them lies there, and closed when the
+        iteration ends; each read stays inside the span noted for it."""
+        spans, log = self._spans, self._log
+        with log.open("rb") if spans and log else contextlib.nullcontext() as f:
+            for corpus_id in corpus_ids:
+                span = spans.get(corpus_id)
+                if span is None:
+                    yield corpus_id, None, 0
+                    continue
+                offset, length = span
+                f.seek(offset)
+                line = f.read(length)
+                if len(line) != length:
+                    raise ContribGraphError(
+                        f"{log} at byte {offset}: the log ends inside the line of"
+                        f" record {corpus_id}"
+                    )
+                if line[:1] != b"{":
+                    raise ContribGraphError(
+                        f"{log} at byte {offset}: the line of record {corpus_id}"
+                        " no longer starts there"
+                    )
+                yield corpus_id, line, offset
+
+    def _record_at(self, corpus_id: str, line: Optional[bytes], offset: int) -> ExtractionRecord:
+        """The paper's held record when ``line`` is None; else the record
+        that ``line``, read from the log at ``offset``, holds, through
+        ``records.parse_record``. A line that no longer holds the record
+        applied for ``corpus_id``, the same nodes in the same order,
+        raises ContribGraphError."""
+        if line is None:
+            return self._held[corpus_id][0]
+        try:
+            raw = json.loads(line)
+            record = recmod.parse_record(raw) if type(raw) is dict else None
+        except (KeyError, TypeError, ValueError, RecordValidationError):
+            record = None
+        if record is None or record.corpus_id != corpus_id or tuple(
+            [c.node() for c in record.contributions]
+        ) != self._extracted[corpus_id]:
+            raise ContribGraphError(
+                f"{self._log} at byte {offset}: the log no longer holds the record of"
+                f" {corpus_id} that the graph applied from there"
+            )
+        return record
 
     # ------------------------------------------------------------------
     # Validation
@@ -550,75 +655,90 @@ class ContributionGraph:
         then ``records`` to ``records_path``: the one writer of the log,
         which it only appends to. Alignments first: a crash between the
         two appends leaves alignments of a paper with no record, which
-        replay ignores, so the paper is simply extracted again.
+        replay ignores, so the paper is simply extracted again. A
+        record's line is ``dump_line(record.to_json())``.
 
-        Each contribution is encoded once. A record's line is its fields,
-        then its contributions' JSON joined by ``", "``, then ``]}``: the
-        bytes of ``dump_line(record.to_json())``. Once the append returns,
-        the graph keeps where each record's contributions lie in that
-        file, the offset of the first and the byte length of each, never
-        their text, so that ``save`` into that store reads them back
-        instead of encoding them again. An append that fails keeps none.
+        ``records`` are this graph's records, or records it does not
+        hold, and ``late`` the late alignments applied with them. Once
+        the append returns, the graph keeps where the line of each of
+        its records lies, the offset and the length, and no longer holds
+        the record (see the module docstring). An append that fails
+        changes nothing that the graph keeps. The graph keeps the lines
+        of one log: appending to another file first reads back the
+        records logged in the old one and holds them again, but for
+        those appended here.
         """
         records_path = Path(records_path)
-        jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
         dump = jsonl.dump_line
-        spans: dict[str, array] = {}  # offsets from the start of the append
-
-        def lines() -> Iterator[bytes]:
-            at = 0
-            for record in records:
-                row = record.to_json()
-                parts = [dump(c).encode("utf-8") for c in row["contributions"]]
-                row["contributions"] = []
-                header = dump(row)[:-2].encode("utf-8")  # without the empty list's "]}"
-                line = b"".join((header, b", ".join(parts), b"]}"))
-                spans[record.corpus_id] = array("q", [at + len(header), *map(len, parts)])
-                at += len(line) + 1
-                yield line
-
         with self._lock:
-            start = jsonl.append_lines(records_path, lines())
-            for span in spans.values():
-                span[0] += start
-            log_file = _identity(records_path)
-            if log_file != self._log_file:
-                self._log_file, self._log_spans = log_file, {}
-            self._log_spans.update(spans)
+            records = list(records)
+            if self._spans and not (
+                records_path.exists() and _identity(records_path) == self._log_file
+            ):
+                self._hold_logged({record.corpus_id for record in records})
+            jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
+            spans: dict[str, tuple[int, int]] = {}  # offsets from the start of the append
 
-    def _node_lines(self, log: Optional[Path]) -> Iterator[bytes]:
+            def lines() -> Iterator[bytes]:
+                at = 0
+                for record in records:
+                    line = dump(record.to_json()).encode("utf-8")
+                    if record.corpus_id in self._extracted:
+                        spans[record.corpus_id] = at, len(line) + 1
+                    at += len(line) + 1
+                    yield line
+
+            start = jsonl.append_lines(records_path, lines())
+            self._log, self._log_file = records_path.absolute(), _identity(records_path)
+            for corpus_id, (offset, length) in spans.items():
+                self._logged(corpus_id, start + offset, length)
+
+    def _logged(self, corpus_id: str, offset: int, length: int) -> None:
+        """The log holds the paper's record in the line whose JSON starts
+        at ``offset``, ``length`` bytes to the line's end: the graph stops
+        holding the record."""
+        self._held.pop(corpus_id, None)
+        self._spans[corpus_id] = offset, length
+
+    def _hold_logged(self, again: set[str]) -> None:
+        """Before an append to another log than the one this graph's
+        logged records lie in: hold again in memory each of them that is
+        not in ``again``, with its late alignments."""
+        left = [corpus_id for corpus_id in self._spans if corpus_id not in again]
+        for record, late in self._whole(left) if left else ():
+            self._held[record.corpus_id] = record, late
+        self._spans = {}
+
+    def _node_lines(self) -> Iterator[bytes]:
         """nodes.jsonl lines: each contribution's JSON with its closing
         ``}`` replaced by the paper's metadata fields, encoded once per
-        paper. A record this graph appended to ``log`` has its
-        contributions' JSON read back from there; any other's is encoded."""
-        dump = jsonl.dump_line
-        spans = self._log_spans
-        if log is None or not spans or _identity(log) != self._log_file:
-            spans = {}
-        with log.open("rb") if spans else contextlib.nullcontext() as f:
-            for record in self._records.values():
-                tail = b", " + dump(self.papers[record.corpus_id].to_json())[1:].encode("utf-8")
-                span = spans.get(record.corpus_id)
-                if span is None:
-                    parts = [dump(c.to_json()).encode("utf-8") for c in record.contributions]
-                else:
-                    parts = _read_parts(f, record, span[0], span[1:])
-                for part in parts:
-                    yield part[:-1] + tail
+        paper. A logged record's contributions are copied from its line
+        (``_line_parts``), or encoded from the record the line holds when
+        it is not laid out as ``append_log`` writes one; a held record's
+        are encoded."""
+        dump, extracted = jsonl.dump_line, self._extracted
+        for corpus_id, line, offset in self._lines(extracted):
+            tail = b", " + dump(self.papers[corpus_id].to_json())[1:].encode("utf-8")
+            parts = None if line is None else _line_parts(line, corpus_id, extracted[corpus_id])
+            if parts is None:
+                record = self._record_at(corpus_id, line, offset)
+                parts = [dump(c.to_json()).encode("utf-8") for c in record.contributions]
+            for part in parts:
+                yield part[:-1] + tail
 
-    def _view_lines(self, log: Optional[Path] = None) -> dict[str, Iterator[bytes]]:
+    def _view_lines(self) -> dict[str, Iterator[bytes]]:
         """The lines of nodes.jsonl and of edges.jsonl, in that order and
         without their ``\\n``: what ``save`` writes and ``graph_hash``
-        digests. ``log`` is the records.jsonl node rows may be read back
-        from."""
-        return {NODES_FILE: self._node_lines(log), EDGES_FILE: self.edges.lines()}
+        digests."""
+        return {NODES_FILE: self._node_lines(), EDGES_FILE: self.edges.lines()}
 
     def save(self, directory: str | Path) -> None:
         """Write the views, then papers.jsonl, then the stamp. Into a
-        directory with no log yet (a store built in memory), append the
-        whole log first; a log that exists is never rewritten. The node
-        rows of the records this graph appended to this directory's log
-        are built from the JSON read back from it; every other row is
+        directory with no log yet (a store built in memory, or a copy),
+        append the whole log first: every record, and the late alignments
+        applied with each, read back from the log for a logged record; a
+        log that exists is never rewritten. The node rows of logged
+        records are copied from their log lines; every other row is
         encoded (see the module docstring). A papers.jsonl that this
         graph's last ``write_papers`` wrote, the same file, with the graph
         unchanged since, is left as it is: it holds the bytes a rewrite
@@ -641,9 +761,10 @@ class ContributionGraph:
             directory.mkdir(parents=True, exist_ok=True)
             log = directory / RECORDS_FILE
             if not log.exists():
-                self.append_log(log, self._records.values(), self._alignments)
+                whole = self._whole(self._extracted)
+                self.append_log(log, [r for r, _ in whole], [e for _, late in whole for e in late])
             views = hashlib.sha256()
-            for name, lines in self._view_lines(log).items():
+            for name, lines in self._view_lines().items():
                 jsonl.write_lines(directory / name, _digested(lines, views.update))
             written, papers = self._papers_written, directory / PAPERS_FILE
             if written is not None and papers.exists() and _identity(papers) == written[0]:
@@ -654,7 +775,7 @@ class ContributionGraph:
                 _size(directory / RECORDS_FILE),
                 _size(directory / ALIGNMENTS_FILE),
                 papers_sha256,
-                len(self._records),
+                len(self._extracted),
             )
             jsonl.write_jsonl(directory / STAMP_FILE, [{"graph_hash": views.hexdigest(), **key}])
 
@@ -715,23 +836,20 @@ class ContributionGraph:
         records_read, alignments_read, papers_read = _ByteCount(), _ByteCount(), hashlib.sha256()
         committed = _size(records_path)  # before alignments.jsonl: see the docstring
         with collector_paused():
-            late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
-            alignments_path = directory / ALIGNMENTS_FILE
-            if alignments_path.exists():
-                rows = jsonl.read_rows(alignments_path, lambda row: row, alignments_read)
-                for number, raw in enumerate(rows, 1):
-                    entry = recmod.parse_alignment(raw, f"{alignments_path} row {number}")
-                    late.setdefault(entry.ref.cited_id, {})[entry] = entry
+            late = _read_late(directory / ALIGNMENTS_FILE, alignments_read)
             if records_path.exists():
+                graph._log, graph._log_file = records_path.absolute(), _identity(records_path)
                 rows = jsonl.read_rows(records_path, recmod.parse_record, records_read, committed)
                 for record in rows:
                     graph.add_paper_record(record, list(late.get(record.corpus_id, {}).values()))
+                    length = records_read.last - records_read.lead  # from the line's "{"
+                    graph._logged(record.corpus_id, records_read.total - length, length)
             papers_path = directory / PAPERS_FILE
             if papers_path.exists():
                 for meta in jsonl.read_rows(papers_path, recmod.parse_paper, papers_read.update):
                     graph.register_paper(meta)
         key = _stamp_key(
-            records_read.total, alignments_read.total, papers_read.hexdigest(), len(graph._records)
+            records_read.total, alignments_read.total, papers_read.hexdigest(), len(graph._extracted)
         )
         graph._stamped_hash = _read_stamp(directory / STAMP_FILE, key)
         return graph
@@ -763,35 +881,53 @@ def _identity(path: Path) -> tuple[int, int]:
     return stat.st_dev, stat.st_ino
 
 
-def _read_parts(
-    f: BinaryIO, record: ExtractionRecord, offset: int, lengths: Sequence[int]
-) -> list[bytes]:
-    """The JSON of each of ``record``'s contributions, read from ``f`` at
-    ``offset``, where they lie joined by ``", "`` with these byte
-    lengths. A part that does not start with its contribution's id or
-    end with ``}`` raises ContribGraphError: a wrong span would corrupt
-    nodes.jsonl and its stamped digest together."""
-    if len(lengths) != len(record.contributions):
-        raise ContribGraphError(
-            f"{f.name}: {len(lengths)} contributions logged at byte {offset} for"
-            f" {record.corpus_id}, which has {len(record.contributions)}"
-        )
-    if not lengths:
-        return []
-    f.seek(offset)
-    data = f.read(sum(lengths) + 2 * (len(lengths) - 1))
-    parts, start = [], 0
-    for contribution, length in zip(record.contributions, lengths):
-        part = data[start:start + length]
-        head = ('{"contribution_id": ' + jsonl.dump_line(contribution.id)).encode("utf-8")
-        if not (part.startswith(head) and part.endswith(b"}")):
-            raise ContribGraphError(
-                f"{f.name} at byte {offset + start}: the log does not hold"
-                f" contribution {contribution.id} where it was appended"
-            )
-        parts.append(part)
-        start += length + 2
-    return parts
+def _read_late(
+    path: Path, seen: Optional[Callable[[bytes], object]] = None
+) -> dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]]:
+    """The late alignments that the alignments.jsonl at ``path`` logs, by
+    cited paper: for each reference site the last one logged, in the
+    order each site was first logged. None when there is no file.
+    ``seen`` is ``jsonl.read_rows``'s."""
+    late: dict[Optional[str], dict[UnresolvedRef, UnresolvedRef]] = {}
+    if path.exists():
+        for number, raw in enumerate(jsonl.read_rows(path, lambda row: row, seen), 1):
+            entry = recmod.parse_alignment(raw, f"{path} row {number}")
+            late.setdefault(entry.ref.cited_id, {})[entry] = entry
+    return late
+
+
+def _line_parts(
+    line: bytes, corpus_id: str, nodes: Sequence[ContributionNode]
+) -> Optional[list[bytes]]:
+    """The JSON of each contribution in ``line``, the log line of the
+    paper's record, when the line is laid out as ``append_log`` writes
+    one: it starts with the paper's corpus id; each contribution's JSON
+    starts with its node's id, name and description, encoded; they are
+    joined by ``", "``; and the line closes with ``]}``. None when it is
+    not, or when a contribution's start can be read at two places in the
+    line, so that the caller parses the line instead. A start found
+    this way lies where the record's encoding puts it: ``"`` inside a
+    string is escaped, so it can be read only where an object starts."""
+    dump = jsonl.dump_line
+    line = line.rstrip()
+    if not line.startswith(b'{"corpus_id": ' + dump(corpus_id).encode("utf-8") + b", "):
+        return None
+    if not nodes:
+        return [] if line.endswith(b'"contributions": []}') else None
+    starts, at = [], 0
+    for i, node in enumerate(nodes):
+        head = {"contribution_id": node.id, "name": node.name, "description": node.description}
+        before = b'"contributions": [' if i == 0 else b"}, "
+        pattern = before + dump(head)[:-1].encode("utf-8") + b', "types": '
+        at = line.find(pattern, at)
+        if at < 0 or line.find(pattern, at + 1) >= 0:
+            return None
+        at += len(before)
+        starts.append(at)
+    if not line.endswith(b"}]}"):
+        return None
+    ends = [start - 2 for start in starts[1:]] + [len(line) - 2]
+    return [line[start:end] for start, end in zip(starts, ends)]
 
 
 def _size(path: Path) -> int:

@@ -18,6 +18,15 @@ record. A tuple of n items is one block of 40 + 8n bytes; a list built
 by appending is 56 bytes plus a separate buffer that it over-allocates
 (88 bytes in all for one item). What never changes can be shared: the
 parsers in records.py share years and dates (``PartialDate`` is frozen).
+
+A graph's nodes are ``ContributionNode``s: a contribution's id, name,
+description, types, sections and ``split_from``, without its
+prerequisites. ``Contribution`` is a node with its prerequisites, as a
+record holds it, and ``Contribution.node`` builds the node. Queries
+read nodes only; the prerequisite side stays in the record, which the
+graph reads back from the log once the log holds it (graph.py). A node
+has no ``prerequisites`` field, so code that reads one off a node fails
+loudly instead of reading ``()``.
 """
 from __future__ import annotations
 
@@ -234,13 +243,15 @@ class Prerequisite:
 
 
 @dataclass(slots=True)
-class Contribution:
+class ContributionNode:
+    """A contribution as a graph node: what queries read, without its
+    prerequisites, which stay in the record (``Contribution``)."""
+
     id: str
     name: str
     description: str
     types: tuple[ContributionType, ...] = ()
     sections: tuple[str, ...] = ()
-    prerequisites: tuple[Prerequisite, ...] = ()
     split_from: Optional[str] = None  # original stage-2 key when dash-split
 
     @property
@@ -250,6 +261,20 @@ class Contribution:
     @property
     def index(self) -> int:
         return split_contribution_id(self.id)[1]
+
+
+@dataclass(slots=True)
+class Contribution(ContributionNode):
+    """A contribution as its record holds it: the node's fields and its
+    prerequisites."""
+
+    prerequisites: tuple[Prerequisite, ...] = ()
+
+    def node(self) -> ContributionNode:
+        """The graph node: these fields but the prerequisites."""
+        return ContributionNode(
+            self.id, self.name, self.description, self.types, self.sections, self.split_from
+        )
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {

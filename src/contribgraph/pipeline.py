@@ -41,6 +41,7 @@ from .errors import BackendError, DuplicatePaperError, StageFailure
 from .graph import ContributionGraph, GraphDelta
 from .model import (
     Contribution,
+    ContributionNode,
     ExtractionRecord,
     InternalRef,
     Match,
@@ -49,6 +50,7 @@ from .model import (
     Prerequisite,
     UnresolvedRef,
     make_contribution_id,
+    split_contribution_id,
 )
 from .prompts import (
     ALIGNMENT_TEMPLATE,
@@ -247,7 +249,7 @@ class Pipeline:
         self,
         dep: Contribution,
         prereq: Prerequisite,
-        cited_contributions: Sequence[Contribution],
+        cited_contributions: Sequence[ContributionNode],
         cited_meta: Optional[PaperMeta] = None,
     ) -> tuple[Match, ...]:
         """The prompt names the cited paper by ``cited_meta``, by default the graph's."""
@@ -357,15 +359,18 @@ class Pipeline:
         reference of a staged paper citing a paper extracted in the store
         or another staged paper, and each unmatched unresolved reference
         citing a staged paper. A store paper is presented as the graph
-        holds it; a staged one as its record will leave it. A job's error
-        stays in its future: ``finalize_paper`` decides what it means for
-        the reference.
+        holds it; a staged one as its record will leave it. The prerequisite
+        of an unresolved reference is read from its owner's record
+        (``ContributionGraph.record``), once per owning paper. A job's
+        error stays in its future: ``finalize_paper`` decides what it
+        means for the reference.
         """
-        targets: dict[str, tuple[Sequence[Contribution], PaperMeta]] = {
+        targets: dict[str, tuple[Sequence[ContributionNode], PaperMeta]] = {
             r.corpus_id: (r.contributions, self.graph.extracted_meta(r)) for r in batch
         }
+        owners: dict[str, ExtractionRecord] = {}
 
-        def target(corpus_id: str) -> Optional[tuple[Sequence[Contribution], PaperMeta]]:
+        def target(corpus_id: str) -> Optional[tuple[Sequence[ContributionNode], PaperMeta]]:
             if corpus_id not in targets and self.graph.is_extracted(corpus_id):
                 meta = self.graph.papers[corpus_id]
                 targets[corpus_id] = (self.graph.contributions_of(corpus_id), meta)
@@ -379,7 +384,10 @@ class Pipeline:
                     jobs[site] = (dep, prereq, site.ref.cited_id)
             for entry in self.graph.unresolved_citing(corpus_id):
                 if not entry.ref.matches:
-                    owner = self.graph.get_contribution(entry.owner_id)
+                    paper, index = split_contribution_id(entry.owner_id)
+                    if paper not in owners:
+                        owners[paper] = self.graph.record(paper)
+                    owner = owners[paper].contributions[index]
                     jobs[entry] = (owner, owner.prerequisites[entry.prereq_index], corpus_id)
 
         return {

@@ -296,8 +296,8 @@ def parse_contribution(
     split_from = get("split_from")
     return Contribution(
         cid, name, description, tuple(categories),
-        tuple([intern(s) if type(s) is str else s for s in sections]), tuple(prerequisites),
-        None if split_from is None else intern(str(split_from)),
+        tuple([intern(s) if type(s) is str else s for s in sections]),
+        None if split_from is None else intern(str(split_from)), tuple(prerequisites),
     )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import jsonl
 from .embedding import EmbeddingIndex
 from .graph import ContributionGraph
-from .model import CANDIDATES_PER_PROBLEM, Contribution, Problem
+from .model import CANDIDATES_PER_PROBLEM, ContributionNode, Problem
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ def sample_targets(
     years: Sequence[int],
     n_per_year: int,
     rng_seed: int,
-) -> list[Contribution]:
+) -> list[ContributionNode]:
     """Per year, up to n_per_year uniform draws (without replacement)
     among contributions with at least one incoming edge."""
     if not graph.nodes:
@@ -59,7 +59,7 @@ def sample_targets(
         pool = pools.get(graph.year_of(cid))
         if pool is not None:
             pool.append(cid)
-    targets: list[Contribution] = []
+    targets: list[ContributionNode] = []
     for year in years:
         pool = sorted(pools[year])
         if not pool:
@@ -75,7 +75,7 @@ def problem_seed(rng_seed: int, target_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def excluded_papers(graph: ContributionGraph, target: Contribution) -> set[str]:
+def excluded_papers(graph: ContributionGraph, target: ContributionNode) -> set[str]:
     """The target's own paper plus every paper with a direct edge (either
     direction) to any contribution of the target's paper."""
     target_paper = target.corpus_id
@@ -102,7 +102,7 @@ def index_years(graph: ContributionGraph, index: EmbeddingIndex) -> np.ndarray:
 
 
 def build_problem(
-    target: Contribution,
+    target: ContributionNode,
     graph: ContributionGraph,
     index: EmbeddingIndex,
     row_years: np.ndarray,

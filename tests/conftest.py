@@ -221,8 +221,9 @@ def assert_index_invariants(graph: ContributionGraph) -> None:
     """What ``add_paper_record`` keeps by construction, so that no run-time
     check repeats it: every edge joins two stored contributions, the
     adjacency chains hold each edge's row under its endpoints, oldest
-    first, and nothing else, and no unresolved reference cites an
-    extracted paper."""
+    first, and nothing else, no unresolved reference cites an extracted
+    paper, and every extracted paper's record, read back from the log
+    when it is logged, holds the paper's own contribution ids."""
     incoming: dict[str, list[int]] = {}
     outgoing: dict[str, list[int]] = {}
     for i, edge in enumerate(graph.edges):
@@ -236,6 +237,13 @@ def assert_index_invariants(graph: ContributionGraph) -> None:
     )
     assert chained == (incoming, outgoing)
     assert [cited for cited in graph.unresolved_by_cited() if graph.is_extracted(cited)] == []
+    for corpus_id in graph.papers:
+        if graph.is_extracted(corpus_id):
+            record = graph.record(corpus_id)
+            assert record.corpus_id == corpus_id
+            assert [c.id for c in record.contributions] == [
+                node.id for node in graph.contributions_of(corpus_id)
+            ]
 
 
 def load_golden_raw() -> list[dict]:

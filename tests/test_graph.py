@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_fixture as cf
+from contribgraph import cli
 from contribgraph.errors import (
     ContribGraphError,
     DuplicatePaperError,
@@ -22,11 +24,22 @@ from contribgraph.errors import (
 from contribgraph.frontier import build_histogram
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
-from contribgraph.model import Edge, PaperMeta, PaperRef, PartialDate, UnresolvedRef
+from contribgraph.model import (
+    Contribution,
+    Edge,
+    Match,
+    PaperMeta,
+    PaperRef,
+    PartialDate,
+    Prerequisite,
+    UnresolvedRef,
+)
+from contribgraph.pipeline import Pipeline
 from contribgraph.records import parse_record
 
 from conftest import (
     FORGED,
+    GOLDEN_RECORDS,
     LATE_ALIGNMENT,
     MALFORMED_ALIGNMENTS,
     assert_index_invariants,
@@ -38,6 +51,7 @@ from conftest import (
 )
 from oracles import node_lines_fresh
 from test_jsonl import disk_full_after
+from test_pipeline import RoutedBackend, batch_inputs, batch_route, is_alignment
 from test_roadmap import random_dag
 
 
@@ -907,8 +921,8 @@ def rich_record(corpus_id: str, n: int = 2, year: int = 2020) -> dict:
 
 
 class TestNodeRowsFromTheLog:
-    """``save`` builds each node row of a record this graph appended to
-    the store's log from the bytes its log line holds; every other row is
+    """``save`` builds each node row of a logged record, loaded or
+    appended, from the bytes its log line holds; every other row is
     encoded. Either way each row is the row encoded whole, and the stamp
     is the full digest."""
 
@@ -952,21 +966,22 @@ class TestNodeRowsFromTheLog:
         lines = (tmp_path / self.LOG).read_text(encoding="utf-8").splitlines()
         assert lines == [dump_line(record.to_json()) for record in graph.records()]
 
-    def test_only_a_save_into_the_appended_log_reads_it_back(self, tmp_path):
-        """An edit that keeps every length shows in the rows read back,
-        and in no other directory's rows."""
+    def test_an_edit_that_keeps_every_length_fails_every_save(self, tmp_path):
+        """Every save reads the logged records back from the graph's own
+        log, so an edit there that keeps every length fails a save into
+        any directory, naming the log and the line's offset."""
         store, copied, empty = tmp_path / "store", tmp_path / "copied", tmp_path / "empty"
         graph = self.build(store)
         log = store / self.LOG
+        offset = log.read_bytes().index(b'{"corpus_id": "3"')
         with log.open("r+b") as f:
             f.write(log.read_bytes().replace(b"thing 0 of paper 3", b"THING 0 OF PAPER 3"))
         copied.mkdir()
         (copied / self.LOG).write_bytes(log.read_bytes())
-        graph.save(store)
-        assert b"THING 0 OF PAPER 3" in (store / "nodes.jsonl").read_bytes()
-        for directory in (copied, empty):
-            graph.save(directory)
-            self.assert_fresh(graph, directory)
+        for directory in (store, copied, empty):
+            with pytest.raises(ContribGraphError, match=rf"records\.jsonl at byte {offset}: "):
+                graph.save(directory)
+        assert not (empty / self.LOG).exists()
 
     def test_a_log_that_moved_the_appended_bytes_fails_the_save(self, tmp_path):
         graph = self.build(tmp_path)
@@ -974,7 +989,7 @@ class TestNodeRowsFromTheLog:
         data = log.read_bytes()
         with log.open("r+b") as f:  # the same file, every byte one later
             f.write(b"\n" + data)
-        with pytest.raises(ContribGraphError, match="does not hold contribution 3.c0"):
+        with pytest.raises(ContribGraphError, match=r"records\.jsonl at byte 0: the line of record 1"):
             graph.save(tmp_path)
 
     def test_an_append_failing_midway_keeps_no_span(self, tmp_path):
@@ -993,3 +1008,154 @@ class TestNodeRowsFromTheLog:
         log.write_bytes(before)
         graph.save(tmp_path)
         self.assert_fresh(graph, tmp_path)
+
+
+def test_a_save_of_a_loaded_store_encodes_no_contribution(tmp_path, monkeypatch):
+    """Every node row of a loaded store is copied from its record's log
+    line, the rows a save wrote, so neither a save nor ``recompute_hash``
+    encodes a contribution."""
+    graph = ContributionGraph()
+    for raw in (*load_golden_raw(), rich_record("3"), make_record("5", n=0)):
+        graph.add_paper_record(raw)
+    graph.save(tmp_path)
+    views = {name: (tmp_path / name).read_bytes() for name in ("nodes.jsonl", "graph_hash.json")}
+    loaded = ContributionGraph.load(tmp_path)
+
+    def encode(contribution):
+        raise AssertionError(f"{contribution.id} encoded")
+
+    monkeypatch.setattr(Contribution, "to_json", encode)
+    assert loaded.recompute_hash() == json.loads(views["graph_hash.json"])["graph_hash"]
+    loaded.save(tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in views} == views
+
+
+def test_an_append_to_another_log_holds_the_old_logs_records_again(tmp_path):
+    """The graph keeps the lines of one log: an append to another one
+    reads back the records logged in the first and holds them again, so
+    they outlive the first log, and the views it saves equal the rows
+    encoded whole."""
+    first, other = tmp_path / "first", tmp_path / "other"
+    built = ContributionGraph()
+    for raw in load_golden_raw():
+        built.add_paper_record(raw)
+    built.save(first)
+    graph = ContributionGraph.load(first)
+    logged = graph.records()
+    record = parse_record(rich_record("3"))
+    graph.add_paper_record(record)
+    graph.append_log(other / "records.jsonl", [record])
+    for name in ("records.jsonl", "alignments.jsonl"):
+        (first / name).unlink()
+    assert graph.records() == [*logged, record]
+    graph.save(other)
+    assert (other / "nodes.jsonl").read_bytes() == node_lines_fresh(graph)
+
+
+def test_logged_records_hold_no_prerequisite_side(corpus, tmp_path, monkeypatch):
+    """Once a record is in the log the graph holds none of its
+    prerequisite side: no ``Prerequisite``, and no ``PaperRef`` or
+    ``Match`` but those of its unresolved references, whether ``ingest
+    --records`` appended the record, a replay-mock ``extract`` did (with
+    late alignments), or a load replayed it. Each record still reads
+    back whole, equal to the one the reload replays."""
+    built = []  # each graph a CLI step loaded, and then built on
+    real_load_store = cli.load_store
+    monkeypatch.setattr(
+        cli, "load_store", lambda store: built.append(real_load_store(store)) or built[-1]
+    )
+
+    def run(*argv) -> ContributionGraph:
+        assert cli.dispatch([str(a) for a in argv]) == 0
+        return built[-1]
+
+    def alive() -> Counter:
+        gc.unfreeze()  # load_store freezes: get_objects reads no frozen object
+        gc.collect()
+        kinds = (Prerequisite, PaperRef, Match)
+        return Counter(type(o) for o in gc.get_objects() if type(o) in kinds)
+
+    def assert_holds_no_prerequisite_side(route) -> ContributionGraph:
+        before = alive()
+        graph = route()
+        refs = {id(entry.ref): entry.ref for entry in graph.unresolved}
+        grown = alive()
+        grown.subtract(before)
+        assert (grown[Prerequisite], grown[PaperRef], grown[Match]) == (
+            0, len(refs), sum(len(ref.matches) for ref in refs.values())
+        )
+        return graph
+
+    ingested, extracted = tmp_path / "ingested", tmp_path / "extracted"
+    from_ingest = assert_holds_no_prerequisite_side(
+        lambda: run("ingest", "--store", ingested, "--records", GOLDEN_RECORDS)
+    )
+    run("ingest", "--store", extracted, "--catalog", corpus.catalog_path)
+    from_extract = assert_holds_no_prerequisite_side(lambda: run(
+        "extract", *cf.EXTRACTION_ORDER, "--store", extracted,
+        "--catalog", corpus.catalog_path, "--mock", corpus.mock_dir,
+    ))
+    assert (extracted / "alignments.jsonl").stat().st_size > 0
+    for store, graph in ((ingested, from_ingest), (extracted, from_extract)):
+        reloaded = assert_holds_no_prerequisite_side(lambda: ContributionGraph.load(store))
+        assert graph.unresolved
+        assert graph.records() == reloaded.records() == [
+            parse_record(raw) for raw in read_jsonl(store / "records.jsonl")
+        ]
+        assert_index_invariants(reloaded)
+
+
+class TestLogChangedUnderTheGraph:
+    """A loaded graph reads its logged records back from the log. A log
+    whose line of a record was rewritten, or cut, fails every read of
+    that record loudly, naming records.jsonl and the line's offset:
+    ``record``, a save, and a late alignment of its reference."""
+
+    @staticmethod
+    def citing(corpus_id: str) -> dict:
+        """A record of one contribution citing paper 301, not extracted."""
+        record = make_record(corpus_id, n=1)
+        record["contributions"][0]["prerequisites"] = [{
+            "name": "p", "description": "d", "explanation": "e", "core_or_peripheral": "core",
+            "references": [{"type": "paper", "paper_title": "t", "corpus_id": "301"}],
+        }]
+        return record
+
+    @staticmethod
+    def rewrite(log, offset) -> str:
+        """Paper 100's line in place of paper 101's, as long."""
+        other = dump_line(parse_record(TestLogChangedUnderTheGraph.citing("101")).to_json())
+        data = log.read_bytes()
+        assert len(other) == data.index(b"\n", offset) - offset
+        with log.open("r+b") as f:
+            f.seek(offset)
+            f.write(other.encode("utf-8"))
+        return "the log no longer holds the record of 100"
+
+    @staticmethod
+    def truncate(log, offset) -> str:
+        with log.open("r+b") as f:
+            f.truncate(offset + 10)
+        return "the log ends inside the line of record 100"
+
+    @pytest.mark.parametrize("change", ["rewrite", "truncate"])
+    @pytest.mark.parametrize("read", ["record", "save", "late_alignment"])
+    def test_every_read_of_the_record_fails(self, tmp_path, change, read):
+        store = tmp_path / "store"
+        first = ContributionGraph()
+        for raw in (make_record("200", n=1), self.citing("100")):
+            first.add_paper_record(raw)
+        first.save(store)
+        log = store / "records.jsonl"
+        offset = log.read_bytes().index(b'{"corpus_id": "100"')
+        graph = ContributionGraph.load(store)
+        message = getattr(self, change)(log, offset)
+        backend = RoutedBackend(batch_route({}))
+        reads = {
+            "record": lambda: graph.record("100"),
+            "save": lambda: graph.save(store),
+            "late_alignment": lambda: Pipeline(backend, graph).run_batch(batch_inputs("301")),
+        }
+        with pytest.raises(ContribGraphError, match=rf"records\.jsonl at byte {offset}: {message}"):
+            reads[read]()
+        assert not any(is_alignment(prompt) for prompt in backend.prompts)

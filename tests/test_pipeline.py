@@ -566,7 +566,7 @@ class TestExtractPrerequisites:
 
 class TestAlignPrerequisite:
     def test_transformer_prerequisite_strong_plus_weak(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         prereq = dep.prerequisites[0]
         cited = golden_graph.contributions_of(ATTENTION)
         response = echo_json({
@@ -592,7 +592,7 @@ class TestAlignPrerequisite:
         ]
 
     def test_match_in_stored_spelling_beside_a_null_key(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         cited = golden_graph.contributions_of(ATTENTION)
         response = echo_json({
             "matches": [{"contribution_key": None, "contribution_id": f"{ATTENTION}.c0",
@@ -608,12 +608,12 @@ class TestAlignPrerequisite:
         assert backend.usage.calls == 1
 
     def test_zero_cited_contributions_no_call(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         pipeline = Pipeline(ExplodingBackend(), golden_graph)
         assert pipeline.align_prerequisite(dep, dep.prerequisites[0], []) == ()
 
     def test_empty_matches_is_legal(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         prereq = dep.prerequisites[6]  # the unaligned optimization-techniques citation
         cited = golden_graph.contributions_of("3626819")
         response = echo_json({"matches": [], "overall_explanation": "nothing fits"})
@@ -621,7 +621,7 @@ class TestAlignPrerequisite:
         assert pipeline.align_prerequisite(dep, prereq, cited) == ()
 
     def test_foreign_id_fails_after_retries(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         cited = golden_graph.contributions_of(ATTENTION)
         bad = echo_json({
             "matches": [{"contribution_key": "999.c9", "explanation": "?",
@@ -633,7 +633,7 @@ class TestAlignPrerequisite:
             pipeline.align_prerequisite(dep, dep.prerequisites[0], cited)
 
     def test_malformed_match_type_fails(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         cited = golden_graph.contributions_of(ATTENTION)
         bad = echo_json({
             "matches": [{"contribution_key": f"{ATTENTION}.c0", "explanation": "?",
@@ -645,7 +645,7 @@ class TestAlignPrerequisite:
             pipeline.align_prerequisite(dep, dep.prerequisites[0], cited)
 
     def test_mixed_corpora_rejected(self, golden_graph):
-        dep = golden_graph.get_contribution(f"{BERT}.c0")
+        dep = golden_graph.record(BERT).contributions[0]
         cited = [
             golden_graph.get_contribution(f"{ATTENTION}.c0"),
             golden_graph.get_contribution("3626819.c0"),
@@ -694,7 +694,7 @@ class TestRunPaper:
         pipeline, graph = make_pipeline(backend)
         [(_, delta, error)] = pipeline.run_batch([PaperInput("31", "t", 2020, "text")])
         assert error is None
-        part = graph.contributions_of("31")[1]
+        part = graph.record("31").contributions[1]
         assert (part.id, part.split_from) == ("31.c1", "1")
         assert [r.contribution_id for r in part.prerequisites[0].references] == ["31.c0"]
         assert delta.edges_added == 1
@@ -948,7 +948,7 @@ class TestBatchFailures:
             batch_inputs("301", "302"), parallel=2
         )
         assert error is crash
-        assert not graph.is_extracted("301") and graph.contributions_of("301") == []
+        assert not graph.is_extracted("301") and graph.contributions_of("301") == ()
         [entry] = graph.unresolved_citing("301")
         assert (entry.owner_id, entry.ref.matches) == ("100.c0", ())
         assert alignments.read_bytes() == aligned

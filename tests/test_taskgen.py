@@ -324,7 +324,7 @@ class TestNeighbourhoodLookups:
     @staticmethod
     def assert_match_scans(graph):
         for corpus_id in graph.papers:
-            assert graph.contributions_of(corpus_id) == contributions_of_scan(graph, corpus_id)
+            assert graph.contributions_of(corpus_id) == tuple(contributions_of_scan(graph, corpus_id))
         for cid in graph.nodes:
             assert graph.deduplicated_edges(cid) == deduplicated_edges_scan(graph, cid)
 
@@ -344,7 +344,7 @@ class TestNeighbourhoodLookups:
         record["contributions"][0]["prerequisites"] = [prereq]
         with pytest.raises(RecordValidationError, match="itself"):
             golden_graph.add_paper_record(record)
-        assert golden_graph.contributions_of("777") == []
+        assert golden_graph.contributions_of("777") == ()
         self.assert_match_scans(golden_graph)
 
 
