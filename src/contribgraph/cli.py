@@ -114,9 +114,12 @@ def load_store(store_dir: Path) -> ContributionGraph:
     the process exits, so the cyclic collector need never scan it.
     Freezing before the collector resumes also spares the one scan of
     everything the replay built. ``ingest`` freezes what it adds to the
-    graph the same way."""
+    graph the same way. A freeze keeps whatever it finds, garbage too,
+    so the cyclic garbage of an in-process caller is collected before
+    the replay, while the heap holds little more than the imports."""
     from .graph import ContributionGraph, collector_paused
 
+    gc.collect()
     with collector_paused():
         graph = ContributionGraph.load(store_dir)
         gc.freeze()
@@ -189,14 +192,14 @@ def at_least(low: int) -> Callable[[str], int]:
 
 def cmd_ingest(args, settings) -> int:
     from .frontier import Catalog
-    from .graph import RECORDS_FILE, collector_paused
+    from .graph import collector_paused
     from .jsonl import read_rows
     from .records import parse_record
 
     store_dir = Path(args.store)
     with store_lock(store_dir):
         graph = load_store(store_dir)
-        ingested, skipped, registered = [], 0, False
+        ingested = skipped = 0
 
         def new_record(raw: dict) -> Optional[ExtractionRecord]:
             """The parsed record, or None when its paper is already extracted."""
@@ -208,24 +211,19 @@ def cmd_ingest(args, settings) -> int:
             if args.catalog:
                 catalog = Catalog.load(args.catalog)
                 for entry in catalog.by_id.values():
-                    registered |= graph.register_paper(entry.paper_meta())
+                    graph.register_paper(entry.paper_meta())
                 print(f"catalog: {len(catalog.by_id)} papers registered")
             for records_file in args.records or []:
                 for record in read_rows(records_file, new_record):
                     if record is None:
                         skipped += 1
                         continue
-                    delta = graph.add_paper_record(record)
-                    ingested.append(record)
-                    print(f"{record.corpus_id}: {delta}")
+                    print(f"{record.corpus_id}: {graph.add_paper_record(record)}")
+                    ingested += 1
             gc.freeze()  # as load_store does: what the build made lives until exit
         if args.records:
-            print(f"records: {len(ingested)} ingested, {skipped} already extracted")
+            print(f"records: {ingested} ingested, {skipped} already extracted")
         # Only after every record file applied: a failing row leaves the store as it was.
-        if ingested:
-            if registered:  # papers.jsonl alone keeps catalog metadata
-                graph.write_papers(store_dir)
-            graph.append_log(store_dir / RECORDS_FILE, ingested)
         graph.save(store_dir)
     return 0
 

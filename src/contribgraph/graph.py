@@ -14,9 +14,16 @@ passes ``records.parse_record`` before it is applied, and the edge and
 unresolved indexes change only there, so ``validate`` checks only what a
 store's files can get wrong; tests pin the in-memory invariants.
 ``append_log`` is the one writer of the log, and it only appends;
-nodes/edges/papers.jsonl are written views. papers.jsonl is also the
-only file that keeps catalog metadata, so a writer that registers new
-metadata writes it before it appends to the log.
+nodes/edges/papers.jsonl are written views (Kleppmann, DDIA ch. 11:
+views derived from a log). ``save`` is the store's one commit: it
+writes papers.jsonl, appends every record the log lacks, then writes
+the views and the stamp. papers.jsonl is the only file that keeps
+catalog metadata, so it is written before the log grows.
+
+A graph keeps one log. Once a log holds some of its records, an append
+or a save into another store raises ContribGraphError naming both logs
+and writes nothing there; the two are compared as resolved paths, so a
+store reached through another path string is the same store.
 
 Once a record is in the log, the graph holds none of its prerequisite
 side (Sheehy & Smith, "Bitcask", 2010; Kleppmann, DDIA ch. 3: a small
@@ -26,12 +33,12 @@ contribution without its prerequisites), its edges and its unresolved
 references, and where its line lies in records.jsonl: the byte offset
 where the line's JSON starts and its length, noted by ``load`` as it
 replays the line and by ``append_log`` as it appends it. A record no
-log holds yet (a graph built in memory) is held whole, with the late
-alignments applied with it. ``record`` and ``records`` read a logged
-record back from its line through ``records.parse_record``, the one
-parse path; the line must still hold the paper's record, the same
-nodes, or the read raises ContribGraphError naming the file and the
-byte offset. Each read stays inside its line's span, so below the
+log holds yet is held whole, with the late alignments applied with
+it, until an append or a save logs it. ``record`` and ``records`` read
+a logged record back from its line through ``records.parse_record``,
+the one parse path; the line must still hold the paper's record, the
+same nodes, or the read raises ContribGraphError naming the file and
+the byte offset. Each read stays inside its line's span, so below the
 length ``load`` noted; the log is opened for one read, or one pass
 over many, and closed after it.
 
@@ -306,15 +313,11 @@ class ContributionGraph:
         # graph_hash() as stamped by the save that wrote the files this
         # graph was loaded from; None once the graph changes.
         self._stamped_hash: Optional[str] = None
-        # The records.jsonl the logged records lie in, that file as
-        # (st_dev, st_ino), and for each logged record the byte offset
-        # and length of its line there.
+        # The resolved path of the records.jsonl the logged records lie
+        # in, and for each logged record the byte offset and length of
+        # its line there.
         self._log: Optional[Path] = None
-        self._log_file: Optional[tuple[int, int]] = None
         self._spans: dict[str, tuple[int, int]] = {}
-        # The papers.jsonl of this graph's last write_papers, as (st_dev,
-        # st_ino), and the sha256 of its bytes; None once the graph changes.
-        self._papers_written: Optional[tuple[tuple[int, int], str]] = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -336,7 +339,8 @@ class ContributionGraph:
         rejected record leaves the store untouched. A dict is checked by
         ``records.parse_record``; an ExtractionRecord must already pass
         its rules. The graph holds the record whole, with ``late``, until
-        the log holds it (``append_log``, or ``load`` as it replays it).
+        the log holds it (``append_log`` or ``save``, or ``load`` as it
+        replays it).
         """
         if isinstance(record, dict):
             record = recmod.parse_record(record)
@@ -387,7 +391,7 @@ class ContributionGraph:
                 raise RecordValidationError([f"unknown late alignment {e}" for e in late_matches])
 
             # Apply.
-            self._stamped_hash = self._papers_written = None
+            self._stamped_hash = None
             self.papers[record.corpus_id] = self.extracted_meta(record)
             nodes = tuple([contribution.node() for contribution in record.contributions])
             for node in nodes:
@@ -427,7 +431,7 @@ class ContributionGraph:
                 )
                 if meta == existing:
                     return False
-            self._stamped_hash = self._papers_written = None
+            self._stamped_hash = None
             self.papers[meta.corpus_id] = meta
             return True
 
@@ -525,20 +529,6 @@ class ContributionGraph:
     def _records(self, corpus_ids: Iterable[str]) -> Iterator[ExtractionRecord]:
         for corpus_id, line, offset in self._lines(corpus_ids):
             yield self._record_at(corpus_id, line, offset)
-
-    def _whole(
-        self, corpus_ids: Iterable[str]
-    ) -> list[tuple[ExtractionRecord, tuple[UnresolvedRef, ...]]]:
-        """Each paper's record with the late alignments applied with it;
-        for a logged record, the ones its log's alignments file holds for
-        it, which ``load`` applies."""
-        log = self._log
-        logged = _read_late(log.with_name(ALIGNMENTS_FILE)) if log and self._spans else {}
-        return [
-            self._held.get(record.corpus_id)
-            or (record, tuple(logged.get(record.corpus_id, {}).values()))
-            for record in self._records(corpus_ids)
-        ]
 
     def _lines(self, corpus_ids: Iterable[str]) -> Iterator[tuple[str, Optional[bytes], int]]:
         """Each of ``corpus_ids`` with its record's log line and the line's
@@ -645,53 +635,55 @@ class ContributionGraph:
     # Persistence
     # ------------------------------------------------------------------
 
-    def append_log(
-        self,
-        records_path: str | Path,
-        records: Iterable[ExtractionRecord],
-        late: Iterable[UnresolvedRef] = (),
-    ) -> None:
-        """Append ``late`` to the alignments file beside ``records_path``,
-        then ``records`` to ``records_path``: the one writer of the log,
-        which it only appends to. Alignments first: a crash between the
-        two appends leaves alignments of a paper with no record, which
-        replay ignores, so the paper is simply extracted again. A
-        record's line is ``dump_line(record.to_json())``.
+    def append_log(self, records_path: str | Path) -> None:
+        """Append every record the graph holds to ``records_path``, in the
+        order applied, after the late alignments applied with them to the
+        alignments file beside it: the one writer of the log, which it
+        only appends to. Alignments first: a crash between the two
+        appends leaves alignments of a paper with no record, which replay
+        ignores, so the paper is simply extracted again. A record's line
+        is ``dump_line(record.to_json())``.
 
-        ``records`` are this graph's records, or records it does not
-        hold, and ``late`` the late alignments applied with them. Once
-        the append returns, the graph keeps where the line of each of
-        its records lies, the offset and the length, and no longer holds
-        the record (see the module docstring). An append that fails
-        changes nothing that the graph keeps. The graph keeps the lines
-        of one log: appending to another file first reads back the
-        records logged in the old one and holds them again, but for
-        those appended here.
+        Once the append returns, the graph keeps where the line of each
+        record lies, the offset and the length, and no longer holds the
+        record (see the module docstring). An append that fails changes
+        nothing that the graph keeps, so the next append or save logs its
+        records, still in the order applied. A graph keeps one log: once
+        some of its records are logged, an append to another file raises
+        ContribGraphError and writes nothing.
         """
         records_path = Path(records_path)
         dump = jsonl.dump_line
         with self._lock:
-            records = list(records)
-            if self._spans and not (
-                records_path.exists() and _identity(records_path) == self._log_file
-            ):
-                self._hold_logged({record.corpus_id for record in records})
-            jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), (e.to_json() for e in late))
-            spans: dict[str, tuple[int, int]] = {}  # offsets from the start of the append
+            log = self._own_log(records_path)
+            held = list(self._held.values())
+            alignments = (e.to_json() for _, late in held for e in late)
+            jsonl.append_jsonl(records_path.with_name(ALIGNMENTS_FILE), alignments)
+            spans: list[tuple[str, int, int]] = []  # offsets from the start of the append
 
             def lines() -> Iterator[bytes]:
                 at = 0
-                for record in records:
+                for record, _ in held:
                     line = dump(record.to_json()).encode("utf-8")
-                    if record.corpus_id in self._extracted:
-                        spans[record.corpus_id] = at, len(line) + 1
+                    spans.append((record.corpus_id, at, len(line) + 1))
                     at += len(line) + 1
                     yield line
 
             start = jsonl.append_lines(records_path, lines())
-            self._log, self._log_file = records_path.absolute(), _identity(records_path)
-            for corpus_id, (offset, length) in spans.items():
+            self._log = log
+            for corpus_id, offset, length in spans:
                 self._logged(corpus_id, start + offset, length)
+
+    def _own_log(self, records_path: Path) -> Path:
+        """``records_path`` resolved; ContribGraphError when some of the
+        graph's records are logged in another file."""
+        log = records_path.resolve()
+        if self._spans and log != self._log:
+            raise ContribGraphError(
+                f"{log}: this graph's records are logged in {self._log}, and a graph"
+                " keeps one log"
+            )
+        return log
 
     def _logged(self, corpus_id: str, offset: int, length: int) -> None:
         """The log holds the paper's record in the line whose JSON starts
@@ -699,15 +691,6 @@ class ContributionGraph:
         holding the record."""
         self._held.pop(corpus_id, None)
         self._spans[corpus_id] = offset, length
-
-    def _hold_logged(self, again: set[str]) -> None:
-        """Before an append to another log than the one this graph's
-        logged records lie in: hold again in memory each of them that is
-        not in ``again``, with its late alignments."""
-        left = [corpus_id for corpus_id in self._spans if corpus_id not in again]
-        for record, late in self._whole(left) if left else ():
-            self._held[record.corpus_id] = record, late
-        self._spans = {}
 
     def _node_lines(self) -> Iterator[bytes]:
         """nodes.jsonl lines: each contribution's JSON with its closing
@@ -733,57 +716,46 @@ class ContributionGraph:
         return {NODES_FILE: self._node_lines(), EDGES_FILE: self.edges.lines()}
 
     def save(self, directory: str | Path) -> None:
-        """Write the views, then papers.jsonl, then the stamp. Into a
-        directory with no log yet (a store built in memory, or a copy),
-        append the whole log first: every record, and the late alignments
-        applied with each, read back from the log for a logged record; a
-        log that exists is never rewritten. The node rows of logged
-        records are copied from their log lines; every other row is
-        encoded (see the module docstring). A papers.jsonl that this
-        graph's last ``write_papers`` wrote, the same file, with the graph
-        unchanged since, is left as it is: it holds the bytes a rewrite
-        would write.
+        """The store's one commit: write papers.jsonl, then append every
+        record the graph holds, with the late alignments applied with it,
+        to the directory's log, whether or not the log exists yet; then
+        write the views, then the stamp. A log is never rewritten. Once
+        some of the graph's records are logged in another store, raise
+        ContribGraphError before anything is written. papers.jsonl goes
+        first because it alone keeps catalog metadata: a writer that dies
+        after the append loses none. The node rows are copied from the
+        records' log lines (see the module docstring).
 
         The view lines are digested as they are written. The stamp,
         graph_hash.json, holds that digest and its key: the byte lengths
         of the two log files as they stand and the sha256 of the
-        papers.jsonl just written, plus the record count, so that a
-        record applied here whose log append failed never matches. It is
-        written last, temporary file then rename, so a crash mid-save
-        leaves the old stamp, whose key then matches only files that
-        still derive the old graph. This graph's own ``graph_hash`` is
-        left as it was: only ``load`` reads the stamp. The key assumes the
-        log only grows, so whatever truncates or rewrites it must delete
-        the stamp first.
+        papers.jsonl just written, plus the record count. It is written
+        last, temporary file then rename, so a crash mid-save leaves the
+        old stamp, whose key then matches only files that still derive
+        the old graph. This graph's own ``graph_hash`` is left as it was:
+        only ``load`` reads the stamp. The key assumes the log only grows,
+        so whatever truncates or rewrites it must delete the stamp first.
         """
         with self._lock:
             directory = Path(directory)
-            directory.mkdir(parents=True, exist_ok=True)
             log = directory / RECORDS_FILE
-            if not log.exists():
-                whole = self._whole(self._extracted)
-                self.append_log(log, [r for r, _ in whole], [e for _, late in whole for e in late])
+            self._own_log(log)
+            papers_sha256 = self.write_papers(directory)
+            self.append_log(log)
             views = hashlib.sha256()
             for name, lines in self._view_lines().items():
                 jsonl.write_lines(directory / name, _digested(lines, views.update))
-            written, papers = self._papers_written, directory / PAPERS_FILE
-            if written is not None and papers.exists() and _identity(papers) == written[0]:
-                papers_sha256 = written[1]
-            else:
-                papers_sha256 = self.write_papers(directory)
             key = _stamp_key(
-                _size(directory / RECORDS_FILE),
-                _size(directory / ALIGNMENTS_FILE),
-                papers_sha256,
-                len(self._extracted),
+                _size(log), _size(directory / ALIGNMENTS_FILE), papers_sha256, len(self._extracted)
             )
             jsonl.write_jsonl(directory / STAMP_FILE, [{"graph_hash": views.hexdigest(), **key}])
 
     def write_papers(self, directory: str | Path) -> str:
         """Write papers.jsonl, one row per known paper with its status, and
-        return the sha256 of the bytes written. The graph keeps which file
-        that was and the digest until it next changes, so that a ``save``
-        into the same directory before then need not write it again."""
+        return the sha256 of the bytes written. ``save`` calls it first;
+        ``extract`` also calls it before its batch's first append, so that
+        the log never holds a record whose catalog metadata papers.jsonl
+        lacks."""
         with self._lock:
             papers = ((m.to_json(), self.is_extracted(k)) for k, m in sorted(self.papers.items()))
             lines = (
@@ -793,8 +765,7 @@ class ContributionGraph:
             digest = hashlib.sha256()
             path = Path(directory) / PAPERS_FILE
             jsonl.write_lines(path, _digested(lines, lambda line: digest.update(line + b"\n")))
-            self._papers_written = _identity(path), digest.hexdigest()
-            return self._papers_written[1]
+            return digest.hexdigest()
 
     @classmethod
     def load(cls, directory: str | Path) -> "ContributionGraph":
@@ -838,7 +809,7 @@ class ContributionGraph:
         with collector_paused():
             late = _read_late(directory / ALIGNMENTS_FILE, alignments_read)
             if records_path.exists():
-                graph._log, graph._log_file = records_path.absolute(), _identity(records_path)
+                graph._log = records_path.resolve()
                 rows = jsonl.read_rows(records_path, recmod.parse_record, records_read, committed)
                 for record in rows:
                     graph.add_paper_record(record, list(late.get(record.corpus_id, {}).values()))
@@ -873,12 +844,6 @@ class ContributionGraph:
                 for line in lines:
                     digest.update(line)
             return digest.hexdigest()
-
-
-def _identity(path: Path) -> tuple[int, int]:
-    """The file at ``path``, as (st_dev, st_ino)."""
-    stat = path.stat()
-    return stat.st_dev, stat.st_ino
 
 
 def _read_late(

@@ -405,7 +405,9 @@ class Pipeline:
         which then leaves the store untouched. An unresolved reference
         citing this paper takes its job's result as a late alignment; a
         transport error or a validation failure there skips only that
-        reference, and any other error is raised.
+        reference, and any other error is raised. A log append that
+        raises fails the paper too, but the graph then holds its record:
+        the next append, or the command's save, logs it first.
         """
         for site, _, _ in _paper_refs(record):
             if self.graph.is_extracted(site.ref.cited_id):
@@ -423,7 +425,7 @@ class Pipeline:
             late.append(replace(entry, ref=replace(entry.ref, matches=matches)))
         delta = self.graph.add_paper_record(record, late)
         if self.records_path is not None:
-            self.graph.append_log(self.records_path, [record], late)
+            self.graph.append_log(self.records_path)
         return delta
 
     def run_batch(

@@ -9,12 +9,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import corpus_fixture as cf
-from contribgraph.cli import build_parser, dispatch
+from contribgraph import jsonl
+from contribgraph.cli import build_parser, dispatch, load_store
 from contribgraph.graph import ContributionGraph
 from contribgraph.jsonl import dump_line, read_jsonl, write_jsonl
 from contribgraph.model import PartialDate
@@ -577,7 +579,7 @@ def test_a_writer_that_dies_before_its_save_keeps_the_catalog_date(
 ):
     """papers.jsonl alone keeps catalog metadata, so `extract` and `ingest`
     write it before they append a record to the log: a writer that dies
-    after the append, before its save, loses no date."""
+    after the append, before its first view write, loses no date."""
     store = tmp_path / "store"
     common = ["--store", store, "--catalog", corpus.catalog_path]
     if command == "extract":
@@ -590,12 +592,18 @@ def test_a_writer_that_dies_before_its_save_keeps_the_catalog_date(
                    "--mock", corpus.mock_dir) == 0
         argv = ["ingest", *common, "--records", source / "records.jsonl"]
 
-    def save(graph, directory):
-        raise OSError("disk full")
+    real = jsonl.write_lines
 
-    monkeypatch.setattr(ContributionGraph, "save", save)
+    def write_lines(path, lines):
+        if Path(path).name == "nodes.jsonl":
+            raise OSError("disk full")
+        return real(path, lines)
+
+    monkeypatch.setattr(jsonl, "write_lines", write_lines)
     assert run(*argv) == 1
     monkeypatch.undo()
+    nodes = store / "nodes.jsonl"  # no view holds the paper yet
+    assert not nodes.exists() or b'"contribution_id": "7000004.' not in nodes.read_bytes()
     loaded = ContributionGraph.load(store)
     assert loaded.is_extracted("7000004")
     assert loaded.papers["7000004"].date == PartialDate(2019, 5)
@@ -798,6 +806,26 @@ def test_bad_catalog_field_is_a_clean_failure(tmp_path, capsys, name):
         assert {p.name: p.read_bytes() for p in store.iterdir()} == before, argv
 
 
+def test_load_store_freezes_no_garbage_of_its_caller(tmp_path):
+    """``load_store`` freezes what the process holds, so it collects the
+    cyclic garbage first: a cycle dropped before the call (the graph
+    module imported above, so the call imports nothing) is gone once it
+    returns, not frozen for the life of the process."""
+
+    class Cycle:
+        pass
+
+    cycle = Cycle()
+    cycle.itself = cycle
+    dropped = weakref.ref(cycle)
+    del cycle
+    try:
+        load_store(tmp_path)
+        assert dropped() is None
+    finally:
+        gc.unfreeze()
+
+
 class TestIngestPaysOnce:
     """An in-process `ingest` freezes the graph it built before it saves,
     and writes papers.jsonl once, whatever its inputs."""
@@ -847,7 +875,8 @@ class TestIngestPaysOnce:
         assert run("ingest", "--store", one, "--catalog", catalog, "--records", GOLDEN_RECORDS) == 0
         for flags in (["--catalog", catalog], ["--records", GOLDEN_RECORDS], []):
             assert run("ingest", "--store", steps, *flags) == 0
-        for name in ("papers.jsonl", "nodes.jsonl", "edges.jsonl", "graph_hash.json"):
+        for name in ("records.jsonl", "alignments.jsonl", "papers.jsonl", "nodes.jsonl",
+                     "edges.jsonl", "graph_hash.json"):
             assert (one / name).read_bytes() == (steps / name).read_bytes(), name
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import shutil
 import tracemalloc
 from collections import Counter
 
@@ -565,10 +566,15 @@ class TestPersistence:
                 e.to_json() for e in golden_graph.incoming_edges(cid)
             ]
 
-    def test_save_is_deterministic(self, tmp_path, golden_graph):
+    def test_save_is_deterministic(self, tmp_path):
+        """Two graphs built from the same records save the same bytes (a
+        graph keeps one log, so each is saved once)."""
         a, b = tmp_path / "a", tmp_path / "b"
-        golden_graph.save(a)
-        golden_graph.save(b)
+        for directory in (a, b):
+            graph = ContributionGraph()
+            for raw in load_golden_raw():
+                graph.add_paper_record(raw)
+            graph.save(directory)
         for name in ("records.jsonl", "nodes.jsonl", "edges.jsonl", "papers.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -638,12 +644,15 @@ class TestGraphHashStamp:
         lambda store: edit_stamp(store, lambda raw: b"\xff not json"),
         lambda store: edit_stamp(store, lambda raw: b"[" + raw + b"]"),
         lambda store: edit_stamp(store, lambda raw: raw.replace(b'"records": 4', b'"records": "4"')),
+        # The log lengths and papers.jsonl match; the record count alone does not.
+        lambda store: edit_stamp(store, lambda raw: raw.replace(b'"records": 4', b'"records": 5')),
         lambda store: edit_stamp(store, lambda raw: raw.replace(FORGED.encode(), b"Z" * 64)),
         lambda store: edit_stamp(store, lambda raw: raw.replace(b'"graph_hash"', b'"digest"')),
     ], ids=[
         "record_appended", "alignment_appended", "papers_edited", "stamp_deleted",
         "stamp_truncated", "stamp_empty", "stamp_not_json", "stamp_not_an_object",
-        "stamp_key_of_the_wrong_type", "stamp_digest_not_hex", "stamp_without_digest",
+        "stamp_key_of_the_wrong_type", "stamp_record_count_differs", "stamp_digest_not_hex",
+        "stamp_without_digest",
     ])
     def test_a_stale_or_bad_stamp_falls_back_to_the_full_digest(self, store, change):
         forge_stamp(store)
@@ -661,21 +670,23 @@ class TestGraphHashStamp:
         change(loaded)
         assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
 
-    def test_a_record_missing_from_the_log_is_never_stamped(self, store, golden_graph):
-        """A record applied whose log append failed: the views and the
-        stamp hold it, the log does not."""
-        golden_graph.add_paper_record(make_record("777"))
-        golden_graph.save(store)
+    def test_a_record_added_to_a_loaded_store_is_logged_by_its_save(self, store):
+        """``save`` appends every record the log lacks, into a store whose
+        log exists too: a reload replays the record, and the stamp holds."""
+        graph = ContributionGraph.load(store)
+        graph.add_paper_record(make_record("777"))
+        graph.save(store)
         forge_stamp(store)
         loaded = ContributionGraph.load(store)
-        assert not loaded.is_extracted("777")
-        assert loaded.graph_hash() == loaded.recompute_hash() != FORGED
+        assert loaded.is_extracted("777")
+        assert loaded.graph_hash() == FORGED
+        assert loaded.recompute_hash() == graph.recompute_hash()
 
 
 class TestPapersWrittenOnce:
-    """``save`` leaves alone the papers.jsonl that this graph's last
-    ``write_papers`` wrote, when the graph is unchanged since and the file
-    is the same; any change in between makes it write the file again."""
+    """``save`` writes papers.jsonl once, before it appends to the log:
+    whatever changed since the last ``write_papers``, the file holds what
+    a fresh write holds, and the stamp's key matches it."""
 
     def build(self, store) -> ContributionGraph:
         graph = ContributionGraph()
@@ -698,20 +709,12 @@ class TestPapersWrittenOnce:
         forge_stamp(store)
         assert ContributionGraph.load(store).graph_hash() == FORGED
 
-    def test_a_save_right_after_write_papers_leaves_it(self, tmp_path, write_papers_calls):
-        graph = self.build(tmp_path)
-        del write_papers_calls[:]
-        graph.save(tmp_path)
-        graph.save(tmp_path)
-        assert write_papers_calls == []
-        self.assert_fresh(graph, tmp_path, tmp_path)
-
     @staticmethod
     def extract(graph, store, raw) -> None:
-        """Apply a record and append it to the log, as ``ingest`` does."""
+        """Apply a record and append it to the log, as ``extract`` does."""
         record = parse_record(raw)
         graph.add_paper_record(record)
-        graph.append_log(store / "records.jsonl", [record])
+        graph.append_log(store / "records.jsonl")
 
     @pytest.mark.parametrize("change", [
         lambda graph, store: TestPapersWrittenOnce.extract(graph, store, make_record("2", year=2019)),
@@ -732,18 +735,19 @@ class TestPapersWrittenOnce:
 
     def test_a_registration_that_changes_nothing_keeps_it(self, tmp_path, write_papers_calls):
         graph = self.build(tmp_path)
+        before = (tmp_path / "papers.jsonl").read_bytes()
         assert not graph.register_paper(PaperMeta("2", "Other", 2020))
         del write_papers_calls[:]
         graph.save(tmp_path)
-        assert write_papers_calls == []
+        assert write_papers_calls == [tmp_path]
+        assert (tmp_path / "papers.jsonl").read_bytes() == before
+        self.assert_fresh(graph, tmp_path, tmp_path)
 
-    @pytest.mark.parametrize("elsewhere", ["another_directory", "file_deleted", "file_replaced"])
+    @pytest.mark.parametrize("elsewhere", ["file_deleted", "file_replaced"])
     def test_a_save_where_that_file_is_not_writes_it(self, tmp_path, write_papers_calls, elsewhere):
         store = tmp_path / "store"
         graph = self.build(store)
-        if elsewhere == "another_directory":
-            store = tmp_path / "other"
-        elif elsewhere == "file_deleted":
+        if elsewhere == "file_deleted":
             (store / "papers.jsonl").unlink()
         else:
             write_jsonl(store / "papers.jsonl", [{"corpus_id": "9"}])
@@ -938,12 +942,10 @@ class TestNodeRowsFromTheLog:
         first.save(store)
         graph = ContributionGraph.load(store)
         graph.register_paper(PaperMeta("4", "", None, PartialDate(2021, 3), f"{NON_ASCII} Venue"))
-        raws = [rich_record("3"), rich_record("4", year=2021), make_record("5", n=0),
-                rich_record("6", n=3)]
-        records = [parse_record(raw) for raw in raws]
-        for record in records:
-            graph.add_paper_record(record)
-        graph.append_log(store / self.LOG, records)
+        for raw in (rich_record("3"), rich_record("4", year=2021), make_record("5", n=0),
+                    rich_record("6", n=3)):
+            graph.add_paper_record(raw)
+        graph.append_log(store / self.LOG)
         graph.register_paper(PaperMeta("6", "", None, PartialDate(2020, 1, 2)))
         return graph
 
@@ -968,20 +970,19 @@ class TestNodeRowsFromTheLog:
 
     def test_an_edit_that_keeps_every_length_fails_every_save(self, tmp_path):
         """Every save reads the logged records back from the graph's own
-        log, so an edit there that keeps every length fails a save into
-        any directory, naming the log and the line's offset."""
-        store, copied, empty = tmp_path / "store", tmp_path / "copied", tmp_path / "empty"
-        graph = self.build(store)
-        log = store / self.LOG
+        log, so an edit there that keeps every length fails each save
+        into the store, naming the log and the line's offset, and leaves
+        the views as they were."""
+        graph = self.build(tmp_path)
+        log = tmp_path / self.LOG
         offset = log.read_bytes().index(b'{"corpus_id": "3"')
         with log.open("r+b") as f:
             f.write(log.read_bytes().replace(b"thing 0 of paper 3", b"THING 0 OF PAPER 3"))
-        copied.mkdir()
-        (copied / self.LOG).write_bytes(log.read_bytes())
-        for directory in (store, copied, empty):
+        views = {name: (tmp_path / name).read_bytes() for name in ("nodes.jsonl", "edges.jsonl")}
+        for _ in range(2):
             with pytest.raises(ContribGraphError, match=rf"records\.jsonl at byte {offset}: "):
-                graph.save(directory)
-        assert not (empty / self.LOG).exists()
+                graph.save(tmp_path)
+        assert {name: (tmp_path / name).read_bytes() for name in views} == views
 
     def test_a_log_that_moved_the_appended_bytes_fails_the_save(self, tmp_path):
         graph = self.build(tmp_path)
@@ -1001,7 +1002,7 @@ class TestNodeRowsFromTheLog:
             graph.add_paper_record(record)
         whole = len(dump_line(records[0].to_json()).encode("utf-8")) + 1
         with pytest.raises(OSError), disk_full_after(len(before) + whole + 200):
-            graph.append_log(log, records)
+            graph.append_log(log)
         assert len(log.read_bytes()) == len(before) + whole + 200  # 7 whole, 8 torn
         # Were a span kept for 7 or 8, reading it back from the log cut
         # back to its length before would fail.
@@ -1030,26 +1031,45 @@ def test_a_save_of_a_loaded_store_encodes_no_contribution(tmp_path, monkeypatch)
     assert {name: (tmp_path / name).read_bytes() for name in views} == views
 
 
-def test_an_append_to_another_log_holds_the_old_logs_records_again(tmp_path):
-    """The graph keeps the lines of one log: an append to another one
-    reads back the records logged in the first and holds them again, so
-    they outlive the first log, and the views it saves equal the rows
-    encoded whole."""
+def files_of(directory) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("other_store", ["missing", "copy"])
+@pytest.mark.parametrize("write", ["append_log", "save"])
+def test_a_graph_keeps_one_log(tmp_path, write, other_store):
+    """Once some of a graph's records are logged, an append or a save
+    into another store, even a copy of its own, raises naming both logs
+    and writes nothing anywhere; the same store reached through another
+    path string is not refused."""
     first, other = tmp_path / "first", tmp_path / "other"
     built = ContributionGraph()
     for raw in load_golden_raw():
         built.add_paper_record(raw)
     built.save(first)
+    if other_store == "copy":
+        shutil.copytree(first, other)
     graph = ContributionGraph.load(first)
     logged = graph.records()
     record = parse_record(rich_record("3"))
     graph.add_paper_record(record)
-    graph.append_log(other / "records.jsonl", [record])
-    for name in ("records.jsonl", "alignments.jsonl"):
-        (first / name).unlink()
-    assert graph.records() == [*logged, record]
-    graph.save(other)
-    assert (other / "nodes.jsonl").read_bytes() == node_lines_fresh(graph)
+    writes = {
+        "append_log": lambda store: graph.append_log(store / "records.jsonl"),
+        "save": graph.save,
+    }
+    before = {store: files_of(store) for store in (first, other) if store.exists()}
+    with pytest.raises(ContribGraphError) as raised:
+        writes[write](other)
+    for store in (first, other):
+        assert str((store / "records.jsonl").resolve()) in str(raised.value)
+    assert {store: files_of(store) for store in (first, other) if store.exists()} == before
+
+    link = tmp_path / "link"
+    link.symlink_to(first)
+    writes[write](link)
+    graph.save(first / ".." / "first")
+    assert ContributionGraph.load(first).records() == graph.records() == [*logged, record]
+    assert (first / "nodes.jsonl").read_bytes() == node_lines_fresh(graph)
 
 
 def test_logged_records_hold_no_prerequisite_side(corpus, tmp_path, monkeypatch):

@@ -1216,14 +1216,43 @@ class TestLogReplay:
         loaded = ContributionGraph.load(tmp_path)
         assert self.edge_tuples(loaded) == cf.EXPECTED_EDGES
         assert sorted(u.key() for u in loaded.unresolved) == cf.EXPECTED_UNRESOLVED_KEYS
+        # The re-extraction logged the late alignment again, and the
+        # edges above hold its edge once: replay applies it once.
         assert_index_invariants(loaded)
-        # The re-extraction logged the late alignment again; replay keeps one.
-        loaded.save(tmp_path / "rewritten")
-        sites = [
-            (a["owner_id"], a["prereq_index"], a["ref_index"])
-            for a in read_jsonl(tmp_path / "rewritten" / "alignments.jsonl")
-        ]
-        assert len(sites) == len(set(sites)) > 0
+
+    def test_a_record_whose_append_raised_is_logged_before_the_next(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # 7000005 cites 7000006, and in one batch 7000006's late alignment
+        # gives 7000005.c0 its edge. The append of 7000005's record raises
+        # once, so the graph still holds it; the next append logs it first,
+        # so replay applies it before the late alignment that names it.
+        papers = {paper.corpus_id: paper for paper in cf.paper_inputs(corpus)}
+        order = cf.EXTRACTION_ORDER
+        graph = ContributionGraph()
+        cf.register_catalog(graph, corpus)
+        pipeline = Pipeline(
+            MockBackend(corpus.mock_dir), graph, records_path=tmp_path / "records.jsonl"
+        )
+        cf.extract_each(pipeline, [papers[c] for c in order[: order.index("7000005")]])
+        append, failed = jsonl.append_lines, []
+
+        def failing_append(path, lines):  # the first append of 7000005's record
+            lines = list(lines)
+            if not failed and lines[:1] and lines[0].startswith(b'{"corpus_id": "7000005"'):
+                failed.append(path)
+                raise OSError("disk full")
+            return append(path, lines)
+
+        monkeypatch.setattr(jsonl, "append_lines", failing_append)
+        results = pipeline.run_batch([papers["7000005"], papers["7000006"]])
+        monkeypatch.undo()
+        assert [type(error) for _, _, error in results] == [OSError, type(None)]
+        cf.extract_each(pipeline, [papers[c] for c in order[order.index("7000006") + 1:]])
+
+        loaded = ContributionGraph.load(tmp_path)
+        assert self.edge_tuples(loaded) == self.edge_tuples(graph) == cf.EXPECTED_EDGES
+        assert_index_invariants(loaded)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_load_during_an_extract_holds_a_state_of_the_store(
